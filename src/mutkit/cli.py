@@ -48,7 +48,7 @@ from .pipeline import (
 )
 from .promptgen import Mutant, PromptError, read_manifest
 from .sft import SftContext, SftError, export, write_instances
-from .tcp import TcpError, apfd, grd, grk, hyb
+from .tcp import TcpError, apfd, check_weight, grd, grk, hyb
 from .validity import ValidityError
 
 logger = logging.getLogger(__name__)
@@ -230,6 +230,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_tcp(args: argparse.Namespace) -> int:
     """Prioritize one matrix's tests and score the order against detection."""
+    check_weight(args.weight)
     matrix = load_matrix(args.matrix)
     detection = {bug: set(tests)
                  for bug, tests in _read_json(args.detection).items()}

@@ -691,6 +691,10 @@ def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
             warnings.append(f"tcp: bug {bug_id} has no kill matrix tests")
             continue
         detection_tests = set(bug.revealing) & set(bug.matrix.test_ids)
+        if not detection_tests:
+            warnings.append(
+                f"tcp: bug {bug_id} has no revealing test in the matrix; "
+                f"APFD skipped")
         entry: dict = {}
         for name, strategy in strategies.items():
             suite = strategy(bug.matrix)
@@ -701,10 +705,6 @@ def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
                 value = apfd(suite.order, {bug_id: detection_tests})
                 record["apfd"] = value
                 apfd_values[name].append(value)
-            else:
-                warnings.append(
-                    f"tcp: bug {bug_id} has no revealing test in the matrix; "
-                    f"APFD skipped")
             entry[name] = record
         per_bug[bug_id] = entry
     mean_apfd = {name: (sum(values) / len(values) if values else None)

@@ -6,18 +6,20 @@ test distinguishes a pair when it kills exactly one of the two), and
 HYB-omega takes a normalized weighted sum of both gains.  When no
 remaining test adds anything, the covered sets reset and the greedy
 continues, so every strategy yields a total ordering.
+
+Pairs are never stored: the tests chosen so far split the mutants into
+classes with equal kill patterns, and a test killing k of a class's n
+mutants distinguishes k * (n - k) new pairs.  A greedy step costs
+O(M * T) and a strategy O(T^2 * M) for M mutants and T tests.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .execution import KillMatrix
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_HYB_WEIGHT = 0.5
 
@@ -42,79 +44,72 @@ class PrioritizedSuite:
             raise TcpError("audit trails must align with the ordering")
 
 
-def _pair_gain_matrix(columns: np.ndarray, distinguished: np.ndarray) -> np.ndarray:
-    """Per-test counts of not-yet-distinguished pairs each column splits."""
-    # columns: (mutants, tests) bool; distinguished: (mutants, mutants) bool.
-    m = columns.shape[0]
-    gains = np.zeros(columns.shape[1], dtype=np.int64)
-    upper = np.triu(np.ones((m, m), dtype=bool), k=1)
-    candidate_mask = upper & ~distinguished
-    for j in range(columns.shape[1]):
-        col = columns[:, j]
-        split = col[:, None] != col[None, :]
-        gains[j] = int(np.count_nonzero(split & candidate_mask))
-    return gains
+def _pair_gains(kills: np.ndarray, columns: np.ndarray, classes: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
+    """Undistinguished mutant pairs each given column splits (k * (n - k))."""
+    rows = np.flatnonzero(sizes[classes] > 1)
+    if rows.size == 0:
+        return np.zeros(columns.size, dtype=np.int64)
+    rows = rows[np.argsort(classes[rows], kind="stable")]
+    labels = classes[rows]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    killed = np.add.reduceat(kills[rows][:, columns], starts, axis=0, dtype=np.int64)
+    return (killed * (sizes[labels[starts], None] - killed)).sum(axis=0)
 
 
 def _greedy(matrix: KillMatrix, strategy: str, weight: float) -> PrioritizedSuite:
     if not matrix.test_ids:
         raise TcpError(f"bug {matrix.bug_id}: matrix has no tests")
-    test_ids = list(matrix.test_ids)
-    kills = matrix.kills
+    # Columns in test-id order, so argmax breaks score ties by id.
+    by_id = sorted(range(len(matrix.test_ids)), key=matrix.test_ids.__getitem__)
+    test_ids = [matrix.test_ids[j] for j in by_id]
+    kills = matrix.kills[:, by_id]
     mutant_count = kills.shape[0]
     pair_count = mutant_count * (mutant_count - 1) // 2
 
-    remaining = list(range(len(test_ids)))
+    remaining = np.arange(len(test_ids))
     covered = np.zeros(mutant_count, dtype=bool)
-    distinguished = np.zeros((mutant_count, mutant_count), dtype=bool)
-
+    # Mutants no chosen test has told apart share a class label.
+    classes = np.zeros(mutant_count, dtype=np.int64)
+    sizes, kill_gain = np.bincount(classes), kills.sum(axis=0)
     order: list[str] = []
     step_kills: list[int] = []
     step_pairs: list[int] = []
 
-    def gains() -> tuple[np.ndarray, np.ndarray]:
-        kill_gain = np.array(
-            [int(np.count_nonzero(kills[:, j] & ~covered)) for j in remaining],
-            dtype=np.int64)
+    def scores() -> np.ndarray:
+        kills_left = kill_gain[remaining]
         if strategy == "GRK":
-            pair_gain = np.zeros(len(remaining), dtype=np.int64)
-        else:
-            pair_gain = _pair_gain_matrix(
-                kills[:, remaining], distinguished)
-        return kill_gain, pair_gain
-
-    def scores(kill_gain: np.ndarray, pair_gain: np.ndarray) -> np.ndarray:
-        if strategy == "GRK":
-            return kill_gain.astype(float)
+            return kills_left.astype(float)
+        pair_gain = _pair_gains(kills, remaining, classes, sizes)
         if strategy == "GRD":
             return pair_gain.astype(float)
-        kill_term = kill_gain / mutant_count if mutant_count else np.zeros_like(kill_gain, dtype=float)
-        pair_term = pair_gain / pair_count if pair_count else np.zeros_like(pair_gain, dtype=float)
-        return weight * kill_term + (1.0 - weight) * pair_term
+        # Without mutants (or pairs) every gain is 0, so dividing by 1 is exact.
+        return (weight * (kills_left / max(mutant_count, 1))
+                + (1.0 - weight) * (pair_gain / max(pair_count, 1)))
 
-    while remaining:
-        kill_gain, pair_gain = gains()
-        step_scores = scores(kill_gain, pair_gain)
-        if step_scores.max() <= 0 and (covered.any() or distinguished.any()):
+    while remaining.size:
+        step_scores = scores()
+        # Splitting a class takes a kill, so covered also tracks pairs.
+        if step_scores.max() <= 0 and covered.any():
             covered[:] = False
-            distinguished[:] = False
-            kill_gain, pair_gain = gains()
-            step_scores = scores(kill_gain, pair_gain)
-        best_score = step_scores.max()
-        choice = min(
-            (k for k in range(len(remaining)) if step_scores[k] == best_score),
-            key=lambda k: test_ids[remaining[k]])
-        j = remaining.pop(choice)
+            classes[:] = 0
+            sizes, kill_gain = np.bincount(classes), kills.sum(axis=0)
+            step_scores = scores()
+        pick = int(np.argmax(step_scores))
+        j = remaining[pick]
+        remaining = np.delete(remaining, pick)
         column = kills[:, j]
-        gained_kills = int(np.count_nonzero(column & ~covered))
-        split = column[:, None] != column[None, :]
-        upper = np.triu(np.ones((mutant_count, mutant_count), dtype=bool), k=1)
-        gained_pairs = int(np.count_nonzero(split & upper & ~distinguished))
-        covered |= column
-        distinguished |= split
+        killed = np.bincount(classes[column], minlength=len(sizes))
         order.append(test_ids[j])
-        step_kills.append(gained_kills)
-        step_pairs.append(gained_pairs)
+        step_kills.append(int(kill_gain[j]))
+        step_pairs.append(int((killed * (sizes - killed)).sum()))
+        # Refine: the killed part of every split class gets a fresh label.
+        split = (killed > 0) & (killed < sizes)
+        moved = column & split[classes]
+        classes[moved] = (np.cumsum(split) + len(sizes) - 1)[classes[moved]]
+        sizes = np.bincount(classes)
+        kill_gain -= kills[column & ~covered].sum(axis=0)
+        covered |= column
 
     name = {"GRK": "GRK", "GRD": "GRD"}.get(strategy, f"HYB({weight:g})")
     return PrioritizedSuite(strategy=name, order=tuple(order),
@@ -132,6 +127,12 @@ def grd(matrix: KillMatrix) -> PrioritizedSuite:
     return _greedy(matrix, "GRD", weight=0.0)
 
 
+def check_weight(weight: float) -> None:
+    """Reject a HYB weight outside [0, 1]."""
+    if not 0.0 <= weight <= 1.0:
+        raise TcpError(f"weight must be in [0, 1], got {weight}")
+
+
 def hyb(matrix: KillMatrix, weight: float = DEFAULT_HYB_WEIGHT) -> PrioritizedSuite:
     """Hybrid prioritization: omega weights kills against pairs.
 
@@ -139,8 +140,7 @@ def hyb(matrix: KillMatrix, weight: float = DEFAULT_HYB_WEIGHT) -> PrioritizedSu
     number of mutant pairs) so the weight is scale-free; weight 1 matches
     grk and weight 0 matches grd.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise TcpError(f"weight must be in [0, 1], got {weight}")
+    check_weight(weight)
     return _greedy(matrix, "HYB", weight=weight)
 
 

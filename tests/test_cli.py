@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mutkit.cli import main
+from mutkit.execution import KillMatrix, save_matrix
 from mutkit.llm import MockBackend, write_mock_script
 from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from test_pipeline import (
@@ -271,6 +272,27 @@ class TestStandaloneAnalysis:
         assert grk["order"] == ["t_above", "t_small", "t_big", "t_at_limit"]
         assert grk["apfd"] == pytest.approx(0.875)
         assert set(payload["strategies"]) == {"GRK", "GRD", "HYB(0.5)"}
+
+    def test_tcp_rejects_bad_weight_before_prioritizing(self, tmp_path,
+                                                        capsys, monkeypatch):
+        matrix_path = tmp_path / "B-1.matrix"
+        save_matrix(KillMatrix(bug_id="B-1", mutant_ids=("m1",),
+                               test_ids=("t1",), kills=[[True]]),
+                    str(matrix_path))
+        detection_path = tmp_path / "detection.json"
+        detection_path.write_text(json.dumps({"B-1": ["t1"]}))
+
+        def must_not_run(matrix):
+            raise AssertionError("a strategy ran before the weight check")
+
+        monkeypatch.setattr("mutkit.cli.grk", must_not_run)
+        monkeypatch.setattr("mutkit.cli.grd", must_not_run)
+        code, out, err = run_cli([
+            "tcp", "--matrix", str(matrix_path),
+            "--detection", str(detection_path), "--weight", "1.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "weight must be in [0, 1], got 1.5" in err
 
     def test_mbfl_from_files(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -430,6 +430,23 @@ class TestEvaluateFixedMode:
         assert section["mean_apfd"]["GRK"] == pytest.approx(0.875)
         assert set(section["mean_apfd"]) == {"GRK", "GRD", "HYB(0.5)"}
 
+    def test_unrevealed_bug_warns_once_not_per_strategy(self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                retrieval=False, test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND)
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED,
+                              bug_revealing_tests=("t_gone",))]
+        scripted_generate(config, targets, tmp_path)
+        outcome = run_evaluate(config, targets, stages=("tcp",))
+        expected = ["tcp: bug Clamp-1 has no revealing test in the matrix; "
+                    "APFD skipped"]
+        assert outcome.warnings == expected
+        report = json.loads((outcome.out_dir / "report.json").read_text())
+        assert report["warnings"] == expected
+        per_strategy = outcome.sections["tcp"]["per_bug"]["Clamp-1"]
+        assert len(per_strategy) == 3
+        assert all("apfd" not in record for record in per_strategy.values())
+
     def test_mbfl_skipped_in_fixed_mode(self, fixed_run):
         _, _, outcome = fixed_run
         assert "mbfl" not in outcome.sections or outcome.sections.get(

@@ -1,10 +1,14 @@
 """Tests for greedy test prioritization and APFD."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutkit.execution import KillMatrix
 from mutkit.tcp import (
@@ -73,6 +77,79 @@ def oracle_greedy(table, tests, mode, weight=0.5):
                 distinguished.add((i, j))
         order.append(chosen)
     return order, kill_audit, pair_audit
+
+
+@st.composite
+def structured_tables(draw):
+    """Kill tables shaped to stress the greedy's class bookkeeping.
+
+    Mutants either all get their own row or copy one of a few prototype
+    rows (identical rows); columns are random, all-zero or all-one, and
+    some tests duplicate another's column.  A single mutant and zero
+    mutants are both reachable.
+    """
+    mutant_count = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        prototypes = max(1, mutant_count)
+        row_of = list(range(mutant_count))
+    else:
+        prototypes = draw(st.integers(1, max(1, mutant_count)))
+        row_of = draw(st.lists(st.integers(0, prototypes - 1),
+                               min_size=mutant_count, max_size=mutant_count))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zeros", "ones"]),
+                              min_size=1, max_size=14)):
+        if kind == "random":
+            cells = draw(st.lists(st.booleans(), min_size=prototypes,
+                                  max_size=prototypes))
+            columns.append([cells[r] for r in row_of])
+        else:
+            columns.append([kind == "ones"] * mutant_count)
+    copies = draw(st.lists(st.integers(0, len(columns) - 1), max_size=6))
+    columns += [columns[k] for k in copies]
+    tests = draw(st.permutations([f"t{j:02d}" for j in range(len(columns))]))
+    table = {f"m{i:02d}": {t for t, column in zip(tests, columns) if column[i]}
+             for i in range(mutant_count)}
+    return table, tests
+
+
+def golden_matrix(seed, mutant_count, test_count):
+    """A seeded kill matrix with survivors, duplicate tests and twin mutants."""
+    rng = np.random.default_rng(seed)
+    density = 0.02 + 0.33 * rng.random(test_count)
+    kills = rng.random((mutant_count, test_count)) < density
+    kills[rng.random(mutant_count) < 0.15] = False
+    copied = rng.random(test_count) < 0.2
+    sources = (rng.random(test_count) * test_count).astype(int)
+    kills[:, copied] = kills[:, sources[copied]]
+    twinned = rng.random(mutant_count) < 0.15
+    twins = (rng.random(mutant_count) * mutant_count).astype(int)
+    kills[twinned] = kills[twins[twinned]]
+    test_ids = tuple(f"t{j:03d}" for j in np.argsort(rng.random(test_count)))
+    mutant_ids = tuple(f"m{i:03d}" for i in range(mutant_count))
+    return KillMatrix(bug_id=f"g{seed}", mutant_ids=mutant_ids,
+                      test_ids=test_ids, kills=kills)
+
+
+# sha256 of [order, step_kills, step_pairs] as JSON, recorded from the
+# earlier kernel that tracked distinguished pairs in an M x M matrix.
+GOLDEN_DIGESTS = {
+    ((120, 60), "GRK"): "216fa2fcc99a05c147b929a3b5e18e76c9006f6b46c31785ebe68e14969ccb4f",
+    ((120, 60), "GRD"): "c6f1d34b67e21216afb0ead64b644440ca47f5a73a47d736ccb2a4ecd1ac56d3",
+    ((120, 60), "HYB(0.3)"): "6135a0eea09c68c46aa02b9b8d9061662a6b867f3909e948c7a05e432346fde1",
+    ((120, 60), "HYB(0.5)"): "c2b3a0fc3b7432d630e3487a526f65d075c1ffa65fa15b44c9df1c81acd4225b",
+    ((280, 180), "GRK"): "3401f4849d9c9d57bc6751563728ac30ab31068afbdef44fb4529c6d4a23ff20",
+    ((280, 180), "GRD"): "26f1b6c42caf9d72b126b958ad6e0118c37f34b2e51024ea434db81f94666704",
+    ((280, 180), "HYB(0.3)"): "c4f9a6b9fcf795ee094959f2a5b3ec4f2677a9141cdb5b40aad2b1fc0228cf91",
+    ((280, 180), "HYB(0.5)"): "721b0f8757233280ce9625bdd063ab34baf068d158db90888c02223f422be25c",
+}
+
+GOLDEN_STRATEGIES = {
+    "GRK": grk,
+    "GRD": grd,
+    "HYB(0.3)": lambda matrix: hyb(matrix, 0.3),
+    "HYB(0.5)": lambda matrix: hyb(matrix, 0.5),
+}
 
 
 class TestGrkHandCases:
@@ -227,6 +304,38 @@ class TestGreedyAgainstOracle:
                 for mutant, killed_by in table.items():
                     if test in killed_by:
                         covered.add(mutant)
+
+
+class TestGreedyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(structured_tables(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_strategies_match_oracle_on_structured_tables(self, case, weight):
+        table, tests = case
+        matrix = matrix_from_table(table, tests)
+        for mode, suite in (("grk", grk(matrix)), ("grd", grd(matrix)),
+                            ("hyb", hyb(matrix, weight))):
+            order, kill_audit, pair_audit = oracle_greedy(
+                table, tests, mode, weight=weight)
+            assert list(suite.order) == order
+            assert list(suite.step_kills) == kill_audit
+            assert list(suite.step_pairs) == pair_audit
+
+    def test_tests_over_zero_mutants_order_by_id(self):
+        matrix = matrix_from_table({}, ["t2", "t0", "t1"])
+        for suite in (grk(matrix), grd(matrix), hyb(matrix, 0.3)):
+            assert suite.order == ("t0", "t1", "t2")
+            assert suite.step_kills == (0, 0, 0)
+            assert suite.step_pairs == (0, 0, 0)
+
+
+class TestGoldenOrders:
+    @pytest.mark.parametrize(("shape", "strategy"), sorted(GOLDEN_DIGESTS))
+    def test_orders_and_audits_are_byte_identical(self, shape, strategy):
+        suite = GOLDEN_STRATEGIES[strategy](golden_matrix(sum(shape), *shape))
+        payload = json.dumps([list(suite.order), list(suite.step_kills),
+                              list(suite.step_pairs)])
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_DIGESTS[shape, strategy]
 
 
 class TestPrioritizedSuiteValidation:

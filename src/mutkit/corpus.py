@@ -116,8 +116,21 @@ def _changed_regions(a: list[str], b: list[str]) -> list[tuple[int, int, int, in
     """Maximal runs of non-matching lines as (i1, i2, j1, j2) index ranges.
 
     Backtracks an LCS alignment; on ties it prefers consuming from ``a``
-    first, which keeps the result deterministic.
+    first, which keeps the result deterministic.  The common prefix is
+    trimmed before the table is built: the backtrack always consumes equal
+    heads, and the table cells past the prefix depend only on the suffixes.
+    The common suffix is not trimmed, because the backtrack can split it
+    into a separate region (``['y', 'x']`` against ``['z', 'x', 'x']`` is
+    two regions).
     """
+    prefix, limit = 0, min(len(a), len(b))
+    while prefix < limit and a[prefix] == b[prefix]:
+        prefix += 1
+    return [(i1 + prefix, i2 + prefix, j1 + prefix, j2 + prefix)
+            for i1, i2, j1, j2 in _backtrack_regions(a[prefix:], b[prefix:])]
+
+
+def _backtrack_regions(a: list[str], b: list[str]) -> list[tuple[int, int, int, int]]:
     table = _lcs_table(a, b)
     regions: list[tuple[int, int, int, int]] = []
     i = j = 0

@@ -1,14 +1,14 @@
-"""Code-to-vector embedding backends and a brute-force nearest-neighbor index.
+"""A code-to-vector embedding backend and a brute-force nearest-neighbor index.
 
 The default backend is a deterministic lexical embedder: code is tokenized,
 token trigrams are hashed into a fixed number of buckets, and the vector is
 the raw bucket-count histogram.  Hashing uses BLAKE2, so vectors are stable
-across processes and platforms.  A remote HTTP embedding service can be
-plugged in instead; every index records which backend produced it.
+across processes and platforms.  Every index records which backend produced it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -45,10 +45,6 @@ class IndexFormatError(Exception):
     """Raised when an index file is truncated, corrupt, or wrong-version."""
 
 
-class RemoteEmbeddingError(EmbeddingError):
-    """Raised when a remote embedding service fails or misbehaves."""
-
-
 def tokenize(code: str) -> list[str]:
     """Split code into identifiers, numbers, and operator tokens."""
     return _TOKEN_RE.findall(code)
@@ -66,8 +62,9 @@ class CodeEmbedding:
         return int(self.values.shape[0])
 
 
-def _bucket(trigram: tuple[str, str, str], dimension: int) -> int:
-    digest = hashlib.blake2b(_SEPARATOR.join(trigram).encode("utf-8"), digest_size=8).digest()
+@functools.lru_cache(maxsize=1 << 16)
+def _bucket(joined_trigram: str, dimension: int) -> int:
+    digest = hashlib.blake2b(joined_trigram.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % dimension
 
 
@@ -90,67 +87,10 @@ class LexicalEmbedder:
         if not code or not code.strip():
             raise EmbeddingError("cannot embed empty code")
         tokens = [_BOUNDARY, _BOUNDARY] + tokenize(code) + [_BOUNDARY, _BOUNDARY]
-        values = np.zeros(self.dimension, dtype=np.float32)
-        for i in range(len(tokens) - 2):
-            values[_bucket((tokens[i], tokens[i + 1], tokens[i + 2]), self.dimension)] += 1.0
+        buckets = [_bucket(_SEPARATOR.join(tokens[i:i + 3]), self.dimension)
+                   for i in range(len(tokens) - 2)]
+        values = np.bincount(buckets, minlength=self.dimension).astype(np.float32)
         return CodeEmbedding(values=values, backend_id=self.backend_id)
-
-    def embed_batch(self, codes: list[str]) -> list[CodeEmbedding]:
-        return [self.embed(code) for code in codes]
-
-
-class RemoteEmbedder:
-    """Client for an HTTP embedding service (POST {"texts": [...]}).
-
-    The service must reply with {"vectors": [[...], ...]} where every vector
-    has the configured dimension.  ``transport`` is injectable for tests and
-    defaults to requests.post.
-    """
-
-    def __init__(self, endpoint: str, dimension: int, backend_id: str | None = None,
-                 batch_size: int = 64, timeout: float = 30.0, transport=None):
-        if dimension < 1:
-            raise EmbeddingError(f"dimension must be positive, got {dimension}")
-        self.endpoint = endpoint
-        self.dimension = dimension
-        self.backend_id = backend_id or f"remote-{dimension}"
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self._transport = transport or self._http_post
-
-    @staticmethod
-    def _http_post(endpoint: str, payload: dict, timeout: float) -> dict:
-        import requests
-
-        try:
-            reply = requests.post(endpoint, json=payload, timeout=timeout)
-        except requests.RequestException as exc:
-            raise RemoteEmbeddingError(f"embedding service unreachable: {exc}") from exc
-        if reply.status_code != 200:
-            raise RemoteEmbeddingError(f"embedding service returned HTTP {reply.status_code}")
-        return reply.json()
-
-    def embed_batch(self, codes: list[str]) -> list[CodeEmbedding]:
-        for code in codes:
-            if not code or not code.strip():
-                raise EmbeddingError("cannot embed empty code")
-        out: list[CodeEmbedding] = []
-        for start in range(0, len(codes), self.batch_size):
-            batch = codes[start:start + self.batch_size]
-            reply = self._transport(self.endpoint, {"texts": batch}, self.timeout)
-            vectors = reply.get("vectors") if isinstance(reply, dict) else None
-            if not isinstance(vectors, list) or len(vectors) != len(batch):
-                raise RemoteEmbeddingError("malformed embedding service reply")
-            for vector in vectors:
-                values = np.asarray(vector, dtype=np.float32)
-                if values.shape != (self.dimension,):
-                    raise RemoteEmbeddingError(
-                        f"expected dimension {self.dimension}, got {values.shape}")
-                out.append(CodeEmbedding(values=values, backend_id=self.backend_id))
-        return out
-
-    def embed(self, code: str) -> CodeEmbedding:
-        return self.embed_batch([code])[0]
 
 
 def _as_vector(probe, dimension: int) -> np.ndarray:
@@ -165,9 +105,14 @@ def _as_vector(probe, dimension: int) -> np.ndarray:
 class VectorIndex:
     """Exact nearest-neighbor index with linear scan over stored vectors.
 
-    Vectors are stored unnormalized; the cosine metric normalizes at query
-    time.  Ranking ties are broken by ascending entry id, so results do not
-    depend on insertion order.
+    Vectors are stored unnormalized in one float32 matrix whose capacity
+    doubles when it fills; the cosine metric normalizes at query time, with
+    the per-row norms cached until the next ``add``.  A query scores every
+    entry with one numpy expression, picks the n best with
+    ``np.argpartition``, keeps every entry tied with the n-th best, and
+    orders those by (score, entry id) with ``np.lexsort``.  Ranking ties are
+    therefore broken by ascending entry id, so results do not depend on
+    insertion order; an entry whose score is NaN ranks last.
     """
 
     def __init__(self, dimension: int, metric: str = "euclidean",
@@ -178,7 +123,10 @@ class VectorIndex:
         self.metric = metric
         self.backend_id = backend_id
         self.ids: list[str] = []
-        self._vectors: list[np.ndarray] = []
+        self._known_ids: set[str] = set()
+        self._vectors = np.zeros((0, dimension), dtype=np.float32)
+        self._norms: np.ndarray | None = None
+        self._id_ranks: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -191,15 +139,36 @@ class VectorIndex:
         if not self.backend_id:
             self.backend_id = embedding.backend_id
         values = _as_vector(embedding, self.dimension)
-        if entry_id in set(self.ids):
+        if entry_id in self._known_ids:
             raise EmbeddingError(f"duplicate index entry id {entry_id!r}")
+        count = len(self.ids)
+        if count == len(self._vectors):
+            grown = np.zeros((max(16, 2 * count), self.dimension), dtype=np.float32)
+            grown[:count] = self._vectors
+            self._vectors = grown
+        self._vectors[count] = values
+        self._known_ids.add(entry_id)
         self.ids.append(entry_id)
-        self._vectors.append(values)
+        self._norms = self._id_ranks = None
 
     def matrix(self) -> np.ndarray:
-        if not self._vectors:
-            return np.zeros((0, self.dimension), dtype=np.float32)
-        return np.stack(self._vectors)
+        """The stored vectors in insertion order, as a read-only view."""
+        view = self._vectors[:len(self.ids)]
+        view.flags.writeable = False
+        return view
+
+    def _row_norms(self) -> np.ndarray:
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.matrix(), axis=1)
+        return self._norms
+
+    def _ranks(self) -> np.ndarray:
+        """Each entry's position in ascending id order (the tie-break key)."""
+        if self._id_ranks is None:
+            by_id = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+            self._id_ranks = np.empty(len(self.ids), dtype=np.intp)
+            self._id_ranks[by_id] = np.arange(len(self.ids))
+        return self._id_ranks
 
     def query(self, probe, n: int) -> list[tuple[str, float]]:
         """Return the top-n entries for a probe embedding.
@@ -214,22 +183,30 @@ class VectorIndex:
         vector = _as_vector(probe, self.dimension)
         stored = self.matrix()
         if self.metric == "euclidean":
-            scores = np.linalg.norm(stored - vector, axis=1)
-            ascending = True
+            # The ufuncs np.linalg.norm(stored - vector, axis=1) runs for real
+            # input, squared in place: the same bits, one temporary not three.
+            deltas = stored - vector
+            np.multiply(deltas, deltas, out=deltas)
+            scores = np.sqrt(np.add.reduce(deltas, axis=1))
+            keys = scores
         elif self.metric == "dot":
             scores = stored @ vector
-            ascending = False
+            keys = -scores
         else:
-            norms = np.linalg.norm(stored, axis=1)
+            norms = self._row_norms()
             probe_norm = float(np.linalg.norm(vector))
             with np.errstate(invalid="ignore", divide="ignore"):
                 scores = (stored @ vector) / (norms * probe_norm)
             scores = np.where((norms == 0) | (probe_norm == 0), 0.0, scores)
-            ascending = False
-        order = sorted(
-            range(len(self.ids)),
-            key=lambda i: ((scores[i] if ascending else -scores[i]), self.ids[i]),
-        )
+            keys = -scores
+        if n < len(keys):
+            cut = keys[np.argpartition(keys, n - 1)[n - 1]]
+            # "not worse than the cut" rather than "<= cut": a NaN cut keeps
+            # every entry, and lexsort then puts the NaN keys last.
+            candidates = np.flatnonzero(~(keys > cut))
+        else:
+            candidates = np.arange(len(keys))
+        order = candidates[np.lexsort((self._ranks()[candidates], keys[candidates]))]
         return [(self.ids[i], float(scores[i])) for i in order[:n]]
 
     def save(self, path: str) -> None:
@@ -243,11 +220,11 @@ class VectorIndex:
             handle.write(struct.pack("<H", len(backend_bytes)))
             handle.write(backend_bytes)
             handle.write(struct.pack("<I", len(self.ids)))
-            for entry_id, values in zip(self.ids, self._vectors):
+            for entry_id, values in zip(self.ids, self.matrix().astype("<f4", copy=False)):
                 id_bytes = entry_id.encode("utf-8")
                 handle.write(struct.pack("<H", len(id_bytes)))
                 handle.write(id_bytes)
-                handle.write(values.astype("<f4").tobytes())
+                handle.write(values.tobytes())
 
     @classmethod
     def load(cls, path: str) -> "VectorIndex":
@@ -273,23 +250,32 @@ class VectorIndex:
             offset += backend_len
             (count,) = struct.unpack_from("<I", view, offset)
             offset += 4
+            record_size = 4 * dimension
+            # Every record holds at least its id length and its vector, so a
+            # count the remaining bytes cannot hold is truncation, caught
+            # before the matrix is allocated.
+            if count * (2 + record_size) > len(data) - offset:
+                raise IndexFormatError(f"{path} is truncated")
             index = cls(dimension=dimension, metric=metric, backend_id=backend_id)
-            for _ in range(count):
+            vectors = np.empty((count, dimension), dtype=np.float32)
+            for row in range(count):
                 (id_len,) = struct.unpack_from("<H", view, offset)
                 offset += 2
                 entry_id = bytes(view[offset:offset + id_len]).decode("utf-8")
                 offset += id_len
-                vector_bytes = bytes(view[offset:offset + 4 * dimension])
-                if len(vector_bytes) != 4 * dimension:
+                if offset + record_size > len(data):
                     raise IndexFormatError(f"{path} is truncated")
-                offset += 4 * dimension
-                values = np.frombuffer(vector_bytes, dtype="<f4").copy()
+                if entry_id in index._known_ids:
+                    raise IndexFormatError(f"{path} repeats entry id {entry_id!r}")
+                vectors[row] = np.frombuffer(view, dtype="<f4", count=dimension, offset=offset)
+                offset += record_size
+                index._known_ids.add(entry_id)
                 index.ids.append(entry_id)
-                index._vectors.append(values)
             if offset != len(data):
                 raise IndexFormatError(f"{path} has trailing bytes")
         except struct.error as exc:
             raise IndexFormatError(f"{path} is truncated: {exc}") from exc
+        index._vectors = vectors
         return index
 
 

@@ -255,17 +255,23 @@ def load_matrix(path: str, bug_id: str | None = None) -> KillMatrix:
         raise MatrixError(f"matrix file {path}: second line must start with TESTS")
     mutant_ids = tuple(lines[0].split()[1:])
     test_ids = tuple(lines[1].split()[1:])
-    rows = lines[2:]
+    rows = [row.strip() for row in lines[2:]]
     if len(rows) != len(mutant_ids):
         raise MatrixError(
             f"matrix file {path}: {len(mutant_ids)} mutants but {len(rows)} rows")
-    cells = np.zeros((len(mutant_ids), len(test_ids)), dtype=bool)
-    for i, row in enumerate(rows):
-        row = row.strip()
-        if len(row) != len(test_ids) or set(row) - {"0", "1"}:
-            raise MatrixError(
-                f"matrix file {path}: row {i + 1} is not {len(test_ids)} 0/1 cells")
-        cells[i] = [ch == "1" for ch in row]
+    width = len(test_ids)
+    sized = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    # One parse for every row before the first one of the wrong length.
+    # Non-ASCII characters become "?" and uint8 wraps, so every cell but
+    # "0" and "1" ends up above 1.
+    bits = np.frombuffer("".join(rows[:sized]).encode("ascii", errors="replace"),
+                         dtype=np.uint8).reshape(sized, width) - ord("0")
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    first_bad = int(bad[0]) if len(bad) else sized
+    if first_bad < len(rows):
+        raise MatrixError(
+            f"matrix file {path}: row {first_bad + 1} is not {width} 0/1 cells")
+    cells = bits.astype(bool)
     if bug_id is None:
         bug_id = os.path.splitext(os.path.basename(path))[0]
     return KillMatrix(bug_id=bug_id, mutant_ids=mutant_ids,

@@ -9,6 +9,8 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 
 def random_kill_table(rng: random.Random, max_mutants=50, max_tests=50,
                       density=None):
@@ -139,3 +141,30 @@ def oracle_metallaxis(failed_m, passed_m, totalfailed):
     if denominator == 0:
         return 0.0
     return failed_m / denominator
+
+
+def oracle_rank(entries, probe, metric, n):
+    """Top-n (id, score) pairs of a flat index, by a full sort on (key, id).
+
+    ``entries`` is a list of (id, float32 vector) in insertion order.  Scores
+    are the plain numpy expression of each metric; euclidean ranks by
+    ascending distance, cosine and dot by descending similarity, and equal
+    scores go to the smaller id.
+    """
+    ids = [entry_id for entry_id, _ in entries]
+    stored = np.stack([vector for _, vector in entries])
+    vector = np.asarray(probe, dtype=np.float32)
+    if metric == "euclidean":
+        scores = np.linalg.norm(stored - vector, axis=1)
+    elif metric == "dot":
+        scores = stored @ vector
+    else:
+        norms = np.linalg.norm(stored, axis=1)
+        probe_norm = float(np.linalg.norm(vector))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = (stored @ vector) / (norms * probe_norm)
+        scores = np.where((norms == 0) | (probe_norm == 0), 0.0, scores)
+    ascending = metric == "euclidean"
+    order = sorted(range(len(ids)),
+                   key=lambda i: ((scores[i] if ascending else -scores[i]), ids[i]))
+    return [(ids[i], float(scores[i])) for i in order[:n]]

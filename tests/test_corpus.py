@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutkit.corpus import (
+    _backtrack_regions,
+    _changed_regions,
     Corpus,
     CorpusError,
     Hunk,
@@ -89,6 +91,13 @@ class TestDiffHunk:
         with pytest.raises(HunkError, match="multi-hunk"):
             diff_hunk(pre, post)
 
+    def test_common_suffix_split_into_second_region_is_kept(self):
+        # Trimming the common suffix would merge this into one hunk
+        # (0, 1, 0, 2) and accept a record that is skipped today.
+        assert _changed_regions(["y", "x"], ["z", "x", "x"]) == [(0, 1, 0, 1), (2, 2, 2, 3)]
+        with pytest.raises(HunkError, match="multi-hunk"):
+            diff_hunk("y\nx", "z\nx\nx")
+
     def test_region_count_matches_difflib_oracle_on_clean_fixtures(self):
         fixtures = [
             (PRE, POST, 1),
@@ -160,6 +169,15 @@ def test_apply_round_trip_property(lines, start, width, repl):
     except HunkError:
         return
     assert apply_hunk(hunk, pre) == post
+
+
+@given(
+    a=st.lists(st.sampled_from("xyz"), max_size=10),
+    b=st.lists(st.sampled_from("xyz"), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_prefix_trim_keeps_the_untrimmed_regions(a, b):
+    assert _changed_regions(a, b) == _backtrack_regions(a, b)
 
 
 class TestHunkValidation:

@@ -2,9 +2,12 @@
 
 import hashlib
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutkit.corpus import BugFixPair, Corpus, diff_hunk
 from mutkit.embedder import (
@@ -13,12 +16,11 @@ from mutkit.embedder import (
     EmbeddingError,
     IndexFormatError,
     LexicalEmbedder,
-    RemoteEmbedder,
-    RemoteEmbeddingError,
     VectorIndex,
     build_index,
     tokenize,
 )
+from oracles import oracle_rank
 
 
 def oracle_trigram_histogram(code: str, dimension: int) -> np.ndarray:
@@ -51,7 +53,8 @@ class TestTokenizer:
 class TestLexicalEmbedder:
     def test_matches_independent_histogram_oracle(self):
         embedder = LexicalEmbedder(dimension=64)
-        for code in ("int x = count + 1;", "int x = total + 1;"):
+        for code in ("int x = count + 1;", "int x = total + 1;",
+                     "x = y; x = y; x = y; x = y;", 'String s = "h\u00e9llo";'):
             embedding = embedder.embed(code)
             np.testing.assert_array_equal(
                 embedding.values, oracle_trigram_histogram(code, 64))
@@ -168,6 +171,87 @@ class TestVectorIndex:
         results = index.query(embedder.embed("int value500 = 500 * 3;"), n=6)
         assert results[0][0] == "p0500"
 
+    def test_ties_across_the_cut_are_ordered_by_id(self):
+        index = VectorIndex(dimension=1, backend_id="toy")
+        for entry_id in ("d", "b", "c", "a"):
+            index.add(entry_id, CodeEmbedding(np.array([1.0], dtype=np.float32), "toy"))
+        index.add("e", CodeEmbedding(np.array([0.0], dtype=np.float32), "toy"))
+        probe = np.array([0.0], dtype=np.float32)
+        assert [i for i, _ in index.query(probe, n=1)] == ["e"]
+        assert [i for i, _ in index.query(probe, n=2)] == ["e", "a"]
+        assert [i for i, _ in index.query(probe, n=3)] == ["e", "a", "b"]
+
+    def test_query_after_add_sees_the_new_entry(self):
+        index = VectorIndex(dimension=2, metric="cosine", backend_id="toy")
+        index.add("b", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
+        probe = np.array([1.0, 0.0], dtype=np.float32)
+        assert index.query(probe, n=1)[0][0] == "b"
+        index.add("a", CodeEmbedding(np.array([3.0, 0.0], dtype=np.float32), "toy"))
+        index.add("c", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
+        assert [i for i, _ in index.query(probe, n=3)] == ["a", "b", "c"]
+
+    def test_nan_scores_rank_last(self):
+        index = VectorIndex(dimension=2, metric="dot", backend_id="toy")
+        big = np.float32(3e38)
+        index.add("a", CodeEmbedding(np.array([big, big], dtype=np.float32), "toy"))
+        index.add("b", CodeEmbedding(np.array([1.0, 0.0], dtype=np.float32), "toy"))
+        probe = np.array([big, -big], dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):  # a's score is inf - inf
+            assert [i for i, _ in index.query(probe, n=1)] == ["b"]
+            assert [i for i, _ in index.query(probe, n=2)] == ["b", "a"]
+
+    def test_duplicate_id_rejected(self):
+        index = self.build_two_entry_index()
+        with pytest.raises(EmbeddingError, match="duplicate"):
+            index.add("a", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
+        assert index.ids == ["a", "b"]
+
+    def test_matrix_is_a_read_only_view_of_the_filled_rows(self):
+        index = self.build_two_entry_index()
+        stored = index.matrix()
+        np.testing.assert_array_equal(stored, [[0.0, 0.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1.0
+
+    def test_real_valued_scores_match_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        entries = [(f"e{i:03d}", rng.normal(size=24).astype(np.float32) * 10.0 ** (i % 5 - 2))
+                   for i in range(300)]
+        probes = [rng.normal(size=24).astype(np.float32) for _ in range(5)]
+        for metric in ("euclidean", "cosine", "dot"):
+            index = VectorIndex(dimension=24, metric=metric, backend_id="toy")
+            for entry_id, vector in entries:
+                index.add(entry_id, CodeEmbedding(vector, "toy"))
+            for probe in probes:
+                for n in (1, 10, 300):
+                    assert index.query(probe, n) == oracle_rank(entries, probe, metric, n)
+
+
+@st.composite
+def small_indexes(draw):
+    """Entries with tiny integer vectors (many ties), zero vectors included."""
+    dimension = draw(st.integers(min_value=1, max_value=3))
+    vectors = st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=dimension, max_size=dimension)
+    ids = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                        min_size=1, max_size=10, unique=True))
+    entries = [(entry_id, np.array(draw(vectors), dtype=np.float32)) for entry_id in ids]
+    if draw(st.booleans()):
+        entries[0] = (entries[0][0], np.zeros(dimension, dtype=np.float32))
+    probe = np.array(draw(vectors), dtype=np.float32)
+    return dimension, entries, probe
+
+
+@given(case=small_indexes(), metric=st.sampled_from(["euclidean", "cosine", "dot"]))
+@settings(max_examples=150, deadline=None)
+def test_query_matches_the_full_sort_oracle(case, metric):
+    dimension, entries, probe = case
+    index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
+    for count, (entry_id, vector) in enumerate(entries, start=1):
+        index.add(entry_id, CodeEmbedding(vector, "toy"))
+        for n in range(1, count + 2):
+            assert index.query(probe, n) == oracle_rank(entries[:count], probe, metric, n)
+
 
 class TestIndexPersistence:
     def test_save_load_round_trip(self, tmp_path):
@@ -193,6 +277,43 @@ class TestIndexPersistence:
         path.write_bytes(data[:len(data) - 7])
         with pytest.raises(IndexFormatError, match="truncated"):
             VectorIndex.load(str(path))
+
+    def test_duplicate_entry_id_rejected(self, tmp_path):
+        header = (b"MKIX" + struct.pack("<IIB", 1, 2, 9) + b"euclidean"
+                  + struct.pack("<H", 3) + b"toy" + struct.pack("<I", 2))
+        record = struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, 2.0)
+        path = tmp_path / "index.bin"
+        path.write_bytes(header + record + record)
+        with pytest.raises(IndexFormatError, match="repeats entry id 'a'"):
+            VectorIndex.load(str(path))
+
+    def test_count_beyond_the_file_rejected_before_allocating(self, tmp_path):
+        header = (b"MKIX" + struct.pack("<IIB", 1, 512, 9) + b"euclidean"
+                  + struct.pack("<H", 3) + b"toy" + struct.pack("<I", 2 ** 32 - 1))
+        path = tmp_path / "index.bin"
+        path.write_bytes(header)
+        with pytest.raises(IndexFormatError, match="truncated"):
+            VectorIndex.load(str(path))
+
+    # Recorded from the list-of-vectors index that the single float32
+    # matrix replaced; the file format must not change.
+    GOLDEN_INDEX_SHA256 = {
+        "cosine": "4fd00c6c499680b14aaeb02d3d340bd9b680b8afcbf39f780f84387547568cdc",
+        "euclidean": "a204e299d7b6feeae270baea5bec80b5f4c5c32c061df8182c841d9110cfbda7",
+    }
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_saved_bytes_match_golden_digest(self, tmp_path, metric):
+        embedder = LexicalEmbedder(dimension=64)
+        index = VectorIndex(dimension=64, metric=metric, backend_id=embedder.backend_id)
+        for i in range(1000):
+            index.add(f"p{i:04d}", embedder.embed(f"int value{i} = {i} * {i % 7};"))
+        path = tmp_path / "index.bin"
+        index.save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_INDEX_SHA256[metric]
+        loaded = VectorIndex.load(str(path))
+        loaded.save(str(tmp_path / "again.bin"))
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -231,30 +352,3 @@ class TestBuildIndex:
     def test_bad_key_side_rejected(self):
         with pytest.raises(EmbeddingError, match="key_side"):
             build_index(self.corpus(), key_side="middle")
-
-
-class TestRemoteEmbedder:
-    def test_batched_transport_and_vectors(self):
-        calls = []
-
-        def transport(endpoint, payload, timeout):
-            calls.append(payload["texts"])
-            return {"vectors": [[float(len(t)), 0.0] for t in payload["texts"]]}
-
-        remote = RemoteEmbedder("http://svc/embed", dimension=2,
-                                batch_size=2, transport=transport)
-        out = remote.embed_batch(["ab", "abc", "a"])
-        assert [list(e.values) for e in out] == [[2.0, 0.0], [3.0, 0.0], [1.0, 0.0]]
-        assert calls == [["ab", "abc"], ["a"]]
-
-    def test_dimension_mismatch_from_service(self):
-        remote = RemoteEmbedder("http://svc/embed", dimension=3,
-                                transport=lambda *a: {"vectors": [[1.0, 2.0]]})
-        with pytest.raises(RemoteEmbeddingError, match="dimension"):
-            remote.embed("code")
-
-    def test_malformed_reply(self):
-        remote = RemoteEmbedder("http://svc/embed", dimension=2,
-                                transport=lambda *a: {"nope": True})
-        with pytest.raises(RemoteEmbeddingError, match="malformed"):
-            remote.embed("code")

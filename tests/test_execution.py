@@ -169,6 +169,27 @@ class TestMatrixPersistence:
         with pytest.raises(MatrixError, match="0/1"):
             load_matrix(str(path))
 
+    @pytest.mark.parametrize("row", ["102", "1 0", "1\u00e90", "10"])
+    def test_bad_cells_name_the_row(self, tmp_path, row):
+        path = tmp_path / "bad.matrix"
+        path.write_text(f"MUTANTS m1 m2\nTESTS t1 t2 t3\n110\n{row}\n", encoding="utf-8")
+        with pytest.raises(MatrixError) as caught:
+            load_matrix(str(path))
+        assert str(caught.value) == f"matrix file {path}: row 2 is not 3 0/1 cells"
+
+    @pytest.mark.parametrize("rows", [("12", "1"), ("2", "10"), ("2", "0")])
+    def test_first_bad_row_is_reported(self, tmp_path, rows):
+        path = tmp_path / "bad.matrix"
+        path.write_text("MUTANTS m1 m2 m3\nTESTS t1\n1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(MatrixError, match="row 2 is not 1 0/1 cells"):
+            load_matrix(str(path))
+
+    def test_cells_parse_to_the_written_bits(self, tmp_path):
+        path = tmp_path / "bug.matrix"
+        path.write_text("MUTANTS m1 m2\nTESTS t1 t2 t3\n 101 \n010\n")
+        np.testing.assert_array_equal(load_matrix(str(path)).kills,
+                                      [[True, False, True], [False, True, False]])
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.matrix"
         path.write_text("MUTANTS m1 m2\nTESTS t1\n1\n")

@@ -10,6 +10,8 @@ by flags).  The artifact pipeline runs end to end:
 
 The analysis commands (metrics, tcp, mbfl) also work standalone on
 explicit matrix and outcome files, with no generation artifacts needed.
+They build their payloads with the same ``report`` section builders as
+``mutkit report``; this module only reads their inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
+from . import report
 from .chunker import ChunkerError, chunk_method, chunks_as_dicts, parse_method
 from .corpus import CorpusError, ingest_corpus
 from .embedder import (
@@ -33,22 +37,27 @@ from .embedder import (
 )
 from .execution import MatrixError, RunnerError, load_matrix, load_outcomes
 from .llm import BackendError
-from .mbfl import MbflError, fl_metrics, localize
-from .metrics import BugContext, MetricsError, coupled_mutants, effectiveness_report
+from .mbfl import MbflError
+from .metrics import BugContext, MetricsError
 from .pipeline import (
     ALL_STAGES,
+    KEY_SIDE_CHOICES,
+    METRIC_CHOICES,
+    MODE_CHOICES,
     PipelineConfig,
     PipelineError,
     load_config,
+    load_mutants,
     load_targets,
     mutant_outcomes_from_matrix,
     probe_embedder,
+    read_bug_table,
     run_evaluate,
     run_generate,
 )
-from .promptgen import Mutant, PromptError, read_manifest
+from .promptgen import PromptError, read_manifest
 from .sft import SftContext, SftError, export, write_instances
-from .tcp import TcpError, apfd, check_weight, grd, grk, hyb
+from .tcp import TcpError
 from .validity import ValidityError
 
 logger = logging.getLogger(__name__)
@@ -66,45 +75,22 @@ STAGE_SETS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "corpus": getattr(args, "corpus", None),
-        "index": getattr(args, "index", None),
-        "output_dir": getattr(args, "output_dir", None),
-        "retrieval_n": getattr(args, "retrieval_n", None),
-        "metric": getattr(args, "metric", None),
-        "key_side": getattr(args, "key_side", None),
-        "dimension": getattr(args, "dimension", None),
-        "mode": getattr(args, "mode", None),
-        "compile_command": getattr(args, "compile_command", None),
-        "test_command": getattr(args, "test_command", None),
-        "workers": getattr(args, "workers", None),
-        "seed": getattr(args, "seed", None),
-        "sample_targets": getattr(args, "sample_targets", None),
-        "hyb_weight": getattr(args, "hyb_weight", None),
-    }
+    overrides = {name: getattr(args, name, None)
+                 for name in PipelineConfig.__dataclass_fields__}
     if getattr(args, "no_retrieval", False):
         overrides["retrieval"] = False
     if getattr(args, "no_chunking", False):
         overrides["chunking"] = False
     if args.config:
         return load_config(args.config, overrides)
-    merged = {k: v for k, v in overrides.items() if v is not None}
-    return PipelineConfig(**merged)
+    return PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _maybe_write(payload, out: str | None) -> None:
+def _emit(payload, out: str | None = None) -> None:
+    """Print the payload; with --out, also write it there."""
     if out:
-        Path(out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        report.write_json(out, payload)
+    sys.stdout.write(report.dumps(payload))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -112,9 +98,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not config.corpus:
         raise PipelineError("ingest needs --corpus or a config with one")
     corpus = ingest_corpus(config.corpus)
-    reasons: dict[str, int] = {}
-    for record in corpus.skipped:
-        reasons[record.reason] = reasons.get(record.reason, 0) + 1
+    reasons = Counter(record.reason for record in corpus.skipped)
     _emit({
         "pairs": len(corpus.pairs),
         "skipped": len(corpus.skipped),
@@ -197,54 +181,26 @@ def _load_matrix_dir(matrices: Path) -> dict[str, "object"]:
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Effectiveness report from matrix files plus a revealing-test list."""
     by_bug = _load_matrix_dir(Path(args.matrices))
-    revealing = _read_json(args.revealing)
+    revealing = read_bug_table(args.revealing, list[str])
     contexts = []
     for bug_id in sorted(by_bug):
         if bug_id not in revealing:
             raise PipelineError(
                 f"bug {bug_id} missing from revealing-test file {args.revealing}")
-        contexts.append(BugContext(
-            bug_id=bug_id, matrix=by_bug[bug_id],
-            bug_revealing_tests=frozenset(revealing[bug_id])))
-    report = effectiveness_report(contexts)
-    payload = {
-        "mutation_score": {"micro": report.mutation_score_micro,
-                           "macro": report.mutation_score_macro},
-        "real_bug_detection": {"macro": report.rbd_macro,
-                               "micro": report.rbd_micro},
-        "coupling_rate": {"micro": report.coupling_rate_micro,
-                          "macro": report.coupling_rate_macro},
-        "bug_ochiai": dict(sorted(report.bug_ochiai.items())),
-        "aoc": report.aoc,
-        "high_similarity_count": report.high_similarity_count,
-        "per_bug_mutation_score": dict(
-            sorted(report.per_bug_mutation_score.items())),
-        "excluded_bugs": sorted(report.excluded_bugs),
-        "coupled_mutants": {ctx.bug_id: sorted(coupled_mutants(ctx))
-                            for ctx in contexts if ctx.matrix.mutant_ids},
-    }
-    _maybe_write(payload, args.out)
-    _emit(payload)
+        contexts.append(BugContext(bug_id=bug_id, matrix=by_bug[bug_id],
+                                   bug_revealing_tests=revealing[bug_id]))
+    _emit(report.effectiveness_section(contexts), args.out)
     return 0
 
 
 def cmd_tcp(args: argparse.Namespace) -> int:
     """Prioritize one matrix's tests and score the order against detection."""
-    check_weight(args.weight)
+    strategies = report.tcp_strategies(args.weight)
     matrix = load_matrix(args.matrix)
-    detection = {bug: set(tests)
-                 for bug, tests in _read_json(args.detection).items()}
-    payload: dict = {"strategies": {}}
-    for name, suite in (("GRK", grk(matrix)), ("GRD", grd(matrix)),
-                        (f"HYB({args.weight:g})", hyb(matrix, args.weight))):
-        payload["strategies"][name] = {
-            "order": list(suite.order),
-            "step_kills": list(suite.step_kills),
-            "step_pairs": list(suite.step_pairs),
-            "apfd": apfd(suite.order, detection),
-        }
-    _maybe_write(payload, args.out)
-    _emit(payload)
+    detection = {bug: set(tests) for bug, tests
+                 in read_bug_table(args.detection, list[str]).items()}
+    _emit({"strategies": report.tcp_records(matrix, strategies, detection)},
+          args.out)
     return 0
 
 
@@ -258,49 +214,20 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
     """
     matrices = Path(args.matrices)
     by_bug = _load_matrix_dir(matrices)
-    statements = _read_json(args.statements)
-    faulty = _read_json(args.faulty)
-    space = _read_json(args.statement_space) if args.statement_space else {}
-    reports: dict[str, list] = {"muse": [], "metallaxis": []}
-    per_bug: dict[str, dict] = {}
+    statements = read_bug_table(args.statements, dict[str, int])
+    faulty = read_bug_table(args.faulty, list[int])
+    space = (read_bug_table(args.statement_space, list[int])
+             if args.statement_space else {})
+    per_bug = {}
     for bug_id in sorted(by_bug):
-        matrix = by_bug[bug_id]
-        outcomes_path = matrices / f"{bug_id}.original.txt"
-        original = load_outcomes(str(outcomes_path), bug_id)
+        original = load_outcomes(str(matrices / f"{bug_id}.original.txt"), bug_id)
         if bug_id not in statements:
             raise PipelineError(f"bug {bug_id} missing from {args.statements}")
-        statement_of = {mid: int(line)
-                        for mid, line in statements[bug_id].items()}
-        mutant_outcomes = mutant_outcomes_from_matrix(matrix, original)
-        entry = {}
-        for method in ("muse", "metallaxis"):
-            report = localize(
-                bug_id, original, mutant_outcomes, statement_of, method,
-                statements=[int(v) for v in space.get(bug_id, ())],
-                faulty_statements=[int(v) for v in faulty.get(bug_id, ())])
-            reports[method].append(report)
-            entry[method] = {
-                "scores": {str(s): v for s, v in sorted(report.scores.items())},
-                "expected_ranks": {str(s): v for s, v
-                                   in sorted(report.expected_ranks.items())},
-            }
-        per_bug[bug_id] = entry
-    payload: dict = {"per_bug": per_bug, "metrics": {}}
-    for method, method_reports in reports.items():
-        if any(r.faulty_statements for r in method_reports):
-            metrics = fl_metrics(method_reports)
-            payload["metrics"][method] = {
-                "top_k": {str(k): v for k, v in sorted(metrics.top_k.items())},
-                "mar": metrics.mar,
-                "mfr": metrics.mfr,
-                "first_rank_mean": metrics.first_rank_mean,
-                "evaluated_bugs": metrics.evaluated_bugs,
-                "excluded_bugs": list(metrics.excluded_bugs),
-            }
-        else:
-            payload["metrics"][method] = None
-    _maybe_write(payload, args.out)
-    _emit(payload)
+        per_bug[bug_id] = report.localize_bug(
+            bug_id, original, mutant_outcomes_from_matrix(by_bug[bug_id], original),
+            statements[bug_id], statements=space.get(bug_id, ()),
+            faulty_statements=faulty.get(bug_id, ()))
+    _emit(report.mbfl_section(per_bug), args.out)
     return 0
 
 
@@ -308,33 +235,19 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     artifacts = Path(args.artifacts or config.output_dir)
     manifest = read_manifest(str(artifacts / "manifest.jsonl"))
-    summary = _read_json(artifacts / "summary.json")
+    summary = json.loads((artifacts / "summary.json").read_text(encoding="utf-8"))
     projects = {bug_id: entry.get("project", "")
                 for bug_id, entry in summary.get("targets", {}).items()}
-    contexts: dict[tuple[str, str], SftContext] = {}
-    for line in (artifacts / "prompts.jsonl").read_text(
-            encoding="utf-8").splitlines():
-        row = json.loads(line)
-        if row.get("error"):
-            continue
-        contexts[(row["bug_id"], row["chunk_id"])] = SftContext(
-            bug_id=row["bug_id"], chunk_id=row["chunk_id"],
-            prompt=row["prompt"], project=projects.get(row["bug_id"], ""))
-    mutants = []
-    for row in manifest:
-        if row["rejection"] is not None:
-            continue
-        source_path = artifacts / "mutants" / f"{row['mutant_id']}.java"
-        mutants.append(Mutant(
-            id=row["mutant_id"], bug_id=row["bug_id"],
-            source=source_path.read_text(encoding="utf-8"),
-            target_line=row["target_line"],
-            original_line_text=row["precode"],
-            mutated_line_text=row["aftercode"],
-            chunk_id=row["chunk_id"]))
-    report_dir = Path(args.report_dir) if args.report_dir \
-        else artifacts / "report"
-    effectiveness = _read_json(report_dir / "effectiveness.json")
+    prompts = [json.loads(line) for line in
+               (artifacts / "prompts.jsonl").read_text(encoding="utf-8").splitlines()]
+    contexts = {(row["bug_id"], row["chunk_id"]): SftContext(
+        bug_id=row["bug_id"], chunk_id=row["chunk_id"], prompt=row["prompt"],
+        project=projects.get(row["bug_id"], ""))
+        for row in prompts if not row.get("error")}
+    mutants = list(load_mutants(artifacts, manifest).values())
+    report_dir = Path(args.report_dir or artifacts / "report")
+    effectiveness = json.loads(
+        (report_dir / "effectiveness.json").read_text(encoding="utf-8"))
     coupled_ids = {mid for ids in effectiveness["coupled_mutants"].values()
                    for mid in ids}
     result = export(mutants, coupled_ids, contexts, grouped=args.grouped,
@@ -354,29 +267,26 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--corpus", help="bug-fix corpus JSONL path")
     parser.add_argument("--index", help="vector index path")
-    parser.add_argument("--output-dir", dest="output_dir",
-                        help="artifact directory (default: out)")
-    parser.add_argument("--metric", choices=("euclidean", "cosine", "dot"))
-    parser.add_argument("--key-side", dest="key_side",
-                        choices=("post_fix", "pre_fix"))
+    parser.add_argument("--output-dir", help="artifact directory (default: out)")
+    parser.add_argument("--metric", choices=METRIC_CHOICES)
+    parser.add_argument("--key-side", choices=KEY_SIDE_CHOICES)
     parser.add_argument("--dimension", type=int,
                         help="embedding dimension for lexical indexes")
-    parser.add_argument("--mode", choices=("fixed", "buggy"),
+    parser.add_argument("--mode", choices=MODE_CHOICES,
                         help="whether targets are fixed or buggy versions")
-    parser.add_argument("--retrieval-n", dest="retrieval_n", type=int,
+    parser.add_argument("--retrieval-n", type=int,
                         help="few-shot examples per prompt (default 6)")
     parser.add_argument("--no-retrieval", action="store_true",
                         help="disable retrieval (ablation)")
     parser.add_argument("--no-chunking", action="store_true",
                         help="disable chunking (ablation)")
-    parser.add_argument("--compile-command", dest="compile_command",
+    parser.add_argument("--compile-command",
                         help="compile check template with {source}")
-    parser.add_argument("--test-command", dest="test_command",
-                        help="test runner template with {source}")
+    parser.add_argument("--test-command", help="test runner template with {source}")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--sample-targets", dest="sample_targets", type=int)
-    parser.add_argument("--hyb-weight", dest="hyb_weight", type=float)
+    parser.add_argument("--sample-targets", type=int)
+    parser.add_argument("--hyb-weight", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(rag_query)
     code_source = rag_query.add_mutually_exclusive_group(required=True)
     code_source.add_argument("--code", help="code snippet to embed")
-    code_source.add_argument("--code-file", dest="code_file",
-                             help="file holding the snippet")
+    code_source.add_argument("--code-file", help="file holding the snippet")
     rag_query.add_argument("-n", type=int, help="neighbors to return")
     rag_query.set_defaults(handler=cmd_rag_query)
 
@@ -427,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--targets", required=True)
         sub.add_argument("--artifacts",
                          help="generation artifact dir (default: output_dir)")
-        sub.add_argument("--report-dir", dest="report_dir",
+        sub.add_argument("--report-dir",
                          help="report output dir (default: <artifacts>/report)")
         sub.set_defaults(handler=_evaluate_command(name))
 
@@ -458,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON file: bug id -> {mutant id: line}")
     mbfl.add_argument("--faulty", required=True,
                       help="JSON file: bug id -> [faulty lines]")
-    mbfl.add_argument("--statement-space", dest="statement_space",
+    mbfl.add_argument("--statement-space",
                       help="JSON file: bug id -> [all candidate lines]")
     mbfl.add_argument("--out", help="also write the JSON report here")
     mbfl.set_defaults(handler=cmd_mbfl)
@@ -468,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(export_sft)
     export_sft.add_argument("--artifacts",
                             help="generation artifact dir (default: output_dir)")
-    export_sft.add_argument("--report-dir", dest="report_dir",
+    export_sft.add_argument("--report-dir",
                             help="report dir holding effectiveness.json")
     export_sft.add_argument("--out", required=True, help="output JSONL path")
     export_sft.add_argument("--grouped", action="store_true",

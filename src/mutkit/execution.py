@@ -176,18 +176,6 @@ class KillMatrix:
     def killed_mutants(self) -> set[str]:
         return {m for m, row in zip(self.mutant_ids, self.kills) if row.any()}
 
-    def same_as(self, other: "KillMatrix") -> bool:
-        """Equality keyed by ids, not by storage order."""
-        if set(self.mutant_ids) != set(other.mutant_ids):
-            return False
-        if set(self.test_ids) != set(other.test_ids):
-            return False
-        for mutant_id in self.mutant_ids:
-            for test_id in self.test_ids:
-                if self.kill(mutant_id, test_id) != other.kill(mutant_id, test_id):
-                    return False
-        return True
-
     def sorted_copy(self) -> "KillMatrix":
         """Canonical form with mutant and test ids sorted."""
         mutant_order = sorted(range(len(self.mutant_ids)),

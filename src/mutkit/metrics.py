@@ -37,10 +37,6 @@ class BugContext:
             raise MetricsError(
                 f"bug {self.bug_id}: revealing tests not in matrix: {sorted(unknown)}")
 
-    @property
-    def useful_mutants(self) -> tuple[str, ...]:
-        return self.matrix.mutant_ids
-
 
 def mutation_score(ctx: BugContext) -> float:
     """Mutation score: killed mutants over useful mutants."""

@@ -6,7 +6,9 @@ materialize per target and persists a manifest of every attempted pair.
 Evaluation replays the persisted artifacts through validity, kill-matrix
 execution (or loading), effectiveness metrics, prioritization, and, for
 buggy-mode runs, fault localization, writing one deterministic report
-directory.
+directory.  This module picks the bugs of each section and the warnings;
+the payloads, text tables and JSON writer live in ``report``, shared with
+the standalone analysis commands.
 """
 
 from __future__ import annotations
@@ -15,20 +17,19 @@ import json
 import logging
 import random
 import re
+import types
+import typing
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from . import report
 from .chunker import ChunkerError, chunk_method, parse_method, whole_method_chunk
 from .corpus import ingest_corpus
 from .embedder import EmbeddingError, LexicalEmbedder, VectorIndex
 from .execution import (
     KillMatrix,
-    MatrixError,
-    RunnerError,
     TestOutcomeVector,
     build_kill_matrix,
     load_matrix,
@@ -41,15 +42,14 @@ from .execution import (
 from .llm import (
     BackendConfig,
     BackendError,
-    Completion,
     HttpChatBackend,
     MockBackend,
     aggregate_usage,
     complete_batch,
     prompt_digest,
 )
-from .mbfl import MbflError, fl_metrics, localize
-from .metrics import BugContext, MetricsError, coupled_mutants, effectiveness_report
+from .mbfl import MbflError
+from .metrics import BugContext
 from .promptgen import (
     MaterializeError,
     Mutant,
@@ -61,8 +61,7 @@ from .promptgen import (
     render_prompt,
     write_manifest,
 )
-from .tcp import TcpError, apfd, grd, grk, hyb
-from .validity import ValidityLedger, check_compile, dedup, validity_metrics
+from .validity import ValidityLedger, check_compile, dedup
 
 logger = logging.getLogger(__name__)
 
@@ -70,11 +69,53 @@ METRIC_CHOICES = ("euclidean", "cosine", "dot")
 KEY_SIDE_CHOICES = ("post_fix", "pre_fix")
 MODE_CHOICES = ("fixed", "buggy")
 ALL_STAGES = ("validity", "execution", "metrics", "tcp", "mbfl")
+_TARGET_COUNTS = ("expected", "chunks", "prompts_total", "prompts_completed",
+                  "pairs_parsed", "pairs_dropped", "parse_failures",
+                  "materialized", "rejected")
 _BUG_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 class PipelineError(Exception):
     """Raised for configuration, target, or artifact problems."""
+
+
+def _has_type(value, hint) -> bool:
+    """Whether value matches a hint such as ``dict[str, list[int]]``: a bool
+    is not an int, an int is a float, dict keys (JSON strings) go unchecked."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_has_type(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return isinstance(value, origin) and all(
+            _has_type(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _has_type(item, args[1]) for item in value.values())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_type(value, hint, what: str) -> None:
+    if not _has_type(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise PipelineError(f"{what} must be {name}, got {value!r:.80}")
+
+
+def _check_fields(instance) -> None:
+    """Reject dataclass field values whose type differs from the annotation."""
+    for name, hint in typing.get_type_hints(type(instance)).items():
+        _check_type(getattr(instance, name), hint, name)
+
+
+def read_bug_table(path: str | Path, entry_type) -> dict:
+    """Read a JSON object mapping bug ids to entries of entry_type."""
+    table = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(table, dict):
+        raise PipelineError(f"{path} must hold a JSON object keyed by bug id")
+    for bug_id, entry in table.items():
+        _check_type(entry, entry_type, f"{path}: bug {bug_id}")
+    return table
 
 
 @dataclass
@@ -106,6 +147,7 @@ class PipelineConfig:
     hyb_weight: float = 0.5
 
     def __post_init__(self):
+        _check_fields(self)
         if self.retrieval_n < 1:
             raise PipelineError(f"retrieval_n must be >= 1, got {self.retrieval_n}")
         if self.metric not in METRIC_CHOICES:
@@ -150,14 +192,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     unknown = sorted(set(raw) - known)
     if unknown:
         raise PipelineError(f"config {path} has unknown keys: {unknown}")
-    merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    try:
-        return PipelineConfig(**merged)
-    except TypeError as error:
-        raise PipelineError(f"config {path}: {error}") from error
+    merged = {**raw, **{key: value for key, value in (overrides or {}).items()
+                        if value is not None}}
+    return PipelineConfig(**merged)
 
 
 @dataclass(frozen=True)
@@ -172,6 +209,7 @@ class TargetSpec:
     faulty_lines: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_fields(self)
         if not _BUG_ID_PATTERN.match(self.bug_id):
             raise PipelineError(
                 f"bug id {self.bug_id!r} must match {_BUG_ID_PATTERN.pattern}")
@@ -199,13 +237,17 @@ def load_targets(path: str | Path) -> list[TargetSpec]:
                 or "method" not in record:
             raise PipelineError(
                 f"targets line {line_no}: needs bug_id and method fields")
-        spec = TargetSpec(
-            bug_id=str(record["bug_id"]),
-            method=record["method"],
-            project=record.get("project", ""),
-            buggy_method=record.get("buggy_method"),
-            bug_revealing_tests=tuple(record.get("bug_revealing_tests", ())),
-            faulty_lines=tuple(int(v) for v in record.get("faulty_lines", ())))
+        # JSON lists become the tuples TargetSpec holds; other values are
+        # left for its type check to reject.
+        sequences = {key: tuple(record[key]) if isinstance(record[key], list)
+                     else record[key] for key in ("bug_revealing_tests", "faulty_lines")
+                     if key in record}
+        try:
+            spec = TargetSpec(bug_id=record["bug_id"], method=record["method"],
+                              project=record.get("project", ""),
+                              buggy_method=record.get("buggy_method"), **sequences)
+        except PipelineError as error:
+            raise PipelineError(f"targets line {line_no}: {error}") from error
         if spec.bug_id in seen:
             raise PipelineError(
                 f"targets line {line_no}: duplicate bug id {spec.bug_id}")
@@ -254,11 +296,6 @@ def probe_embedder(index: VectorIndex) -> LexicalEmbedder:
             f"index was built with backend {index.backend_id!r}; only "
             f"lexical-trigram indexes can be queried offline")
     return LexicalEmbedder(dimension=int(index.backend_id[len(prefix):]))
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -311,18 +348,8 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
     plan: list[dict] = []
     for target in targets:
         entry = per_target[target.bug_id] = {
-            "project": target.project,
-            "expected": 0,
-            "chunks": 0,
-            "prompts_total": 0,
-            "prompts_completed": 0,
-            "pairs_parsed": 0,
-            "pairs_dropped": 0,
-            "parse_failures": 0,
-            "materialized": 0,
-            "rejected": 0,
-            "errors": [],
-        }
+            "project": target.project, **dict.fromkeys(_TARGET_COUNTS, 0),
+            "errors": []}
         try:
             method = parse_method(target.method)
         except ChunkerError as error:
@@ -442,7 +469,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
 
     write_manifest(manifest_rows, str(out_dir / "manifest.jsonl"))
     _write_jsonl(out_dir / "prompts.jsonl", prompt_rows)
-    _write_json(out_dir / "summary.json", summary)
+    report.write_json(out_dir / "summary.json", summary)
     logger.info("generate: %d/%d targets succeeded, %d mutants materialized",
                 succeeded, len(per_target), len(mutants))
     return GenerateOutcome(summary=summary, manifest=manifest_rows,
@@ -473,6 +500,26 @@ class EvaluateOutcome:
     warnings: list[str]
 
 
+def load_mutants(artifacts: Path, rows: Sequence[dict]) -> dict[str, Mutant]:
+    """Materialized mutants of manifest rows, sources read from <artifacts>/mutants."""
+    mutants: dict[str, Mutant] = {}
+    for row in rows:
+        if row["rejection"] is not None:
+            continue
+        source_path = artifacts / "mutants" / f"{row['mutant_id']}.java"
+        try:
+            source = source_path.read_text(encoding="utf-8")
+        except OSError as error:
+            raise PipelineError(f"mutant source missing: {source_path}") from error
+        mutants[row["mutant_id"]] = Mutant(
+            id=row["mutant_id"], bug_id=row["bug_id"], source=source,
+            target_line=row["target_line"],
+            original_line_text=row["precode"],
+            mutated_line_text=row["aftercode"],
+            chunk_id=row["chunk_id"])
+    return mutants
+
+
 def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
                         ) -> dict[str, BugArtifacts]:
     summary_path = manifest_dir / "summary.json"
@@ -493,27 +540,11 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
                 f"bug {target.bug_id} missing from {summary_path}; "
                 f"generate did not cover it")
         bug_rows = by_bug.get(target.bug_id, [])
-        materialized: dict[str, Mutant] = {}
-        for row in bug_rows:
-            if row["rejection"] is not None:
-                continue
-            source_path = manifest_dir / "mutants" / f"{row['mutant_id']}.java"
-            try:
-                source = source_path.read_text(encoding="utf-8")
-            except OSError as error:
-                raise PipelineError(
-                    f"mutant source missing: {source_path}") from error
-            materialized[row["mutant_id"]] = Mutant(
-                id=row["mutant_id"], bug_id=row["bug_id"], source=source,
-                target_line=row["target_line"],
-                original_line_text=row["precode"],
-                mutated_line_text=row["aftercode"],
-                chunk_id=row["chunk_id"])
         artifacts[target.bug_id] = BugArtifacts(
             target=target,
             expected=target_summary["expected"],
             all_ids=[row["mutant_id"] for row in bug_rows],
-            materialized=materialized)
+            materialized=load_mutants(manifest_dir, bug_rows))
     return artifacts
 
 
@@ -544,10 +575,8 @@ def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
         raise PipelineError(
             f"bug {matrix.bug_id}: matrix lacks mutants {missing[:3]}")
     rows = [position[mid] for mid in wanted]
-    kills = matrix.kills[rows] if wanted else np.zeros(
-        (0, len(matrix.test_ids)), dtype=bool)
     return KillMatrix(bug_id=matrix.bug_id, mutant_ids=tuple(wanted),
-                      test_ids=matrix.test_ids, kills=kills)
+                      test_ids=matrix.test_ids, kills=matrix.kills[rows])
 
 
 def _run_execution(config: PipelineConfig, bug: BugArtifacts,
@@ -605,86 +634,10 @@ def _resolve_revealing(config: PipelineConfig, bug: BugArtifacts) -> None:
         f"bug_revealing_tests or buggy_method, or run in buggy mode)")
 
 
-def _validity_section(config: PipelineConfig,
-                      bugs: dict[str, BugArtifacts]) -> dict:
-    per_bug = {}
-    per_project: dict[str, dict] = {}
-    for bug_id in sorted(bugs):
-        bug = bugs[bug_id]
-        ledger = bug.ledger
-        rates = validity_metrics(ledger)
-        per_bug[bug_id] = {
-            "project": bug.target.project,
-            "expected": ledger.expected,
-            "generated": len(ledger.generated),
-            "duplicates": len(ledger.duplicates),
-            "compilable": len(ledger.compilable),
-            "useful": len(ledger.useful()),
-            "generation_rate": rates.generation_rate,
-            "nonduplicate_rate": rates.nonduplicate_rate,
-            "compilable_rate": rates.compilable_rate,
-        }
-        project = per_project.setdefault(bug.target.project or "(none)", {
-            "expected": 0, "generated": 0, "duplicates": 0,
-            "compilable": 0, "useful": 0})
-        for key in ("expected", "generated", "duplicates", "compilable", "useful"):
-            project[key] += per_bug[bug_id][key]
-    for project in per_project.values():
-        generated = project["generated"]
-        project["generation_rate"] = (
-            project["generated"] / project["expected"]
-            if project["expected"] else None)
-        project["nonduplicate_rate"] = (
-            (generated - project["duplicates"]) / generated if generated else None)
-        project["compilable_rate"] = (
-            project["compilable"] / generated if generated else None)
-    overall = {key: sum(p[key] for p in per_project.values())
-               for key in ("expected", "generated", "duplicates",
-                           "compilable", "useful")}
-    generated = overall["generated"]
-    overall["generation_rate"] = (overall["generated"] / overall["expected"]
-                                  if overall["expected"] else None)
-    overall["nonduplicate_rate"] = ((generated - overall["duplicates"]) / generated
-                                    if generated else None)
-    overall["compilable_rate"] = (overall["compilable"] / generated
-                                  if generated else None)
-    return {"per_bug": per_bug, "per_project": per_project, "overall": overall}
-
-
-def _metrics_section(bugs: dict[str, BugArtifacts]) -> dict:
-    contexts = []
-    for bug_id in sorted(bugs):
-        bug = bugs[bug_id]
-        contexts.append(BugContext(bug_id=bug_id, matrix=bug.matrix,
-                                   bug_revealing_tests=bug.revealing))
-    report = effectiveness_report(contexts)
-    coupled = {ctx.bug_id: sorted(coupled_mutants(ctx)) for ctx in contexts
-               if ctx.matrix.mutant_ids}
-    return {
-        "mutation_score": {"micro": report.mutation_score_micro,
-                           "macro": report.mutation_score_macro},
-        "real_bug_detection": {"macro": report.rbd_macro,
-                               "micro": report.rbd_micro},
-        "coupling_rate": {"micro": report.coupling_rate_micro,
-                          "macro": report.coupling_rate_macro},
-        "bug_ochiai": dict(sorted(report.bug_ochiai.items())),
-        "aoc": report.aoc,
-        "high_similarity_count": report.high_similarity_count,
-        "per_bug_mutation_score": dict(sorted(report.per_bug_mutation_score.items())),
-        "excluded_bugs": sorted(report.excluded_bugs),
-        "coupled_mutants": coupled,
-    }
-
-
 def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
                  warnings: list[str]) -> dict:
-    strategies = {
-        "GRK": grk,
-        "GRD": grd,
-        f"HYB({config.hyb_weight:g})": lambda m: hyb(m, config.hyb_weight),
-    }
+    strategies = report.tcp_strategies(config.hyb_weight)
     per_bug: dict[str, dict] = {}
-    apfd_values: dict[str, list[float]] = {name: [] for name in strategies}
     for bug_id in sorted(bugs):
         bug = bugs[bug_id]
         if bug.matrix is None or not bug.matrix.test_ids:
@@ -695,45 +648,33 @@ def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
             warnings.append(
                 f"tcp: bug {bug_id} has no revealing test in the matrix; "
                 f"APFD skipped")
-        entry: dict = {}
-        for name, strategy in strategies.items():
-            suite = strategy(bug.matrix)
-            record = {"order": list(suite.order),
-                      "step_kills": list(suite.step_kills),
-                      "step_pairs": list(suite.step_pairs)}
-            if detection_tests:
-                value = apfd(suite.order, {bug_id: detection_tests})
-                record["apfd"] = value
-                apfd_values[name].append(value)
-            entry[name] = record
-        per_bug[bug_id] = entry
-    mean_apfd = {name: (sum(values) / len(values) if values else None)
-                 for name, values in apfd_values.items()}
-    return {"strategies": sorted(strategies), "per_bug": per_bug,
-            "mean_apfd": mean_apfd}
+        per_bug[bug_id] = report.tcp_records(
+            bug.matrix, strategies,
+            {bug_id: detection_tests} if detection_tests else None)
+    return report.tcp_section(strategies, per_bug)
 
 
 def mutant_outcomes_from_matrix(matrix: KillMatrix,
                                  original: TestOutcomeVector,
                                  ) -> dict[str, TestOutcomeVector]:
-    """Rebuild each mutant's outcomes: a kill flips the original status."""
-    vectors = {}
-    for row, mutant_id in enumerate(matrix.mutant_ids):
-        outcomes = {}
-        for col, test_id in enumerate(matrix.test_ids):
-            status = original.outcomes[test_id]
-            if matrix.kills[row, col]:
-                status = "pass" if status == "fail" else "fail"
-            outcomes[test_id] = status
-        vectors[mutant_id] = TestOutcomeVector(program_id=mutant_id,
-                                               outcomes=outcomes)
-    return vectors
+    """Rebuild each mutant's outcomes: a kill flips the original status.
+    Raises MbflError if the matrix and the original name different tests."""
+    differ = set(matrix.test_ids) ^ set(original.outcomes)
+    if differ:
+        raise MbflError(
+            f"bug {matrix.bug_id}: the kill matrix and the original outcomes "
+            f"name different tests: {sorted(differ)}")
+    statuses = [original.outcomes[test_id] for test_id in matrix.test_ids]
+    flipped = {"pass": "fail", "fail": "pass"}
+    return {
+        mutant_id: TestOutcomeVector(program_id=mutant_id, outcomes={
+            test_id: flipped[status] if killed else status
+            for test_id, status, killed in zip(matrix.test_ids, statuses, row)})
+        for mutant_id, row in zip(matrix.mutant_ids, matrix.kills.tolist())}
 
 
-def _mbfl_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
-                  warnings: list[str]) -> dict:
-    section: dict = {"per_bug": {}, "metrics": {}}
-    reports: dict[str, list] = {"muse": [], "metallaxis": []}
+def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
+    per_bug: dict[str, dict] = {}
     for bug_id in sorted(bugs):
         bug = bugs[bug_id]
         if bug.original is None or not bug.original.failing():
@@ -745,130 +686,18 @@ def _mbfl_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
         if not bug.matrix.mutant_ids:
             warnings.append(f"mbfl: bug {bug_id} has no useful mutants")
             continue
+        try:
+            mutant_outcomes = mutant_outcomes_from_matrix(bug.matrix, bug.original)
+        except MbflError as error:
+            warnings.append(f"mbfl: {error}")
+            continue
         statement_of = {mid: bug.materialized[mid].target_line
                         for mid in bug.matrix.mutant_ids}
-        mutant_outcomes = mutant_outcomes_from_matrix(bug.matrix, bug.original)
-        statements = range(1, bug.expected + 1)
-        entry = {}
-        for method in ("muse", "metallaxis"):
-            report = localize(bug_id, bug.original, mutant_outcomes,
-                              statement_of, method, statements=statements,
-                              faulty_statements=bug.target.faulty_lines)
-            reports[method].append(report)
-            entry[method] = {
-                "scores": {str(s): v for s, v in sorted(report.scores.items())},
-                "expected_ranks": {str(s): v for s, v
-                                   in sorted(report.expected_ranks.items())},
-                "faulty_ranks": report.faulty_ranks(),
-            }
-        section["per_bug"][bug_id] = entry
-    for method, method_reports in reports.items():
-        if not method_reports:
-            section["metrics"][method] = None
-            continue
-        try:
-            metrics = fl_metrics(method_reports)
-        except MbflError as error:
-            warnings.append(f"mbfl: {method}: {error}")
-            section["metrics"][method] = None
-            continue
-        section["metrics"][method] = {
-            "top_k": {str(k): v for k, v in sorted(metrics.top_k.items())},
-            "mar": metrics.mar,
-            "mfr": metrics.mfr,
-            "first_rank_mean": metrics.first_rank_mean,
-            "evaluated_bugs": metrics.evaluated_bugs,
-            "excluded_bugs": list(metrics.excluded_bugs),
-        }
-    return section
-
-
-def _percent(value: float | None) -> str:
-    return "n/a" if value is None else f"{100 * value:.2f}%"
-
-
-def _fixed(value: float | None, digits: int = 4) -> str:
-    return "n/a" if value is None else f"{value:.{digits}f}"
-
-
-def _validity_text(section: dict) -> str:
-    lines = ["VALIDITY (per project)", ""]
-    header = f"{'Project':<16}{'Exp.':>8}{'Gen.':>8}{'Gen.Rate':>10}" \
-             f"{'ND Rate':>10}{'Comp.Rate':>11}{'Useful':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    rows = dict(section["per_project"])
-    rows["Overall"] = section["overall"]
-    for name, row in rows.items():
-        lines.append(
-            f"{name:<16}{row['expected']:>8}{row['generated']:>8}"
-            f"{_percent(row['generation_rate']):>10}"
-            f"{_percent(row['nonduplicate_rate']):>10}"
-            f"{_percent(row['compilable_rate']):>11}"
-            f"{row['useful']:>8}")
-    return "\n".join(lines) + "\n"
-
-
-def _metrics_text(section: dict) -> str:
-    lines = ["EFFECTIVENESS", ""]
-    lines.append(f"{'Mutation score (micro)':<32}"
-                 f"{_fixed(section['mutation_score']['micro'])}")
-    lines.append(f"{'Mutation score (macro)':<32}"
-                 f"{_fixed(section['mutation_score']['macro'])}")
-    lines.append(f"{'Real bug detection (macro)':<32}"
-                 f"{_fixed(section['real_bug_detection']['macro'])}")
-    lines.append(f"{'Real bug detection (micro)':<32}"
-                 f"{_fixed(section['real_bug_detection']['micro'])}")
-    lines.append(f"{'Coupling rate (micro)':<32}"
-                 f"{_fixed(section['coupling_rate']['micro'])}")
-    lines.append(f"{'Coupling rate (macro)':<32}"
-                 f"{_fixed(section['coupling_rate']['macro'])}")
-    lines.append(f"{'Average Ochiai (AOC)':<32}{_fixed(section['aoc'])}")
-    lines.append(f"{'Bugs with Ochiai >= 0.8':<32}"
-                 f"{section['high_similarity_count']}")
-    if section["excluded_bugs"]:
-        lines.append(f"{'Excluded bugs':<32}{', '.join(section['excluded_bugs'])}")
-    lines.append("")
-    lines.append(f"{'Bug':<24}{'MS':>8}{'Ochiai':>10}")
-    for bug_id, score in section["per_bug_mutation_score"].items():
-        ochiai_value = section["bug_ochiai"].get(bug_id)
-        lines.append(f"{bug_id:<24}{_fixed(score):>8}"
-                     f"{_fixed(ochiai_value):>10}")
-    return "\n".join(lines) + "\n"
-
-
-def _tcp_text(section: dict) -> str:
-    lines = ["TEST PRIORITIZATION (mean APFD)", ""]
-    for name in sorted(section["mean_apfd"]):
-        lines.append(f"{name:<16}{_fixed(section['mean_apfd'][name])}")
-    lines.append("")
-    lines.append(f"{'Bug':<24}" + "".join(
-        f"{name:>12}" for name in sorted(section["mean_apfd"])))
-    for bug_id, entry in section["per_bug"].items():
-        cells = "".join(
-            f"{_fixed(entry[name].get('apfd')):>12}"
-            for name in sorted(section["mean_apfd"]))
-        lines.append(f"{bug_id:<24}{cells}")
-    return "\n".join(lines) + "\n"
-
-
-def _mbfl_text(section: dict) -> str:
-    lines = ["FAULT LOCALIZATION", ""]
-    header = f"{'Method':<14}{'Top-1':>7}{'Top-3':>7}{'Top-5':>7}" \
-             f"{'MAR':>8}{'MFR':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for method in ("muse", "metallaxis"):
-        metrics = section["metrics"].get(method)
-        if metrics is None:
-            lines.append(f"{method:<14}{'n/a':>7}")
-            continue
-        lines.append(
-            f"{method:<14}{metrics['top_k'].get('1', 0):>7}"
-            f"{metrics['top_k'].get('3', 0):>7}"
-            f"{metrics['top_k'].get('5', 0):>7}"
-            f"{_fixed(metrics['mar'], 2):>8}{_fixed(metrics['mfr'], 2):>8}")
-    return "\n".join(lines) + "\n"
+        per_bug[bug_id] = report.localize_bug(
+            bug_id, bug.original, mutant_outcomes, statement_of,
+            statements=range(1, bug.expected + 1),
+            faulty_statements=bug.target.faulty_lines)
+    return report.mbfl_section(per_bug, warnings)
 
 
 def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
@@ -904,10 +733,11 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     if "validity" in wanted:
         for bug in bugs.values():
             _run_validity(config, bug)
-        sections["validity"] = _validity_section(config, bugs)
-        _write_json(out_dir / "validity.json", sections["validity"])
-        (out_dir / "validity.txt").write_text(
-            _validity_text(sections["validity"]), encoding="utf-8")
+        sections["validity"] = report.validity_section(
+            {bug_id: (bug.target.project, bug.ledger)
+             for bug_id, bug in bugs.items()})
+        report.write_section(out_dir, "validity", sections["validity"],
+                             report.validity_text)
 
     if "execution" in wanted:
         for bug in bugs.values():
@@ -917,26 +747,25 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
                 _resolve_revealing(config, bug)
 
     if "metrics" in wanted:
-        sections["metrics"] = _metrics_section(bugs)
-        _write_json(out_dir / "effectiveness.json", sections["metrics"])
-        (out_dir / "effectiveness.txt").write_text(
-            _metrics_text(sections["metrics"]), encoding="utf-8")
+        sections["metrics"] = report.effectiveness_section([
+            BugContext(bug_id=bug_id, matrix=bugs[bug_id].matrix,
+                       bug_revealing_tests=bugs[bug_id].revealing)
+            for bug_id in sorted(bugs)])
+        report.write_section(out_dir, "effectiveness", sections["metrics"],
+                             report.effectiveness_text)
 
     if "tcp" in wanted:
         sections["tcp"] = _tcp_section(config, bugs, warnings)
-        _write_json(out_dir / "tcp.json", sections["tcp"])
-        (out_dir / "tcp.txt").write_text(_tcp_text(sections["tcp"]),
-                                         encoding="utf-8")
+        report.write_section(out_dir, "tcp", sections["tcp"], report.tcp_text)
 
     if "mbfl" in wanted:
         if config.mode == "buggy":
-            sections["mbfl"] = _mbfl_section(config, bugs, warnings)
-            _write_json(out_dir / "mbfl.json", sections["mbfl"])
-            (out_dir / "mbfl.txt").write_text(_mbfl_text(sections["mbfl"]),
-                                              encoding="utf-8")
+            sections["mbfl"] = _mbfl_section(bugs, warnings)
+            report.write_section(out_dir, "mbfl", sections["mbfl"],
+                                 report.mbfl_text)
         else:
             warnings.append("mbfl: skipped (requires mode=buggy artifacts)")
 
     sections["warnings"] = sorted(set(warnings))
-    _write_json(out_dir / "report.json", sections)
+    report.write_json(out_dir / "report.json", sections)
     return EvaluateOutcome(sections=sections, out_dir=out_dir, warnings=warnings)

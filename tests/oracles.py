@@ -130,6 +130,17 @@ def oracle_tie_ranks(scores):
     return ranks
 
 
+def oracle_mutant_outcomes(table, original):
+    """{mutant: {test: status}}: a killed test flips the original status."""
+    flipped = {"pass": "fail", "fail": "pass"}
+    outcomes = {}
+    for mutant, killed_tests in table.items():
+        outcomes[mutant] = {}
+        for test, status in original.items():
+            outcomes[mutant][test] = flipped[status] if test in killed_tests else status
+    return outcomes
+
+
 def oracle_muse(failed_m, passed_m, f2p, p2f):
     if p2f == 0:
         return float(failed_m)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mutkit.cli import main
-from mutkit.execution import KillMatrix, save_matrix
+from mutkit.execution import KillMatrix, run_suite, save_matrix
 from mutkit.llm import MockBackend, write_mock_script
 from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from test_pipeline import (
@@ -285,8 +285,8 @@ class TestStandaloneAnalysis:
         def must_not_run(matrix):
             raise AssertionError("a strategy ran before the weight check")
 
-        monkeypatch.setattr("mutkit.cli.grk", must_not_run)
-        monkeypatch.setattr("mutkit.cli.grd", must_not_run)
+        monkeypatch.setattr("mutkit.tcp.grk", must_not_run)
+        monkeypatch.setattr("mutkit.tcp.grd", must_not_run)
         code, out, err = run_cli([
             "tcp", "--matrix", str(matrix_path),
             "--detection", str(detection_path), "--weight", "1.5"], capsys)
@@ -344,6 +344,100 @@ class TestStandaloneAnalysis:
             assert metrics["top_k"] == {"1": 1, "3": 1, "5": 1}
             assert metrics["mar"] == 1.0
         assert report_out.exists()
+
+
+    def test_mbfl_rejects_matrix_tests_missing_from_outcomes(self, tmp_path,
+                                                             capsys):
+        matrices = tmp_path / "matrices"
+        matrices.mkdir()
+        (matrices / "B-1.matrix").write_text("MUTANTS m1\nTESTS t1 t2\n10\n")
+        (matrices / "B-1.original.txt").write_text("t1 FAIL\n")
+        statements = tmp_path / "statements.json"
+        statements.write_text(json.dumps({"B-1": {"m1": 1}}))
+        faulty = tmp_path / "faulty.json"
+        faulty.write_text(json.dumps({"B-1": [1]}))
+        code, out, err = run_cli([
+            "mbfl", "--matrices", str(matrices), "--statements",
+            str(statements), "--faulty", str(faulty)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bug B-1:")
+        assert "['t2']" in err
+
+
+def write_bug_matrix(matrices: Path) -> None:
+    """matrices/B.matrix plus B.original.txt: one mutant, tests t1 and t2."""
+    matrices.mkdir()
+    (matrices / "B.matrix").write_text("MUTANTS m1\nTESTS t1 t2\n10\n")
+    (matrices / "B.original.txt").write_text("t1 FAIL\nt2 PASS\n")
+
+
+GOOD_INPUTS = {"revealing": {"B": ["t1"]}, "detection": {"B": ["t1"]},
+               "statements": {"B": {"m1": 1}}, "faulty": {"B": [1]},
+               "statement-space": {"B": [1, 2]}}
+COMMAND_INPUTS = {"metrics": ("revealing",), "tcp": ("detection",),
+                  "mbfl": ("statements", "faulty", "statement-space")}
+
+
+@pytest.mark.parametrize("flag, bad", [
+    ("revealing", ["B"]),
+    ("revealing", {"B": "t1"}),
+    ("revealing", {"B": [1]}),
+    ("detection", ["B"]),
+    ("detection", {"B": "t1"}),
+    ("statements", {"B": {"m1": "x"}}),
+    ("statements", {"B": [1]}),
+    ("statements", {"B": {"m1": True}}),
+    ("faulty", {"B": ["x"]}),
+    ("faulty", {"B": [1.5]}),
+    ("faulty", {"B": 1}),
+    ("statement-space", {"B": "1"}),
+    ("statement-space", {"B": [True]}),
+])
+def test_standalone_inputs_of_the_wrong_shape_exit_2(flag, bad, tmp_path,
+                                                      capsys):
+    matrices = tmp_path / "matrices"
+    write_bug_matrix(matrices)
+    command = next(name for name, flags in COMMAND_INPUTS.items()
+                   if flag in flags)
+    argv = [command, "--matrix" if command == "tcp" else "--matrices",
+            str(matrices / "B.matrix" if command == "tcp" else matrices)]
+    for name in COMMAND_INPUTS[command]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad if name == flag else GOOD_INPUTS[name]))
+        argv += [f"--{name}", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path / f"{flag}.json") in err
+
+
+def test_metrics_and_tcp_match_the_report_sections(fixed_cli_run, tmp_path,
+                                                   capsys):
+    """The standalone commands rebuild report payloads from execute's matrices."""
+    config_path, targets_path, out_dir, _ = fixed_cli_run
+    code, _, err = run_cli(["execute", "--config", str(config_path),
+                            "--targets", str(targets_path)], capsys)
+    assert code == 0, err
+    matrices = out_dir / "matrices"
+    buggy_sum = run_suite(SUM_BUGGY, TEST_COMMAND, program_id="Sum-1-buggy")
+    revealing = {"Clamp-1": ["t_above"], "Sum-1": sorted(buggy_sum.failing())}
+    revealing_path = tmp_path / "revealing.json"
+    revealing_path.write_text(json.dumps(revealing))
+    code, out, err = run_cli(["metrics", "--matrices", str(matrices),
+                              "--revealing", str(revealing_path)], capsys)
+    assert code == 0, err
+    report_dir = out_dir / "report"
+    assert out == (report_dir / "effectiveness.json").read_text()
+    tcp_section = json.loads((report_dir / "tcp.json").read_text())
+    for bug_id, tests in revealing.items():
+        detection_path = tmp_path / f"detection-{bug_id}.json"
+        detection_path.write_text(json.dumps({bug_id: tests}))
+        code, out, err = run_cli([
+            "tcp", "--matrix", str(matrices / f"{bug_id}.matrix"),
+            "--detection", str(detection_path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["strategies"] == tcp_section["per_bug"][bug_id]
 
 
 class TestExportSft:

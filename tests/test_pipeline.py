@@ -6,12 +6,16 @@ sources so mutants genuinely pass or fail the emulated suites.
 """
 
 import json
+import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mutkit.execution import KillMatrix, TestOutcomeVector
 from mutkit.llm import MockBackend, write_mock_script
+from mutkit.mbfl import MbflError
 from mutkit.pipeline import (
     ALL_STAGES,
     GenerateOutcome,
@@ -21,10 +25,12 @@ from mutkit.pipeline import (
     load_config,
     load_targets,
     make_backend,
+    mutant_outcomes_from_matrix,
     pick_targets,
     run_evaluate,
     run_generate,
 )
+from oracles import oracle_mutant_outcomes, random_kill_table
 
 RUNNER = Path(__file__).parent / "toyrunner.py"
 TEST_COMMAND = f"{sys.executable} {RUNNER} {{source}}"
@@ -170,6 +176,35 @@ class TestPipelineConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"chunking": "false"},
+        {"retrieval": 0},
+        {"workers": 2.5},
+        {"workers": True},
+        {"retrieval_n": "3"},
+        {"dimension": 64.0},
+        {"hyb_weight": True},
+        {"timeout": "30"},
+        {"sample_targets": 1.5},
+        {"corpus": 5},
+        {"test_command": ["python", "run.py"]},
+        {"backend": "mock"},
+    ])
+    def test_rejects_wrong_value_types(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(PipelineError, match=f"^{name} must be"):
+            PipelineConfig(**kwargs)
+
+    def test_ints_are_accepted_for_float_fields(self):
+        config = PipelineConfig(timeout=5, hyb_weight=1, sample_targets=None)
+        assert (config.timeout, config.hyb_weight) == (5, 1)
+
+    def test_load_config_rejects_wrong_value_types(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"chunking": "false"}))
+        with pytest.raises(PipelineError, match="chunking must be bool"):
+            load_config(path)
+
     def test_load_config_merges_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"retrieval_n": 3, "mode": "buggy"}))
@@ -217,6 +252,31 @@ class TestTargets:
         path.write_text(json.dumps({"bug_id": "B-1"}))
         with pytest.raises(PipelineError, match="bug_id and method"):
             load_targets(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("faulty_lines", ["x"]),
+        ("faulty_lines", [True]),
+        ("faulty_lines", [2.0]),
+        ("faulty_lines", 2),
+        ("bug_revealing_tests", "t1"),
+        ("bug_revealing_tests", [1]),
+        ("bug_id", 5),
+        ("method", ["int x;"]),
+        ("project", None),
+        ("buggy_method", 3),
+    ])
+    def test_load_targets_rejects_wrong_value_types(self, tmp_path, field,
+                                                    value):
+        row = {"bug_id": "B-1", "method": CLAMP_FIXED, field: value}
+        path = tmp_path / "targets.jsonl"
+        path.write_text(json.dumps(row))
+        with pytest.raises(PipelineError,
+                           match=f"^targets line 1: {field} must be"):
+            load_targets(path)
+
+    def test_target_spec_rejects_wrong_value_types(self):
+        with pytest.raises(PipelineError, match="faulty_lines must be"):
+            TargetSpec(bug_id="B-1", method=CLAMP_FIXED, faulty_lines=("2",))
 
     def test_bad_bug_id_rejected(self):
         with pytest.raises(PipelineError, match="bug id"):
@@ -520,6 +580,18 @@ class TestEvaluateBuggyMode:
         assert metrics["bug_ochiai"]["Sum-2"] == pytest.approx(expected)
         assert metrics["per_bug_mutation_score"]["Sum-2"] == 0.75
 
+    def test_outcomes_naming_other_tests_become_a_warning(self, buggy_run):
+        config, targets, _ = buggy_run
+        original = Path(config.output_dir) / "matrices" / "Sum-2.original.txt"
+        lines = original.read_text(encoding="utf-8").splitlines(keepends=True)
+        dropped = lines[0].split()[0]
+        original.write_text("".join(lines[1:]), encoding="utf-8")
+        outcome = run_evaluate(config, targets, stages=("mbfl",))
+        assert outcome.sections["mbfl"]["per_bug"] == {}
+        assert outcome.warnings == [
+            f"mbfl: bug Sum-2: the kill matrix and the original outcomes "
+            f"name different tests: ['{dropped}']"]
+
     def test_mbfl_report_files(self, buggy_run):
         _, _, outcome = buggy_run
         assert (outcome.out_dir / "mbfl.json").exists()
@@ -528,6 +600,36 @@ class TestEvaluateBuggyMode:
         payload = json.loads(
             (outcome.out_dir / "mbfl.json").read_text(encoding="utf-8"))
         assert payload["metrics"]["muse"]["top_k"]["1"] == 1
+
+
+class TestMutantOutcomesFromMatrix:
+    def test_matches_cell_by_cell_flips(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            table, tests = random_kill_table(rng, max_mutants=12, max_tests=9)
+            if rng.random() < 0.1:
+                table = {}
+            original = {t: rng.choice(("pass", "fail")) for t in tests}
+            mutants = sorted(table)
+            matrix = KillMatrix(
+                bug_id="B", mutant_ids=tuple(mutants), test_ids=tuple(tests),
+                kills=np.array([[t in table[m] for t in tests] for m in mutants],
+                               dtype=bool).reshape(len(mutants), len(tests)))
+            vectors = mutant_outcomes_from_matrix(
+                matrix, TestOutcomeVector(program_id="B", outcomes=original))
+            assert list(vectors) == mutants
+            assert {m: v.outcomes for m, v in vectors.items()} == \
+                oracle_mutant_outcomes(table, original)
+            assert all(v.program_id == m for m, v in vectors.items())
+
+    @pytest.mark.parametrize("original_tests", [("t1",), ("t1", "t2", "t3")])
+    def test_rejects_outcomes_for_other_tests(self, original_tests):
+        matrix = KillMatrix(bug_id="B-1", mutant_ids=("m1",),
+                            test_ids=("t1", "t2"), kills=[[True, False]])
+        original = TestOutcomeVector(
+            program_id="B-1", outcomes={t: "pass" for t in original_tests})
+        with pytest.raises(MbflError, match="^bug B-1: .*different tests"):
+            mutant_outcomes_from_matrix(matrix, original)
 
 
 class TestEvaluateErrors:

@@ -52,10 +52,11 @@ from .pipeline import (
     mutant_outcomes_from_matrix,
     probe_embedder,
     read_bug_table,
+    read_generation,
     run_evaluate,
     run_generate,
 )
-from .promptgen import PromptError, read_manifest
+from .promptgen import PromptError
 from .sft import SftContext, SftError, export, write_instances
 from .tcp import TcpError
 from .validity import ValidityError
@@ -211,6 +212,8 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
     --statements maps bug -> {mutant-id: line}; --faulty maps
     bug -> [faulty lines]; --statement-space (optional) maps
     bug -> [candidate lines] for zero-padding unmutated statements.
+    A bug without faulty lines keeps its ranking but, when another bug
+    has some, is left out of Top-k/MAR/MFR with a warning on stderr.
     """
     matrices = Path(args.matrices)
     by_bug = _load_matrix_dir(matrices)
@@ -227,6 +230,11 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
             bug_id, original, mutant_outcomes_from_matrix(by_bug[bug_id], original),
             statements[bug_id], statements=space.get(bug_id, ()),
             faulty_statements=faulty.get(bug_id, ()))
+    unscored = [bug_id for bug_id in sorted(by_bug) if not faulty.get(bug_id)]
+    if len(unscored) < len(by_bug):
+        for bug_id in unscored:
+            print(f"warning: mbfl: bug {bug_id} has no faulty lines in "
+                  f"{args.faulty}; left out of Top-k/MAR/MFR", file=sys.stderr)
     _emit(report.mbfl_section(per_bug), args.out)
     return 0
 
@@ -234,8 +242,7 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
 def cmd_export_sft(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     artifacts = Path(args.artifacts or config.output_dir)
-    manifest = read_manifest(str(artifacts / "manifest.jsonl"))
-    summary = json.loads((artifacts / "summary.json").read_text(encoding="utf-8"))
+    summary, manifest = read_generation(artifacts)
     projects = {bug_id: entry.get("project", "")
                 for bug_id, entry in summary.get("targets", {}).items()}
     prompts = [json.loads(line) for line in

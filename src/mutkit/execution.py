@@ -5,21 +5,28 @@ per test (``<test-id> PASS|FAIL``); a kill is a pass/fail status flip
 relative to the original program.  Matrices can also be loaded from
 externally produced files, so every metric module works without any
 compiler or test runner installed.
+
+``run_queue`` runs an evaluation's compiles and suite runs on one worker
+pool behind a content-addressed result cache, so identical runs start one
+process and a rerun on unchanged inputs starts none.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
 import re
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .validity import substitute_command
+from .validity import check_compile, substitute_command
 
 logger = logging.getLogger(__name__)
 
@@ -266,30 +273,15 @@ def load_matrix(path: str, bug_id: str | None = None) -> KillMatrix:
                       test_ids=test_ids, kills=cells)
 
 
-def run_mutant_suites(sources: dict[str, str], test_command: str, *,
-                      expected_tests: list[str], timeout: float | None = None,
-                      workers: int = 1, suffix: str = ".java") -> list[TestOutcomeVector]:
-    """Run many mutants' suites with a bounded worker pool.
-
-    Results are returned in the (sorted) mutant-id order regardless of
-    completion order, keeping downstream matrices deterministic.
-    """
-    mutant_ids = sorted(sources)
-
-    def run_one(mutant_id: str) -> TestOutcomeVector:
-        return run_suite(sources[mutant_id], test_command, program_id=mutant_id,
-                         expected_tests=expected_tests, timeout=timeout,
-                         suffix=suffix)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        return list(pool.map(run_one, mutant_ids))
+def _outcome_lines(outcomes: dict[str, str]) -> str:
+    return "".join(f"{test_id} {outcomes[test_id].upper()}\n"
+                   for test_id in sorted(outcomes))
 
 
 def save_outcomes(vector: TestOutcomeVector, path: str) -> None:
     """Persist an outcome vector in the runner's own line protocol."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for test_id in sorted(vector.outcomes):
-            handle.write(f"{test_id} {vector.outcomes[test_id].upper()}\n")
+        handle.write(_outcome_lines(vector.outcomes))
 
 
 def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
@@ -302,3 +294,145 @@ def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
     if not outcomes:
         raise RunnerError(f"outcomes file {path} has no status lines")
     return TestOutcomeVector(program_id=program_id, outcomes=outcomes)
+
+
+def _run_key(kind: str, command: str, suffix: str,
+             expected_tests: list[str] | None, source: str) -> str:
+    payload = json.dumps([kind, command, suffix,
+                          None if expected_tests is None else sorted(expected_tests),
+                          source])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _read_compile(text: str) -> bool | None:
+    return {"ok\n": True, "fail\n": False}.get(text)
+
+
+def _read_outcomes(text: str, expected_tests: list[str] | None) -> dict | None:
+    """Outcomes of a stored suite run; None unless the text is exactly what
+    ``_outcome_lines`` writes for the expected tests."""
+    try:
+        outcomes = parse_outcome_lines(text)
+    except RunnerError:
+        return None
+    if not outcomes or _outcome_lines(outcomes) != text:
+        return None
+    if expected_tests is not None and set(outcomes) != set(expected_tests):
+        return None
+    return outcomes
+
+
+def _done(result) -> Future:
+    future: Future = Future()
+    future.set_result(result)
+    return future
+
+
+def _relabeled(shared: Future, program_id: str) -> Future:
+    """A future of the shared run's vector under the caller's program id."""
+    future: Future = Future()
+
+    def copy(done: Future) -> None:
+        if done.cancelled():
+            future.cancel()
+        elif done.exception() is not None:
+            future.set_exception(done.exception())
+        else:
+            future.set_result(replace(done.result(), program_id=program_id))
+
+    shared.add_done_callback(copy)
+    return future
+
+
+class _RunQueue:
+    """Compile checks and suite runs on one worker pool, cached on disk.
+
+    A run's key is the sha256 of its kind, command template, file suffix,
+    expected test list (suites only) and source text.  Submissions with the
+    same key share one future; a finished run is stored as
+    ``<directory>/<key>`` (temp file, then ``os.replace``) and later
+    submissions read it back without starting a process.  A stored file
+    that does not parse is a miss and is overwritten.  Nothing is stored
+    for a timed-out compile, a suite vector with timeout or missing flags,
+    or a run that raised; errors surface from ``Future.result()``.
+    Submit from one thread.
+    """
+
+    def __init__(self, directory: Path, workers: int):
+        self.directory = directory
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._runs: dict[str, Future] = {}
+
+    def __enter__(self) -> "_RunQueue":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(cancel_futures=True)
+
+    def compile(self, source: str, command: str, *, timeout: float,
+                suffix: str = ".java") -> Future:
+        """Future of whether ``source`` compiles; a timeout counts as no."""
+        key = _run_key("compile", command, suffix, None, source)
+        if key not in self._runs:
+            stored = _read_compile(self._stored(key))
+            self._runs[key] = (_done(stored) if stored is not None else
+                               self._pool.submit(self._compile, key, source, command,
+                                                 timeout, suffix))
+        return self._runs[key]
+
+    def suite(self, source: str, command: str, *, program_id: str,
+              expected_tests: list[str] | None = None, timeout: float | None = None,
+              suffix: str = ".java") -> Future:
+        """Future of ``run_suite``'s vector for ``source``."""
+        key = _run_key("suite", command, suffix, expected_tests, source)
+        if key not in self._runs:
+            stored = _read_outcomes(self._stored(key), expected_tests)
+            self._runs[key] = (
+                _done(TestOutcomeVector(program_id=program_id, outcomes=stored))
+                if stored is not None else
+                self._pool.submit(self._suite, key, source, command, program_id,
+                                  expected_tests, timeout, suffix))
+        return _relabeled(self._runs[key], program_id)
+
+    def _compile(self, key, source, command, timeout, suffix) -> bool:
+        result = check_compile(source, command, timeout=timeout, suffix=suffix)
+        if not result.timed_out:
+            self._store(key, "ok\n" if result.ok else "fail\n")
+        return result.ok
+
+    def _suite(self, key, source, command, program_id, expected_tests, timeout,
+               suffix) -> TestOutcomeVector:
+        vector = run_suite(source, command, program_id=program_id,
+                           expected_tests=expected_tests, timeout=timeout,
+                           suffix=suffix)
+        if not vector.flags:
+            self._store(key, _outcome_lines(vector.outcomes))
+        return vector
+
+    def _stored(self, key: str) -> str:
+        try:
+            return (self.directory / key).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            return ""
+
+    def _store(self, key: str, text: str) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        handle, temp = tempfile.mkstemp(dir=self.directory, prefix=".", suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as out:
+                out.write(text)
+            os.replace(temp, self.directory / key)
+        except BaseException:
+            os.unlink(temp)
+            raise
+
+
+def run_queue(directory: str | Path, workers: int) -> _RunQueue:
+    """A run queue with ``workers`` threads caching results in ``directory``;
+    use it as a context manager, which cancels what is still queued on exit.
+
+    The queue's methods are not module attributes, so a tracer that wraps
+    this module's public functions sees each ``check_compile`` and
+    ``run_suite`` call as a child of the code waiting for it.
+    """
+    return _RunQueue(Path(directory), workers)

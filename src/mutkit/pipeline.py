@@ -13,6 +13,7 @@ the standalone analysis commands.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import random
@@ -20,11 +21,11 @@ import re
 import types
 import typing
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import report
+from . import execution, report
 from .chunker import ChunkerError, chunk_method, parse_method, whole_method_chunk
 from .corpus import ingest_corpus
 from .embedder import EmbeddingError, LexicalEmbedder, VectorIndex
@@ -34,8 +35,7 @@ from .execution import (
     build_kill_matrix,
     load_matrix,
     load_outcomes,
-    run_mutant_suites,
-    run_suite,
+    run_suite,  # noqa: F401  (perfbench checks that its recorder wraps this name too)
     save_matrix,
     save_outcomes,
 )
@@ -61,7 +61,7 @@ from .promptgen import (
     render_prompt,
     write_manifest,
 )
-from .validity import ValidityLedger, check_compile, dedup
+from .validity import ValidityLedger, dedup
 
 logger = logging.getLogger(__name__)
 
@@ -479,7 +479,8 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
 
 @dataclass
 class BugArtifacts:
-    """Evaluation inputs reassembled for one bug."""
+    """Evaluation inputs reassembled for one bug, plus the futures of its
+    compile and suite runs on the evaluation's run queue."""
 
     target: TargetSpec
     expected: int
@@ -489,6 +490,11 @@ class BugArtifacts:
     matrix: KillMatrix | None = None
     original: TestOutcomeVector | None = None
     revealing: frozenset[str] = frozenset()
+    compiles: dict[str, Future] = field(default_factory=dict)
+    original_run: Future | None = None
+    mutant_runs: dict[str, Future] = field(default_factory=dict)
+    buggy_run: Future | None = None
+    matrix_key: str = ""
 
 
 @dataclass
@@ -520,15 +526,20 @@ def load_mutants(artifacts: Path, rows: Sequence[dict]) -> dict[str, Mutant]:
     return mutants
 
 
-def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
-                        ) -> dict[str, BugArtifacts]:
-    summary_path = manifest_dir / "summary.json"
-    manifest_path = manifest_dir / "manifest.jsonl"
+def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
+    """summary.json and the manifest rows that generate wrote to artifacts."""
+    summary_path = artifacts / "summary.json"
+    manifest_path = artifacts / "manifest.jsonl"
     if not summary_path.exists() or not manifest_path.exists():
         raise PipelineError(
-            f"{manifest_dir} lacks summary.json/manifest.jsonl; run generate first")
+            f"{artifacts} lacks summary.json/manifest.jsonl; run generate first")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    rows = read_manifest(str(manifest_path))
+    return summary, read_manifest(str(manifest_path))
+
+
+def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
+                        ) -> dict[str, BugArtifacts]:
+    summary, rows = read_generation(manifest_dir)
     by_bug: dict[str, list[dict]] = {}
     for row in rows:
         by_bug.setdefault(row["bug_id"], []).append(row)
@@ -537,7 +548,7 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
         target_summary = summary.get("targets", {}).get(target.bug_id)
         if target_summary is None:
             raise PipelineError(
-                f"bug {target.bug_id} missing from {summary_path}; "
+                f"bug {target.bug_id} missing from {manifest_dir / 'summary.json'}; "
                 f"generate did not cover it")
         bug_rows = by_bug.get(target.bug_id, [])
         artifacts[target.bug_id] = BugArtifacts(
@@ -548,18 +559,31 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
     return artifacts
 
 
+def _submit_first_runs(config: PipelineConfig, bug: BugArtifacts, queue,
+                       matrices_dir: Path, execute: bool) -> None:
+    """Submit every compile, and the original's suite run unless a keyed
+    matrix may be reused (the key needs the useful set, known only later)."""
+    if config.compile_command:
+        bug.compiles = {
+            mid: queue.compile(bug.materialized[mid].source, config.compile_command,
+                               timeout=config.timeout)
+            for mid in sorted(bug.materialized)}
+    keyed = (matrices_dir / f"{bug.target.bug_id}.key").exists()
+    if execute and config.test_command and not keyed:
+        bug.original_run = _submit_original(config, bug, queue)
+
+
+def _submit_original(config: PipelineConfig, bug: BugArtifacts, queue) -> Future:
+    return queue.suite(bug.target.method, config.test_command,
+                       program_id=bug.target.bug_id, timeout=config.timeout)
+
+
 def _run_validity(config: PipelineConfig, bug: BugArtifacts) -> None:
     ordered = [bug.materialized[mid] for mid in sorted(bug.materialized)]
     duplicates = dedup(ordered, bug.target.method,
                        config.collapse_whitespace).duplicates
-    if config.compile_command and ordered:
-        def compile_one(mutant: Mutant) -> tuple[str, bool]:
-            result = check_compile(mutant.source, config.compile_command,
-                                   timeout=config.timeout)
-            return mutant.id, result.ok
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            compilable = {mid for mid, ok in pool.map(compile_one, ordered) if ok}
+    if config.compile_command:
+        compilable = {mid for mid, run in bug.compiles.items() if run.result()}
     else:
         compilable = set(bug.materialized)
     bug.ledger = ValidityLedger(
@@ -579,34 +603,75 @@ def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
                       test_ids=matrix.test_ids, kills=matrix.kills[rows])
 
 
-def _run_execution(config: PipelineConfig, bug: BugArtifacts,
-                   matrices_dir: Path) -> None:
+def _matrix_key(config: PipelineConfig, bug: BugArtifacts,
+                useful: list[str]) -> str:
+    """sha256 over what a rebuilt kill matrix depends on: the test command,
+    the original method and each useful mutant's id and source digest."""
+    sources = [[mid, hashlib.sha256(
+        bug.materialized[mid].source.encode("utf-8")).hexdigest()] for mid in useful]
+    payload = json.dumps([config.test_command, bug.target.method, sources])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _submit_execution(config: PipelineConfig, bug: BugArtifacts, queue,
+                      matrices_dir: Path, revealing: bool) -> None:
+    """Reuse the bug's saved matrix when it is still valid, or submit the
+    suite runs that rebuild it; then submit the buggy version's run when
+    the revealing tests come from it.
+
+    With a test_command a matrix is reused only when its ``.key`` matches;
+    without one, an existing matrix is taken as given (external matrices).
+    """
     bug_id = bug.target.bug_id
     useful = sorted(bug.ledger.useful())
     matrix_path = matrices_dir / f"{bug_id}.matrix"
-    outcomes_path = matrices_dir / f"{bug_id}.original.txt"
-    if matrix_path.exists():
-        full = load_matrix(str(matrix_path), bug_id=bug_id)
-        bug.matrix = _select_rows(full, useful)
+    reuse = matrix_path.exists()
+    if config.test_command:
+        bug.matrix_key = _matrix_key(config, bug, useful)
+        key_path = matrices_dir / f"{bug_id}.key"
+        reuse = reuse and key_path.exists() and \
+            key_path.read_bytes() == f"{bug.matrix_key}\n".encode()
+    if reuse:
+        bug.matrix = _select_rows(load_matrix(str(matrix_path), bug_id=bug_id), useful)
+        outcomes_path = matrices_dir / f"{bug_id}.original.txt"
         if outcomes_path.exists():
             bug.original = load_outcomes(str(outcomes_path), bug_id)
-        return
-    if not config.test_command:
+        test_ids = sorted(bug.matrix.test_ids)
+    elif not config.test_command:
         raise PipelineError(
             f"bug {bug_id}: no matrix at {matrix_path} and no test_command "
             f"configured")
-    original = run_suite(bug.target.method, config.test_command,
-                         program_id=bug_id, timeout=config.timeout)
-    expected_tests = sorted(original.outcomes)
-    vectors = run_mutant_suites(
-        {mid: bug.materialized[mid].source for mid in useful},
-        config.test_command, expected_tests=expected_tests,
-        timeout=config.timeout, workers=config.workers)
-    bug.matrix = build_kill_matrix(original, vectors, bug_id=bug_id)
-    bug.original = original
+    else:
+        if bug.original_run is None:
+            bug.original_run = _submit_original(config, bug, queue)
+        test_ids = sorted(bug.original_run.result().outcomes)
+        bug.mutant_runs = {
+            mid: queue.suite(bug.materialized[mid].source, config.test_command,
+                             program_id=mid, expected_tests=test_ids,
+                             timeout=config.timeout)
+            for mid in useful}
+    target = bug.target
+    if revealing and config.mode != "buggy" and not target.bug_revealing_tests \
+            and target.buggy_method and config.test_command:
+        bug.buggy_run = queue.suite(target.buggy_method, config.test_command,
+                                    program_id=f"{bug_id}-buggy",
+                                    expected_tests=test_ids, timeout=config.timeout)
+
+
+def _collect_execution(bug: BugArtifacts, matrices_dir: Path) -> None:
+    """Build and save a matrix whose runs _submit_execution submitted."""
+    if bug.matrix is not None:
+        return
+    bug_id = bug.target.bug_id
+    bug.original = bug.original_run.result()
+    vectors = [run.result() for run in bug.mutant_runs.values()]
+    bug.matrix = build_kill_matrix(bug.original, vectors, bug_id=bug_id)
     matrices_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix(bug.matrix, str(matrix_path))
-    save_outcomes(original, str(outcomes_path))
+    key_path = matrices_dir / f"{bug_id}.key"
+    key_path.unlink(missing_ok=True)
+    save_matrix(bug.matrix, str(matrices_dir / f"{bug_id}.matrix"))
+    save_outcomes(bug.original, str(matrices_dir / f"{bug_id}.original.txt"))
+    key_path.write_text(bug.matrix_key + "\n", encoding="utf-8")
 
 
 def _resolve_revealing(config: PipelineConfig, bug: BugArtifacts) -> None:
@@ -622,12 +687,8 @@ def _resolve_revealing(config: PipelineConfig, bug: BugArtifacts) -> None:
     if target.bug_revealing_tests:
         bug.revealing = frozenset(target.bug_revealing_tests) & test_ids
         return
-    if target.buggy_method and config.test_command:
-        buggy = run_suite(target.buggy_method, config.test_command,
-                          program_id=f"{target.bug_id}-buggy",
-                          expected_tests=sorted(test_ids),
-                          timeout=config.timeout)
-        bug.revealing = frozenset(buggy.failing()) & test_ids
+    if bug.buggy_run is not None:
+        bug.revealing = frozenset(bug.buggy_run.result().failing()) & test_ids
         return
     raise PipelineError(
         f"bug {target.bug_id}: no bug-revealing tests available (provide "
@@ -729,22 +790,33 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     bugs = _load_bug_artifacts(targets, manifest_dir)
     warnings: list[str] = []
     sections: dict = {"mode": config.mode, "variant": config.variant_label()}
+    revealing = bool({"metrics", "tcp", "mbfl"} & wanted)
 
-    if "validity" in wanted:
-        for bug in bugs.values():
-            _run_validity(config, bug)
-        sections["validity"] = report.validity_section(
-            {bug_id: (bug.target.project, bug.ledger)
-             for bug_id, bug in bugs.items()})
-        report.write_section(out_dir, "validity", sections["validity"],
-                             report.validity_text)
-
-    if "execution" in wanted:
-        for bug in bugs.values():
-            _run_execution(config, bug, matrices_dir)
-        if {"metrics", "tcp", "mbfl"} & wanted:
+    # Every compile and suite run of every bug goes through one queue, in
+    # two waves: compiles plus original runs, then the runs that need their
+    # results (useful mutants' suites, buggy versions).  Results are read in
+    # sorted bug and mutant order.
+    with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
+        if "validity" in wanted:
             for bug in bugs.values():
-                _resolve_revealing(config, bug)
+                _submit_first_runs(config, bug, queue, matrices_dir,
+                                   "execution" in wanted)
+            for bug in bugs.values():
+                _run_validity(config, bug)
+            sections["validity"] = report.validity_section(
+                {bug_id: (bug.target.project, bug.ledger)
+                 for bug_id, bug in bugs.items()})
+            report.write_section(out_dir, "validity", sections["validity"],
+                                 report.validity_text)
+
+        if "execution" in wanted:
+            for bug in bugs.values():
+                _submit_execution(config, bug, queue, matrices_dir, revealing)
+            for bug in bugs.values():
+                _collect_execution(bug, matrices_dir)
+            if revealing:
+                for bug in bugs.values():
+                    _resolve_revealing(config, bug)
 
     if "metrics" in wanted:
         sections["metrics"] = report.effectiveness_section([

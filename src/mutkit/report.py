@@ -151,8 +151,8 @@ def _suspiciousness_entry(report: SuspiciousnessReport) -> dict:
 
 def mbfl_section(per_bug: dict[str, dict[str, SuspiciousnessReport]],
                  warnings: list[str] | None = None) -> dict:
-    """Per-bug rankings plus Top-k/MAR/MFR per method (None when no bug has
-    faulty statements).  An MbflError while aggregating a method goes to
+    """Per-bug rankings plus Top-k/MAR/MFR per method over the bugs that
+    have faulty statements (None when none has).  An MbflError while aggregating a method goes to
     ``warnings`` (the metrics are then None) or, with no list, is raised."""
     section: dict = {
         "per_bug": {bug_id: {method: _suspiciousness_entry(report)
@@ -161,9 +161,10 @@ def mbfl_section(per_bug: dict[str, dict[str, SuspiciousnessReport]],
         "metrics": {},
     }
     for method in MBFL_METHODS:
-        reports = [by_method[method] for by_method in per_bug.values()]
+        reports = [by_method[method] for by_method in per_bug.values()
+                   if by_method[method].faulty_statements]
         section["metrics"][method] = None
-        if not any(report.faulty_statements for report in reports):
+        if not reports:
             continue
         try:
             result = mbfl.fl_metrics(reports)

@@ -1,4 +1,10 @@
-"""Shared pytest hooks: a per-criterion summary for the acceptance gate."""
+"""Shared pytest hooks: a per-criterion summary for the acceptance gate,
+and a fixture counting the processes a test starts."""
+
+import subprocess
+import threading
+
+import pytest
 
 _ACCEPTANCE_PREFIX = "test_acceptance.py::test_criterion_"
 
@@ -28,3 +34,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number in sorted(results):
         status, label = results[number]
         terminalreporter.write_line(f"criterion {number}: {status} - {label}")
+
+
+@pytest.fixture
+def process_count(monkeypatch):
+    """The commands of every subprocess.run call, from any thread."""
+    calls = []
+    real_run = subprocess.run
+    lock = threading.Lock()
+
+    def counting_run(*args, **kwargs):
+        with lock:
+            calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    return calls

@@ -365,6 +365,55 @@ class TestStandaloneAnalysis:
         assert "['t2']" in err
 
 
+    @pytest.fixture
+    def two_bug_matrices(self, tmp_path):
+        """Bugs A and B with the same one-mutant matrix and outcomes."""
+        matrices = tmp_path / "matrices"
+        matrices.mkdir()
+        for bug_id in ("A", "B"):
+            (matrices / f"{bug_id}.matrix").write_text("MUTANTS m1\nTESTS t1 t2\n10\n")
+            (matrices / f"{bug_id}.original.txt").write_text("t1 FAIL\nt2 PASS\n")
+        statements = tmp_path / "statements.json"
+        statements.write_text(json.dumps({"A": {"m1": 1}, "B": {"m1": 1}}))
+        return matrices, statements
+
+    def mbfl(self, matrices, statements, faulty: dict, capsys):
+        path = statements.parent / "faulty.json"
+        path.write_text(json.dumps(faulty))
+        return run_cli(["mbfl", "--matrices", str(matrices), "--statements",
+                        str(statements), "--faulty", str(path)], capsys)
+
+    def test_mbfl_bug_without_faulty_lines_is_left_out_of_the_metrics(
+            self, two_bug_matrices, capsys):
+        matrices, statements = two_bug_matrices
+        code, out, err = self.mbfl(matrices, statements, {"A": [1]}, capsys)
+        assert code == 0, err
+        assert err == (f"warning: mbfl: bug B has no faulty lines in "
+                       f"{statements.parent / 'faulty.json'}; left out of "
+                       f"Top-k/MAR/MFR\n")
+        payload = json.loads(out)
+        assert sorted(payload["per_bug"]) == ["A", "B"]
+        assert payload["per_bug"]["B"]["muse"]["faulty_ranks"] == []
+        for method in ("muse", "metallaxis"):
+            assert payload["metrics"][method]["evaluated_bugs"] == 1
+        (matrices / "B.matrix").unlink()
+        code, alone, err = self.mbfl(matrices, statements, {"A": [1]}, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(alone)["metrics"] == payload["metrics"]
+
+    @pytest.mark.parametrize("faulty", [{}, {"A": [1], "B": [1]}])
+    def test_mbfl_all_or_no_faulty_lines_print_no_warning(
+            self, two_bug_matrices, capsys, faulty):
+        matrices, statements = two_bug_matrices
+        code, out, err = self.mbfl(matrices, statements, faulty, capsys)
+        assert code == 0 and err == ""
+        metrics = json.loads(out)["metrics"]
+        if faulty:
+            assert metrics["muse"]["evaluated_bugs"] == 2
+        else:
+            assert metrics == {"muse": None, "metallaxis": None}
+
+
 def write_bug_matrix(matrices: Path) -> None:
     """matrices/B.matrix plus B.original.txt: one mutant, tests t1 and t2."""
     matrices.mkdir()
@@ -482,6 +531,16 @@ class TestExportSft:
                 for line in out_path.read_text().splitlines()]
         assert len(rows) < 6
         assert any(len(row["provenance"]["mutant_ids"]) > 1 for row in rows)
+
+
+    def test_export_without_artifacts_says_to_generate(self, tmp_path, capsys):
+        code, out, err = run_cli([
+            "export-sft", "--artifacts", str(tmp_path),
+            "--out", str(tmp_path / "sft.jsonl")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {tmp_path} lacks summary.json/manifest.jsonl; "
+                       f"run generate first\n")
 
 
 def test_entry_point_requires_subcommand():

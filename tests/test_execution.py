@@ -15,11 +15,12 @@ from mutkit.execution import (
     load_matrix,
     load_outcomes,
     parse_outcome_lines,
-    run_mutant_suites,
+    run_queue,
     run_suite,
     save_matrix,
     save_outcomes,
 )
+from mutkit.validity import ValidityError
 
 
 def vector(program_id, **outcomes):
@@ -210,14 +211,155 @@ class TestMatrixPersistence:
                        kills=np.zeros((1, 1), dtype=bool))
 
 
+# Sleeps longer for shorter sources, so later submissions finish first.
+SLOW_RUNNER = (
+    f"{sys.executable} -c \""
+    "import sys, time\n"
+    "content = open(sys.argv[1]).read()\n"
+    "time.sleep(0.3 / (1 + len(content)))\n"
+    "print('t1', 'PASS' if 'alpha' in content else 'FAIL')\n"
+    "print('t2', 'PASS' if 'beta' in content else 'FAIL')\n"
+    "\" {source}"
+)
+
+
 class TestRunMutantSuites:
-    def test_results_sorted_by_mutant_id(self):
+    def test_results_sorted_by_mutant_id(self, tmp_path):
         sources = {"m2": "alpha beta", "m1": "alpha", "m3": ""}
-        vectors = run_mutant_suites(sources, RUNNER,
-                                    expected_tests=["t1", "t2"], workers=3)
+        with run_queue(tmp_path / "runs", workers=3) as queue:
+            runs = {mid: queue.suite(sources[mid], SLOW_RUNNER, program_id=mid,
+                                     expected_tests=["t1", "t2"])
+                    for mid in sorted(sources, reverse=True)}
+            vectors = [runs[mid].result() for mid in sorted(runs)]
         assert [v.program_id for v in vectors] == ["m1", "m2", "m3"]
+        assert vectors[0].outcomes == {"t1": "pass", "t2": "fail"}
         assert vectors[1].outcomes == {"t1": "pass", "t2": "pass"}
         assert vectors[2].outcomes == {"t1": "fail", "t2": "fail"}
+
+
+CHECKER = f"{sys.executable} -c \"import sys; sys.exit('x' in open(sys.argv[1]).read())\" {{source}}"
+
+
+def run_once(directory, source="alpha", command=RUNNER, suffix=".java",
+             expected=("t1", "t2"), program_id="m1"):
+    with run_queue(directory, workers=2) as queue:
+        return queue.suite(source, command, program_id=program_id,
+                           expected_tests=list(expected), suffix=suffix).result()
+
+
+class TestRunQueueCache:
+    def test_rerun_reads_the_cache_and_starts_no_process(self, tmp_path,
+                                                         process_count):
+        first = run_once(tmp_path)
+        with run_queue(tmp_path, workers=2) as queue:
+            compiles = [queue.compile(text, CHECKER, timeout=30.0) for text in "ax"]
+            assert [run.result() for run in compiles] == [True, False]
+        assert len(process_count) == 3
+        second = run_once(tmp_path, program_id="m7")
+        with run_queue(tmp_path, workers=2) as queue:
+            compiles = [queue.compile(text, CHECKER, timeout=30.0) for text in "ax"]
+            assert [run.result() for run in compiles] == [True, False]
+        assert len(process_count) == 3
+        assert second.outcomes == first.outcomes and not second.flags
+        assert second.program_id == "m7"
+
+    def test_identical_submissions_share_one_process(self, tmp_path, process_count):
+        with run_queue(tmp_path, workers=4) as queue:
+            runs = [queue.suite("alpha", RUNNER, program_id=f"m{i}",
+                                expected_tests=["t1", "t2"]) for i in range(4)]
+            vectors = [run.result() for run in runs]
+        assert len(process_count) == 1
+        assert [v.program_id for v in vectors] == ["m0", "m1", "m2", "m3"]
+        assert all(v.outcomes == {"t1": "pass", "t2": "fail"} for v in vectors)
+
+    @pytest.mark.parametrize("change", [
+        {"source": "alpha beta"},
+        {"command": RUNNER.replace("print('t2'", "print( 't2'")},
+        {"suffix": ".txt"},
+        {"expected": ("t1", "t2", "t3")},
+    ])
+    def test_any_key_part_changed_is_a_miss(self, tmp_path, process_count, change):
+        run_once(tmp_path)
+        run_once(tmp_path)
+        assert len(process_count) == 1
+        changed = run_once(tmp_path, **change)
+        assert len(process_count) == 2
+        if not changed.flags:  # a vector with a missing test is never stored
+            run_once(tmp_path, **change)
+            assert len(process_count) == 2
+
+    def test_flagged_vector_is_not_cached(self, tmp_path, process_count):
+        vector = run_once(tmp_path, expected=("t1", "t2", "t3"))
+        assert vector.flags == {"t3": "missing"}
+        run_once(tmp_path, expected=("t1", "t2", "t3"))
+        assert len(process_count) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_timed_out_compile_is_not_cached(self, tmp_path, process_count):
+        slow = f'{sys.executable} -c "import time; time.sleep(5)" {{source}}'
+        for _ in range(2):
+            with run_queue(tmp_path, workers=1) as queue:
+                assert queue.compile("x", slow, timeout=0.3).result() is False
+        assert len(process_count) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_errors_propagate_and_are_not_cached(self, tmp_path, process_count):
+        crash = f'{sys.executable} -c "import sys; sys.exit(3)" {{source}}'
+        for _ in range(2):
+            with run_queue(tmp_path, workers=1) as queue:
+                with pytest.raises(RunnerError, match="no test outcomes for m1"):
+                    queue.suite("x", crash, program_id="m1").result()
+                with pytest.raises(ValidityError, match="not found"):
+                    queue.compile("x", "no_such_compiler_zz {source}",
+                                  timeout=30.0).result()
+        assert len(process_count) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_many_workers_share_runs_under_fast_thread_switching(
+            self, tmp_path, process_count):
+        sources = ["alpha", "beta", "alpha beta", "gamma"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with run_queue(tmp_path, workers=8) as queue:
+                runs = [(sources[i % 4], queue.suite(
+                    sources[i % 4], RUNNER, program_id=f"m{i:02d}",
+                    expected_tests=["t1", "t2"])) for i in range(40)]
+                vectors = [(source, run.result(timeout=60)) for source, run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(process_count) == len(sources)
+        assert [v.program_id for _, v in vectors] == [f"m{i:02d}" for i in range(40)]
+        for source, vector in vectors:
+            assert vector.outcomes == {
+                "t1": "pass" if "alpha" in source else "fail",
+                "t2": "pass" if "beta" in source else "fail"}
+        assert len(list(tmp_path.iterdir())) == len(sources)
+
+    @pytest.mark.parametrize("garbage", [
+        "", "t1 PASS\n", "t1 PASS\nt2 FA", "t2 FAIL\nt1 PASS\n",
+        "t1 PASS\nt1 PASS\n", "t1 PASS\nt2 FAIL\nnoise\n", "\udcff"])
+    def test_corrupt_file_is_rerun_and_overwritten(self, tmp_path, process_count,
+                                                   garbage):
+        run_once(tmp_path)
+        (stored,) = tmp_path.iterdir()
+        intact = stored.read_bytes()
+        stored.write_text(garbage, encoding="utf-8", errors="surrogateescape")
+        vector = run_once(tmp_path)
+        assert vector.outcomes == {"t1": "pass", "t2": "fail"}
+        assert len(process_count) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [stored.name]
+        assert stored.read_bytes() == intact
+
+    @pytest.mark.parametrize("garbage", ["", "ok", "OK\n", "fail\nok\n"])
+    def test_corrupt_compile_file_is_rerun(self, tmp_path, process_count, garbage):
+        for _ in range(2):
+            with run_queue(tmp_path, workers=1) as queue:
+                assert queue.compile("a", CHECKER, timeout=30.0).result() is True
+            (stored,) = tmp_path.iterdir()
+            assert stored.read_text() == "ok\n"
+            stored.write_text(garbage)
+        assert len(process_count) == 2
 
 
 class TestOutcomesPersistence:

@@ -542,6 +542,100 @@ class TestEvaluateFixedMode:
         assert "metrics" not in only_validity.sections
 
 
+class TestEvaluateRunCache:
+    def test_warm_evaluate_starts_no_process(self, fixed_run, process_count):
+        config, targets, _ = fixed_run
+        before = read_tree(Path(config.output_dir))
+        run_evaluate(config, targets)
+        assert process_count == []
+        assert read_tree(Path(config.output_dir)) == before
+
+    def test_warm_evaluate_without_matrices_starts_no_process(self, fixed_run,
+                                                              process_count):
+        config, targets, _ = fixed_run
+        matrices = Path(config.output_dir) / "matrices"
+        before = read_tree(Path(config.output_dir))
+        for path in matrices.glob("*.*"):
+            path.unlink()
+        run_evaluate(config, targets)
+        assert process_count == []
+        assert read_tree(Path(config.output_dir)) == before
+
+    def test_identical_sources_in_two_bugs_start_one_process(self, tmp_path,
+                                                             process_count):
+        counts = []
+        for bug_ids in (("Clamp-1",), ("Clamp-1", "Clamp-2")):
+            base = tmp_path / str(len(bug_ids))
+            base.mkdir()
+            config = PipelineConfig(output_dir=str(base / "out"), retrieval=False,
+                                    test_command=TEST_COMMAND,
+                                    compile_command=COMPILE_COMMAND)
+            targets = [TargetSpec(bug_id=bug_id, method=CLAMP_FIXED,
+                                  bug_revealing_tests=("t_above",))
+                       for bug_id in bug_ids]
+            scripted_generate(config, targets, base)
+            process_count.clear()
+            outcome = run_evaluate(config, targets)
+            counts.append(len(process_count))
+        # per bug: 6 mutant sources, 5 of them distinct; 1 original; 4 useful
+        assert counts == [5 + 1 + 4] * 2
+        scores = outcome.sections["metrics"]["per_bug_mutation_score"]
+        assert scores == {"Clamp-1": 0.75, "Clamp-2": 0.75}
+
+    def test_new_sources_under_old_mutant_ids_rebuild_the_matrix(self, fixed_run):
+        config, targets, _ = fixed_run
+        out = Path(config.output_dir)
+        matrix_path = out / "matrices" / "Clamp-1.matrix"
+        key_path = out / "matrices" / "Clamp-1.key"
+        lines = matrix_path.read_text().splitlines()
+        mutant_ids = lines[0].split()[1:]
+        killed = next(mid for mid, row in zip(mutant_ids, lines[2:]) if "1" in row)
+        old_key = key_path.read_text()
+        # A second generate reuses the id with another source: here the
+        # unchanged method, which compiles and kills no test.
+        (out / "mutants" / f"{killed}.java").write_text(CLAMP_FIXED)
+        outcome = run_evaluate(config, targets)
+        rows = dict(zip(mutant_ids, matrix_path.read_text().splitlines()[2:]))
+        assert set(rows[killed]) == {"0"}
+        assert key_path.read_text() != old_key
+        assert outcome.sections["metrics"]["per_bug_mutation_score"]["Clamp-1"] == 0.5
+
+    def test_matrices_load_as_given_without_a_test_command(self, fixed_run,
+                                                           process_count):
+        config, targets, _ = fixed_run
+        matrices = Path(config.output_dir) / "matrices"
+        for key_path in matrices.glob("*.key"):
+            key_path.write_text("stale\n")
+        before = read_tree(matrices)
+        external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
+                                  compile_command=COMPILE_COMMAND)
+        outcome = run_evaluate(external, targets, stages=("execution",))
+        assert process_count == []
+        assert read_tree(matrices) == before
+        assert "validity" in outcome.sections
+
+    def test_worker_count_does_not_change_any_byte(self, tmp_path):
+        trees = []
+        for workers in (1, 4):
+            base = tmp_path / f"w{workers}"
+            base.mkdir()
+            config = PipelineConfig(output_dir=str(base / "out"), retrieval=False,
+                                    test_command=TEST_COMMAND,
+                                    compile_command=COMPILE_COMMAND,
+                                    workers=workers)
+            targets = [
+                TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED,
+                           bug_revealing_tests=("t_above",)),
+                TargetSpec(bug_id="Sum-1", method=SUM_FIXED, buggy_method=SUM_BUGGY),
+                TargetSpec(bug_id="Sum-3", method=SUM_FIXED, buggy_method=SUM_BUGGY),
+            ]
+            scripted_generate(config, targets, base)
+            run_evaluate(config, targets)
+            trees.append(read_tree(base / "out"))
+        assert trees[0] == trees[1]
+        assert any(name.startswith("matrices/runs/") for name in trees[0])
+
+
 class TestEvaluateBuggyMode:
     @pytest.fixture
     def buggy_run(self, tmp_path):

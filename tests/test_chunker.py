@@ -1,8 +1,11 @@
 """Tests for method parsing and logic-based chunking."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutkit.chunker import (
     CodeChunk,
@@ -308,68 +311,359 @@ class TestChunkMethod:
             CodeChunk(line_numbers=(), text="", kind="segment")
 
 
-def synthesize_method(rng: random.Random, max_depth: int = 3) -> str:
-    """Random Java-ish method with nested constructs up to max_depth."""
-    lines = ["void generated() {"]
-    counter = [0]
+# Statement templates: one tuple of lines each, "VAR" stands for a fresh name.
+DECLS = (
+    ("int VAR = a * 3;",),
+    ("final int VAR = 2;",),
+    ("@SuppressWarnings(\"x\") final int VAR = 0;",),
+    ("@Deprecated long VAR;",),
+    ("@Ann(key = {1, 2}) long VAR = 4L;",),
+    ("Map<String, List<Integer>> VAR = new HashMap<>();",),
+    ("List<? extends Number> VAR = List.of();",),
+    ("java.util.List<String> VAR = null;",),
+    ("Map.Entry<String, int[]> VAR = null;",),
+    ("int[] VAR = {1, 2, 3};",),
+    ("Object[][] VAR = new Object[2][3];",),
+    ("String VAR = \"{([\"; // ) ] }",),
+    ("char VAR = '}';",),
+    ("var VAR = compute(a, (b));",),
+    ("int VAR, wVAR = 1;",),
+    ("int VAR = a",
+     "        + 2;"),
+    ("Runnable VAR = new Runnable() {",
+     "    public void run() { if (a > 0) { work(); } }",
+     "};"),
+    ("Function<Integer, Integer> VAR = x -> {",
+     "    return x + 1;",
+     "};"),
+    ("int VAR = switch (a) {",
+     "    case 1 -> 10;",
+     "    default -> 0;",
+     "};"),
+)
+EXPRS = (
+    ("update(3);",),
+    ("a = a + 1;",),
+    ("b += a - 2; /* { */",),
+    ("i++;",),
+    ("list.add(\"x)\");",),
+    ("obj.field = other[1];",),
+    ("this.call(a, b);",),
+    ("work(/* ) */ 1);",),
+    ("run(() -> {",
+     "    if (a > 0) { work(); }",
+     "});"),
+    ("new Thread(new Runnable() {",
+     "    public void run() { }",
+     "}).start();"),
+    ("log(\"a\", // }",
+     "    b);"),
+)
+SIMPLES = (
+    ("return;",),
+    ("break;",),
+    ("continue;",),
+    ("assert a > 0 : \"a(\";",),
+    ("throw new IllegalStateException(\"]\");",),
+    ("throw new IllegalArgumentException(",
+     "        \"bad {\" + a);"),
+)
+LOCAL_TYPES = (
+    ("class LocalVAR {",
+     "    int f() { return \"}\".length(); }",
+     "}"),
+    ("interface ShapeVAR { double area(); }",),
+    ("enum ColorVAR {",
+     "    RED, GREEN;",
+     "    ColorVAR next() { return RED; }",
+     "}"),
+    ("class BoxVAR<T extends Number> implements Comparable<BoxVAR<T>> {",
+     "    public int compareTo(BoxVAR<T> o) { return 0; }",
+     "}"),
+)
+COMMENTS = (
+    ("// note: } ) ] {",),
+    ("/* block { (",
+     "   ends ] */"),
+    ("",),
+)
+HEADERS = (
+    ("void generated() {",),
+    ("@Override",
+     "public int generated(@Named({1, 2}) int a, int[] xs) {"),
+    ("static <T extends Comparable<T>> void generated(",
+     "        List<T> items) throws IOException {"),
+)
+CONDITIONS = ("a > 1", "xs[0] < (b + 1)", "s.equals(\")\")", "check(a, new int[] {1, 2})")
+LOOP_HEADERS = (
+    ("for", ("for (int i = 0; i < 9; i++)",)),
+    ("for", ("for (String s : items)",)),
+    ("for", ("for (int i = 0;", "        i < n; i++)")),
+    ("for", ("for (;;)",)),
+    ("while", ("while (a < 3)",)),
+)
+COLON_LABELS = ("case 1:", "case RED:", "case 'x':", "case \"}\":", "case (1 + 2):",
+                "case 2: case 3:", "default:")
+ARROW_LABELS = ("case 1 -> ", "case 2, 3 -> ", "case \"}\" -> ", "default -> ")
+LEAVES = ("decl", "decl", "decl", "expr", "expr", "simple", "comment", "empty",
+          "local_type")
+COMPOUNDS = ("if_chain", "braceless_if", "loop", "braceless_loop", "do_while",
+             "try_stmt", "switch_colon", "switch_arrow", "labelled", "synchronized",
+             "bare_block")
 
-    def fresh() -> str:
-        counter[0] += 1
-        return f"v{counter[0]}"
 
-    def emit_block(indent: int, depth: int, budget: int) -> None:
-        pad = "    " * indent
-        statements = rng.randint(1, 3)
-        for _ in range(statements):
-            if budget <= 0:
-                break
-            choice = rng.random()
-            if depth < max_depth and choice < 0.45:
-                kind = rng.choice(["if", "for", "while", "do", "try"])
-                if rng.random() < 0.5:
-                    lines.append(f"{pad}int {fresh()} = {rng.randint(0, 9)};")
-                if kind == "if":
-                    lines.append(f"{pad}if (a > {rng.randint(0, 9)}) {{")
-                    emit_block(indent + 1, depth + 1, budget - 1)
-                    if rng.random() < 0.4:
-                        lines.append(f"{pad}}} else {{")
-                        emit_block(indent + 1, depth + 1, budget - 1)
-                    lines.append(f"{pad}}}")
-                elif kind == "for":
-                    lines.append(f"{pad}for (int i = 0; i < {rng.randint(1, 9)}; i++) {{")
-                    emit_block(indent + 1, depth + 1, budget - 1)
-                    lines.append(f"{pad}}}")
-                elif kind == "while":
-                    lines.append(f"{pad}while (a < {rng.randint(1, 9)}) {{")
-                    emit_block(indent + 1, depth + 1, budget - 1)
-                    lines.append(f"{pad}}}")
-                elif kind == "do":
-                    lines.append(f"{pad}do {{")
-                    emit_block(indent + 1, depth + 1, budget - 1)
-                    lines.append(f"{pad}}} while (a != {rng.randint(0, 9)});")
-                else:
-                    lines.append(f"{pad}try {{")
-                    emit_block(indent + 1, depth + 1, budget - 1)
-                    lines.append(f"{pad}}} catch (Exception e) {{")
-                    lines.append(f"{pad}    handle(e);")
-                    lines.append(f"{pad}}}")
-            elif choice < 0.7:
-                lines.append(f"{pad}int {fresh()} = a * {rng.randint(1, 9)};")
-            else:
-                lines.append(f"{pad}update({rng.randint(0, 99)});")
+class MethodWriter:
+    """Writes a random Java method and the statement tree it must parse to.
 
-    emit_block(1, 0, budget=6)
-    lines.append("    return;")
-    lines.append("}")
-    return "\n".join(lines)
+    ``choose`` picks one item of a sequence: ``random.Random.choice`` or a
+    hypothesis draw.  ``tree`` holds one ``[kind, start_line, end_line,
+    depth]`` per statement in pre-order, the order of ``Stmt.walk``;
+    ``used`` names every template and compound that was written.
+    """
+
+    def __init__(self, choose, max_level: int = 3):
+        self.choose = choose
+        self.max_level = max_level
+        self.lines: list[str] = []
+        self.tree: list[list] = []
+        self.used: set[str] = set()
+        self.prefix = ""
+        self.names = 0
+
+    def method(self) -> tuple[str, list[tuple]]:
+        header = self.choose(HEADERS)
+        for text in header[:-1]:
+            self.emit(0, text)
+        root = self.node("block", 0)
+        self.emit(0, header[-1])
+        self.statements(1, 1, 0)
+        root[2] = self.emit(0, "}")
+        return "\n".join(self.lines), [tuple(record) for record in self.tree]
+
+    # -- bookkeeping
+    def emit(self, indent: int, text: str) -> int:
+        self.lines.append("    " * indent + self.prefix + text)
+        self.prefix = ""
+        return len(self.lines)
+
+    def node(self, kind: str, depth: int, start: int | None = None) -> list:
+        record = [kind, start or len(self.lines) + 1, None, depth]
+        self.tree.append(record)
+        return record
+
+    def template(self, kind: str | None, templates, indent: int, depth: int) -> None:
+        lines = self.choose(templates)
+        self.used.add(lines[0])
+        self.names += 1
+        record = self.node(kind, depth) if kind else None
+        for text in lines:
+            end = self.emit(indent, text.replace("VAR", f"v{self.names}"))
+        if record:
+            record[2] = end
+
+    def statements(self, indent: int, depth: int, level: int) -> None:
+        for _ in range(self.choose((1, 1, 2, 3))):
+            kinds = LEAVES + COMPOUNDS if level < self.max_level else LEAVES
+            kind = self.choose(kinds)
+            self.used.add(kind)
+            getattr(self, kind)(indent, depth, level)
+
+    # -- leaves
+    def decl(self, indent, depth, level):
+        self.template("decl", DECLS, indent, depth)
+
+    def expr(self, indent, depth, level):
+        self.template("expr", EXPRS, indent, depth)
+
+    def simple(self, indent, depth, level):
+        self.template("simple", SIMPLES, indent, depth)
+
+    def local_type(self, indent, depth, level):
+        self.template("local_type", LOCAL_TYPES, indent, depth)
+
+    def comment(self, indent, depth, level):
+        self.template(None, COMMENTS, indent, depth)
+
+    def empty(self, indent, depth, level):
+        record = self.node("empty", depth)
+        record[2] = self.emit(indent, ";")
+
+    # -- compounds
+    def if_chain(self, indent, depth, level):
+        node = self.node("if", depth)
+        block = self.node("block", depth + 1)
+        self.emit(indent, f"if ({self.choose(CONDITIONS)}) {{")
+        self.statements(indent + 1, depth + 2, level + 1)
+        tail = self.choose(("", "else", "else if") if level < self.max_level else ("", "else"))
+        if tail == "else if":
+            block[2] = len(self.lines) + 1
+            self.prefix = "} else "
+            node[2] = self.if_chain(indent, depth + 1, level + 1)[2]
+            return node
+        if tail == "else":
+            line = self.emit(indent, "} else {")
+            block[2] = line
+            block = self.node("block", depth + 1, start=line)
+            self.statements(indent + 1, depth + 2, level + 1)
+        node[2] = block[2] = self.emit(indent, "}")
+        return node
+
+    def braceless_if(self, indent, depth, level):
+        node = self.node("if", depth)
+        self.emit(indent, f"if ({self.choose(CONDITIONS)})")
+        self.braceless_body(indent + 1, depth + 1)
+        if self.choose((False, True)):
+            self.emit(indent, "else")
+            self.braceless_body(indent + 1, depth + 1)
+        node[2] = len(self.lines)
+
+    def braceless_body(self, indent, depth):
+        """An expression, a jump, or a braceless loop around one; never an if."""
+        choice = self.choose(("expr", "simple", "braceless_loop"))
+        getattr(self, choice)(indent, depth, self.max_level)
+
+    def loop(self, indent, depth, level):
+        kind, header = self.choose(LOOP_HEADERS)
+        node = self.node(kind, depth)
+        for text in header[:-1]:
+            self.emit(indent, text)
+        block = self.node("block", depth + 1)
+        self.emit(indent, header[-1] + " {")
+        self.statements(indent + 1, depth + 2, level + 1)
+        node[2] = block[2] = self.emit(indent, "}")
+        return node
+
+    def braceless_loop(self, indent, depth, level):
+        kind, header = self.choose(LOOP_HEADERS)
+        node = self.node(kind, depth)
+        for text in header:
+            self.emit(indent, text)
+        self.expr(indent + 1, depth + 1, level)
+        node[2] = len(self.lines)
+
+    def do_while(self, indent, depth, level):
+        node = self.node("do_while", depth)
+        if self.choose((True, False)):
+            block = self.node("block", depth + 1)
+            self.emit(indent, "do {")
+            self.statements(indent + 1, depth + 2, level + 1)
+            node[2] = block[2] = self.emit(indent, f"}} while ({self.choose(CONDITIONS)});")
+        else:
+            self.emit(indent, "do")
+            self.expr(indent + 1, depth + 1, level)
+            node[2] = self.emit(indent, f"while ({self.choose(CONDITIONS)});")
+        return node
+
+    def try_stmt(self, indent, depth, level):
+        node = self.node("try", depth)
+        block = self.node("block", depth + 1)
+        self.emit(indent, self.choose((
+            "try {", "try (Reader r = open(\"(\")) {",
+            "try (Reader r = open(); Writer w = sink()) {")))
+        self.statements(indent + 1, depth + 2, level + 1)
+        for clause in self.choose((("catch",), ("catch", "catch"), ("finally",),
+                                   ("catch", "finally"))):
+            line = self.emit(indent, "} catch (IOException | RuntimeException e) {"
+                             if clause == "catch" else "} finally {")
+            block[2] = line
+            block = self.node("block", depth + 1, start=line)
+            self.statements(indent + 1, depth + 2, level + 1)
+        node[2] = block[2] = self.emit(indent, "}")
+
+    def switch_colon(self, indent, depth, level):
+        node = self.node("switch", depth)
+        self.emit(indent, "switch (a + b) {")
+        for _ in range(self.choose((1, 2, 3))):
+            self.emit(indent + 1, self.choose(COLON_LABELS))
+            self.statements(indent + 2, depth + 1, level + 1)
+        node[2] = self.emit(indent, "}")
+
+    def switch_arrow(self, indent, depth, level):
+        node = self.node("switch", depth)
+        self.emit(indent, "switch (kind()) {")
+        for _ in range(self.choose((1, 2, 3))):
+            self.prefix = self.choose(ARROW_LABELS)
+            arm = self.choose(("expr", "simple", "block"))
+            if arm != "block":
+                getattr(self, arm)(indent + 1, depth + 1, level)
+                continue
+            block = self.node("block", depth + 1)
+            self.emit(indent + 1, "{")
+            self.statements(indent + 2, depth + 2, level + 1)
+            block[2] = self.emit(indent + 1, "}")
+        node[2] = self.emit(indent, "}")
+
+    def labelled(self, indent, depth, level):
+        node = self.node("label", depth)
+        self.names += 1
+        self.prefix = f"outer{self.names}: "
+        inner = self.choose((self.loop, self.do_while))(indent, depth + 1, level)
+        node[2] = inner[2]
+
+    def synchronized(self, indent, depth, level):
+        node = self.node("synchronized", depth)
+        block = self.node("block", depth + 1)
+        self.emit(indent, "synchronized (this.lock) {")
+        self.statements(indent + 1, depth + 2, level + 1)
+        node[2] = block[2] = self.emit(indent, "}")
+
+    def bare_block(self, indent, depth, level):
+        block = self.node("block", depth)
+        self.emit(indent, "{")
+        self.statements(indent + 1, depth + 1, level + 1)
+        block[2] = self.emit(indent, "}")
+
+
+def round_robin():
+    """A chooser that takes the options of each sequence in turn."""
+    turns = Counter()
+
+    def choose(options):
+        turns[options] += 1
+        return options[(turns[options] - 1) % len(options)]
+
+    return choose
+
+
+def synthesize_method(rng: random.Random) -> str:
+    """A generated method's text, drawn from a seeded random source."""
+    return MethodWriter(rng.choice).method()[0]
+
+
+@st.composite
+def java_methods(draw):
+    """A generated method and the statement tree it must parse to."""
+    return MethodWriter(lambda options: draw(st.sampled_from(options))).method()
+
+
+def check_generated(source: str, tree: list[tuple]) -> None:
+    method = parse_method(source)
+    statements = list(method.ast.root.walk())
+    assert [(s.kind, s.start_line, s.end_line, s.depth) for s in statements] == tree
+    for stmt in statements:
+        assert all(child.parent is stmt for child in stmt.children)
+    chunks = chunk_method(method)
+    assert_partition(method, chunks)
+    assert reconstruct(method, chunks) == source
 
 
 class TestSyntheticPartition:
     def test_random_methods_partition_and_reconstruct(self):
         rng = random.Random(1234)
         for _ in range(30):
-            source = synthesize_method(rng)
-            method = parse_method(source)
-            chunks = chunk_method(method)
-            assert_partition(method, chunks)
-            assert reconstruct(method, chunks) == source
+            check_generated(*MethodWriter(rng.choice).method())
+
+    def test_round_robin_methods_write_every_construct(self):
+        choose = round_robin()
+        used = set()
+        for _ in range(20):
+            writer = MethodWriter(choose)
+            check_generated(*writer.method())
+            used |= writer.used
+        templates = DECLS + EXPRS + SIMPLES + LOCAL_TYPES + COMMENTS
+        assert used == {lines[0] for lines in templates} | set(LEAVES + COMPOUNDS)
+
+    @given(java_methods())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_methods_parse_to_recorded_tree(self, case):
+        check_generated(*case)

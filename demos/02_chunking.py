@@ -38,7 +38,7 @@ def main() -> None:
     for i, line in enumerate(numbered, start=1):
         print(f"  {i:2d} | {line}")
 
-    method = parse_method(METHOD, grammar="java")
+    method = parse_method(METHOD)
     print(f"\nparsed lines {method.lines[0]}..{method.lines[-1]}")
 
     print("\n== 2. The chunk partition ==")

@@ -32,6 +32,7 @@ def main() -> None:
     print("== 1. Materialize four mutants of one method ==")
     method = parse_method(METHOD)
     chunks = chunk_method(method)
+    source_lines = method.source.splitlines()
     edits = [
         ("int limit = 10;", "int limit = 11;"),
         ("int limit = 10;", "int  limit  =  11;"),  # duplicate modulo spaces
@@ -41,7 +42,7 @@ def main() -> None:
     mutants = []
     for seq, (precode, aftercode) in enumerate(edits):
         chunk = next(c for c in chunks
-                     if any(method.line_text(n).strip() == precode
+                     if any(source_lines[n - 1].strip() == precode
                             for n in c.line_numbers))
         mutants.append(materialize(METHOD, chunk,
                                    MutationPair(precode, aftercode),

@@ -9,21 +9,31 @@ maximal runs of consecutive lines.  Every physical line of the method lands
 in exactly one chunk.
 
 Parsing is done by a purpose-built lexer and statement-level recursive
-descent parser that understands C-family block structure (blocks, the five
-control constructs above, switch/case, labels, local classes) without
-building expression trees.  Anonymous-class and lambda bodies are consumed
-as opaque expression text, so control flow inside them is not chunked
-separately.
+descent parser that builds no expression trees.  It parses:
+
+- blocks, empty statements, and labelled statements;
+- ``if``/``else`` (else-if chains nest), ``for`` and enhanced ``for``,
+  ``while``, ``do``-``while`` and ``synchronized``, with braced or
+  braceless bodies;
+- ``try`` with resources, ``catch`` clauses and ``finally``;
+- ``switch`` with ``case X:`` and ``case X ->`` labels;
+- local ``class``/``interface``/``enum`` declarations, kept whole;
+- ``return``/``throw``/``break``/``continue``/``assert``, and every other
+  statement up to its ``;``, which is a declaration when it reads as
+  ``[final|@Annotation(...)]* Type[<args>][[]]* name`` followed by ``=``,
+  ``,``, ``[`` or the ``;`` (otherwise an expression).
+
+Anonymous-class and lambda bodies are consumed as opaque expression text,
+so control flow inside them is not chunked separately.
+
+Bracket rule: ``(``, ``[`` and ``{`` groups nest, and each must be closed
+by its own closer.  A closer of the wrong type, or one with no opener,
+is a ``MethodSyntaxError`` wherever it occurs.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-
-logger = logging.getLogger(__name__)
-
-SUPPORTED_GRAMMARS = ("java",)
 
 TARGET_KINDS = ("if", "for", "while", "do_while", "try")
 
@@ -43,10 +53,6 @@ _MULTI_OPS = ("::", "->")
 
 class ChunkerError(Exception):
     """Base error for the chunking pipeline."""
-
-
-class UnsupportedGrammarError(ChunkerError):
-    """Raised for grammar ids other than the supported ones."""
 
 
 class MethodSyntaxError(ChunkerError):
@@ -75,6 +81,10 @@ class Stmt:
     children: list["Stmt"] = field(default_factory=list)
     parent: "Stmt | None" = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        for child in self.children:
+            child.parent = self
+
     def lines(self) -> set[int]:
         return set(range(self.start_line, self.end_line + 1))
 
@@ -85,24 +95,13 @@ class Stmt:
 
 
 @dataclass
-class MethodAst:
-    root: Stmt
-
-    def statements(self) -> list[Stmt]:
-        return list(self.root.walk())
-
-
-@dataclass
 class FocalMethod:
     """A parsed method: source text, its line range, and the statement tree."""
 
     source: str
     start_line: int
     lines: tuple[int, ...]
-    ast: MethodAst
-
-    def line_text(self, line_number: int) -> str:
-        return self.source.splitlines()[line_number - self.start_line]
+    root: Stmt
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,24 @@ def _lex(source: str) -> list[Token]:
     return tokens
 
 
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
+# Only punct tokens can have these texts: literals keep their quotes.
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = frozenset(_CLOSER_OF.values())
+
+
+def _skip_group(tokens: list[Token], i: int) -> int:
+    """Index just past the bracket group that opens at ``tokens[i]``."""
+    expected: list[str] = []
+    for j in range(i, len(tokens)):
+        text = tokens[j].text
+        if text in _CLOSER_OF:
+            expected.append(_CLOSER_OF[text])
+        elif text in _CLOSERS:
+            if text != expected.pop():
+                raise MethodSyntaxError("mismatched bracket", tokens[j].line)
+            if not expected:
+                return j + 1
+    raise MethodSyntaxError(f"unclosed '{tokens[i].text}'", tokens[i].line)
 
 
 class _Parser:
@@ -211,6 +226,18 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.handlers = {
+            "if": self.parse_headed,
+            "for": self.parse_headed,
+            "while": self.parse_headed,
+            "synchronized": self.parse_headed,
+            "do": self.parse_do,
+            "try": self.parse_try,
+            "switch": self.parse_switch,
+            "class": self.parse_local_type,
+            "interface": self.parse_local_type,
+            "enum": self.parse_local_type,
+        }
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
@@ -221,13 +248,14 @@ class _Parser:
         self.pos += 1
         return token
 
-    def at_punct(self, text: str, offset: int = 0) -> bool:
+    def at(self, text: str, offset: int = 0) -> bool:
         token = self.peek(offset)
-        return token is not None and token.kind == "punct" and token.text == text
+        return token is not None and token.text == text
 
-    def at_keyword(self, text: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token is not None and token.kind == "keyword" and token.text == text
+    def expect(self, text: str, message: str) -> Token:
+        if not self.at(text):
+            raise self.error(message)
+        return self.advance()
 
     def error(self, message: str, token: Token | None = None) -> MethodSyntaxError:
         if token is None:
@@ -237,71 +265,51 @@ class _Parser:
     def last_line(self) -> int:
         return self.tokens[self.pos - 1].line
 
-    # --- bracket helpers -------------------------------------------------
+    def skip_parens(self) -> None:
+        self.expect("(", "expected '('")
+        self.pos = _skip_group(self.tokens, self.pos - 1)
 
-    def consume_parens(self) -> None:
-        """Consume a balanced (...) group, tolerating nested brackets."""
-        opener = self.peek()
-        if opener is None or opener.text != "(":
-            raise self.error("expected '('")
-        depth = 0
-        while True:
-            token = self.peek()
-            if token is None:
-                raise MethodSyntaxError("unclosed '('", opener.line)
-            self.advance()
-            if token.kind == "punct":
-                if token.text in _OPENERS:
-                    depth += 1
-                elif token.text in _CLOSERS:
-                    depth -= 1
-                    if depth == 0:
-                        if token.text != ")":
-                            raise MethodSyntaxError("mismatched bracket", token.line)
-                        return
-                    if depth < 0:
-                        raise MethodSyntaxError("mismatched bracket", token.line)
+    def skip_to(self, stops: tuple[str, ...], message: str, line: int | None = None) -> None:
+        """Move to the next token in ``stops`` outside any bracket group.
 
-    def consume_to_semicolon(self) -> list[Token]:
-        """Consume tokens through the next top-level ';' and return them."""
-        consumed: list[Token] = []
-        depth = 0
-        while True:
-            token = self.peek()
-            if token is None:
-                raise MethodSyntaxError(
-                    "statement missing ';'", consumed[-1].line if consumed else 1)
-            if token.kind == "punct":
-                if token.text in _OPENERS:
-                    depth += 1
-                elif token.text in _CLOSERS:
-                    if depth == 0:
-                        raise self.error("statement missing ';'", token)
-                    depth -= 1
-                elif token.text == ";" and depth == 0:
-                    self.advance()
-                    return consumed
-            consumed.append(self.advance())
+        A closer with no opener raises ``message`` at its own line; the end
+        of input raises it at ``line`` (default: the last token's line).
+        """
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            token = tokens[self.pos]
+            if token.text in stops:
+                return
+            if token.text in _CLOSERS:
+                raise MethodSyntaxError(message, token.line)
+            self.pos = _skip_group(tokens, self.pos) if token.text in _CLOSER_OF else self.pos + 1
+        raise MethodSyntaxError(message, self.last_line() if line is None else line)
 
     # --- statement parsing -----------------------------------------------
 
-    def parse_block(self, depth: int) -> Stmt:
-        opener = self.peek()
-        if opener is None or opener.text != "{":
-            raise self.error("expected '{'")
-        self.advance()
+    def parse_statements(self, opener: Token, depth: int,
+                         labels: bool = False) -> tuple[list[Stmt], Token]:
+        """Statements up to the '}' that closes ``opener``, and that '}'.
+
+        In a switch body (``labels``) the case labels are skipped.
+        """
         children: list[Stmt] = []
         while True:
             token = self.peek()
             if token is None:
                 raise MethodSyntaxError("unclosed '{'", opener.line)
-            if token.kind == "punct" and token.text == "}":
-                closer = self.advance()
-                block = Stmt("block", opener.line, closer.line, depth, children)
-                for child in children:
-                    child.parent = block
-                return block
-            children.append(self.parse_statement(depth + 1))
+            if token.text == "}":
+                return children, self.advance()
+            if labels and token.text in ("case", "default"):
+                self.skip_to((":", "->"), "unterminated case label", token.line)
+                self.pos += 1
+            else:
+                children.append(self.parse_statement(depth))
+
+    def parse_block(self, depth: int) -> Stmt:
+        opener = self.expect("{", "expected '{'")
+        children, closer = self.parse_statements(opener, depth + 1)
+        return Stmt("block", opener.line, closer.line, depth, children)
 
     def parse_statement(self, depth: int) -> Stmt:
         token = self.peek()
@@ -316,276 +324,141 @@ class _Parser:
             if token.text in _CLOSERS:
                 raise self.error(f"unexpected '{token.text}'", token)
         if token.kind == "keyword":
-            handler = {
-                "if": self.parse_if,
-                "for": self.parse_for,
-                "while": self.parse_while,
-                "do": self.parse_do,
-                "try": self.parse_try,
-                "switch": self.parse_switch,
-                "synchronized": self.parse_synchronized,
-            }.get(token.text)
+            handler = self.handlers.get(token.text)
             if handler is not None:
                 return handler(depth)
             if token.text in ("return", "throw", "break", "continue", "assert"):
                 self.advance()
-                self.consume_to_semicolon()
+                self.skip_statement()
                 return Stmt("simple", token.line, self.last_line(), depth)
-            if token.text in ("class", "interface", "enum"):
-                return self.parse_local_type(depth)
-        if (token.kind == "ident" and self.at_punct(":", 1)
-                and not self.at_punct("::", 1)):
-            self.advance()
-            self.advance()
+        if token.kind == "ident" and self.at(":", 1):
+            self.pos += 2
             inner = self.parse_statement(depth + 1)
-            label = Stmt("label", token.line, inner.end_line, depth, [inner])
-            inner.parent = label
-            return label
-        return self.parse_generic(depth)
+            return Stmt("label", token.line, inner.end_line, depth, [inner])
+        start = self.pos
+        self.skip_statement()
+        kind = "decl" if _is_declaration(self.tokens[start:self.pos - 1]) else "expr"
+        return Stmt(kind, token.line, self.last_line(), depth)
 
-    def parse_if(self, depth: int) -> Stmt:
+    def skip_statement(self) -> None:
+        """Move past the statement's top-level ';'."""
+        self.skip_to((";",), "statement missing ';'")
+        self.pos += 1
+
+    def parse_headed(self, depth: int) -> Stmt:
+        """``keyword (...) body``, plus an ``else`` branch after an if."""
         start = self.advance()
-        self.consume_parens()
-        then_branch = self.parse_statement(depth + 1)
-        children = [then_branch]
-        end_line = then_branch.end_line
-        if self.at_keyword("else"):
+        self.skip_parens()
+        children = [self.parse_statement(depth + 1)]
+        if start.text == "if" and self.at("else"):
             self.advance()
-            else_branch = self.parse_statement(depth + 1)
-            children.append(else_branch)
-            end_line = else_branch.end_line
-        stmt = Stmt("if", start.line, end_line, depth, children)
-        for child in children:
-            child.parent = stmt
-        return stmt
-
-    def parse_for(self, depth: int) -> Stmt:
-        start = self.advance()
-        self.consume_parens()
-        body = self.parse_statement(depth + 1)
-        stmt = Stmt("for", start.line, body.end_line, depth, [body])
-        body.parent = stmt
-        return stmt
-
-    def parse_while(self, depth: int) -> Stmt:
-        start = self.advance()
-        self.consume_parens()
-        body = self.parse_statement(depth + 1)
-        stmt = Stmt("while", start.line, body.end_line, depth, [body])
-        body.parent = stmt
-        return stmt
+            children.append(self.parse_statement(depth + 1))
+        return Stmt(start.text, start.line, children[-1].end_line, depth, children)
 
     def parse_do(self, depth: int) -> Stmt:
         start = self.advance()
         body = self.parse_statement(depth + 1)
-        if not self.at_keyword("while"):
-            raise self.error("expected 'while' after do body")
-        self.advance()
-        self.consume_parens()
-        if not self.at_punct(";"):
-            raise self.error("expected ';' after do-while")
-        closer = self.advance()
-        stmt = Stmt("do_while", start.line, closer.line, depth, [body])
-        body.parent = stmt
-        return stmt
+        self.expect("while", "expected 'while' after do body")
+        self.skip_parens()
+        closer = self.expect(";", "expected ';' after do-while")
+        return Stmt("do_while", start.line, closer.line, depth, [body])
 
     def parse_try(self, depth: int) -> Stmt:
         start = self.advance()
-        if self.at_punct("("):
-            self.consume_parens()
+        if self.at("("):
+            self.skip_parens()
         children = [self.parse_block(depth + 1)]
-        while self.at_keyword("catch"):
+        while self.at("catch"):
             self.advance()
-            self.consume_parens()
+            self.skip_parens()
             children.append(self.parse_block(depth + 1))
-        if self.at_keyword("finally"):
+        if self.at("finally"):
             self.advance()
             children.append(self.parse_block(depth + 1))
-        stmt = Stmt("try", start.line, children[-1].end_line, depth, children)
-        for child in children:
-            child.parent = stmt
-        return stmt
+        return Stmt("try", start.line, children[-1].end_line, depth, children)
 
     def parse_switch(self, depth: int) -> Stmt:
         start = self.advance()
-        self.consume_parens()
-        opener = self.peek()
-        if opener is None or opener.text != "{":
-            raise self.error("expected '{' after switch")
-        self.advance()
-        children: list[Stmt] = []
-        while True:
-            token = self.peek()
-            if token is None:
-                raise MethodSyntaxError("unclosed '{'", opener.line)
-            if token.kind == "punct" and token.text == "}":
-                closer = self.advance()
-                stmt = Stmt("switch", start.line, closer.line, depth, children)
-                for child in children:
-                    child.parent = stmt
-                return stmt
-            if token.kind == "keyword" and token.text in ("case", "default"):
-                self.consume_case_label()
-                continue
-            children.append(self.parse_statement(depth + 1))
-
-    def consume_case_label(self) -> None:
-        """Consume 'case <expr>:' / 'default:' (or the arrow form's label)."""
-        label = self.advance()
-        depth = 0
-        while True:
-            token = self.peek()
-            if token is None:
-                raise MethodSyntaxError("unterminated case label", label.line)
-            if token.kind == "punct" and depth == 0 and token.text in (":", "->"):
-                self.advance()
-                return
-            if token.kind == "punct":
-                if token.text in _OPENERS:
-                    depth += 1
-                elif token.text in _CLOSERS:
-                    depth -= 1
-            self.advance()
-
-    def parse_synchronized(self, depth: int) -> Stmt:
-        start = self.advance()
-        if self.at_punct("("):
-            self.consume_parens()
-        body = self.parse_statement(depth + 1)
-        stmt = Stmt("synchronized", start.line, body.end_line, depth, [body])
-        body.parent = stmt
-        return stmt
+        self.skip_parens()
+        opener = self.expect("{", "expected '{' after switch")
+        children, closer = self.parse_statements(opener, depth + 1, labels=True)
+        return Stmt("switch", start.line, closer.line, depth, children)
 
     def parse_local_type(self, depth: int) -> Stmt:
         start = self.advance()
-        while not self.at_punct("{"):
-            if self.peek() is None:
-                raise MethodSyntaxError("expected '{' in type declaration", start.line)
-            self.advance()
-        opener = self.peek()
-        bracket_depth = 0
-        while True:
-            token = self.peek()
-            if token is None:
-                raise MethodSyntaxError("unclosed '{'", opener.line)
-            self.advance()
-            if token.kind == "punct":
-                if token.text in _OPENERS:
-                    bracket_depth += 1
-                elif token.text in _CLOSERS:
-                    bracket_depth -= 1
-                    if bracket_depth == 0:
-                        break
+        self.skip_to(("{",), "expected '{' in type declaration", start.line)
+        self.pos = _skip_group(self.tokens, self.pos)
         return Stmt("local_type", start.line, self.last_line(), depth)
 
-    def parse_generic(self, depth: int) -> Stmt:
-        first = self.peek()
-        tokens = self.consume_to_semicolon()
-        kind = "decl" if _is_declaration(tokens) else "expr"
-        return Stmt(kind, first.line, self.last_line(), depth)
+
+_TYPE_ARGUMENT_TEXTS = frozenset(
+    [",", ".", "?", "&", "[", "]", "extends", "super"]) | _PRIMITIVES
 
 
 def _is_declaration(tokens: list[Token]) -> bool:
-    """Heuristic: does this statement declare a local variable?
+    """Heuristic: does this statement (without its ';') declare a local?
 
-    Matches [modifiers] Type [generics] [arrays] name followed by '=', ',',
-    '[', or the statement end.  Types may be primitives, 'var', or dotted
-    identifiers with balanced generic arguments.
+    Matches [final | @Annotation[(...)]]* Type [generics] [arrays] name
+    followed by '=', ',', '[', or the statement end.  Types may be
+    primitives, 'var', or dotted identifiers with balanced generic
+    arguments.
     """
+    n = len(tokens)
     j = 0
-
-    def token(k: int) -> Token | None:
-        return tokens[k] if k < len(tokens) else None
-
-    while True:
-        current = token(j)
-        if current is None:
-            return False
-        if current.kind == "keyword" and current.text == "final":
+    while j < n and tokens[j].text in ("final", "@"):
+        if tokens[j].text == "final":
             j += 1
             continue
-        if current.kind == "punct" and current.text == "@":
-            j += 1
-            if token(j) is not None and token(j).kind in ("ident", "keyword"):
-                j += 1
-                if token(j) is not None and token(j).text == "(":
-                    depth = 0
-                    while token(j) is not None:
-                        text = token(j).text
-                        if text in _OPENERS:
-                            depth += 1
-                        elif text in _CLOSERS:
-                            depth -= 1
-                            if depth == 0:
-                                j += 1
-                                break
-                        j += 1
-                continue
+        if j + 1 >= n or tokens[j + 1].kind not in ("ident", "keyword"):
             return False
-        break
+        j += 2
+        if j < n and tokens[j].text == "(":
+            j = _skip_group(tokens, j)
 
-    current = token(j)
-    if current is None:
+    if j >= n:
         return False
-    if current.kind == "keyword" and current.text in _PRIMITIVES:
+    if tokens[j].text in _PRIMITIVES:
         j += 1
-    elif current.kind == "ident" and current.text not in ("yield",):
+    elif tokens[j].kind == "ident" and tokens[j].text != "yield":
         j += 1
-        while (token(j) is not None and token(j).text == "."
-               and token(j + 1) is not None and token(j + 1).kind in ("ident", "keyword")):
+        while j + 1 < n and tokens[j].text == "." and tokens[j + 1].kind in ("ident", "keyword"):
             j += 2
-        if token(j) is not None and token(j).text == "<":
-            j = _consume_generic_args(tokens, j)
+        if j < n and tokens[j].text == "<":
+            j = _skip_type_arguments(tokens, j)
             if j < 0:
                 return False
     else:
         return False
 
-    while (token(j) is not None and token(j).text == "["
-           and token(j + 1) is not None and token(j + 1).text == "]"):
+    while j + 1 < n and tokens[j].text == "[" and tokens[j + 1].text == "]":
         j += 2
-
-    name = token(j)
-    if name is None or name.kind != "ident":
+    if j >= n or tokens[j].kind != "ident":
         return False
-    after = token(j + 1)
-    if after is None:
-        return True
-    return after.kind == "punct" and after.text in ("=", ",", "[")
+    return j + 1 == n or tokens[j + 1].text in ("=", ",", "[")
 
 
-_GENERIC_INNER = frozenset([",", ".", "?", "&", "[", "]", "<", ">"])
-
-
-def _consume_generic_args(tokens: list[Token], j: int) -> int:
-    """Consume a balanced <...> type-argument group; -1 if it is not one."""
+def _skip_type_arguments(tokens: list[Token], j: int) -> int:
+    """Index just past the <...> type arguments at ``j``; -1 if they are not."""
     depth = 0
-    while j < len(tokens):
-        text = tokens[j].text
-        kind = tokens[j].kind
-        if text == "<":
+    for k in range(j, len(tokens)):
+        token = tokens[k]
+        if token.text == "<":
             depth += 1
-        elif text == ">":
+        elif token.text == ">":
             depth -= 1
             if depth == 0:
-                return j + 1
-        elif kind == "ident" or text in _GENERIC_INNER:
-            pass
-        elif kind == "keyword" and (text in _PRIMITIVES or text in ("extends", "super")):
-            pass
-        else:
+                return k + 1
+        elif token.kind != "ident" and token.text not in _TYPE_ARGUMENT_TEXTS:
             return -1
-        j += 1
     return -1
 
 
-def parse_method(source: str, grammar: str = "java", start_line: int = 1) -> FocalMethod:
+def parse_method(source: str, start_line: int = 1) -> FocalMethod:
     """Parse one method's text into a FocalMethod.
 
     Args:
         source: the method text, signature through closing brace (trailing
             blank lines allowed and counted).
-        grammar: grammar id; only "java" (C-family) is supported.
         start_line: 1-based line number of the method's first line, for
             methods embedded in a larger file.
 
@@ -593,13 +466,9 @@ def parse_method(source: str, grammar: str = "java", start_line: int = 1) -> Foc
         FocalMethod with the physical line range and statement tree.
 
     Raises:
-        UnsupportedGrammarError: for unknown grammar ids.
         MethodSyntaxError: for unbalanced or unparsable method text, with
             the offending line number.
     """
-    if grammar not in SUPPORTED_GRAMMARS:
-        raise UnsupportedGrammarError(
-            f"unsupported grammar {grammar!r}; supported: {SUPPORTED_GRAMMARS}")
     if not source or not source.strip():
         raise MethodSyntaxError("empty method text", start_line)
     tokens = _lex(source)
@@ -607,21 +476,7 @@ def parse_method(source: str, grammar: str = "java", start_line: int = 1) -> Foc
         raise MethodSyntaxError("no tokens in method text", start_line)
 
     parser = _Parser(tokens)
-    paren_depth = 0
-    body_index = None
-    for idx, token in enumerate(tokens):
-        if token.kind != "punct":
-            continue
-        if token.text == "(":
-            paren_depth += 1
-        elif token.text == ")":
-            paren_depth -= 1
-        elif token.text == "{" and paren_depth == 0:
-            body_index = idx
-            break
-    if body_index is None:
-        raise MethodSyntaxError("method body not found", tokens[-1].line)
-    parser.pos = body_index
+    parser.skip_to(("{",), "method body not found")
     root = parser.parse_block(depth=0)
     if parser.peek() is not None:
         raise parser.error("unexpected tokens after method body")
@@ -633,8 +488,7 @@ def parse_method(source: str, grammar: str = "java", start_line: int = 1) -> Foc
             stmt.start_line += offset
             stmt.end_line += offset
     lines = tuple(range(start_line, start_line + n_lines))
-    return FocalMethod(source=source, start_line=start_line, lines=lines,
-                       ast=MethodAst(root=root))
+    return FocalMethod(source=source, start_line=start_line, lines=lines, root=root)
 
 
 def collect_target_nodes(method: FocalMethod) -> list[Stmt]:
@@ -643,27 +497,21 @@ def collect_target_nodes(method: FocalMethod) -> list[Stmt]:
     Nodes sharing a start line are ordered by depth descending, so inner
     constructs are claimed before the outer ones that contain them.
     """
-    nodes = [stmt for stmt in method.ast.root.walk() if stmt.kind in TARGET_KINDS]
+    nodes = [stmt for stmt in method.root.walk() if stmt.kind in TARGET_KINDS]
     return sorted(nodes, key=lambda s: (s.start_line, s.depth), reverse=True)
 
 
-def _preceding_declaration_lines(node: Stmt) -> set[int]:
-    """Lines of the maximal decl-statement run immediately above node."""
+def preceding_decl_stmts(node: Stmt, remaining: set[int]) -> set[int]:
+    """Unclaimed lines of the decl-statement run immediately above ``node``."""
     parent = node.parent
     if parent is None or parent.kind != "block":
         return set()
-    index = parent.children.index(node)
     lines: set[int] = set()
-    for sibling in reversed(parent.children[:index]):
+    for sibling in reversed(parent.children[:parent.children.index(node)]):
         if sibling.kind != "decl":
             break
         lines |= sibling.lines()
-    return lines
-
-
-def preceding_decl_stmts(node: Stmt, remaining: set[int]) -> set[int]:
-    """The declaration-run lines above ``node`` that are still unclaimed."""
-    return _preceding_declaration_lines(node) & set(remaining)
+    return lines & remaining
 
 
 def _consecutive_segments(lines: set[int]) -> list[tuple[int, ...]]:
@@ -701,15 +549,14 @@ def chunk_method(method: FocalMethod) -> list[CodeChunk]:
         claim = remaining & node_lines
         if not claim:
             continue
-        declaration_lines = _preceding_declaration_lines(node)
-        content = claim | (remaining & declaration_lines)
+        declaration_lines = preceding_decl_stmts(node, remaining)
+        content = tuple(sorted(claim | declaration_lines))
         chunks.append(CodeChunk(
-            line_numbers=tuple(sorted(content)),
-            text=_chunk_text(method, tuple(sorted(content))),
+            line_numbers=content,
+            text=_chunk_text(method, content),
             kind="control_flow",
         ))
-        remaining -= node_lines
-        remaining -= declaration_lines
+        remaining -= node_lines | declaration_lines
     for segment in _consecutive_segments(remaining):
         chunks.append(CodeChunk(
             line_numbers=segment,

@@ -140,7 +140,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
 
 def cmd_chunk(args: argparse.Namespace) -> int:
     source = Path(args.source).read_text(encoding="utf-8")
-    method = parse_method(source, grammar=args.grammar)
+    method = parse_method(source)
     chunks = chunk_method(method)
     _emit({"lines": len(method.lines), "chunks": chunks_as_dicts(chunks)})
     return 0
@@ -324,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chunk = subparsers.add_parser("chunk", help="chunk one method source file")
     chunk.add_argument("source", help="file holding the method text")
-    chunk.add_argument("--grammar", default="java",
-                       help="source grammar id (default: java)")
     chunk.set_defaults(handler=cmd_chunk)
 
     generate = subparsers.add_parser(

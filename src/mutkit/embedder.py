@@ -57,10 +57,6 @@ class CodeEmbedding:
     values: np.ndarray
     backend_id: str
 
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
 
 @functools.lru_cache(maxsize=1 << 16)
 def _bucket(joined_trigram: str, dimension: int) -> int:

@@ -51,13 +51,10 @@ class BackendConfig:
     max_tokens: int | None = None
     timeout: float = 60.0
     max_retries: int = 3
-    concurrency: int = 4
     api_key_env: str = DEFAULT_API_KEY_ENV
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if self.concurrency < 1:
-            raise BackendError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.max_retries < 0:
             raise BackendError(f"max_retries must be >= 0, got {self.max_retries}")
 

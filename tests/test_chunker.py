@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mutkit.chunker import (
     CodeChunk,
     MethodSyntaxError,
-    UnsupportedGrammarError,
     chunk_method,
     chunks_as_dicts,
     collect_target_nodes,
@@ -63,7 +62,7 @@ class TestParseMethod:
     def test_start_line_offsets_all_nodes(self):
         method = parse_method(NESTED, start_line=10)
         assert method.lines[0] == 10
-        kinds = {s.kind: s for s in method.ast.statements()}
+        kinds = {s.kind: s for s in list(method.root.walk())}
         assert kinds["if"].start_line == 13
         assert kinds["while"].start_line == 15
 
@@ -77,9 +76,25 @@ class TestParseMethod:
         with pytest.raises(MethodSyntaxError):
             parse_method("void a() {\n    int x = 1\n}")
 
-    def test_unsupported_grammar(self):
-        with pytest.raises(UnsupportedGrammarError):
-            parse_method("def f():\n    pass", grammar="python")
+    @pytest.mark.parametrize("statement", [
+        "int x = (a];",
+        "if (a]) {}",
+        "run(() -> { x(a[0)]; });",
+        "switch (k) { case (1]: break; }",
+        "class Local { int[) f; }",
+    ])
+    def test_wrong_closer_is_a_syntax_error(self, statement):
+        with pytest.raises(MethodSyntaxError, match="mismatched bracket") as err:
+            parse_method(f"void a() {{\n    {statement}\n}}")
+        assert err.value.line == 2
+
+    def test_wrong_closer_in_signature_is_a_syntax_error(self):
+        with pytest.raises(MethodSyntaxError, match="mismatched bracket"):
+            parse_method("void a(int x]) {\n    return;\n}")
+
+    def test_synchronized_requires_parentheses(self):
+        with pytest.raises(MethodSyntaxError, match="expected '\\('"):
+            parse_method("void a() {\n    synchronized {\n        x();\n    }\n}")
 
     def test_empty_text_rejected(self):
         with pytest.raises(MethodSyntaxError):
@@ -96,12 +111,12 @@ class TestParseMethod:
             "}",
         ])
         method = parse_method(source)
-        assert [s.kind for s in method.ast.root.children] == ["decl", "decl"]
+        assert [s.kind for s in method.root.children] == ["decl", "decl"]
 
     def test_annotation_arguments_before_body_are_skipped(self):
         source = "@Deprecated\nvoid a(@Named({1, 2}) int x) {\n    return;\n}"
         method = parse_method(source)
-        assert method.ast.root.start_line == 2
+        assert method.root.start_line == 2
 
 
 class TestStatementKinds:
@@ -155,7 +170,7 @@ class TestStatementKinds:
             "}",                       # 7
         ])
         method = parse_method(source)
-        ifs = [s for s in method.ast.statements() if s.kind == "if"]
+        ifs = [s for s in list(method.root.walk()) if s.kind == "if"]
         assert len(ifs) == 2
         outer = min(ifs, key=lambda s: s.depth)
         inner = max(ifs, key=lambda s: s.depth)
@@ -207,7 +222,7 @@ class TestTargetOrdering:
 class TestPrecedingDecls:
     def test_two_decl_lines_claimed(self):
         method = parse_method(NESTED)
-        if_node = next(s for s in method.ast.statements() if s.kind == "if")
+        if_node = next(s for s in list(method.root.walk()) if s.kind == "if")
         assert preceding_decl_stmts(if_node, set(method.lines)) == {2, 3}
 
     def test_run_stops_at_first_non_declaration(self):
@@ -222,18 +237,18 @@ class TestPrecedingDecls:
             "}",                 # 8
         ])
         method = parse_method(source)
-        while_node = next(s for s in method.ast.statements() if s.kind == "while")
+        while_node = next(s for s in list(method.root.walk()) if s.kind == "while")
         assert preceding_decl_stmts(while_node, set(method.lines)) == {4}
 
     def test_already_claimed_lines_excluded(self):
         method = parse_method(NESTED)
-        if_node = next(s for s in method.ast.statements() if s.kind == "if")
+        if_node = next(s for s in list(method.root.walk()) if s.kind == "if")
         assert preceding_decl_stmts(if_node, {3, 4, 9}) == {3}
 
     def test_node_without_block_parent_has_no_decls(self):
         source = "void a() {\n    if (x)\n        while (y)\n            z();\n}"
         method = parse_method(source)
-        while_node = next(s for s in method.ast.statements() if s.kind == "while")
+        while_node = next(s for s in list(method.root.walk()) if s.kind == "while")
         assert preceding_decl_stmts(while_node, set(method.lines)) == set()
 
 
@@ -407,6 +422,7 @@ COLON_LABELS = ("case 1:", "case RED:", "case 'x':", "case \"}\":", "case (1 + 2
 ARROW_LABELS = ("case 1 -> ", "case 2, 3 -> ", "case \"}\" -> ", "default -> ")
 LEAVES = ("decl", "decl", "decl", "expr", "expr", "simple", "comment", "empty",
           "local_type")
+MAX_LEVEL = 3  # compound statements nest at most this deep
 COMPOUNDS = ("if_chain", "braceless_if", "loop", "braceless_loop", "do_while",
              "try_stmt", "switch_colon", "switch_arrow", "labelled", "synchronized",
              "bare_block")
@@ -421,9 +437,8 @@ class MethodWriter:
     ``used`` names every template and compound that was written.
     """
 
-    def __init__(self, choose, max_level: int = 3):
+    def __init__(self, choose):
         self.choose = choose
-        self.max_level = max_level
         self.lines: list[str] = []
         self.tree: list[list] = []
         self.used: set[str] = set()
@@ -463,7 +478,7 @@ class MethodWriter:
 
     def statements(self, indent: int, depth: int, level: int) -> None:
         for _ in range(self.choose((1, 1, 2, 3))):
-            kinds = LEAVES + COMPOUNDS if level < self.max_level else LEAVES
+            kinds = LEAVES + COMPOUNDS if level < MAX_LEVEL else LEAVES
             kind = self.choose(kinds)
             self.used.add(kind)
             getattr(self, kind)(indent, depth, level)
@@ -494,7 +509,7 @@ class MethodWriter:
         block = self.node("block", depth + 1)
         self.emit(indent, f"if ({self.choose(CONDITIONS)}) {{")
         self.statements(indent + 1, depth + 2, level + 1)
-        tail = self.choose(("", "else", "else if") if level < self.max_level else ("", "else"))
+        tail = self.choose(("", "else", "else if") if level < MAX_LEVEL else ("", "else"))
         if tail == "else if":
             block[2] = len(self.lines) + 1
             self.prefix = "} else "
@@ -520,7 +535,7 @@ class MethodWriter:
     def braceless_body(self, indent, depth):
         """An expression, a jump, or a braceless loop around one; never an if."""
         choice = self.choose(("expr", "simple", "braceless_loop"))
-        getattr(self, choice)(indent, depth, self.max_level)
+        getattr(self, choice)(indent, depth, MAX_LEVEL)
 
     def loop(self, indent, depth, level):
         kind, header = self.choose(LOOP_HEADERS)
@@ -638,7 +653,7 @@ def java_methods(draw):
 
 def check_generated(source: str, tree: list[tuple]) -> None:
     method = parse_method(source)
-    statements = list(method.ast.root.walk())
+    statements = list(method.root.walk())
     assert [(s.kind, s.start_line, s.end_line, s.depth) for s in statements] == tree
     for stmt in statements:
         assert all(child.parent is stmt for child in stmt.children)

@@ -155,14 +155,6 @@ class TestChunkCommand:
         assert payload["lines"] == 7
         assert [c["chunk_id"] for c in payload["chunks"]] == ["c00", "c01", "c02"]
 
-    def test_chunk_unknown_grammar(self, tmp_path, capsys):
-        source = tmp_path / "method.java"
-        source.write_text(CLAMP_FIXED, encoding="utf-8")
-        code, _, err = run_cli(
-            ["chunk", str(source), "--grammar", "cobol"], capsys)
-        assert code == 2
-        assert "grammar" in err
-
 
 class TestGenerateCommand:
     def test_generate_exit_codes(self, tmp_path, capsys):

@@ -112,8 +112,6 @@ class TestHttpChatBackend:
 
     def test_config_validation(self):
         with pytest.raises(BackendError):
-            BackendConfig(concurrency=0)
-        with pytest.raises(BackendError):
             BackendConfig(max_retries=-1)
 
 

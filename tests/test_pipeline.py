@@ -317,6 +317,11 @@ class TestMakeBackend:
         backend = make_backend(config)
         assert backend.config.model == "m"
 
+    def test_http_concurrency_key_rejected(self):
+        config = PipelineConfig(backend={"mode": "http", "concurrency": 8})
+        with pytest.raises(PipelineError, match="bad http backend settings"):
+            make_backend(config)
+
 
 class TestRunGenerate:
     def fixed_config(self, tmp_path, **kwargs) -> PipelineConfig:

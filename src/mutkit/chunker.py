@@ -257,10 +257,9 @@ class _Parser:
             raise self.error(message)
         return self.advance()
 
-    def error(self, message: str, token: Token | None = None) -> MethodSyntaxError:
-        if token is None:
-            token = self.peek() or (self.tokens[-1] if self.tokens else Token("punct", "", 1))
-        return MethodSyntaxError(message, token.line)
+    def error(self, message: str) -> MethodSyntaxError:
+        """``message`` at the current token, or at the last one at the end."""
+        return MethodSyntaxError(message, (self.peek() or self.tokens[-1]).line)
 
     def last_line(self) -> int:
         return self.tokens[self.pos - 1].line
@@ -322,7 +321,7 @@ class _Parser:
                 self.advance()
                 return Stmt("empty", token.line, token.line, depth)
             if token.text in _CLOSERS:
-                raise self.error(f"unexpected '{token.text}'", token)
+                raise MethodSyntaxError(f"unexpected '{token.text}'", token.line)
         if token.kind == "keyword":
             handler = self.handlers.get(token.text)
             if handler is not None:

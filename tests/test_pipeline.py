@@ -5,6 +5,7 @@ the prompts and a toy runner (tests/toyrunner.py) interprets the Java-ish
 sources so mutants genuinely pass or fail the emulated suites.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -758,3 +759,80 @@ class TestEvaluateErrors:
 
     def test_stages_constant_is_complete(self):
         assert ALL_STAGES == ("validity", "execution", "metrics", "tcp", "mbfl")
+
+
+def write_tied_corpus(path: Path) -> None:
+    """The 20-pair corpus plus identical twins of two records (tied scores
+    under every metric) and one multi-hunk record that ingest skips."""
+    write_corpus(path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for source in (records[1], records[13]):
+        records.append({**source, "id": source["id"].replace("pair", "twin")})
+    records.append({"id": "multi-000", "project": "Lang",
+                    "pre_fix_code": "int a = 1;\nint b = 2;\nint c = 3;",
+                    "post_fix_code": "int a = 9;\nint b = 2;\nint c = 9;"})
+    with path.open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
+def generation_digests(out_dir: Path) -> dict[str, str]:
+    """sha256 of each generation artifact, and of the sorted mutants tree."""
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in ("prompts.jsonl", "manifest.jsonl", "summary.json")}
+    tree = hashlib.sha256()
+    for path in sorted((out_dir / "mutants").iterdir()):
+        tree.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    digests["mutants/"] = tree.hexdigest()
+    return digests
+
+
+class TestGenerateRetrieval:
+    # Recorded before retrieval became one batched query over the chunks;
+    # batching must not change a byte.
+    GOLDEN = {
+        "prompts.jsonl":
+            "c1b109617e632f29802e7e2cbf29daa7889f76a8a86857610a23b430730b6533",
+        "manifest.jsonl":
+            "549dd163e416cb6fa6f03a06f07d20aa44c9f09ee7a8110885c5f17ff546a8b8",
+        "summary.json":
+            "c004237c8714c5e344802fb4d21ebee1799f21cd0e22162840b458880e65bb9b",
+        "mutants/":
+            "89e243aed85459a13ebbf9d10cafd43fc9bd334f0ad390297c6a69ebe388763e",
+    }
+
+    def config(self, tmp_path, **kwargs) -> PipelineConfig:
+        corpus_path = tmp_path / "corpus.jsonl"
+        index_path = tmp_path / "corpus.index"
+        write_tied_corpus(corpus_path)
+        build_index_file(corpus_path, index_path)
+        return PipelineConfig(corpus=str(corpus_path), index=str(index_path),
+                              dimension=64, retrieval_n=6,
+                              output_dir=str(tmp_path / "out"), **kwargs)
+
+    def targets(self) -> list[TargetSpec]:
+        return [
+            TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED, project="Alpha",
+                       bug_revealing_tests=("t_above",)),
+            TargetSpec(bug_id="Sum-1", method=SUM_FIXED, project="Beta",
+                       buggy_method=SUM_BUGGY),
+        ]
+
+    def test_the_fixture_index_ties_across_the_cut(self, tmp_path):
+        from mutkit.chunker import chunk_method, parse_method
+        from mutkit.embedder import LexicalEmbedder, VectorIndex
+
+        config = self.config(tmp_path)
+        index = VectorIndex.load(config.index)
+        assert "multi-000" not in index.ids
+        chunk = chunk_method(parse_method(CLAMP_FIXED))[0]
+        probe = LexicalEmbedder(dimension=64).embed(chunk.text)
+        ranked = index.query(probe, n=8)
+        assert ranked[0][1] == ranked[1][1] and ranked[1][0] == "twin-001"
+        assert ranked[5][1] == ranked[6][1]
+
+    def test_artifacts_match_the_golden_digests(self, tmp_path):
+        config = self.config(tmp_path)
+        outcome = scripted_generate(config, self.targets(), tmp_path)
+        assert outcome.succeeded == 2
+        assert generation_digests(Path(config.output_dir)) == self.GOLDEN

@@ -271,8 +271,9 @@ class _Parser:
     def skip_to(self, stops: tuple[str, ...], message: str, line: int | None = None) -> None:
         """Move to the next token in ``stops`` outside any bracket group.
 
-        A closer with no opener raises ``message`` at its own line; the end
-        of input raises it at ``line`` (default: the last token's line).
+        A closer with no opener raises ``unexpected '<closer>'`` at its own
+        line; the end of input raises ``message`` at ``line`` (default: the
+        last token's line).
         """
         tokens = self.tokens
         while self.pos < len(tokens):
@@ -280,7 +281,7 @@ class _Parser:
             if token.text in stops:
                 return
             if token.text in _CLOSERS:
-                raise MethodSyntaxError(message, token.line)
+                raise MethodSyntaxError(f"unexpected '{token.text}'", token.line)
             self.pos = _skip_group(tokens, self.pos) if token.text in _CLOSER_OF else self.pos + 1
         raise MethodSyntaxError(message, self.last_line() if line is None else line)
 
@@ -340,8 +341,13 @@ class _Parser:
         return Stmt(kind, token.line, self.last_line(), depth)
 
     def skip_statement(self) -> None:
-        """Move past the statement's top-level ';'."""
-        self.skip_to((";",), "statement missing ';'")
+        """Move past the statement's top-level ';'.
+
+        A '}' before it ends the block, so the ';' is what is missing.
+        """
+        self.skip_to((";", "}"), "statement missing ';'")
+        if not self.at(";"):
+            raise self.error("statement missing ';'")
         self.pos += 1
 
     def parse_headed(self, depth: int) -> Stmt:

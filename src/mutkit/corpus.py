@@ -4,6 +4,11 @@ A corpus is a JSONL file of bug-fix records.  Each record carries the
 pre-fix and post-fix text of one method; records whose fix touches more
 than one contiguous line region are skipped, so every retained pair has
 exactly one hunk.
+
+Reading is split from diffing: ``read_records`` parses and validates the
+file, and a record becomes a ``BugFixPair`` only when its line diff is
+taken.  ``ingest_corpus`` diffs every record (for building an index);
+``select_pairs`` diffs only the records a retrieval returned.
 """
 
 from __future__ import annotations
@@ -67,6 +72,18 @@ class BugFixPair:
 
 
 @dataclass(frozen=True)
+class CorpusRecord:
+    """A well-formed corpus record, not yet diffed."""
+
+    id: str
+    project: str
+    pre_fix_code: str
+    post_fix_code: str
+    metadata: dict
+    line_no: int
+
+
+@dataclass(frozen=True)
 class SkippedRecord:
     """A corpus record that failed validation, with the reason."""
 
@@ -93,9 +110,6 @@ class Corpus:
             if pair.id == pair_id:
                 return pair
         raise KeyError(pair_id)
-
-    def by_id(self) -> dict[str, BugFixPair]:
-        return {pair.id: pair for pair in self.pairs}
 
 
 def _lcs_table(a: list[str], b: list[str]) -> list[list[int]]:
@@ -208,19 +222,19 @@ def _validate_record(raw: dict) -> str | None:
     return None
 
 
-def ingest_corpus(path: str) -> Corpus:
-    """Read a JSONL corpus file, keeping single-hunk pairs and reporting skips.
+def read_records(path: str) -> tuple[list[CorpusRecord], list[SkippedRecord]]:
+    """Read and validate every record of a JSONL corpus file, without diffing.
 
     Args:
         path: JSONL file with one record per line; each record needs the
             fields id, project, pre_fix_code and post_fix_code.
 
     Returns:
-        A Corpus of accepted pairs in file order plus skip records.
+        The well-formed records in file order, and a skip record for every
+        line that is not valid JSON, not an object or lacks a field.
 
     Raises:
-        CorpusError: if the file is unreadable, contains duplicate ids, or
-            yields zero valid pairs.
+        CorpusError: if the file is unreadable or contains duplicate ids.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -228,7 +242,7 @@ def ingest_corpus(path: str) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
-    pairs: list[BugFixPair] = []
+    records: list[CorpusRecord] = []
     skipped: list[SkippedRecord] = []
     seen: set[str] = set()
     for line_no, line in enumerate(raw_lines, start=1):
@@ -251,21 +265,76 @@ def ingest_corpus(path: str) -> Corpus:
         if record_id in seen:
             raise CorpusError(f"duplicate record id {record_id!r} at line {line_no}")
         seen.add(record_id)
-        try:
-            hunk = diff_hunk(raw["pre_fix_code"], raw["post_fix_code"])
-        except HunkError as exc:
-            skipped.append(SkippedRecord(record_id, line_no, str(exc)))
-            continue
-        pairs.append(BugFixPair(
+        records.append(CorpusRecord(
             id=record_id,
             project=raw["project"],
             pre_fix_code=raw["pre_fix_code"],
             post_fix_code=raw["post_fix_code"],
-            hunk=hunk,
-            metadata=dict(raw.get("metadata", {})),
+            metadata=raw.get("metadata", {}),
+            line_no=line_no,
         ))
+    return records, skipped
+
+
+def _pair(record: CorpusRecord) -> BugFixPair:
+    """Diff one record into its pair; raises HunkError unless it is single-hunk."""
+    return BugFixPair(
+        id=record.id,
+        project=record.project,
+        pre_fix_code=record.pre_fix_code,
+        post_fix_code=record.post_fix_code,
+        hunk=diff_hunk(record.pre_fix_code, record.post_fix_code),
+        metadata=dict(record.metadata),
+    )
+
+
+def ingest_corpus(path: str) -> Corpus:
+    """Read a JSONL corpus file, keeping single-hunk pairs and reporting skips.
+
+    Args:
+        path: JSONL file with one record per line (see ``read_records``).
+
+    Returns:
+        A Corpus of accepted pairs in file order plus skip records, also in
+        file order.
+
+    Raises:
+        CorpusError: if the file is unreadable, contains duplicate ids, or
+            yields zero valid pairs.
+    """
+    records, skipped = read_records(path)
+    pairs: list[BugFixPair] = []
+    for record in records:
+        try:
+            pairs.append(_pair(record))
+        except HunkError as exc:
+            skipped.append(SkippedRecord(record.id, record.line_no, str(exc)))
+    skipped.sort(key=lambda record: record.line_no)
 
     if not pairs:
         raise CorpusError(f"corpus {path} has no valid single-hunk records")
     logger.info("ingested %d pairs from %s (%d skipped)", len(pairs), path, len(skipped))
     return Corpus(pairs=pairs, skipped=skipped)
+
+
+def select_pairs(records: list[CorpusRecord],
+                 ids) -> tuple[dict[str, BugFixPair], dict[str, str]]:
+    """Pair up only the records with the given ids, diffing just those.
+
+    Returns:
+        The single-hunk pair of each id that has one, and for every other
+        id the reason it has none: no such record, or not single-hunk.
+    """
+    by_id = {record.id: record for record in records}
+    pairs: dict[str, BugFixPair] = {}
+    problems: dict[str, str] = {}
+    for pair_id in dict.fromkeys(ids):
+        record = by_id.get(pair_id)
+        if record is None:
+            problems[pair_id] = f"index entry {pair_id!r} is not in the corpus"
+            continue
+        try:
+            pairs[pair_id] = _pair(record)
+        except HunkError as exc:
+            problems[pair_id] = f"corpus record {pair_id!r} is not single-hunk: {exc}"
+    return pairs, problems

@@ -4,6 +4,12 @@ The default backend is a deterministic lexical embedder: code is tokenized,
 token trigrams are hashed into a fixed number of buckets, and the vector is
 the raw bucket-count histogram.  Hashing uses BLAKE2, so vectors are stable
 across processes and platforms.  Every index records which backend produced it.
+
+``VectorIndex.query_many`` answers many probes at once.  Because the
+histograms are small integer counts, it scores a block of probes with one
+float32 matrix product whose result is bit-identical to scoring each probe
+entry by entry; indexes of real-valued vectors, or of norms too large for
+that to be exact, are scored entry by entry.
 """
 
 from __future__ import annotations
@@ -98,13 +104,20 @@ def _as_vector(probe, dimension: int) -> np.ndarray:
     return values.astype(np.float32)
 
 
+# Below this bound every partial sum of the product path is an integer that
+# float32 holds exactly (see VectorIndex.query_many).
+_EXACT_BOUND = 2.0 ** 23
+
+
 class VectorIndex:
     """Exact nearest-neighbor index with linear scan over stored vectors.
 
     Vectors are stored unnormalized in one float32 matrix whose capacity
     doubles when it fills; the cosine metric normalizes at query time, with
-    the per-row norms cached until the next ``add``.  A query scores every
-    entry with one numpy expression, picks the n best with
+    the per-row norms cached until the next ``add``.  ``query_many`` scores
+    a block of probes with one matrix product when that is exact (integer
+    vectors of bounded norm, as the lexical embedder makes) and entry by
+    entry otherwise; either way it picks the n best with
     ``np.argpartition``, keeps every entry tied with the n-th best, and
     orders those by (score, entry id) with ``np.lexsort``.  Ranking ties are
     therefore broken by ascending entry id, so results do not depend on
@@ -123,6 +136,8 @@ class VectorIndex:
         self._vectors = np.zeros((0, dimension), dtype=np.float32)
         self._norms: np.ndarray | None = None
         self._id_ranks: np.ndarray | None = None
+        self._squares: np.ndarray | None = None
+        self._room = 0.0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -145,7 +160,7 @@ class VectorIndex:
         self._vectors[count] = values
         self._known_ids.add(entry_id)
         self.ids.append(entry_id)
-        self._norms = self._id_ranks = None
+        self._norms = self._id_ranks = self._squares = None
 
     def matrix(self) -> np.ndarray:
         """The stored vectors in insertion order, as a read-only view."""
@@ -166,35 +181,109 @@ class VectorIndex:
             self._id_ranks[by_id] = np.arange(len(self.ids))
         return self._id_ranks
 
+    def _exact_room(self) -> float:
+        """How large a probe's squared norm may be for the product path.
+
+        It is ``_EXACT_BOUND`` minus the largest stored squared norm, or
+        0 when a stored value is not an integer or not finite; cached with
+        the squared row norms until the next ``add``.
+        """
+        if self._squares is None:
+            stored = self.matrix()
+            self._squares = np.einsum("ij,ij->i", stored, stored)
+            largest = float(self._squares.max(initial=0.0))
+            # trunc keeps a NaN, which then differs from itself; an infinite
+            # value gives an infinite squared norm.  Row slices keep the
+            # temporaries small.
+            step = max(1, (1 << 16) // self.dimension)
+            integral = all(np.array_equal(stored[i:i + step], np.trunc(stored[i:i + step]))
+                           for i in range(0, len(stored), step))
+            self._room = _EXACT_BOUND - largest if integral else 0.0
+        return self._room
+
     def query(self, probe, n: int) -> list[tuple[str, float]]:
         """Return the top-n entries for a probe embedding.
 
         Euclidean scores are distances (ascending is better); cosine and dot
         scores are similarities (descending is better).
         """
+        return self.query_many([probe], n)[0]
+
+    def query_many(self, probes, n: int) -> list[list[tuple[str, float]]]:
+        """``[self.query(probe, n) for probe in probes]``, scores bit for bit.
+
+        Probes are scored in blocks of ``dimension`` probes, so a block's
+        score matrix is never larger than the stored matrix.  A block takes
+        the product path when every stored and probe value is an integer
+        and ``max‖s‖² + max‖p‖² < 2**23`` over the stored rows s and the
+        block's probes p; otherwise each probe is scored entry by entry.
+
+        The product path computes euclidean distances as
+        ``sqrt((‖s‖² − 2·p·s) + ‖p‖²)``, dot scores as ``p·s``, and cosine
+        scores as ``p·s`` with the entry-by-entry path's norms, divide and
+        zero-norm rule, taking every ``p·s`` of a block from one matrix
+        product.  Under the bound it is exact.  Every product term, partial
+        sum and intermediate of either path is an integer of magnitude
+        below 2**24: ``|p·s| ≤ ‖p‖‖s‖ ≤ (‖p‖² + ‖s‖²)/2`` bounds the
+        partial dot products and ``‖s‖² − 2·p·s``, and
+        ``‖s − p‖² ≤ 2(‖s‖² + ‖p‖²)`` bounds the squared differences and
+        their partial sums.  float32 holds all such integers exactly, so no
+        step rounds and no summation order can change a bit.  The bound is
+        2**23 rather than 2**24 because vectors may be negative:
+        ``s = (a,)`` and ``p = (−a,)`` give ``‖s − p‖² = 4a²``.
+        """
         if n < 1:
             raise EmbeddingError(f"n must be positive, got {n}")
         if not self.ids:
             raise EmbeddingError("cannot query an empty index")
-        vector = _as_vector(probe, self.dimension)
+        vectors = [_as_vector(probe, self.dimension) for probe in probes]
+        results = []
+        for start in range(0, len(vectors), self.dimension):
+            block = np.stack(vectors[start:start + self.dimension])
+            squares = np.einsum("ij,ij->i", block, block)
+            if (squares.max() < self._exact_room()
+                    and np.array_equal(block, np.trunc(block))):
+                scored = self._product_scores(block, squares)
+            else:
+                scored = map(self._elementwise_scores, block)
+            results.extend(self._top(scores, n) for scores in scored)
+        return results
+
+    def _product_scores(self, block: np.ndarray, squares: np.ndarray):
+        """Each probe's scores from one matrix product (exact, see query_many)."""
+        products = block @ self.matrix().T
+        if self.metric == "euclidean":
+            products *= -2.0
+            products += self._squares
+            products += squares[:, None]
+            return np.sqrt(products, out=products)
+        if self.metric == "dot":
+            return products
+        return [self._cosine(row, vector) for row, vector in zip(products, block)]
+
+    def _elementwise_scores(self, vector: np.ndarray) -> np.ndarray:
+        """One probe's scores, entry by entry."""
         stored = self.matrix()
         if self.metric == "euclidean":
             # The ufuncs np.linalg.norm(stored - vector, axis=1) runs for real
             # input, squared in place: the same bits, one temporary not three.
             deltas = stored - vector
             np.multiply(deltas, deltas, out=deltas)
-            scores = np.sqrt(np.add.reduce(deltas, axis=1))
-            keys = scores
-        elif self.metric == "dot":
-            scores = stored @ vector
-            keys = -scores
-        else:
-            norms = self._row_norms()
-            probe_norm = float(np.linalg.norm(vector))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scores = (stored @ vector) / (norms * probe_norm)
-            scores = np.where((norms == 0) | (probe_norm == 0), 0.0, scores)
-            keys = -scores
+            return np.sqrt(np.add.reduce(deltas, axis=1))
+        if self.metric == "dot":
+            return stored @ vector
+        return self._cosine(stored @ vector, vector)
+
+    def _cosine(self, products: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        norms = self._row_norms()
+        probe_norm = float(np.linalg.norm(vector))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = products / (norms * probe_norm)
+        return np.where((norms == 0) | (probe_norm == 0), 0.0, scores)
+
+    def _top(self, scores: np.ndarray, n: int) -> list[tuple[str, float]]:
+        """The n best entries by (key, id rank), with ties across the cut."""
+        keys = scores if self.metric == "euclidean" else -scores
         if n < len(keys):
             cut = keys[np.argpartition(keys, n - 1)[n - 1]]
             # "not worse than the cut" rather than "<= cut": a NaN cut keeps

@@ -26,8 +26,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import execution, report
-from .chunker import ChunkerError, chunk_method, parse_method, whole_method_chunk
-from .corpus import ingest_corpus
+from .chunker import (
+    ChunkerError,
+    CodeChunk,
+    FocalMethod,
+    chunk_method,
+    parse_method,
+    whole_method_chunk,
+)
+from .corpus import read_records, select_pairs
 from .embedder import EmbeddingError, LexicalEmbedder, VectorIndex
 from .execution import (
     KillMatrix,
@@ -322,19 +329,54 @@ def _retrieval_context(config: PipelineConfig):
     if not config.corpus or not config.index:
         raise PipelineError(
             "retrieval is enabled but corpus/index paths are not configured")
-    corpus = ingest_corpus(config.corpus)
+    records, _ = read_records(config.corpus)
     index = VectorIndex.load(config.index)
-    return corpus.by_id(), index, probe_embedder(index)
+    return records, index, probe_embedder(index)
+
+
+def _retrieve(retrieval, texts: list[str], n: int) -> list:
+    """The retrieved pairs of each chunk text, or why retrieval failed for it.
+
+    Every probe goes into one ``query_many``, and only the corpus records
+    it returns are diffed.  A chunk that cannot be embedded, or that
+    retrieves an id the corpus has no single-hunk pair for, gets a message.
+    """
+    records, index, embedder = retrieval
+    found: list = [None] * len(texts)
+    probes, positions = [], []
+    for position, text in enumerate(texts):
+        try:
+            probes.append(embedder.embed(text))
+            positions.append(position)
+        except EmbeddingError as error:
+            found[position] = str(error)
+    if not probes:
+        return found
+    try:
+        neighbors = index.query_many(probes, n=min(n, len(index.ids)))
+    except EmbeddingError as error:
+        for position in positions:
+            found[position] = str(error)
+        return found
+    pairs, problems = select_pairs(
+        records, (pair_id for hits in neighbors for pair_id, _ in hits))
+    for position, hits in zip(positions, neighbors):
+        problem = next((problems[pair_id] for pair_id, _ in hits if pair_id in problems),
+                       None)
+        found[position] = problem or [pairs[pair_id] for pair_id, _ in hits]
+    return found
 
 
 def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
                  backend=None) -> GenerateOutcome:
     """Generate mutants for every target and persist the artifacts.
 
-    Per-target failures (unparseable method, backend errors) are isolated:
-    the target is recorded as failed and the run continues.  Artifacts
-    land in config.output_dir: prompts.jsonl, manifest.jsonl, summary.json
-    and one mutants/<id>.java per materialized mutant.
+    Per-target failures (unparseable method, retrieval or backend errors)
+    are isolated: the target is recorded as failed and the run continues.
+    Every chunk is planned before retrieval, which queries the index once
+    for all of them.  Artifacts land in config.output_dir: prompts.jsonl,
+    manifest.jsonl, summary.json and one mutants/<id>.java per
+    materialized mutant.
     """
     backend = backend if backend is not None else make_backend(config)
     retrieval = _retrieval_context(config)
@@ -345,7 +387,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
     mutants_dir.mkdir(parents=True, exist_ok=True)
 
     per_target: dict[str, dict] = {}
-    plan: list[dict] = []
+    chunks: list[tuple[TargetSpec, FocalMethod, str, CodeChunk]] = []
     for target in targets:
         entry = per_target[target.bug_id] = {
             "project": target.project, **dict.fromkeys(_TARGET_COUNTS, 0),
@@ -356,37 +398,34 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
             entry["errors"].append(f"parse: {error}")
             continue
         entry["expected"] = len(method.lines)
-        chunks = (chunk_method(method) if config.chunking
-                  else [whole_method_chunk(method)])
-        entry["chunks"] = len(chunks)
-        for position, chunk in enumerate(chunks):
-            chunk_id = f"c{position:02d}"
-            examples = []
-            example_ids: list[str] = []
-            if retrieval is not None:
-                by_id, index, embedder = retrieval
-                try:
-                    neighbors = index.query(
-                        embedder.embed(chunk.text),
-                        n=min(config.retrieval_n, len(index.ids)))
-                except EmbeddingError as error:
-                    entry["errors"].append(f"retrieval {chunk_id}: {error}")
-                    continue
-                retrieved = [by_id[pair_id] for pair_id, _ in neighbors]
-                examples = render_examples(retrieved).examples
-                example_ids = [example.source_pair_id for example in examples]
-            requested = len(chunk.line_numbers)
-            prompt = render_prompt(method, chunk, examples, requested)
-            entry["prompts_total"] += 1
-            plan.append({
-                "bug_id": target.bug_id,
-                "chunk_id": chunk_id,
-                "chunk": chunk,
-                "source": target.method,
-                "n": requested,
-                "prompt": prompt,
-                "example_ids": example_ids,
-            })
+        method_chunks = (chunk_method(method) if config.chunking
+                         else [whole_method_chunk(method)])
+        entry["chunks"] = len(method_chunks)
+        chunks.extend((target, method, f"c{position:02d}", chunk)
+                      for position, chunk in enumerate(method_chunks))
+
+    retrieved = (_retrieve(retrieval, [chunk.text for *_, chunk in chunks],
+                           config.retrieval_n)
+                 if retrieval is not None else [None] * len(chunks))
+    plan: list[dict] = []
+    for (target, method, chunk_id, chunk), found in zip(chunks, retrieved):
+        entry = per_target[target.bug_id]
+        if isinstance(found, str):
+            entry["errors"].append(f"retrieval {chunk_id}: {found}")
+            continue
+        examples = render_examples(found).examples if found is not None else []
+        requested = len(chunk.line_numbers)
+        prompt = render_prompt(method, chunk, examples, requested)
+        entry["prompts_total"] += 1
+        plan.append({
+            "bug_id": target.bug_id,
+            "chunk_id": chunk_id,
+            "chunk": chunk,
+            "source": target.method,
+            "n": requested,
+            "prompt": prompt,
+            "example_ids": [example.source_pair_id for example in examples],
+        })
 
     prompt_batch = [(f"{item['bug_id']}/{item['chunk_id']}", item["prompt"])
                     for item in plan]

@@ -88,6 +88,23 @@ class TestParseMethod:
             parse_method(f"void a() {{\n    {statement}\n}}")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("source, message, line", [
+        ("void g]nerated() {\n    return;\n}", "unexpected ']'", 1),
+        ("void )generated() {\n    return;\n}", "unexpected ')'", 1),
+        ("void a() {\n    class L ] { }\n}", "unexpected ']'", 2),
+        ("void a() {\n    switch (k) { case 1 ) : break; }\n}", "unexpected ')'", 2),
+        ("void a() {\n    switch (k) { case 1 }\n}", "unexpected '}'", 2),
+        ("void a() {\n    x = a);\n}", "unexpected ')'", 2),
+        ("void a() {\n    int x = 1\n}", "statement missing ';'", 3),
+        ("void a() {\n    x = 1", "statement missing ';'", 2),
+        ("void a() {\n    class L", "expected '{' in type declaration", 2),
+        ("void a()\n", "method body not found", 1),
+    ])
+    def test_stray_closers_are_named_at_their_line(self, source, message, line):
+        with pytest.raises(MethodSyntaxError) as err:
+            parse_method(source)
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_wrong_closer_in_signature_is_a_syntax_error(self):
         with pytest.raises(MethodSyntaxError, match="mismatched bracket"):
             parse_method("void a(int x]) {\n    return;\n}")

@@ -6,6 +6,7 @@ tests: a scripted mock backend plus the toy runner.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -169,6 +170,30 @@ class TestGenerateCommand:
                                 "--targets", str(targets_path)], capsys)
         assert code == 1
         assert json.loads(out)["targets"] == 1
+
+    def test_stale_index_fails_its_targets_not_the_run(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "corpus": str(corpus_path), "index": str(tmp_path / "corpus.index"),
+            "output_dir": str(tmp_path / "out"), "dimension": 64,
+            "backend": {"mode": "mock"}}))
+        code, _, _ = run_cli(["rag", "build", "--config", str(config_path)], capsys)
+        assert code == 0
+        lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus_path.write_text("".join(lines[:len(lines) // 2]), encoding="utf-8")
+        targets_path = write_targets(tmp_path / "targets.jsonl", [
+            {"bug_id": "Clamp-1", "method": CLAMP_FIXED}])
+        code, out, _ = run_cli(["generate", "--config", str(config_path),
+                                "--targets", str(targets_path)], capsys)
+        assert code == 1
+        assert json.loads(out)["failed"] == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        errors = summary["targets"]["Clamp-1"]["errors"]
+        assert errors and all(re.fullmatch(
+            r"retrieval c0\d: index entry 'pair-01\d' is not in the corpus", error)
+            for error in errors)
 
     def test_generate_missing_targets_file(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -225,6 +225,118 @@ class TestVectorIndex:
             for probe in probes:
                 for n in (1, 10, 300):
                     assert index.query(probe, n) == oracle_rank(entries, probe, metric, n)
+            for n in (1, 10, 300):
+                assert index.query_many(probes, n) == [
+                    oracle_rank(entries, probe, metric, n) for probe in probes]
+
+
+def float32_entries(**vectors):
+    return [(entry_id, np.array(values, dtype=np.float32))
+            for entry_id, values in vectors.items()]
+
+
+def paths_taken(monkeypatch) -> list[str]:
+    """Record, per probe block, whether query_many took the product path."""
+    taken = []
+    product, elementwise = VectorIndex._product_scores, VectorIndex._elementwise_scores
+
+    def spy_product(self, block, squares):
+        taken.append("product")
+        return product(self, block, squares)
+
+    def spy_elementwise(self, vector):
+        taken.append("elementwise")
+        return elementwise(self, vector)
+
+    monkeypatch.setattr(VectorIndex, "_product_scores", spy_product)
+    monkeypatch.setattr(VectorIndex, "_elementwise_scores", spy_elementwise)
+    return taken
+
+
+class TestQueryMany:
+    def index_of(self, entries, metric, dimension):
+        index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
+        for entry_id, vector in entries:
+            index.add(entry_id, CodeEmbedding(vector, "toy"))
+        return index
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
+    def test_integer_vectors_take_one_product_per_block(self, monkeypatch, metric):
+        embedder = LexicalEmbedder(dimension=16)
+        entries = [(f"p{i:02d}", embedder.embed(f"int v{i % 7} = {i} + w;").values)
+                   for i in range(40)]
+        probes = [embedder.embed(f"int v{i} = w;").values for i in range(37)]
+        index = self.index_of(entries, metric, 16)
+        taken = paths_taken(monkeypatch)
+        many = index.query_many(probes, 5)
+        assert taken == ["product"] * 3  # blocks of `dimension` probes
+        assert many == [oracle_rank(entries, probe, metric, 5) for probe in probes]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
+    def test_real_valued_vectors_take_the_elementwise_path(self, monkeypatch, metric):
+        entries = float32_entries(a=[0.5, 1.0], b=[2.0, -1.0], c=[0.0, 0.0])
+        index = self.index_of(entries, metric, 2)
+        taken = paths_taken(monkeypatch)
+        index.query_many([np.array([1.0, 2.0]), np.array([-1.0, 0.0])], 2)
+        assert taken == ["elementwise"] * 2
+        taken.clear()
+        index.query_many([np.array([1.0, 2.0]), np.array([0.25, 0.0])], 2)
+        assert taken == ["elementwise"] * 2
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
+    def test_a_squared_norm_of_two_to_the_24_takes_the_fallback(self, monkeypatch, metric):
+        entries = float32_entries(big=[4096.0, 0.0], one=[1.0, 1.0], zero=[0.0, 0.0])
+        probes = [np.array([3.0, -5.0]), np.array([0.0, 0.0])]
+        index = self.index_of(entries, metric, 2)
+        taken = paths_taken(monkeypatch)
+        many = index.query_many(probes, 3)
+        assert taken == ["elementwise"] * 2
+        assert many == [oracle_rank(entries, probe, metric, 3) for probe in probes]
+
+    def test_the_bound_is_two_to_the_23_for_signed_vectors(self, monkeypatch):
+        # ‖s‖² + ‖p‖² is below 2**24, but ‖s − p‖² is not, and the product
+        # formula and the elementwise sum round it differently.
+        entries = float32_entries(s=[2165.0, 2703.0])
+        probe = np.array([-2082.0, 360.0], dtype=np.float32)
+        index = self.index_of(entries, "euclidean", 2)
+        taken = paths_taken(monkeypatch)
+        expected = oracle_rank(entries, probe, "euclidean", 1)
+        assert index.query_many([probe], 1) == [expected]
+        assert taken == ["elementwise"]
+        stored = entries[0][1]
+        product = np.sqrt((np.float32(-2.0) * (stored @ probe) + stored @ stored)
+                          + probe @ probe)
+        assert product != np.float32(expected[0][1])
+
+    def test_just_inside_the_bound_takes_the_product_path(self, monkeypatch):
+        entries = float32_entries(s=[2047.0, 2.0], t=[-2000.0, 45.0])
+        probe = np.array([-1537.0, 1355.0], dtype=np.float32)
+        assert 2047 ** 2 + 2 ** 2 + 1537 ** 2 + 1355 ** 2 == 2 ** 23 - 1
+        for metric in ("euclidean", "cosine", "dot"):
+            index = self.index_of(entries, metric, 2)
+            taken = paths_taken(monkeypatch)
+            assert index.query_many([probe], 2) == [oracle_rank(entries, probe, metric, 2)]
+            assert taken == ["product"]
+        index = self.index_of(float32_entries(s=[2048.0, 0.0]), "euclidean", 2)
+        taken = paths_taken(monkeypatch)
+        assert index.query_many([np.array([-2048.0, 0.0])], 1) == [[("s", 4096.0)]]
+        assert taken == ["elementwise"]  # 2**22 + 2**22 is on the bound
+
+    def test_an_add_resets_the_cached_bound(self, monkeypatch):
+        index = self.index_of(float32_entries(a=[1.0, 2.0]), "dot", 2)
+        taken = paths_taken(monkeypatch)
+        index.query_many([np.array([1.0, 1.0])], 1)
+        index.add("b", CodeEmbedding(np.array([0.5, 0.0], dtype=np.float32), "toy"))
+        assert index.query_many([np.array([1.0, 1.0])], 2) == [[("a", 3.0), ("b", 0.5)]]
+        assert taken == ["product", "elementwise"]
+
+    def test_no_probes_give_no_results(self):
+        assert self.index_of(float32_entries(a=[1.0]), "dot", 1).query_many([], 3) == []
+
+    def test_a_bad_probe_fails_the_whole_call(self):
+        index = self.index_of(float32_entries(a=[1.0, 0.0]), "dot", 2)
+        with pytest.raises(EmbeddingError, match="dimension"):
+            index.query_many([np.zeros(2), np.zeros(3)], 1)
 
 
 @st.composite
@@ -251,6 +363,25 @@ def test_query_matches_the_full_sort_oracle(case, metric):
         index.add(entry_id, CodeEmbedding(vector, "toy"))
         for n in range(1, count + 2):
             assert index.query(probe, n) == oracle_rank(entries[:count], probe, metric, n)
+
+
+@given(case=small_indexes(), metric=st.sampled_from(["euclidean", "cosine", "dot"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_query_many_matches_query_and_the_oracle(case, metric, data):
+    dimension, entries, probe = case
+    more = data.draw(st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                                       min_size=dimension, max_size=dimension),
+                              max_size=4))
+    probes = [probe, np.zeros(dimension, dtype=np.float32)] + [
+        np.array(values, dtype=np.float32) for values in more]
+    index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
+    for entry_id, vector in entries:
+        index.add(entry_id, CodeEmbedding(vector, "toy"))
+    for n in range(1, len(entries) + 2):
+        many = index.query_many(probes, n)
+        assert many == [index.query(p, n) for p in probes]
+        assert many == [oracle_rank(entries, p, metric, n) for p in probes]
 
 
 class TestIndexPersistence:

@@ -836,3 +836,100 @@ class TestGenerateRetrieval:
         outcome = scripted_generate(config, self.targets(), tmp_path)
         assert outcome.succeeded == 2
         assert generation_digests(Path(config.output_dir)) == self.GOLDEN
+
+    def rewrite_corpus(self, config, change) -> None:
+        """Apply ``change`` (id -> record or None to drop) after the index build."""
+        path = Path(config.corpus)
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        kept = [change(record) for record in records]
+        path.write_text("".join(json.dumps(record) + "\n" for record in kept if record),
+                        encoding="utf-8")
+
+    def assert_pair_001_failed_its_chunks(self, outcome, message):
+        # pair-001 is among the six neighbours of every chunk but Sum-1/c01.
+        assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
+            f"retrieval c0{i}: {message}" for i in range(3)]
+        assert outcome.summary["targets"]["Sum-1"]["errors"] == [
+            f"retrieval c00: {message}", f"retrieval c02: {message}"]
+        assert (outcome.succeeded, outcome.failed) == (0, 2)
+        assert [row["prompt_id"] for row in outcome.prompts] == ["Sum-1/c01"]
+        assert outcome.prompts[0]["error"] is None
+        assert "pair-001" not in outcome.prompts[0]["examples"]
+
+    def test_an_index_id_the_corpus_lost_is_a_recorded_error(self, tmp_path):
+        config = self.config(tmp_path)
+        self.rewrite_corpus(config, lambda record: None if record["id"].endswith("-001")
+                            else record)
+        outcome = scripted_generate(config, self.targets(), tmp_path)
+        self.assert_pair_001_failed_its_chunks(
+            outcome, "index entry 'pair-001' is not in the corpus")
+
+    def test_an_index_id_no_longer_single_hunk_is_a_recorded_error(self, tmp_path):
+        config = self.config(tmp_path)
+
+        def two_hunks(record):
+            if record["id"] == "pair-001":
+                record["pre_fix_code"] = "// old\n" + record["pre_fix_code"]
+            return record
+
+        self.rewrite_corpus(config, two_hunks)
+        outcome = scripted_generate(config, self.targets(), tmp_path)
+        self.assert_pair_001_failed_its_chunks(
+            outcome, "corpus record 'pair-001' is not single-hunk: multi-hunk edit (2 regions)")
+
+    def test_a_chunk_that_cannot_be_embedded_sends_no_prompt(self, tmp_path, monkeypatch):
+        from mutkit.embedder import EmbeddingError, LexicalEmbedder
+
+        real_embed = LexicalEmbedder.embed
+
+        def embed(self, code):
+            if "return limit;" in code:
+                raise EmbeddingError("cannot embed this chunk")
+            return real_embed(self, code)
+
+        monkeypatch.setattr(LexicalEmbedder, "embed", embed)
+        outcome = scripted_generate(self.config(tmp_path), self.targets(), tmp_path)
+        assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
+            "retrieval c01: cannot embed this chunk"]
+        assert [row["prompt_id"] for row in outcome.prompts] == [
+            "Clamp-1/c00", "Clamp-1/c02", "Sum-1/c00", "Sum-1/c01", "Sum-1/c02"]
+        assert (outcome.succeeded, outcome.failed) == (1, 1)
+
+    def test_a_failed_query_fails_every_chunk(self, tmp_path):
+        from mutkit.embedder import CodeEmbedding, VectorIndex
+
+        config = self.config(tmp_path)
+        index = VectorIndex(dimension=8, backend_id="lexical-trigram-64")
+        index.add("pair-000", CodeEmbedding(np.ones(8, dtype=np.float32), index.backend_id))
+        index.save(config.index)
+        outcome = run_generate(config, self.targets(),
+                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+        message = "probe dimension (64,) does not match index (8)"
+        assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
+            f"retrieval c0{i}: {message}" for i in range(3)]
+        assert outcome.prompts == []
+
+    def test_only_retrieved_records_are_diffed_in_one_query(self, tmp_path, monkeypatch):
+        from mutkit import corpus
+        from mutkit.embedder import VectorIndex
+
+        config = self.config(tmp_path)
+        diffs, queries = [], []
+        real_diff, real_query_many = corpus.diff_hunk, VectorIndex.query_many
+
+        def counting_diff(pre, post):
+            diffs.append(pre)
+            return real_diff(pre, post)
+
+        def counting_query_many(self, probes, n):
+            probes = list(probes)
+            queries.append(len(probes))
+            return real_query_many(self, probes, n)
+
+        monkeypatch.setattr(corpus, "diff_hunk", counting_diff)
+        monkeypatch.setattr(VectorIndex, "query_many", counting_query_many)
+        outcome = run_generate(config, self.targets(),
+                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+        retrieved = {pair_id for row in outcome.prompts for pair_id in row["examples"]}
+        assert queries == [6]  # one call for the six chunks of both targets
+        assert len(diffs) == len(retrieved) < 23

@@ -186,7 +186,10 @@ class VectorIndex:
 
         It is ``_EXACT_BOUND`` minus the largest stored squared norm, or
         0 when a stored value is not an integer or not finite; cached with
-        the squared row norms until the next ``add``.
+        the squared row norms until the next ``add``.  A float32 sum of
+        non-negative terms is exact while below 2**24 and never rounds back
+        below a power of two it has reached, so a squared norm computed in
+        float32 is below the bound exactly when the true one is.
         """
         if self._squares is None:
             stored = self.matrix()

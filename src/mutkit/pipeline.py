@@ -350,8 +350,6 @@ def _retrieve(retrieval, texts: list[str], n: int) -> list:
             positions.append(position)
         except EmbeddingError as error:
             found[position] = str(error)
-    if not probes:
-        return found
     try:
         neighbors = index.query_many(probes, n=min(n, len(index.ids)))
     except EmbeddingError as error:

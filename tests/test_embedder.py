@@ -236,7 +236,7 @@ def float32_entries(**vectors):
 
 
 def paths_taken(monkeypatch) -> list[str]:
-    """Record, per probe block, whether query_many took the product path."""
+    """Record each product-path block and each elementwise-scored probe."""
     taken = []
     product, elementwise = VectorIndex._product_scores, VectorIndex._elementwise_scores
 
@@ -274,14 +274,14 @@ class TestQueryMany:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
     def test_real_valued_vectors_take_the_elementwise_path(self, monkeypatch, metric):
-        entries = float32_entries(a=[0.5, 1.0], b=[2.0, -1.0], c=[0.0, 0.0])
-        index = self.index_of(entries, metric, 2)
+        real = self.index_of(float32_entries(a=[0.5, 1.0], b=[2.0, -1.0]), metric, 2)
+        integral = self.index_of(float32_entries(a=[1.0, 1.0], b=[2.0, -1.0]), metric, 2)
         taken = paths_taken(monkeypatch)
-        index.query_many([np.array([1.0, 2.0]), np.array([-1.0, 0.0])], 2)
+        real.query_many([np.array([1.0, 2.0]), np.array([-1.0, 0.0])], 2)
         assert taken == ["elementwise"] * 2
         taken.clear()
-        index.query_many([np.array([1.0, 2.0]), np.array([0.25, 0.0])], 2)
-        assert taken == ["elementwise"] * 2
+        integral.query_many([np.array([1.0, 2.0]), np.array([0.25, 0.0])], 2)
+        assert taken == ["elementwise"] * 2  # one real-valued probe sends its block
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
     def test_a_squared_norm_of_two_to_the_24_takes_the_fallback(self, monkeypatch, metric):

@@ -895,6 +895,20 @@ class TestGenerateRetrieval:
             "Clamp-1/c00", "Clamp-1/c02", "Sum-1/c00", "Sum-1/c01", "Sum-1/c02"]
         assert (outcome.succeeded, outcome.failed) == (1, 1)
 
+    def test_no_embeddable_chunk_sends_no_prompt(self, tmp_path, monkeypatch):
+        from mutkit.embedder import EmbeddingError, LexicalEmbedder
+
+        def embed(self, code):
+            raise EmbeddingError("cannot embed")
+
+        config = self.config(tmp_path)
+        monkeypatch.setattr(LexicalEmbedder, "embed", embed)
+        outcome = run_generate(config, self.targets(),
+                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+        assert outcome.summary["targets"]["Sum-1"]["errors"] == [
+            f"retrieval c0{i}: cannot embed" for i in range(3)]
+        assert outcome.prompts == [] and outcome.failed == 2
+
     def test_a_failed_query_fails_every_chunk(self, tmp_path):
         from mutkit.embedder import CodeEmbedding, VectorIndex
 

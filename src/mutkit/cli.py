@@ -66,7 +66,7 @@ logger = logging.getLogger(__name__)
 CLI_ERRORS = (PipelineError, CorpusError, ChunkerError, EmbeddingError,
               IndexFormatError, BackendError, PromptError, ValidityError,
               RunnerError, MatrixError, MetricsError, TcpError, MbflError,
-              SftError, OSError, json.JSONDecodeError)
+              SftError, OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 STAGE_SETS = {
     "validate": ("validity",),

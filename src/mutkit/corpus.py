@@ -239,7 +239,7 @@ def read_records(path: str) -> tuple[list[CorpusRecord], list[SkippedRecord]]:
     try:
         with open(path, encoding="utf-8") as handle:
             raw_lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     records: list[CorpusRecord] = []

@@ -363,6 +363,8 @@ class VectorIndex:
                 raise IndexFormatError(f"{path} has trailing bytes")
         except struct.error as exc:
             raise IndexFormatError(f"{path} is truncated: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path} holds a name that is not UTF-8: {exc}") from exc
         index._vectors = vectors
         return index
 

@@ -157,7 +157,23 @@ class HttpChatBackend:
         )
 
 
-SCRIPT_FIELDS = ("prompt_digest", "response_text", "prompt_tokens", "completion_tokens")
+SCRIPT_FIELDS = {"prompt_digest": str, "response_text": str,
+                 "prompt_tokens": int, "completion_tokens": int}
+
+
+def _check_script_record(record, line_no: int) -> None:
+    """Reject a script record that lacks a field or holds one of the wrong
+    type (a bool is not a token count)."""
+    if not isinstance(record, dict):
+        raise BackendError(f"mock script line {line_no} is not a JSON object")
+    missing = [f for f in SCRIPT_FIELDS if f not in record]
+    if missing:
+        raise BackendError(f"mock script line {line_no} missing fields: {missing}")
+    for name, kind in SCRIPT_FIELDS.items():
+        value = record[name]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise BackendError(f"mock script line {line_no}: {name} must be "
+                               f"{kind.__name__}, got {value!r:.80}")
 
 
 class MockBackend:
@@ -195,14 +211,11 @@ class MockBackend:
             except json.JSONDecodeError as exc:
                 raise BackendError(
                     f"mock script line {line_no} is not JSON: {exc.msg}") from exc
-            missing = [f for f in SCRIPT_FIELDS if f not in record]
-            if missing:
-                raise BackendError(
-                    f"mock script line {line_no} missing fields: {missing}")
+            _check_script_record(record, line_no)
             self._replies[record["prompt_digest"]] = Completion(
                 text=record["response_text"],
-                prompt_tokens=int(record["prompt_tokens"]),
-                completion_tokens=int(record["completion_tokens"]),
+                prompt_tokens=record["prompt_tokens"],
+                completion_tokens=record["completion_tokens"],
             )
 
     def complete(self, prompt: str) -> Completion:
@@ -219,12 +232,11 @@ class MockBackend:
 
 
 def write_mock_script(records: list[dict], path: str) -> None:
-    """Write mock script records (validates the required fields)."""
+    """Write mock script records, checked as MockBackend checks them."""
+    for line_no, record in enumerate(records, start=1):
+        _check_script_record(record, line_no)
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            missing = [f for f in SCRIPT_FIELDS if f not in record]
-            if missing:
-                raise BackendError(f"script record missing fields: {missing}")
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 

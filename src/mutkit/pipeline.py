@@ -13,7 +13,6 @@ the standalone analysis commands.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -189,7 +188,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     """Read a JSON config file, apply non-None overrides, and validate."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise PipelineError(f"cannot read config {path}: {error}") from error
     except json.JSONDecodeError as error:
         raise PipelineError(f"config {path} is not valid JSON: {error}") from error
@@ -228,7 +227,7 @@ def load_targets(path: str | Path) -> list[TargetSpec]:
     """Read a JSONL targets file into validated specs, sorted by bug id."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise PipelineError(f"cannot read targets {path}: {error}") from error
     targets: list[TargetSpec] = []
     seen: set[str] = set()
@@ -531,7 +530,6 @@ class BugArtifacts:
     original_run: Future | None = None
     mutant_runs: dict[str, Future] = field(default_factory=dict)
     buggy_run: Future | None = None
-    matrix_key: str = ""
 
 
 @dataclass
@@ -597,22 +595,18 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
 
 
 def _submit_first_runs(config: PipelineConfig, bug: BugArtifacts, queue,
-                       matrices_dir: Path, execute: bool) -> None:
-    """Submit every compile, and the original's suite run unless a keyed
-    matrix may be reused (the key needs the useful set, known only later)."""
+                       execute: bool) -> None:
+    """Submit every compile, and the original's suite run when the matrix
+    is to be built."""
     if config.compile_command:
         bug.compiles = {
             mid: queue.compile(bug.materialized[mid].source, config.compile_command,
                                timeout=config.timeout)
             for mid in sorted(bug.materialized)}
-    keyed = (matrices_dir / f"{bug.target.bug_id}.key").exists()
-    if execute and config.test_command and not keyed:
-        bug.original_run = _submit_original(config, bug, queue)
-
-
-def _submit_original(config: PipelineConfig, bug: BugArtifacts, queue) -> Future:
-    return queue.suite(bug.target.method, config.test_command,
-                       program_id=bug.target.bug_id, timeout=config.timeout)
+    if execute and config.test_command:
+        bug.original_run = queue.suite(bug.target.method, config.test_command,
+                                       program_id=bug.target.bug_id,
+                                       timeout=config.timeout)
 
 
 def _run_validity(config: PipelineConfig, bug: BugArtifacts) -> None:
@@ -640,56 +634,34 @@ def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
                       test_ids=matrix.test_ids, kills=matrix.kills[rows])
 
 
-def _matrix_key(config: PipelineConfig, bug: BugArtifacts,
-                useful: list[str]) -> str:
-    """sha256 over what a rebuilt kill matrix depends on: the test command,
-    the original method and each useful mutant's id and source digest."""
-    sources = [[mid, hashlib.sha256(
-        bug.materialized[mid].source.encode("utf-8")).hexdigest()] for mid in useful]
-    payload = json.dumps([config.test_command, bug.target.method, sources])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _submit_execution(config: PipelineConfig, bug: BugArtifacts, queue,
                       matrices_dir: Path, revealing: bool) -> None:
-    """Reuse the bug's saved matrix when it is still valid, or submit the
-    suite runs that rebuild it; then submit the buggy version's run when
-    the revealing tests come from it.
-
-    With a test_command a matrix is reused only when its ``.key`` matches;
-    without one, an existing matrix is taken as given (external matrices).
+    """Submit the suite runs that build the bug's matrix, then the buggy
+    version's run when the revealing tests come from it.  Without a
+    test_command the saved matrix is an input, loaded as given.
     """
     bug_id = bug.target.bug_id
     useful = sorted(bug.ledger.useful())
-    matrix_path = matrices_dir / f"{bug_id}.matrix"
-    reuse = matrix_path.exists()
-    if config.test_command:
-        bug.matrix_key = _matrix_key(config, bug, useful)
-        key_path = matrices_dir / f"{bug_id}.key"
-        reuse = reuse and key_path.exists() and \
-            key_path.read_bytes() == f"{bug.matrix_key}\n".encode()
-    if reuse:
+    if not config.test_command:
+        matrix_path = matrices_dir / f"{bug_id}.matrix"
+        if not matrix_path.exists():
+            raise PipelineError(
+                f"bug {bug_id}: no matrix at {matrix_path} and no test_command "
+                f"configured")
         bug.matrix = _select_rows(load_matrix(str(matrix_path), bug_id=bug_id), useful)
         outcomes_path = matrices_dir / f"{bug_id}.original.txt"
         if outcomes_path.exists():
             bug.original = load_outcomes(str(outcomes_path), bug_id)
-        test_ids = sorted(bug.matrix.test_ids)
-    elif not config.test_command:
-        raise PipelineError(
-            f"bug {bug_id}: no matrix at {matrix_path} and no test_command "
-            f"configured")
-    else:
-        if bug.original_run is None:
-            bug.original_run = _submit_original(config, bug, queue)
-        test_ids = sorted(bug.original_run.result().outcomes)
-        bug.mutant_runs = {
-            mid: queue.suite(bug.materialized[mid].source, config.test_command,
-                             program_id=mid, expected_tests=test_ids,
-                             timeout=config.timeout)
-            for mid in useful}
+        return
+    test_ids = sorted(bug.original_run.result().outcomes)
+    bug.mutant_runs = {
+        mid: queue.suite(bug.materialized[mid].source, config.test_command,
+                         program_id=mid, expected_tests=test_ids,
+                         timeout=config.timeout)
+        for mid in useful}
     target = bug.target
     if revealing and config.mode != "buggy" and not target.bug_revealing_tests \
-            and target.buggy_method and config.test_command:
+            and target.buggy_method:
         bug.buggy_run = queue.suite(target.buggy_method, config.test_command,
                                     program_id=f"{bug_id}-buggy",
                                     expected_tests=test_ids, timeout=config.timeout)
@@ -704,11 +676,8 @@ def _collect_execution(bug: BugArtifacts, matrices_dir: Path) -> None:
     vectors = [run.result() for run in bug.mutant_runs.values()]
     bug.matrix = build_kill_matrix(bug.original, vectors, bug_id=bug_id)
     matrices_dir.mkdir(parents=True, exist_ok=True)
-    key_path = matrices_dir / f"{bug_id}.key"
-    key_path.unlink(missing_ok=True)
     save_matrix(bug.matrix, str(matrices_dir / f"{bug_id}.matrix"))
     save_outcomes(bug.original, str(matrices_dir / f"{bug_id}.original.txt"))
-    key_path.write_text(bug.matrix_key + "\n", encoding="utf-8")
 
 
 def _resolve_revealing(config: PipelineConfig, bug: BugArtifacts) -> None:
@@ -836,8 +805,7 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
         if "validity" in wanted:
             for bug in bugs.values():
-                _submit_first_runs(config, bug, queue, matrices_dir,
-                                   "execution" in wanted)
+                _submit_first_runs(config, bug, queue, "execution" in wanted)
             for bug in bugs.values():
                 _run_validity(config, bug)
             sections["validity"] = report.validity_section(

@@ -19,7 +19,6 @@ from . import mbfl, metrics, tcp, validity
 from .execution import KillMatrix, TestOutcomeVector
 from .mbfl import MbflError, SuspiciousnessReport
 
-MBFL_METHODS = ("muse", "metallaxis")
 _COUNTS = ("expected", "generated", "duplicates", "compilable", "useful")
 
 
@@ -137,7 +136,7 @@ def localize_bug(bug_id: str, original: TestOutcomeVector,
     return {method: mbfl.localize(bug_id, original, mutant_outcomes,
                                   statement_of, method, statements=statements,
                                   faulty_statements=faulty_statements)
-            for method in MBFL_METHODS}
+            for method in mbfl.AGGREGATION_METHODS}
 
 
 def _suspiciousness_entry(report: SuspiciousnessReport) -> dict:
@@ -160,7 +159,7 @@ def mbfl_section(per_bug: dict[str, dict[str, SuspiciousnessReport]],
                     for bug_id, reports in per_bug.items()},
         "metrics": {},
     }
-    for method in MBFL_METHODS:
+    for method in mbfl.AGGREGATION_METHODS:
         reports = [by_method[method] for by_method in per_bug.values()
                    if by_method[method].faulty_statements]
         section["metrics"][method] = None
@@ -248,7 +247,7 @@ def mbfl_text(section: dict) -> str:
     header = f"{'Method':<14}{'Top-1':>7}{'Top-3':>7}{'Top-5':>7}" \
              f"{'MAR':>8}{'MFR':>8}"
     lines += [header, "-" * len(header)]
-    for method in MBFL_METHODS:
+    for method in mbfl.AGGREGATION_METHODS:
         result = section["metrics"].get(method)
         if result is None:
             lines.append(f"{method:<14}{'n/a':>7}")

@@ -97,7 +97,6 @@ def dedup(mutants, original_source: str, collapse_whitespace: bool = True) -> De
 class CompileResult:
     ok: bool
     timed_out: bool = False
-    stderr: str = ""
 
 
 def substitute_command(template: str, source_path: str) -> list[str]:
@@ -111,7 +110,7 @@ def substitute_command(template: str, source_path: str) -> list[str]:
 
 
 def check_compile(source_text: str, compile_command: str, timeout: float = 60.0,
-                  workdir: str | None = None, suffix: str = ".java") -> CompileResult:
+                  suffix: str = ".java") -> CompileResult:
     """Run the external compile command on a mutant's source.
 
     The command template must contain {source}; the source text is written
@@ -122,20 +121,18 @@ def check_compile(source_text: str, compile_command: str, timeout: float = 60.0,
     Raises:
         ValidityError: if the command executable does not exist.
     """
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         source_path = os.path.join(tmp, f"mutant{suffix}")
         with open(source_path, "w", encoding="utf-8") as handle:
             handle.write(source_text)
         command = substitute_command(compile_command, source_path)
         try:
-            proc = subprocess.run(command, capture_output=True, text=True,
-                                  timeout=timeout)
+            proc = subprocess.run(command, capture_output=True, timeout=timeout)
         except FileNotFoundError as exc:
             raise ValidityError(f"compile command not found: {command[0]}") from exc
-        except subprocess.TimeoutExpired as exc:
-            stderr = exc.stderr if isinstance(exc.stderr, str) else ""
-            return CompileResult(ok=False, timed_out=True, stderr=stderr)
-    return CompileResult(ok=proc.returncode == 0, stderr=proc.stderr)
+        except subprocess.TimeoutExpired:
+            return CompileResult(ok=False, timed_out=True)
+    return CompileResult(ok=proc.returncode == 0)
 
 
 def generation_rate(expected: int, generated_count: int) -> float | None:

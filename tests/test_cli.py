@@ -7,6 +7,7 @@ tests: a scripted mock backend plus the toy runner.
 
 import json
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -144,6 +145,42 @@ class TestCorpusCommands:
             "--code-file", str(code_file)], capsys)
         assert code == 0
         assert len(json.loads(out)) == 6
+
+
+class TestInputsThatAreNotUtf8:
+    """A byte 0xff where a UTF-8 string belongs exits 2 with a message."""
+
+    @staticmethod
+    def assert_error(code, err, names):
+        assert code == 2
+        assert err.startswith("error: ") and names in err
+        assert "Traceback" not in err
+
+    def test_ingest(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_path)
+        with corpus_path.open("ab") as handle:
+            handle.write(b'{"id": "\xff", "project": "P", "pre_fix_code": "a",'
+                         b' "post_fix_code": "b"}\n')
+        code, _, err = run_cli(["ingest", "--corpus", str(corpus_path)], capsys)
+        self.assert_error(code, err, "cannot read corpus file")
+
+    def test_rag_query(self, tmp_path, capsys):
+        backend = b"lexical-trigram-2"
+        index_path = tmp_path / "corpus.index"
+        index_path.write_bytes(
+            b"MKIX" + struct.pack("<IIB", 1, 2, 9) + b"euclidean"
+            + struct.pack("<H", len(backend)) + backend + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"\xff" + struct.pack("<2f", 1.0, 2.0))
+        code, _, err = run_cli(["rag", "query", "--index", str(index_path),
+                                "--code", "return 1;"], capsys)
+        self.assert_error(code, err, f"{index_path} holds a name that is not UTF-8")
+
+    def test_generate(self, tmp_path, capsys):
+        targets_path = tmp_path / "targets.jsonl"
+        targets_path.write_bytes(b'{"bug_id": "\xff", "method": "m"}\n')
+        code, _, err = run_cli(["generate", "--targets", str(targets_path)], capsys)
+        self.assert_error(code, err, "cannot read targets")
 
 
 class TestChunkCommand:

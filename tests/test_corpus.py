@@ -250,6 +250,12 @@ class TestIngestCorpus:
         with pytest.raises(CorpusError, match="cannot read"):
             ingest_corpus(str(tmp_path / "missing.jsonl"))
 
+    def test_file_that_is_not_utf8_fatal(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "\xff"}\n')
+        with pytest.raises(CorpusError, match="^cannot read corpus file .*utf-8"):
+            ingest_corpus(str(path))
+
     def test_invalid_json_line_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

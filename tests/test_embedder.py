@@ -418,6 +418,19 @@ class TestIndexPersistence:
         with pytest.raises(IndexFormatError, match="repeats entry id 'a'"):
             VectorIndex.load(str(path))
 
+    @pytest.mark.parametrize("metric, backend, entry_id", [
+        (b"\xff", b"toy", b"a"), (b"euclidean", b"\xff", b"a"),
+        (b"euclidean", b"toy", b"\xff")])
+    def test_names_that_are_not_utf8_rejected(self, tmp_path, metric, backend,
+                                              entry_id):
+        header = (b"MKIX" + struct.pack("<IIB", 1, 2, len(metric)) + metric
+                  + struct.pack("<H", len(backend)) + backend + struct.pack("<I", 1))
+        record = struct.pack("<H", len(entry_id)) + entry_id + struct.pack("<2f", 1.0, 2.0)
+        path = tmp_path / "index.bin"
+        path.write_bytes(header + record)
+        with pytest.raises(IndexFormatError, match=f"^{path} holds a name that is not UTF-8"):
+            VectorIndex.load(str(path))
+
     def test_count_beyond_the_file_rejected_before_allocating(self, tmp_path):
         header = (b"MKIX" + struct.pack("<IIB", 1, 512, 9) + b"euclidean"
                   + struct.pack("<H", 3) + b"toy" + struct.pack("<I", 2 ** 32 - 1))

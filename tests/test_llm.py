@@ -158,6 +158,32 @@ class TestMockBackend:
         with pytest.raises(BackendError, match="missing fields"):
             MockBackend(str(path))
 
+    def test_script_line_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_text("5\n")
+        with pytest.raises(BackendError, match="^mock script line 1 is not a JSON object"):
+            MockBackend(str(path))
+
+    @pytest.mark.parametrize("field, bad, kind", [
+        ("prompt_digest", 5, "str"),
+        ("response_text", 5, "str"),
+        ("prompt_tokens", "many", "int"),
+        ("prompt_tokens", 1.5, "int"),
+        ("completion_tokens", True, "int"),
+    ])
+    def test_script_field_of_the_wrong_type_rejected(self, tmp_path, field, bad,
+                                                     kind):
+        good = {"prompt_digest": prompt_digest("p"), "response_text": "r",
+                "prompt_tokens": 1, "completion_tokens": 2}
+        message = f"^mock script line 2: {field} must be {kind}, got "
+        path = tmp_path / "script.jsonl"
+        with pytest.raises(BackendError, match=message):
+            write_mock_script([good, {**good, field: bad}], str(path))
+        assert not path.exists()
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: bad}) + "\n")
+        with pytest.raises(BackendError, match=message):
+            MockBackend(str(path))
+
 
 class TestCompleteBatch:
     def backend_for(self, replies: dict):

@@ -61,6 +61,15 @@ SUM_BUGGY = """public static int sumTo(int n) {
     return total;
 }"""
 
+# The buggy sumTo again, in lines the mutation table has no entry for.
+SUM_BUGGY_UNMUTATED = """public static int sumTo(int n) {
+    int sum = 1;
+    for (int k = 1; k <= n; k++) {
+        sum += k;
+    }
+    return sum;
+}"""
+
 MUTATION_TABLE = {
     "int limit = 10;": ["int limit = 11;", "int limit = 11;", "int limit = @@;"],
     "if (value > limit) {": ["if (value >= limit) {"],
@@ -592,26 +601,21 @@ class TestEvaluateRunCache:
         config, targets, _ = fixed_run
         out = Path(config.output_dir)
         matrix_path = out / "matrices" / "Clamp-1.matrix"
-        key_path = out / "matrices" / "Clamp-1.key"
         lines = matrix_path.read_text().splitlines()
         mutant_ids = lines[0].split()[1:]
         killed = next(mid for mid, row in zip(mutant_ids, lines[2:]) if "1" in row)
-        old_key = key_path.read_text()
         # A second generate reuses the id with another source: here the
         # unchanged method, which compiles and kills no test.
         (out / "mutants" / f"{killed}.java").write_text(CLAMP_FIXED)
         outcome = run_evaluate(config, targets)
         rows = dict(zip(mutant_ids, matrix_path.read_text().splitlines()[2:]))
         assert set(rows[killed]) == {"0"}
-        assert key_path.read_text() != old_key
         assert outcome.sections["metrics"]["per_bug_mutation_score"]["Clamp-1"] == 0.5
 
     def test_matrices_load_as_given_without_a_test_command(self, fixed_run,
                                                            process_count):
         config, targets, _ = fixed_run
         matrices = Path(config.output_dir) / "matrices"
-        for key_path in matrices.glob("*.key"):
-            key_path.write_text("stale\n")
         before = read_tree(matrices)
         external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
                                   compile_command=COMPILE_COMMAND)
@@ -619,6 +623,45 @@ class TestEvaluateRunCache:
         assert process_count == []
         assert read_tree(matrices) == before
         assert "validity" in outcome.sections
+
+    def test_evaluate_with_a_test_command_writes_no_key_file(self, fixed_run):
+        config, _, _ = fixed_run
+        matrices = Path(config.output_dir) / "matrices"
+        assert sorted(path.name for path in matrices.glob("Clamp-1.*")) == [
+            "Clamp-1.matrix", "Clamp-1.original.txt"]
+        assert list(matrices.glob("*.key")) == []
+
+    def test_without_runs_the_suites_rerun_and_rewrite_the_same_bytes(
+            self, process_count, fixed_run):
+        # process_count comes first, so it also counts fixed_run's cold evaluate.
+        config, targets, _ = fixed_run
+        cold = len(process_count)
+        out = Path(config.output_dir)
+        before = read_tree(out)
+        for path in (out / "matrices" / "runs").iterdir():
+            path.unlink()
+        process_count.clear()
+        run_evaluate(config, targets)
+        assert cold > 0
+        assert len(process_count) == cold
+        assert read_tree(out) == before
+
+    def test_edited_matrices_are_rebuilt_with_a_test_command(self, fixed_run):
+        config, targets, outcome = fixed_run
+        matrices = Path(config.output_dir) / "matrices"
+        report_before = read_tree(outcome.out_dir)
+        saved = {}
+        for name in ("Clamp-1.matrix", "Clamp-1.original.txt"):
+            saved[name] = (matrices / name).read_bytes()
+        lines = saved["Clamp-1.matrix"].decode().splitlines()
+        (matrices / "Clamp-1.matrix").write_text("\n".join(
+            lines[:2] + ["1" * len(row) for row in lines[2:]]) + "\n")
+        (matrices / "Clamp-1.original.txt").write_text(
+            saved["Clamp-1.original.txt"].decode().replace("PASS", "FAIL"))
+        second = run_evaluate(config, targets)
+        assert read_tree(second.out_dir) == report_before
+        for name, data in saved.items():
+            assert (matrices / name).read_bytes() == data
 
     def test_worker_count_does_not_change_any_byte(self, tmp_path):
         trees = []
@@ -686,11 +729,34 @@ class TestEvaluateBuggyMode:
         lines = original.read_text(encoding="utf-8").splitlines(keepends=True)
         dropped = lines[0].split()[0]
         original.write_text("".join(lines[1:]), encoding="utf-8")
-        outcome = run_evaluate(config, targets, stages=("mbfl",))
+        # With a test_command the original comes from its run, so only
+        # external matrices can disagree with their outcome file.
+        external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
+                                  mode="buggy", compile_command=COMPILE_COMMAND)
+        outcome = run_evaluate(external, targets, stages=("mbfl",))
         assert outcome.sections["mbfl"]["per_bug"] == {}
         assert outcome.warnings == [
             f"mbfl: bug Sum-2: the kill matrix and the original outcomes "
             f"name different tests: ['{dropped}']"]
+
+    @pytest.mark.parametrize("method, faulty_lines, reason", [
+        (CLAMP_FIXED, (2,), "lacks a failing original run"),
+        (SUM_BUGGY, (), "has no faulty_lines ground truth"),
+        (SUM_BUGGY_UNMUTATED, (2,), "has no useful mutants"),
+    ])
+    def test_mbfl_leaves_out_a_bug_it_cannot_localize(self, tmp_path, method,
+                                                      faulty_lines, reason):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                retrieval=False, mode="buggy",
+                                test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND)
+        targets = [TargetSpec(bug_id="Sum-2", method=SUM_BUGGY, faulty_lines=(2,)),
+                   TargetSpec(bug_id="Weak-1", method=method,
+                              faulty_lines=faulty_lines)]
+        scripted_generate(config, targets, tmp_path)
+        outcome = run_evaluate(config, targets, stages=("mbfl",))
+        assert outcome.warnings == [f"mbfl: bug Weak-1 {reason}"]
+        assert list(outcome.sections["mbfl"]["per_bug"]) == ["Sum-2"]
 
     def test_mbfl_report_files(self, buggy_run):
         _, _, outcome = buggy_run

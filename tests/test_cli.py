@@ -5,7 +5,9 @@ prints.  The heavier flows reuse the offline fixtures from the pipeline
 tests: a scripted mock backend plus the toy runner.
 """
 
+import hashlib
 import json
+import random
 import re
 import struct
 import sys
@@ -466,6 +468,82 @@ class TestStandaloneAnalysis:
             assert metrics["muse"]["evaluated_bugs"] == 2
         else:
             assert metrics == {"muse": None, "metallaxis": None}
+
+
+def write_analysis_inputs(root: Path, seed: int) -> Path:
+    """Seeded buggy-mode matrix files plus the JSON side inputs.
+
+    Matrix rows and columns are written shuffled, not in id order; several
+    mutants share each statement, so MUSE means are not whole numbers;
+    and duplicated rows plus unmutated statements make scores tie.
+    """
+    rng = random.Random(seed)
+    matrices = root / "matrices"
+    matrices.mkdir(parents=True)
+    tables = {name: {} for name in ("revealing", "statements", "faulty", "space")}
+    for number, (mutants, tests) in enumerate(((24, 10), (31, 14), (17, 7))):
+        bug = f"G-{number}"
+        mutant_ids = [f"m{i:02d}" for i in range(mutants)]
+        test_ids = [f"t{j:02d}" for j in range(tests)]
+        rows = {m: [rng.random() < 0.3 for _ in test_ids] for m in mutant_ids}
+        for m in rng.sample(mutant_ids, mutants // 4):
+            rows[m] = [False] * tests
+        for m in rng.sample(mutant_ids, mutants // 5):
+            rows[m] = rows[rng.choice(mutant_ids)]
+        rng.shuffle(mutant_ids)
+        rng.shuffle(test_ids)
+        lines = ["MUTANTS " + " ".join(mutant_ids), "TESTS " + " ".join(test_ids)]
+        lines += ["".join("1" if rows[m][int(t[1:])] else "0" for t in test_ids)
+                  for m in mutant_ids]
+        (matrices / f"{bug}.matrix").write_text("\n".join(lines) + "\n")
+        failing = sorted(rng.sample(test_ids, 1 + tests // 4))
+        (matrices / f"{bug}.original.txt").write_text("".join(
+            f"{t} {'FAIL' if t in failing else 'PASS'}\n" for t in sorted(test_ids)))
+        statements = {m: rng.randint(1, mutants // 3) for m in sorted(mutant_ids)}
+        tables["revealing"][bug] = failing
+        tables["statements"][bug] = statements
+        tables["faulty"][bug] = [statements[rng.choice(mutant_ids)]]
+        tables["space"][bug] = list(range(1, mutants // 3 + 4))
+    for name, table in tables.items():
+        (root / f"{name}.json").write_text(json.dumps(table))
+    return matrices
+
+
+class TestAnalysisGoldenDigests:
+    """sha256 of the metrics and mbfl stdout on seeded matrix files,
+    recorded from the implementation that rebuilt per-mutant outcomes."""
+
+    GOLDEN = {
+        "metrics": "89045e4e46e942bca43300c5277aa94a0baef0938b9079e0493f70b4cce537e1",
+        "mbfl": "21f22e0eeb6f8cb3e6bb27883906be95bb62f11ba55a5f7b97c89d8a8068e0f8",
+        "mbfl --statement-space":
+            "a4c5513c63c6f482534d5bef3b316cba396e0fddba127a00fbb0fe513a4cd68e",
+    }
+
+    def test_stdout_matches_the_golden_digests(self, tmp_path, capsys):
+        matrices = write_analysis_inputs(tmp_path, seed=29)
+        argvs = {
+            "metrics": ["metrics", "--matrices", str(matrices),
+                        "--revealing", str(tmp_path / "revealing.json")],
+            "mbfl": ["mbfl", "--matrices", str(matrices),
+                     "--statements", str(tmp_path / "statements.json"),
+                     "--faulty", str(tmp_path / "faulty.json")],
+        }
+        argvs["mbfl --statement-space"] = argvs["mbfl"] + [
+            "--statement-space", str(tmp_path / "space.json")]
+        digests, outputs = {}, {}
+        for name, argv in argvs.items():
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and err == "", err
+            outputs[name] = json.loads(out)
+            digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        muse = [score for entry in outputs["mbfl"]["per_bug"].values()
+                for score in entry["muse"]["scores"].values()]
+        assert any(score != int(score) for score in muse)
+        for entry in outputs["mbfl --statement-space"]["per_bug"].values():
+            scores = list(entry["muse"]["scores"].values())
+            assert len(set(scores)) < len(scores)
+        assert digests == self.GOLDEN
 
 
 def write_bug_matrix(matrices: Path) -> None:

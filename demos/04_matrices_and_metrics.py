@@ -1,8 +1,8 @@
 """Walkthrough: kill matrices, validity rates, effectiveness, and TCP.
 
-Everything downstream of execution runs on plain outcome vectors, so
-this demo constructs them by hand: one original program plus four
-mutants over five tests.  It then walks the validity bookkeeping, the
+Everything downstream of execution reads the kill matrix built from
+outcome vectors, so this demo constructs the vectors by hand: one
+original program plus four mutants over five tests.  It then walks the validity bookkeeping, the
 per-bug effectiveness metrics, and the three prioritization strategies.
 
     python3 demos/04_matrices_and_metrics.py
@@ -79,9 +79,8 @@ def main() -> None:
     matrix = build_kill_matrix(original, vectors, bug_id="Cap-1")
     header = " ".join(f"{t:>7}" for t in matrix.test_ids)
     print(f"  {'':12} {header}")
-    for m in matrix.mutant_ids:
-        row = " ".join(f"{'X' if matrix.kill(m, t) else '.':>7}"
-                       for t in matrix.test_ids)
+    for m, kills in zip(matrix.mutant_ids, matrix.kills):
+        row = " ".join(f"{'X' if hit else '.':>7}" for hit in kills)
         print(f"  {m:12} {row}")
 
     print("\n== 4. Effectiveness against the real bug ==")

@@ -8,7 +8,7 @@ into a suspiciousness ranking with the fault on top.
     python3 demos/05_fault_localization.py
 """
 
-from mutkit.execution import TestOutcomeVector
+from mutkit.execution import TestOutcomeVector, build_kill_matrix
 from mutkit.mbfl import fl_metrics, localize
 
 STATEMENTS = (1, 2, 3, 4)
@@ -31,20 +31,22 @@ def main() -> None:
     print("== 1. The outcome vectors ==")
     original = TestOutcomeVector(program_id="Bug-7", outcomes=ORIGINAL)
     print(f"original failing tests: {sorted(original.failing())}")
-    mutant_outcomes = {}
+    mutant_outcomes = []
     statement_of = {}
     for mutant_id, (statement, flips) in MUTANTS.items():
         outcomes = {t: ("pass" if s == "fail" else "fail") if t in flips else s
                     for t, s in ORIGINAL.items()}
-        mutant_outcomes[mutant_id] = TestOutcomeVector(program_id=mutant_id,
-                                                       outcomes=outcomes)
+        mutant_outcomes.append(TestOutcomeVector(program_id=mutant_id,
+                                                 outcomes=outcomes))
         statement_of[mutant_id] = statement
         print(f"  {mutant_id} (stmt {statement}) flips {list(flips) or '-'}")
+    # A kill is a flip against the original, so the matrix holds the flips.
+    matrix = build_kill_matrix(original, mutant_outcomes)
 
     reports = []
     for method in ("muse", "metallaxis"):
         print(f"\n== Suspiciousness under {method} ==")
-        report = localize("Bug-7", original, mutant_outcomes, statement_of,
+        report = localize("Bug-7", original, matrix, statement_of,
                           method, statements=STATEMENTS,
                           faulty_statements=[FAULTY])
         reports.append(report)

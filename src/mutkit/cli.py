@@ -49,7 +49,6 @@ from .pipeline import (
     load_config,
     load_mutants,
     load_targets,
-    mutant_outcomes_from_matrix,
     probe_embedder,
     read_bug_table,
     read_generation,
@@ -227,8 +226,8 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
         if bug_id not in statements:
             raise PipelineError(f"bug {bug_id} missing from {args.statements}")
         per_bug[bug_id] = report.localize_bug(
-            bug_id, original, mutant_outcomes_from_matrix(by_bug[bug_id], original),
-            statements[bug_id], statements=space.get(bug_id, ()),
+            bug_id, original, by_bug[bug_id], statements[bug_id],
+            statements=space.get(bug_id, ()),
             faulty_statements=faulty.get(bug_id, ()))
     unscored = [bug_id for bug_id in sorted(by_bug) if not faulty.get(bug_id)]
     if len(unscored) < len(by_bug):

@@ -81,13 +81,13 @@ def parse_outcome_lines(text: str) -> dict[str, str]:
 
 def run_suite(program_source: str, test_command: str, *, program_id: str,
               expected_tests: list[str] | None = None,
-              timeout: float | None = None,
-              suffix: str = ".java") -> TestOutcomeVector:
+              timeout: float | None = None) -> TestOutcomeVector:
     """Run the external test command against one program source.
 
     Args:
         program_source: the full program text; written to an isolated
-            temporary file substituted for {source} in the command.
+            temporary ``.java`` file substituted for {source} in the
+            command.
         test_command: command template emitting one status line per test.
         program_id: id recorded on the vector (original or a mutant id).
         expected_tests: the bug's full test-id list; tests the runner did
@@ -95,28 +95,29 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
             timeout when the run was cut off).
         timeout: per-program wall-clock cutoff in seconds.
 
+    The runner's stdout is decoded as UTF-8, bytes that are not UTF-8
+    replaced, whether the run finished or timed out.
+
     Raises:
         RunnerError: on crash with no status lines, unknown test ids, or
             duplicate status lines.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        source_path = os.path.join(tmp, f"program{suffix}")
+        source_path = os.path.join(tmp, "program.java")
         with open(source_path, "w", encoding="utf-8") as handle:
             handle.write(program_source)
         command = substitute_command(test_command, source_path)
         timed_out = False
         try:
-            proc = subprocess.run(command, capture_output=True, text=True,
-                                  timeout=timeout)
-            stdout = proc.stdout
+            stdout = subprocess.run(command, capture_output=True,
+                                    timeout=timeout).stdout
         except FileNotFoundError as exc:
             raise RunnerError(f"test command not found: {command[0]}") from exc
         except subprocess.TimeoutExpired as exc:
             timed_out = True
-            stdout = exc.stdout if isinstance(exc.stdout, str) else \
-                (exc.stdout or b"").decode("utf-8", "replace")
+            stdout = exc.stdout or b""
 
-    outcomes = parse_outcome_lines(stdout)
+    outcomes = parse_outcome_lines(stdout.decode("utf-8", "replace"))
     if not outcomes and not timed_out:
         raise RunnerError(
             f"runner produced no test outcomes for {program_id}")
@@ -167,21 +168,6 @@ class KillMatrix:
             raise MatrixError(
                 f"cells shape {self.kills.shape} does not match "
                 f"{len(self.mutant_ids)} mutants x {len(self.test_ids)} tests")
-
-    def kill(self, mutant_id: str, test_id: str) -> bool:
-        return bool(self.kills[self.mutant_ids.index(mutant_id),
-                               self.test_ids.index(test_id)])
-
-    def killed_tests(self, mutant_id: str) -> set[str]:
-        row = self.kills[self.mutant_ids.index(mutant_id)]
-        return {t for t, hit in zip(self.test_ids, row) if hit}
-
-    def killing_mutants(self, test_id: str) -> set[str]:
-        column = self.kills[:, self.test_ids.index(test_id)]
-        return {m for m, hit in zip(self.mutant_ids, column) if hit}
-
-    def killed_mutants(self) -> set[str]:
-        return {m for m, row in zip(self.mutant_ids, self.kills) if row.any()}
 
     def sorted_copy(self) -> "KillMatrix":
         """Canonical form with mutant and test ids sorted."""
@@ -296,9 +282,11 @@ def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
     return TestOutcomeVector(program_id=program_id, outcomes=outcomes)
 
 
-def _run_key(kind: str, command: str, suffix: str,
-             expected_tests: list[str] | None, source: str) -> str:
-    payload = json.dumps([kind, command, suffix,
+def _run_key(kind: str, command: str, expected_tests: list[str] | None,
+             source: str) -> str:
+    # The constant ".java" keeps every key equal to the name its run is
+    # already stored under in existing runs/ directories.
+    payload = json.dumps([kind, command, ".java",
                           None if expected_tests is None else sorted(expected_tests),
                           source])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -347,15 +335,14 @@ def _relabeled(shared: Future, program_id: str) -> Future:
 class _RunQueue:
     """Compile checks and suite runs on one worker pool, cached on disk.
 
-    A run's key is the sha256 of its kind, command template, file suffix,
-    expected test list (suites only) and source text.  Submissions with the
-    same key share one future; a finished run is stored as
-    ``<directory>/<key>`` (temp file, then ``os.replace``) and later
-    submissions read it back without starting a process.  A stored file
-    that does not parse is a miss and is overwritten.  Nothing is stored
-    for a timed-out compile, a suite vector with timeout or missing flags,
-    or a run that raised; errors surface from ``Future.result()``.
-    Submit from one thread.
+    A run's key is the sha256 of its kind, command template, expected test
+    list (suites only) and source text.  Submissions with the same key
+    share one future; a finished run is stored as ``<directory>/<key>``
+    (temp file, then ``os.replace``) and later submissions read it back
+    without starting a process.  A stored file that does not parse is a
+    miss and is overwritten.  Nothing is stored for a timed-out compile, a
+    suite vector with timeout or missing flags, or a run that raised;
+    errors surface from ``Future.result()``.  Submit from one thread.
     """
 
     def __init__(self, directory: Path, workers: int):
@@ -369,42 +356,40 @@ class _RunQueue:
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
 
-    def compile(self, source: str, command: str, *, timeout: float,
-                suffix: str = ".java") -> Future:
+    def compile(self, source: str, command: str, *, timeout: float) -> Future:
         """Future of whether ``source`` compiles; a timeout counts as no."""
-        key = _run_key("compile", command, suffix, None, source)
+        key = _run_key("compile", command, None, source)
         if key not in self._runs:
             stored = _read_compile(self._stored(key))
             self._runs[key] = (_done(stored) if stored is not None else
                                self._pool.submit(self._compile, key, source, command,
-                                                 timeout, suffix))
+                                                 timeout))
         return self._runs[key]
 
     def suite(self, source: str, command: str, *, program_id: str,
-              expected_tests: list[str] | None = None, timeout: float | None = None,
-              suffix: str = ".java") -> Future:
+              expected_tests: list[str] | None = None,
+              timeout: float | None = None) -> Future:
         """Future of ``run_suite``'s vector for ``source``."""
-        key = _run_key("suite", command, suffix, expected_tests, source)
+        key = _run_key("suite", command, expected_tests, source)
         if key not in self._runs:
             stored = _read_outcomes(self._stored(key), expected_tests)
             self._runs[key] = (
                 _done(TestOutcomeVector(program_id=program_id, outcomes=stored))
                 if stored is not None else
                 self._pool.submit(self._suite, key, source, command, program_id,
-                                  expected_tests, timeout, suffix))
+                                  expected_tests, timeout))
         return _relabeled(self._runs[key], program_id)
 
-    def _compile(self, key, source, command, timeout, suffix) -> bool:
-        result = check_compile(source, command, timeout=timeout, suffix=suffix)
+    def _compile(self, key, source, command, timeout) -> bool:
+        result = check_compile(source, command, timeout=timeout)
         if not result.timed_out:
             self._store(key, "ok\n" if result.ok else "fail\n")
         return result.ok
 
-    def _suite(self, key, source, command, program_id, expected_tests, timeout,
-               suffix) -> TestOutcomeVector:
+    def _suite(self, key, source, command, program_id, expected_tests,
+               timeout) -> TestOutcomeVector:
         vector = run_suite(source, command, program_id=program_id,
-                           expected_tests=expected_tests, timeout=timeout,
-                           suffix=suffix)
+                           expected_tests=expected_tests, timeout=timeout)
         if not vector.flags:
             self._store(key, _outcome_lines(vector.outcomes))
         return vector

@@ -1,11 +1,11 @@
 """Mutation-based fault localization over buggy-version kill data.
 
-Given the test outcomes of a buggy program and of each mutant generated
-on it, every mutant gets a MUSE and a Metallaxis suspiciousness score
-from its outcome flips.  Scores aggregate per statement (the physical
-line the mutant targets), statements are ranked with expected ranks for
-tie groups, and rankings across bugs roll up into Top-k counts and mean
-ranks.
+Given the test outcomes of a buggy program and the kill matrix of the
+mutants generated on it, every mutant gets a MUSE and a Metallaxis
+suspiciousness score from its outcome flips (a kill is a flip).  Scores
+aggregate per statement (the physical line the mutant targets),
+statements are ranked with expected ranks for tie groups, and rankings
+across bugs roll up into Top-k counts and mean ranks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .execution import TestOutcomeVector
+import numpy as np
+
+from .execution import KillMatrix, TestOutcomeVector
 
 logger = logging.getLogger(__name__)
 
@@ -89,42 +91,47 @@ class SuspiciousnessReport:
 
 def fl_stats(
     original: TestOutcomeVector,
-    mutant_outcomes: Mapping[str, TestOutcomeVector],
+    matrix: KillMatrix,
     statement_of: Mapping[str, int],
 ) -> tuple[list[MutantFLStats], FLGlobals]:
-    """Per-mutant flip counts plus the shared totals.
+    """Per-mutant flip counts plus the shared totals, in mutant-id order.
+
+    A kill flips the original status, so failed_m is a mutant's row sum
+    over the tests that fail on the original and passed_m its row sum
+    over the tests that pass.
 
     Args:
         original: outcomes of the buggy program; must have a failing test.
-        mutant_outcomes: mutant id to its outcomes over the same tests.
+        matrix: the bug's kill matrix over the same tests.
         statement_of: mutant id to the line number it mutates.
 
     Raises:
-        MbflError: when the original has no failing test, a mutant ran a
-            different test set, or a mutant has no statement mapping.
+        MbflError: when the matrix and the original name different tests,
+            the original has no failing test, or a mutant has no
+            statement mapping.
     """
-    failing = original.failing()
-    if not failing:
+    differ = set(matrix.test_ids) ^ set(original.outcomes)
+    if differ:
+        raise MbflError(
+            f"bug {matrix.bug_id}: the kill matrix and the original outcomes "
+            f"name different tests: {sorted(differ)}")
+    failing = np.array([original.outcomes[t] == "fail" for t in matrix.test_ids],
+                       dtype=bool)
+    if not failing.any():
         raise MbflError(
             f"program {original.program_id}: no failing test, nothing to localize")
-    original_tests = set(original.outcomes)
+    failed_m = matrix.kills[:, failing].sum(axis=1).tolist()
+    passed_m = matrix.kills[:, ~failing].sum(axis=1).tolist()
     stats = []
-    for mutant_id in sorted(mutant_outcomes):
-        vector = mutant_outcomes[mutant_id]
-        if set(vector.outcomes) != original_tests:
-            raise MbflError(
-                f"mutant {mutant_id}: test set differs from the original run")
+    for row, mutant_id in sorted(enumerate(matrix.mutant_ids),
+                                 key=lambda item: item[1]):
         if mutant_id not in statement_of:
             raise MbflError(f"mutant {mutant_id}: no statement mapping")
-        failed_m = sum(1 for t in failing if vector.outcomes[t] == "pass")
-        passed_m = sum(1 for t in original_tests - failing
-                       if vector.outcomes[t] == "fail")
         stats.append(MutantFLStats(mutant_id=mutant_id,
                                    statement=statement_of[mutant_id],
-                                   failed_m=failed_m, passed_m=passed_m))
-    globals_ = FLGlobals(totalfailed=len(failing),
-                         f2p=sum(s.failed_m for s in stats),
-                         p2f=sum(s.passed_m for s in stats))
+                                   failed_m=failed_m[row], passed_m=passed_m[row]))
+    globals_ = FLGlobals(totalfailed=int(failing.sum()),
+                         f2p=sum(failed_m), p2f=sum(passed_m))
     return stats, globals_
 
 
@@ -198,14 +205,14 @@ def rank(scores: Mapping[int, float]) -> dict[int, float]:
 def localize(
     bug_id: str,
     original: TestOutcomeVector,
-    mutant_outcomes: Mapping[str, TestOutcomeVector],
+    matrix: KillMatrix,
     statement_of: Mapping[str, int],
     method: str,
     statements: Iterable[int] = (),
     faulty_statements: Iterable[int] = (),
 ) -> SuspiciousnessReport:
     """End-to-end localization for one bug with one aggregation method."""
-    stats, globals_ = fl_stats(original, mutant_outcomes, statement_of)
+    stats, globals_ = fl_stats(original, matrix, statement_of)
     if method == "muse":
         mutant_scores = {s.mutant_id: muse_score(s, globals_) for s in stats}
     elif method == "metallaxis":

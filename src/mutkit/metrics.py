@@ -1,8 +1,10 @@
 """Mutation effectiveness metrics: MS, Ochiai coupling, R.B.D., and friends.
 
-All functions consume kill matrices whose rows are the useful mutants
-(compilable minus duplicates) of one bug, plus the bug's set of
-bug-revealing tests (the tests that fail on the buggy version).
+All functions read the boolean kill matrix of one bug, whose rows are
+its useful mutants (compilable minus duplicates), plus the bug's set of
+bug-revealing tests (the tests that fail on the buggy version).  Counts
+are row and column sums of that matrix; float means add Python floats in
+row order.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .execution import KillMatrix
 
@@ -38,32 +42,43 @@ class BugContext:
                 f"bug {self.bug_id}: revealing tests not in matrix: {sorted(unknown)}")
 
 
+def _revealing_kills(ctx: BugContext) -> np.ndarray:
+    """The kill columns of the bug-revealing tests."""
+    return ctx.matrix.kills[:, np.array([t in ctx.bug_revealing_tests
+                                         for t in ctx.matrix.test_ids], dtype=bool)]
+
+
+def _killed_count(ctx: BugContext) -> int:
+    return int(ctx.matrix.kills.any(axis=1).sum())
+
+
 def mutation_score(ctx: BugContext) -> float:
     """Mutation score: killed mutants over useful mutants."""
     total = len(ctx.matrix.mutant_ids)
     if total == 0:
         raise MetricsError(f"bug {ctx.bug_id}: mutation score needs >= 1 mutant")
-    return len(ctx.matrix.killed_mutants()) / total
+    return _killed_count(ctx) / total
 
 
-def ochiai(failing_on_mutant: set[str], failing_on_bug: set[str]) -> float:
-    """Ochiai coefficient between two failing-test sets.
+def ochiai(shared: int, failing_on_mutant: int, failing_on_bug: int) -> float:
+    """Ochiai coefficient of two failing-test sets from their sizes and
+    the size of their intersection.
 
     Defined as 0 when either set is empty (the numerator is already 0).
     """
     if not failing_on_mutant or not failing_on_bug:
         return 0.0
-    shared = len(set(failing_on_mutant) & set(failing_on_bug))
-    return shared / math.sqrt(len(failing_on_mutant) * len(failing_on_bug))
+    return shared / math.sqrt(failing_on_mutant * failing_on_bug)
 
 
 def bug_ochiai(ctx: BugContext) -> float | None:
     """Per-bug mean Ochiai over the useful mutants; None when empty."""
     if not ctx.matrix.mutant_ids:
         return None
-    revealing = set(ctx.bug_revealing_tests)
-    values = [ochiai(ctx.matrix.killed_tests(m), revealing)
-              for m in ctx.matrix.mutant_ids]
+    revealing = len(ctx.bug_revealing_tests)
+    shared = _revealing_kills(ctx).sum(axis=1).tolist()
+    killed = ctx.matrix.kills.sum(axis=1).tolist()
+    values = [ochiai(s, k, revealing) for s, k in zip(shared, killed)]
     return sum(values) / len(values)
 
 
@@ -98,8 +113,7 @@ def real_bug_detection(contexts: list[BugContext]) -> DetectionRates:
     for ctx in contexts:
         if not ctx.bug_revealing_tests:
             raise MetricsError(f"bug {ctx.bug_id} has no bug-revealing tests")
-        detected = sum(1 for t in ctx.bug_revealing_tests
-                       if ctx.matrix.killing_mutants(t))
+        detected = int(_revealing_kills(ctx).any(axis=0).sum())
         per_bug[ctx.bug_id] = detected / len(ctx.bug_revealing_tests)
         detected_total += detected
         revealing_total += len(ctx.bug_revealing_tests)
@@ -110,10 +124,8 @@ def real_bug_detection(contexts: list[BugContext]) -> DetectionRates:
 
 def coupled_mutants(ctx: BugContext) -> set[str]:
     """Mutants killed by at least one bug-revealing test."""
-    coupled = set()
-    for test_id in ctx.bug_revealing_tests:
-        coupled |= ctx.matrix.killing_mutants(test_id)
-    return coupled
+    hits = _revealing_kills(ctx).any(axis=1).tolist()
+    return {m for m, hit in zip(ctx.matrix.mutant_ids, hits) if hit}
 
 
 def coupling_rate(ctx: BugContext) -> float:
@@ -161,7 +173,7 @@ def effectiveness_report(contexts: list[BugContext]) -> EffectivenessReport:
         raise MetricsError("no bug has a non-empty useful mutant set")
 
     per_bug_ms = {ctx.bug_id: mutation_score(ctx) for ctx in active}
-    killed_total = sum(len(ctx.matrix.killed_mutants()) for ctx in active)
+    killed_total = sum(_killed_count(ctx) for ctx in active)
     mutant_total = sum(len(ctx.matrix.mutant_ids) for ctx in active)
 
     per_bug_ochiai = {ctx.bug_id: bug_ochiai(ctx) for ctx in active}

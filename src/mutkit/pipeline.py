@@ -721,25 +721,6 @@ def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
     return report.tcp_section(strategies, per_bug)
 
 
-def mutant_outcomes_from_matrix(matrix: KillMatrix,
-                                 original: TestOutcomeVector,
-                                 ) -> dict[str, TestOutcomeVector]:
-    """Rebuild each mutant's outcomes: a kill flips the original status.
-    Raises MbflError if the matrix and the original name different tests."""
-    differ = set(matrix.test_ids) ^ set(original.outcomes)
-    if differ:
-        raise MbflError(
-            f"bug {matrix.bug_id}: the kill matrix and the original outcomes "
-            f"name different tests: {sorted(differ)}")
-    statuses = [original.outcomes[test_id] for test_id in matrix.test_ids]
-    flipped = {"pass": "fail", "fail": "pass"}
-    return {
-        mutant_id: TestOutcomeVector(program_id=mutant_id, outcomes={
-            test_id: flipped[status] if killed else status
-            for test_id, status, killed in zip(matrix.test_ids, statuses, row)})
-        for mutant_id, row in zip(matrix.mutant_ids, matrix.kills.tolist())}
-
-
 def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
     per_bug: dict[str, dict] = {}
     for bug_id in sorted(bugs):
@@ -753,17 +734,15 @@ def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
         if not bug.matrix.mutant_ids:
             warnings.append(f"mbfl: bug {bug_id} has no useful mutants")
             continue
-        try:
-            mutant_outcomes = mutant_outcomes_from_matrix(bug.matrix, bug.original)
-        except MbflError as error:
-            warnings.append(f"mbfl: {error}")
-            continue
         statement_of = {mid: bug.materialized[mid].target_line
                         for mid in bug.matrix.mutant_ids}
-        per_bug[bug_id] = report.localize_bug(
-            bug_id, bug.original, mutant_outcomes, statement_of,
-            statements=range(1, bug.expected + 1),
-            faulty_statements=bug.target.faulty_lines)
+        try:
+            per_bug[bug_id] = report.localize_bug(
+                bug_id, bug.original, bug.matrix, statement_of,
+                statements=range(1, bug.expected + 1),
+                faulty_statements=bug.target.faulty_lines)
+        except MbflError as error:
+            warnings.append(f"mbfl: {error}")
     return report.mbfl_section(per_bug, warnings)
 
 

@@ -101,15 +101,13 @@ class PromptInstance:
     chunk: str
     examples: list[FewShotExample]
     requested_n: int
-    instruction: str = INSTRUCTION
-    output_instructions: str = OUTPUT_INSTRUCTIONS
 
     def __post_init__(self):
         if self.requested_n < 1:
             raise PromptError(f"requested_n must be positive, got {self.requested_n}")
 
     def render(self) -> str:
-        instruction = self.instruction.replace("{N}", str(self.requested_n))
+        instruction = INSTRUCTION.replace("{N}", str(self.requested_n))
         examples_json = json.dumps(
             [{"precode": e.precode, "aftercode": e.aftercode} for e in self.examples])
         return (
@@ -122,7 +120,7 @@ class PromptInstance:
             f"[Few-Shot Examples]: <json> {examples_json} </json>\n"
             f"\n"
             f"[Output Instructions]:\n"
-            f"{self.output_instructions}"
+            f"{OUTPUT_INSTRUCTIONS}"
         )
 
 

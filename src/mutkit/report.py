@@ -127,13 +127,12 @@ def tcp_section(strategies: Mapping[str, Callable],
             "mean_apfd": mean_apfd}
 
 
-def localize_bug(bug_id: str, original: TestOutcomeVector,
-                 mutant_outcomes: Mapping[str, TestOutcomeVector],
+def localize_bug(bug_id: str, original: TestOutcomeVector, matrix: KillMatrix,
                  statement_of: Mapping[str, int], statements: Iterable[int],
                  faulty_statements: Iterable[int],
                  ) -> dict[str, SuspiciousnessReport]:
     """One bug's ranking under each of MUSE and Metallaxis."""
-    return {method: mbfl.localize(bug_id, original, mutant_outcomes,
+    return {method: mbfl.localize(bug_id, original, matrix,
                                   statement_of, method, statements=statements,
                                   faulty_statements=faulty_statements)
             for method in mbfl.AGGREGATION_METHODS}

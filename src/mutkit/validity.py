@@ -109,20 +109,20 @@ def substitute_command(template: str, source_path: str) -> list[str]:
     return [part.replace("{source}", source_path) for part in parts]
 
 
-def check_compile(source_text: str, compile_command: str, timeout: float = 60.0,
-                  suffix: str = ".java") -> CompileResult:
+def check_compile(source_text: str, compile_command: str,
+                  timeout: float = 60.0) -> CompileResult:
     """Run the external compile command on a mutant's source.
 
     The command template must contain {source}; the source text is written
-    to an isolated temporary file first.  Exit status 0 within the timeout
-    means compilable; a timeout counts as non-compilable with a distinct
-    flag.
+    to an isolated temporary ``.java`` file first.  Exit status 0 within
+    the timeout means compilable; a timeout counts as non-compilable with
+    a distinct flag.
 
     Raises:
         ValidityError: if the command executable does not exist.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        source_path = os.path.join(tmp, f"mutant{suffix}")
+        source_path = os.path.join(tmp, "mutant.java")
         with open(source_path, "w", encoding="utf-8") as handle:
             handle.write(source_text)
         command = substitute_command(compile_command, source_path)

@@ -24,8 +24,8 @@ def random_kill_table(rng: random.Random, max_mutants=50, max_tests=50,
 
 def oracle_mutation_score(table):
     killed = 0
-    for killed_tests in table.values():
-        if len(killed_tests) > 0:
+    for killed_set in table.values():
+        if len(killed_set) > 0:
             killed += 1
     return killed / len(table)
 
@@ -42,16 +42,16 @@ def oracle_ochiai(set_a, set_b):
 
 def oracle_bug_ochiai(table, revealing):
     total = 0.0
-    for killed_tests in table.values():
-        total += oracle_ochiai(killed_tests, revealing)
+    for killed_set in table.values():
+        total += oracle_ochiai(killed_set, revealing)
     return total / len(table)
 
 
 def oracle_detection(table, revealing):
     detected = 0
     for t in revealing:
-        for killed_tests in table.values():
-            if t in killed_tests:
+        for killed_set in table.values():
+            if t in killed_set:
                 detected += 1
                 break
     return detected, len(revealing)
@@ -59,8 +59,8 @@ def oracle_detection(table, revealing):
 
 def oracle_coupling(table, revealing):
     coupled = 0
-    for killed_tests in table.values():
-        if any(t in revealing for t in killed_tests):
+    for killed_set in table.values():
+        if any(t in revealing for t in killed_set):
             coupled += 1
     return coupled / len(table)
 
@@ -80,8 +80,8 @@ def kill_column(table, mutants, test):
 
 def additional_kills(table, test, covered):
     gained = 0
-    for m, killed_tests in table.items():
-        if test in killed_tests and m not in covered:
+    for m, killed_set in table.items():
+        if test in killed_set and m not in covered:
             gained += 1
     return gained
 
@@ -134,10 +134,10 @@ def oracle_mutant_outcomes(table, original):
     """{mutant: {test: status}}: a killed test flips the original status."""
     flipped = {"pass": "fail", "fail": "pass"}
     outcomes = {}
-    for mutant, killed_tests in table.items():
+    for mutant, killed_set in table.items():
         outcomes[mutant] = {}
         for test, status in original.items():
-            outcomes[mutant][test] = flipped[status] if test in killed_tests else status
+            outcomes[mutant][test] = flipped[status] if test in killed_set else status
     return outcomes
 
 

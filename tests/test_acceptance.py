@@ -20,7 +20,7 @@ from mutkit.chunker import chunk_method, parse_method
 from mutkit.cli import main
 from mutkit.corpus import ingest_corpus
 from mutkit.embedder import LexicalEmbedder, VectorIndex
-from mutkit.execution import TestOutcomeVector
+from mutkit.execution import TestOutcomeVector, build_kill_matrix
 from mutkit.mbfl import localize, rank
 from mutkit.metrics import (
     BugContext,
@@ -105,8 +105,9 @@ def test_criterion_3_metric_oracle_equivalence():
                          bug_revealing_tests=frozenset(revealing))
         assert mutation_score(ctx) == oracle_mutation_score(table)
         assert coupling_rate(ctx) == oracle_coupling(table, revealing)
-        for mutant_id in ctx.matrix.mutant_ids:
-            assert (ochiai(ctx.matrix.killed_tests(mutant_id), revealing)
+        for mutant_id, row in zip(ctx.matrix.mutant_ids, ctx.matrix.kills):
+            killed = {t for t, hit in zip(ctx.matrix.test_ids, row) if hit}
+            assert (ochiai(len(killed & revealing), len(killed), len(revealing))
                     == oracle_ochiai(table[mutant_id], revealing))
         value = bug_ochiai(ctx)
         assert value == oracle_bug_ochiai(table, revealing)
@@ -223,8 +224,9 @@ def test_criterion_6_mbfl_single_fault_sanity():
     for case in range(40):
         original, mutant_outcomes, statement_of, statements, faulty = (
             _single_fault_instance(rng, case))
+        matrix = build_kill_matrix(original, list(mutant_outcomes.values()))
         for method in ("muse", "metallaxis"):
-            report = localize(f"bug{case}", original, mutant_outcomes,
+            report = localize(f"bug{case}", original, matrix,
                               statement_of, method, statements=statements,
                               faulty_statements=[faulty])
             assert report.expected_ranks[faulty] == 1.0

@@ -20,7 +20,7 @@ from mutkit.execution import (
     save_matrix,
     save_outcomes,
 )
-from mutkit.validity import ValidityError
+from mutkit.validity import CompileResult, ValidityError
 
 
 def vector(program_id, **outcomes):
@@ -58,6 +58,11 @@ RUNNER = (
 )
 
 
+# Prints a status line, then a log line starting with byte 0xff.
+NOT_UTF8_RUNNER = (f"{sys.executable} -c \"import sys; "
+                   "sys.stdout.buffer.write(b't1 PASS\\n\\xff log line\\n')\" {source}")
+
+
 class TestRunSuite:
     def test_runner_lines_become_vector(self):
         result = run_suite("alpha", RUNNER, program_id="orig",
@@ -88,26 +93,39 @@ class TestRunSuite:
         with pytest.raises(RunnerError, match="unknown"):
             run_suite("alpha", RUNNER, program_id="orig", expected_tests=["t1"])
 
+    def test_output_that_is_not_utf8_is_replaced(self):
+        result = run_suite("x", NOT_UTF8_RUNNER, program_id="m1",
+                           expected_tests=["t1"])
+        assert result.outcomes == {"t1": "pass"} and result.flags == {}
+
+    def test_output_that_is_not_utf8_through_the_run_queue(self, tmp_path):
+        with run_queue(tmp_path, workers=1) as queue:
+            result = queue.suite("x", NOT_UTF8_RUNNER, program_id="m1",
+                                 expected_tests=["t1"]).result()
+        assert result.outcomes == {"t1": "pass"} and result.flags == {}
+
 
 class TestBuildKillMatrix:
     def test_identical_vector_survives(self):
         original = vector("orig", t1="pass", t2="pass")
         mutant = vector("m1", t1="pass", t2="pass")
         matrix = build_kill_matrix(original, [mutant], bug_id="b")
-        assert matrix.killed_tests("m1") == set()
+        assert matrix.kills.tolist() == [[False, False]]
 
     def test_single_flip_sets_single_cell(self):
         original = vector("orig", t1="pass", t2="pass")
         mutant = vector("m1", t1="pass", t2="fail")
         matrix = build_kill_matrix(original, [mutant], bug_id="b")
-        assert matrix.killed_tests("m1") == {"t2"}
+        assert matrix.test_ids == ("t1", "t2")
+        assert matrix.kills.tolist() == [[False, True]]
 
     def test_fail_to_pass_flip_is_a_kill(self):
         # Buggy-version mode: the original fails t2; the mutant passes it.
         original = vector("orig", t1="pass", t2="fail")
         mutant = vector("m1", t1="pass", t2="pass")
         matrix = build_kill_matrix(original, [mutant], bug_id="b")
-        assert matrix.kill("m1", "t2") is True
+        assert matrix.test_ids == ("t1", "t2")
+        assert matrix.kills.tolist() == [[False, True]]
 
     def test_test_id_mismatch_rejected(self):
         original = vector("orig", t1="pass")
@@ -119,8 +137,8 @@ class TestBuildKillMatrix:
         original = TestOutcomeVector("orig", {"t2": "pass", "t1": "pass"})
         mutant = TestOutcomeVector("m1", {"t1": "fail", "t2": "pass"})
         matrix = build_kill_matrix(original, [mutant], bug_id="b")
-        assert matrix.kill("m1", "t1") is True
-        assert matrix.kill("m1", "t2") is False
+        assert matrix.test_ids == ("t1", "t2")
+        assert matrix.kills.tolist() == [[True, False]]
 
 
 class TestMatrixPersistence:
@@ -240,11 +258,11 @@ class TestRunMutantSuites:
 CHECKER = f"{sys.executable} -c \"import sys; sys.exit('x' in open(sys.argv[1]).read())\" {{source}}"
 
 
-def run_once(directory, source="alpha", command=RUNNER, suffix=".java",
+def run_once(directory, source="alpha", command=RUNNER,
              expected=("t1", "t2"), program_id="m1"):
     with run_queue(directory, workers=2) as queue:
         return queue.suite(source, command, program_id=program_id,
-                           expected_tests=list(expected), suffix=suffix).result()
+                           expected_tests=list(expected)).result()
 
 
 class TestRunQueueCache:
@@ -275,7 +293,6 @@ class TestRunQueueCache:
     @pytest.mark.parametrize("change", [
         {"source": "alpha beta"},
         {"command": RUNNER.replace("print('t2'", "print( 't2'")},
-        {"suffix": ".txt"},
         {"expected": ("t1", "t2", "t3")},
     ])
     def test_any_key_part_changed_is_a_miss(self, tmp_path, process_count, change):
@@ -360,6 +377,27 @@ class TestRunQueueCache:
             assert stored.read_text() == "ok\n"
             stored.write_text(garbage)
         assert len(process_count) == 2
+
+
+class TestRunKeys:
+    """Run-cache file names recorded when the key still named a settable
+    file suffix; entries already stored under ``runs/`` keep their names."""
+
+    COMPILE_KEY = "8030a990855ed257d18728cb857292f889ed6a8a86cca92a2a76643aae8501dc"
+    SUITE_KEY = "a530b9b0b0a462a5b68ae3594e0fa10d4d2867dcad7b2d1b37edeb3bb5813eb2"
+
+    def test_compile_and_suite_keys_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("mutkit.execution.check_compile",
+                            lambda *args, **kwargs: CompileResult(ok=True))
+        monkeypatch.setattr("mutkit.execution.run_suite", lambda *args, **kwargs:
+                            vector(kwargs["program_id"], t1="pass", t2="fail"))
+        with run_queue(tmp_path / "compile", workers=1) as queue:
+            assert queue.compile("class A {}", "javac {source}", timeout=30.0).result()
+        with run_queue(tmp_path / "suite", workers=1) as queue:
+            queue.suite("class A {}", "run-tests {source}", program_id="m1",
+                        expected_tests=["t2", "t1"]).result()
+        assert [p.name for p in (tmp_path / "compile").iterdir()] == [self.COMPILE_KEY]
+        assert [p.name for p in (tmp_path / "suite").iterdir()] == [self.SUITE_KEY]
 
 
 class TestOutcomesPersistence:

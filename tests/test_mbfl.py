@@ -2,10 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mutkit.execution import TestOutcomeVector
+from mutkit.execution import KillMatrix, TestOutcomeVector, build_kill_matrix
 from mutkit.mbfl import (
+    AGGREGATION_METHODS,
     FLGlobals,
     MbflError,
     MutantFLStats,
@@ -18,11 +22,21 @@ from mutkit.mbfl import (
     muse_score,
     rank,
 )
-from oracles import oracle_metallaxis, oracle_muse, oracle_tie_ranks
+from oracles import (
+    oracle_metallaxis,
+    oracle_muse,
+    oracle_mutant_outcomes,
+    oracle_tie_ranks,
+    random_kill_table,
+)
 
 
 def vector(program_id, **outcomes):
     return TestOutcomeVector(program_id=program_id, outcomes=dict(outcomes))
+
+
+def kill_matrix(original, *mutants):
+    return build_kill_matrix(original, list(mutants), bug_id="bug")
 
 
 ORIGINAL = vector("buggy", t1="fail", t2="fail", t3="pass", t4="pass")
@@ -30,7 +44,8 @@ ORIGINAL = vector("buggy", t1="fail", t2="fail", t3="pass", t4="pass")
 
 class TestFlStats:
     def test_flip_of_one_failing_test_counts_as_failed_m(self):
-        mutants = {"m1": vector("m1", t1="pass", t2="fail", t3="pass", t4="pass")}
+        mutants = kill_matrix(ORIGINAL, vector("m1", t1="pass", t2="fail", t3="pass",
+                                               t4="pass"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 7})
         assert stats[0].failed_m == 1
         assert stats[0].passed_m == 0
@@ -38,7 +53,8 @@ class TestFlStats:
         assert globals_.totalfailed == 2
 
     def test_identical_outcomes_count_nothing(self):
-        mutants = {"m1": vector("m1", t1="fail", t2="fail", t3="pass", t4="pass")}
+        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="pass",
+                                               t4="pass"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 3})
         assert stats[0].failed_m == 0
         assert stats[0].passed_m == 0
@@ -48,20 +64,22 @@ class TestFlStats:
     def test_globals_sum_over_mutants(self):
         original = vector("buggy", t1="fail", t2="fail", t3="pass")
         flips = {"m1": 1, "m2": 0, "m3": 2, "m4": 1}
-        mutants = {}
+        vectors = []
         for mutant_id, failed_m in flips.items():
             outcomes = {"t1": "fail", "t2": "fail", "t3": "pass"}
             if failed_m >= 1:
                 outcomes["t1"] = "pass"
             if failed_m >= 2:
                 outcomes["t2"] = "pass"
-            mutants[mutant_id] = TestOutcomeVector(mutant_id, outcomes)
-        stats, globals_ = fl_stats(original, mutants, {m: 1 for m in mutants})
+            vectors.append(TestOutcomeVector(mutant_id, outcomes))
+        stats, globals_ = fl_stats(original, kill_matrix(original, *vectors),
+                                   {m: 1 for m in flips})
         assert [s.failed_m for s in stats] == [1, 0, 2, 1]
         assert globals_.f2p == 4
 
     def test_pass_to_fail_flip_counts_as_passed_m(self):
-        mutants = {"m1": vector("m1", t1="fail", t2="fail", t3="fail", t4="fail")}
+        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="fail",
+                                               t4="fail"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 2})
         assert stats[0].passed_m == 2
         assert globals_.p2f == 2
@@ -69,17 +87,97 @@ class TestFlStats:
     def test_requires_a_failing_test(self):
         healthy = vector("fixed", t1="pass")
         with pytest.raises(MbflError, match="no failing test"):
-            fl_stats(healthy, {}, {})
+            fl_stats(healthy, kill_matrix(healthy), {})
 
     def test_rejects_mismatched_test_sets(self):
-        mutants = {"m1": vector("m1", t1="pass")}
-        with pytest.raises(MbflError, match="test set differs"):
+        mutants = KillMatrix("bug", ("m1",), ("t1",), np.zeros((1, 1), dtype=bool))
+        with pytest.raises(MbflError, match="name different tests"):
             fl_stats(ORIGINAL, mutants, {"m1": 1})
 
     def test_rejects_unmapped_mutants(self):
-        mutants = {"m1": vector("m1", t1="fail", t2="fail", t3="pass", t4="pass")}
+        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="pass",
+                                               t4="pass"))
         with pytest.raises(MbflError, match="no statement mapping"):
             fl_stats(ORIGINAL, mutants, {})
+
+
+def shuffled_matrix(table, tests, rng):
+    """The kill matrix of ``table`` with its rows and columns shuffled."""
+    mutants, columns = sorted(table), list(tests)
+    rng.shuffle(mutants)
+    rng.shuffle(columns)
+    kills = np.array([[t in table[m] for t in columns] for m in mutants],
+                     dtype=bool).reshape(len(mutants), len(columns))
+    return KillMatrix("B", tuple(mutants), tuple(columns), kills)
+
+
+def oracle_fl_stats(table, original, statement_of):
+    """Flip counts read off the rebuilt outcomes of every mutant."""
+    outcomes = oracle_mutant_outcomes(table, original)
+    stats = [MutantFLStats(
+        mutant_id=m, statement=statement_of[m],
+        failed_m=sum(original[t] == "fail" and outcomes[m][t] == "pass"
+                     for t in original),
+        passed_m=sum(original[t] == "pass" and outcomes[m][t] == "fail"
+                     for t in original)) for m in sorted(table)]
+    return stats, FLGlobals(
+        totalfailed=sum(status == "fail" for status in original.values()),
+        f2p=sum(s.failed_m for s in stats), p2f=sum(s.passed_m for s in stats))
+
+
+class TestFlStatsOnKillMatrices:
+    def test_matches_the_oracle_flip_counts(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            table, tests = random_kill_table(rng, max_mutants=12, max_tests=9)
+            if rng.random() < 0.1:
+                table = {}
+            original = {t: rng.choice(("pass", "fail")) for t in tests}
+            original[rng.choice(tests)] = "fail"
+            statement_of = {m: rng.randint(1, 5) for m in table}
+            assert fl_stats(TestOutcomeVector("B", original),
+                            shuffled_matrix(table, tests, rng), statement_of) == \
+                oracle_fl_stats(table, original, statement_of)
+
+    @pytest.mark.parametrize("original_tests", [("t1",), ("t1", "t2", "t3")])
+    def test_rejects_outcomes_for_other_tests(self, original_tests):
+        matrix = KillMatrix(bug_id="B-1", mutant_ids=("m1",),
+                            test_ids=("t1", "t2"), kills=[[True, False]])
+        original = TestOutcomeVector(
+            program_id="B-1", outcomes={t: "pass" for t in original_tests})
+        differ = sorted(set(original_tests) ^ {"t1", "t2"})
+        with pytest.raises(MbflError) as error:
+            fl_stats(original, matrix, {"m1": 1})
+        assert str(error.value) == (
+            f"bug B-1: the kill matrix and the original outcomes name "
+            f"different tests: {differ}")
+
+
+@st.composite
+def buggy_kill_tables(draw):
+    """A kill table, buggy-version outcomes with a failing test, statements."""
+    tests = [f"t{j}" for j in range(draw(st.integers(1, 8)))]
+    killed = draw(st.lists(st.sets(st.sampled_from(tests)), max_size=12))
+    table = {f"m{i:02d}": set(tests_killed) for i, tests_killed in enumerate(killed)}
+    statuses = draw(st.lists(st.sampled_from(["pass", "fail"]),
+                             min_size=len(tests), max_size=len(tests)))
+    original = dict(zip(tests, statuses))
+    original[draw(st.sampled_from(tests))] = "fail"
+    statement_of = {m: draw(st.integers(1, 4)) for m in table}
+    return table, tests, original, statement_of
+
+
+@given(case=buggy_kill_tables(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_fl_stats_on_shuffled_rows_match_the_oracle(case, seed):
+    table, tests, original, statement_of = case
+    vector = TestOutcomeVector("B", original)
+    matrix = shuffled_matrix(table, tests, random.Random(seed))
+    assert fl_stats(vector, matrix, statement_of) == \
+        oracle_fl_stats(table, original, statement_of)
+    for method in AGGREGATION_METHODS:
+        assert localize("B", vector, matrix, statement_of, method).scores == \
+            localize("B", vector, matrix.sorted_copy(), statement_of, method).scores
 
 
 class TestMuseScore:
@@ -204,12 +302,13 @@ class TestLocalize:
     def build_single_fault_instance(self):
         # Statement 4 is faulty: only its mutants flip the failing test.
         original = vector("buggy", t1="fail", t2="pass", t3="pass")
-        mutants = {
-            "m1": vector("m1", t1="pass", t2="pass", t3="pass"),
-            "m2": vector("m2", t1="pass", t2="pass", t3="pass"),
-            "m3": vector("m3", t1="fail", t2="fail", t3="pass"),
-            "m4": vector("m4", t1="fail", t2="pass", t3="pass"),
-        }
+        mutants = kill_matrix(
+            original,
+            vector("m1", t1="pass", t2="pass", t3="pass"),
+            vector("m2", t1="pass", t2="pass", t3="pass"),
+            vector("m3", t1="fail", t2="fail", t3="pass"),
+            vector("m4", t1="fail", t2="pass", t3="pass"),
+        )
         statement_of = {"m1": 4, "m2": 4, "m3": 9, "m4": 12}
         return original, mutants, statement_of
 

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutkit.execution import KillMatrix
 from mutkit.metrics import (
@@ -25,6 +27,7 @@ from oracles import (
     oracle_detection,
     oracle_high_similarity,
     oracle_mutation_score,
+    oracle_ochiai,
     random_kill_table,
 )
 
@@ -75,17 +78,18 @@ class TestMutationScore:
 
 class TestOchiai:
     def test_hand_value(self):
-        assert ochiai({"t1", "t2"}, {"t2", "t3"}) == 0.5
+        # {t1, t2} against {t2, t3}.
+        assert ochiai(1, 2, 2) == 0.5
 
     def test_identical_nonempty_sets(self):
-        assert ochiai({"t1", "t2", "t3"}, {"t1", "t2", "t3"}) == pytest.approx(1.0)
+        assert ochiai(3, 3, 3) == pytest.approx(1.0)
 
     def test_disjoint_sets(self):
-        assert ochiai({"t1"}, {"t2"}) == 0.0
+        assert ochiai(0, 1, 1) == 0.0
 
     def test_empty_set_convention(self):
-        assert ochiai(set(), {"t1"}) == 0.0
-        assert ochiai({"t1"}, set()) == 0.0
+        assert ochiai(0, 0, 1) == 0.0
+        assert ochiai(0, 1, 0) == 0.0
 
     def test_symmetry_and_bounds(self):
         rng = random.Random(17)
@@ -93,8 +97,9 @@ class TestOchiai:
         for _ in range(200):
             a = {t for t in universe if rng.random() < 0.4}
             b = {t for t in universe if rng.random() < 0.4}
-            value = ochiai(a, b)
-            assert value == ochiai(b, a)
+            value = ochiai(len(a & b), len(a), len(b))
+            assert value == ochiai(len(a & b), len(b), len(a))
+            assert value == oracle_ochiai(a, b)
             assert 0.0 <= value <= 1.0
 
 
@@ -261,3 +266,32 @@ class TestBruteForceEquivalence:
             assert coupling_rate(ctx) == oracle_coupling(table, revealing)
             detected, total = oracle_detection(table, revealing)
             assert real_bug_detection([ctx]).micro == detected / total
+
+
+@st.composite
+def shuffled_kill_tables(draw):
+    """A kill table, its revealing tests, and a matrix row and column order."""
+    tests = [f"t{j}" for j in range(draw(st.integers(1, 8)))]
+    killed = draw(st.lists(st.sets(st.sampled_from(tests)), min_size=1, max_size=12))
+    table = {f"m{i:02d}": set(tests_killed) for i, tests_killed in enumerate(killed)}
+    revealing = draw(st.sets(st.sampled_from(tests), min_size=1))
+    rows = draw(st.permutations(sorted(table)))
+    columns = draw(st.permutations(tests))
+    return table, revealing, rows, columns
+
+
+@given(shuffled_kill_tables())
+@settings(max_examples=150, deadline=None)
+def test_metrics_on_shuffled_rows_match_the_oracles(case):
+    table, revealing, rows, columns = case
+    kills = np.array([[t in table[m] for t in columns] for m in rows], dtype=bool)
+    ctx = BugContext(bug_id="b", matrix=KillMatrix("b", tuple(rows), tuple(columns),
+                                                    kills),
+                     bug_revealing_tests=frozenset(revealing))
+    assert mutation_score(ctx) == oracle_mutation_score(table)
+    # The mean adds per-mutant values in row order, as the oracle does here.
+    assert bug_ochiai(ctx) == oracle_bug_ochiai({m: table[m] for m in rows}, revealing)
+    assert coupling_rate(ctx) == oracle_coupling(table, revealing)
+    assert coupled_mutants(ctx) == {m for m in table if table[m] & revealing}
+    detected, total = oracle_detection(table, revealing)
+    assert real_bug_detection([ctx]).micro == detected / total

@@ -7,16 +7,13 @@ sources so mutants genuinely pass or fail the emulated suites.
 
 import hashlib
 import json
-import random
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mutkit.execution import KillMatrix, TestOutcomeVector
 from mutkit.llm import MockBackend, write_mock_script
-from mutkit.mbfl import MbflError
 from mutkit.pipeline import (
     ALL_STAGES,
     GenerateOutcome,
@@ -26,12 +23,10 @@ from mutkit.pipeline import (
     load_config,
     load_targets,
     make_backend,
-    mutant_outcomes_from_matrix,
     pick_targets,
     run_evaluate,
     run_generate,
 )
-from oracles import oracle_mutant_outcomes, random_kill_table
 
 RUNNER = Path(__file__).parent / "toyrunner.py"
 TEST_COMMAND = f"{sys.executable} {RUNNER} {{source}}"
@@ -766,36 +761,6 @@ class TestEvaluateBuggyMode:
         payload = json.loads(
             (outcome.out_dir / "mbfl.json").read_text(encoding="utf-8"))
         assert payload["metrics"]["muse"]["top_k"]["1"] == 1
-
-
-class TestMutantOutcomesFromMatrix:
-    def test_matches_cell_by_cell_flips(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            table, tests = random_kill_table(rng, max_mutants=12, max_tests=9)
-            if rng.random() < 0.1:
-                table = {}
-            original = {t: rng.choice(("pass", "fail")) for t in tests}
-            mutants = sorted(table)
-            matrix = KillMatrix(
-                bug_id="B", mutant_ids=tuple(mutants), test_ids=tuple(tests),
-                kills=np.array([[t in table[m] for t in tests] for m in mutants],
-                               dtype=bool).reshape(len(mutants), len(tests)))
-            vectors = mutant_outcomes_from_matrix(
-                matrix, TestOutcomeVector(program_id="B", outcomes=original))
-            assert list(vectors) == mutants
-            assert {m: v.outcomes for m, v in vectors.items()} == \
-                oracle_mutant_outcomes(table, original)
-            assert all(v.program_id == m for m, v in vectors.items())
-
-    @pytest.mark.parametrize("original_tests", [("t1",), ("t1", "t2", "t3")])
-    def test_rejects_outcomes_for_other_tests(self, original_tests):
-        matrix = KillMatrix(bug_id="B-1", mutant_ids=("m1",),
-                            test_ids=("t1", "t2"), kills=[[True, False]])
-        original = TestOutcomeVector(
-            program_id="B-1", outcomes={t: "pass" for t in original_tests})
-        with pytest.raises(MbflError, match="^bug B-1: .*different tests"):
-            mutant_outcomes_from_matrix(matrix, original)
 
 
 class TestEvaluateErrors:

@@ -380,8 +380,8 @@ class TestRunQueueCache:
 
 
 class TestRunKeys:
-    """Run-cache file names recorded when the key still named a settable
-    file suffix; entries already stored under ``runs/`` keep their names."""
+    """Run-cache file names are pinned, so entries already stored under
+    ``runs/`` keep being found."""
 
     COMPILE_KEY = "8030a990855ed257d18728cb857292f889ed6a8a86cca92a2a76643aae8501dc"
     SUITE_KEY = "a530b9b0b0a462a5b68ae3594e0fa10d4d2867dcad7b2d1b37edeb3bb5813eb2"

@@ -290,10 +290,12 @@ class TestRunQueueCache:
         assert [v.program_id for v in vectors] == ["m0", "m1", "m2", "m3"]
         assert all(v.outcomes == {"t1": "pass", "t2": "fail"} for v in vectors)
 
+    # The ids are kept from when the source suffix was a key part (change2).
     @pytest.mark.parametrize("change", [
-        {"source": "alpha beta"},
-        {"command": RUNNER.replace("print('t2'", "print( 't2'")},
-        {"expected": ("t1", "t2", "t3")},
+        pytest.param({"source": "alpha beta"}, id="change0"),
+        pytest.param({"command": RUNNER.replace("print('t2'", "print( 't2'")},
+                     id="change1"),
+        pytest.param({"expected": ("t1", "t2", "t3")}, id="change3"),
     ])
     def test_any_key_part_changed_is_a_miss(self, tmp_path, process_count, change):
         run_once(tmp_path)

@@ -169,8 +169,6 @@ def _lex(source: str) -> list[Token]:
                 i += 1
             else:
                 raise MethodSyntaxError("unterminated literal", start_line)
-            if text[-1] != quote or len(text) < 2:
-                raise MethodSyntaxError("unterminated literal", start_line)
             tokens.append(Token("literal", "".join(text), start_line))
             continue
         if ch.isdigit():

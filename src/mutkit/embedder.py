@@ -2,8 +2,15 @@
 
 The default backend is a deterministic lexical embedder: code is tokenized,
 token trigrams are hashed into a fixed number of buckets, and the vector is
-the raw bucket-count histogram.  Hashing uses BLAKE2, so vectors are stable
-across processes and platforms.  Every index records which backend produced it.
+the raw bucket-count histogram (feature hashing).  Hashing uses BLAKE2, so
+vectors are stable across processes and platforms.  Every index records which
+backend produced it.
+
+``LexicalEmbedder.embed_many`` embeds a batch of texts at once: tokens are
+interned to integers, every trigram of the batch becomes one integer code,
+each distinct trigram is hashed once, and the counts go into one float32
+matrix through ``np.bincount``.  ``build_index`` embeds the whole corpus in
+one such batch and stores that matrix as the index, at its final size.
 
 ``VectorIndex.query_many`` answers many probes at once.  Because the
 histograms are small integer counts, it scores a block of probes with one
@@ -14,12 +21,12 @@ that to be exact, are scored entry by entry.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
 import re
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +71,9 @@ class CodeEmbedding:
     backend_id: str
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _bucket(joined_trigram: str, dimension: int) -> int:
-    digest = hashlib.blake2b(joined_trigram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") % dimension
+# embed_many counts at most this many matrix cells per np.bincount call, so
+# its int64 count temporary stays small whatever the batch size.
+_COUNT_BLOCK_CELLS = 1 << 16
 
 
 class LexicalEmbedder:
@@ -86,13 +92,70 @@ class LexicalEmbedder:
         inputs with fewer than three tokens still produce trigrams.  Raises
         EmbeddingError for empty or whitespace-only input.
         """
-        if not code or not code.strip():
+        return CodeEmbedding(values=self.embed_many([code])[0],
+                             backend_id=self.backend_id)
+
+    def embed_many(self, texts) -> np.ndarray:
+        """``embed(text).values`` of every text, as rows of one float32 matrix.
+
+        The rows are counted with ``np.bincount`` over blocks of at most
+        ``_COUNT_BLOCK_CELLS`` cells, into a matrix allocated once the
+        trigrams are hashed.  Raises EmbeddingError if any text is empty or
+        whitespace-only.
+        """
+        buckets, counts = _trigram_buckets(texts, self.dimension)
+        vectors = np.empty((len(counts), self.dimension), dtype=np.float32)
+        bounds = np.cumsum([0] + counts)
+        step = max(1, _COUNT_BLOCK_CELLS // self.dimension)
+        for first in range(0, len(counts), step):
+            last = min(first + step, len(counts))
+            rows = np.repeat(np.arange(last - first), counts[first:last])
+            cells = buckets[bounds[first]:bounds[last]] + rows * self.dimension
+            vectors[first:last] = np.bincount(
+                cells, minlength=(last - first) * self.dimension).reshape(last - first, -1)
+        return vectors
+
+
+def _trigram_buckets(texts, dimension: int) -> tuple[np.ndarray, list[int]]:
+    """The bucket of every trigram of the padded texts, in text order, and
+    each text's trigram count (its token count plus two).
+
+    Each text's tokens are interned to integer ids as it is tokenized, so
+    only the distinct token strings of the batch are kept; a literal
+    boundary token gets the boundary's id.  The id sequences are joined
+    with two boundary ids before, between and after the texts, so every
+    window of three ids is exactly one trigram of one padded text.  A
+    trigram gets one int64 code (its first two ids are coded as a pair
+    first, so no code overflows), and each distinct code is hashed once.
+    """
+    token_ids: defaultdict[str, int] = defaultdict()
+    token_ids.default_factory = token_ids.__len__
+    token_ids[_BOUNDARY] = 0
+    flat = [0, 0]
+    counts = []
+    for text in texts:
+        if not text or not text.strip():
             raise EmbeddingError("cannot embed empty code")
-        tokens = [_BOUNDARY, _BOUNDARY] + tokenize(code) + [_BOUNDARY, _BOUNDARY]
-        buckets = [_bucket(_SEPARATOR.join(tokens[i:i + 3]), self.dimension)
-                   for i in range(len(tokens) - 2)]
-        values = np.bincount(buckets, minlength=self.dimension).astype(np.float32)
-        return CodeEmbedding(values=values, backend_id=self.backend_id)
+        before = len(flat)
+        flat.extend(map(token_ids.__getitem__, tokenize(text)))
+        flat += (0, 0)
+        counts.append(len(flat) - before)
+    ids = np.array(flat, dtype=np.int64)
+    vocabulary = len(token_ids)
+    pairs, pair_of = np.unique(ids[:-2] * vocabulary + ids[1:-1], return_inverse=True)
+    trigrams, trigram_of = np.unique(pair_of * vocabulary + ids[2:], return_inverse=True)
+    firsts, seconds = np.divmod(pairs[trigrams // vocabulary], vocabulary)
+    # The UTF-8 of a "\x1f"-joined trigram is its tokens' UTF-8, joined.
+    tokens = [token.encode("utf-8") for token in token_ids]
+    separator = _SEPARATOR.encode("utf-8")
+    blake2b = hashlib.blake2b
+    digests = b"".join(
+        blake2b(separator.join((tokens[a], tokens[b], tokens[c])), digest_size=8).digest()
+        for a, b, c in zip(firsts.tolist(), seconds.tolist(),
+                           (trigrams % vocabulary).tolist()))
+    buckets = np.frombuffer(digests, dtype="<u8") % dimension
+    # As int64: uint64 plus the int64 row offsets would promote to float64.
+    return buckets.astype(np.int64)[trigram_of], counts
 
 
 def _as_vector(probe, dimension: int) -> np.ndarray:
@@ -113,7 +176,8 @@ class VectorIndex:
     """Exact nearest-neighbor index with linear scan over stored vectors.
 
     Vectors are stored unnormalized in one float32 matrix whose capacity
-    doubles when it fills; the cosine metric normalizes at query time, with
+    doubles when ``add`` fills it (``build_index`` and ``load`` store it at
+    its final size); the cosine metric normalizes at query time, with
     the per-row norms cached until the next ``add``.  ``query_many`` scores
     a block of probes with one matrix product when that is exact (integer
     vectors of bounded norm, as the lexical embedder makes) and entry by
@@ -381,16 +445,23 @@ def build_index(corpus, backend=None, metric: str = "euclidean",
             or pre_fix.
 
     Returns:
-        A VectorIndex with one entry per pair, keyed by pair id.
+        A VectorIndex with one entry per pair, keyed by pair id, whose
+        matrix is the one ``embed_many`` returns for all keys.
     """
     if key_side not in ("post_fix", "pre_fix"):
         raise EmbeddingError(f"key_side must be post_fix or pre_fix, got {key_side!r}")
     backend = backend or LexicalEmbedder()
     index = VectorIndex(dimension=backend.dimension, metric=metric,
                         backend_id=backend.backend_id)
-    for pair in corpus:
-        text = pair.post_fix_code if key_side == "post_fix" else pair.pre_fix_code
-        index.add(pair.id, backend.embed(text))
+    pairs = list(corpus)
+    for pair in pairs:
+        if pair.id in index._known_ids:
+            raise EmbeddingError(f"duplicate index entry id {pair.id!r}")
+        index._known_ids.add(pair.id)
+        index.ids.append(pair.id)
+    index._vectors = backend.embed_many(
+        [pair.post_fix_code if key_side == "post_fix" else pair.pre_fix_code
+         for pair in pairs])
     logger.info("built %s index with %d entries (metric=%s)",
                 index.backend_id, len(index), metric)
     return index

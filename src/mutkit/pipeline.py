@@ -336,19 +336,24 @@ def _retrieval_context(config: PipelineConfig):
 def _retrieve(retrieval, texts: list[str], n: int) -> list:
     """The retrieved pairs of each chunk text, or why retrieval failed for it.
 
-    Every probe goes into one ``query_many``, and only the corpus records
-    it returns are diffed.  A chunk that cannot be embedded, or that
-    retrieves an id the corpus has no single-hunk pair for, gets a message.
+    All chunks are embedded with one ``embed_many`` (chunk by chunk only
+    when that fails), every probe goes into one ``query_many``, and only
+    the corpus records it returns are diffed.  A chunk that cannot be
+    embedded, or that retrieves an id the corpus has no single-hunk pair
+    for, gets a message.
     """
     records, index, embedder = retrieval
     found: list = [None] * len(texts)
-    probes, positions = [], []
-    for position, text in enumerate(texts):
-        try:
-            probes.append(embedder.embed(text))
-            positions.append(position)
-        except EmbeddingError as error:
-            found[position] = str(error)
+    try:
+        probes, positions = embedder.embed_many(texts), range(len(texts))
+    except EmbeddingError:
+        probes, positions = [], []
+        for position, text in enumerate(texts):
+            try:
+                probes.append(embedder.embed(text))
+                positions.append(position)
+            except EmbeddingError as error:
+                found[position] = str(error)
     try:
         neighbors = index.query_many(probes, n=min(n, len(index.ids)))
     except EmbeddingError as error:

@@ -5,9 +5,11 @@ loops, no shared code with the package) so an implementation bug cannot
 hide in both places.
 """
 
+import hashlib
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
@@ -179,3 +181,27 @@ def oracle_rank(entries, probe, metric, n):
     order = sorted(range(len(ids)),
                    key=lambda i: ((scores[i] if ascending else -scores[i]), ids[i]))
     return [(ids[i], float(scores[i])) for i in order[:n]]
+
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"[A-Za-z_$][A-Za-z0-9_$]*"
+    r"|\d+(?:\.\d+)?"
+    r"|==|!=|<=|>=|&&|\|\||\+\+|--|->|::|<<|>>>|>>|\+=|-=|\*=|/=|%=|&=|\|=|\^="
+    r"|[^\sA-Za-z0-9_]"
+)
+
+
+def oracle_embed(code, dimension):
+    """The lexical embedding of one text, one trigram at a time.
+
+    The text's tokens are padded with two "\x02" sentinels on each side;
+    each token trigram, joined with "\x1f", is hashed with 8-byte BLAKE2b
+    and counted in bucket (little-endian digest) % dimension.
+    """
+    tokens = ["\x02", "\x02"] + _ORACLE_TOKEN_RE.findall(code) + ["\x02", "\x02"]
+    buckets = []
+    for i in range(len(tokens) - 2):
+        joined = "\x1f".join(tokens[i:i + 3]).encode("utf-8")
+        digest = hashlib.blake2b(joined, digest_size=8).digest()
+        buckets.append(int.from_bytes(digest, "little") % dimension)
+    return np.bincount(buckets, minlength=dimension).astype(np.float32)

@@ -66,6 +66,29 @@ class TestParseMethod:
         assert kinds["if"].start_line == 13
         assert kinds["while"].start_line == 15
 
+    @pytest.mark.parametrize("declaration", [
+        r'String s = "say \"}\" now";',
+        r'String s = "ends in a backslash \\";',
+        r"char c = '\'';",
+        r"char c = '\\';",
+    ])
+    def test_escapes_inside_literals(self, declaration):
+        method = parse_method(f"void a() {{\n    {declaration}\n    int k = 1;\n}}")
+        assert [(s.kind, s.start_line) for s in method.root.children] == [
+            ("decl", 2), ("decl", 3)]
+
+    @pytest.mark.parametrize("tail", ['"abc;\n}', "'a;\n}", '"ends in an escape \\'])
+    def test_unterminated_literal_reports_its_line(self, tail):
+        with pytest.raises(MethodSyntaxError, match="unterminated literal") as err:
+            parse_method(f"void a() {{\n    int k = 1;\n    String s = {tail}")
+        assert err.value.line == 3
+
+    def test_a_newline_inside_a_string_is_accepted_and_counted(self):
+        # Java rejects this; the lexer accepts it and counts the line.
+        method = parse_method('void a() {\n    String s = "one\ntwo";\n    int k = 1;\n}')
+        assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
+            ("decl", 2, 3), ("decl", 4, 4)]
+
     def test_unbalanced_brace_reports_line(self):
         source = "void a() {\n    if (x) {\n    return;\n}"
         with pytest.raises(MethodSyntaxError) as err:

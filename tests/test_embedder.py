@@ -3,12 +3,14 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutkit import embedder as embedder_module
 from mutkit.corpus import BugFixPair, Corpus, diff_hunk
 from mutkit.embedder import (
     DEFAULT_DIMENSION,
@@ -20,26 +22,7 @@ from mutkit.embedder import (
     build_index,
     tokenize,
 )
-from oracles import oracle_rank
-
-
-def oracle_trigram_histogram(code: str, dimension: int) -> np.ndarray:
-    """Independent reimplementation of the hashed-trigram histogram."""
-    import re
-
-    token_re = re.compile(
-        r"[A-Za-z_$][A-Za-z0-9_$]*"
-        r"|\d+(?:\.\d+)?"
-        r"|==|!=|<=|>=|&&|\|\||\+\+|--|->|::|<<|>>>|>>|\+=|-=|\*=|/=|%=|&=|\|=|\^="
-        r"|[^\sA-Za-z0-9_]"
-    )
-    tokens = ["\x02", "\x02"] + token_re.findall(code) + ["\x02", "\x02"]
-    histogram = np.zeros(dimension, dtype=np.float32)
-    for i in range(len(tokens) - 2):
-        joined = "\x1f".join(tokens[i:i + 3]).encode("utf-8")
-        digest = hashlib.blake2b(joined, digest_size=8).digest()
-        histogram[int.from_bytes(digest, "little") % dimension] += 1.0
-    return histogram
+from oracles import oracle_embed, oracle_rank
 
 
 class TestTokenizer:
@@ -57,7 +40,7 @@ class TestLexicalEmbedder:
                      "x = y; x = y; x = y; x = y;", 'String s = "h\u00e9llo";'):
             embedding = embedder.embed(code)
             np.testing.assert_array_equal(
-                embedding.values, oracle_trigram_histogram(code, 64))
+                embedding.values, oracle_embed(code, 64))
 
     def test_one_identifier_change_changes_vector(self):
         embedder = LexicalEmbedder(dimension=DEFAULT_DIMENSION)
@@ -84,6 +67,66 @@ class TestLexicalEmbedder:
         embedding = LexicalEmbedder(dimension=16).embed("a b c d")
         # 6 trigrams from 4 tokens plus 4 sentinels.
         assert embedding.values.sum() == 6.0
+
+    def test_embed_many_of_nothing_is_an_empty_matrix(self):
+        vectors = LexicalEmbedder(dimension=37).embed_many([])
+        assert vectors.shape == (0, 37) and vectors.dtype == np.float32
+
+    @pytest.mark.parametrize("texts", [["", "int x;"], ["int x;", " \n\t"]])
+    def test_embed_many_rejects_an_empty_text_anywhere(self, texts):
+        with pytest.raises(EmbeddingError, match="cannot embed empty code"):
+            LexicalEmbedder().embed_many(texts)
+
+    def test_a_literal_boundary_token_counts_as_the_boundary(self):
+        embedder = LexicalEmbedder(dimension=64)
+        vectors = embedder.embed_many(["\x02 a", "a", "\x02"])
+        np.testing.assert_array_equal(vectors[0], oracle_embed("\x02 a", 64))
+        np.testing.assert_array_equal(vectors[1], oracle_embed("a", 64))
+        # Padded, "\x02" is five boundary tokens: three equal trigrams.
+        assert vectors[2].max() == vectors[2].sum() == 3.0
+
+
+# Token sources for batches: identifiers, numbers and operators, the
+# boundary sentinel itself, and non-ASCII text (one token per character).
+CODE_TOKENS = st.sampled_from([
+    "x", "count", "$tmp", "_", "0", "42", "3.14", "==", ">>>=", "->", "(", ")",
+    "{", "}", ";", "+", "\x02", "é", "λx", "日本", '"s"'])
+
+
+@st.composite
+def code_texts(draw):
+    """A non-blank code text, sometimes a line repeated."""
+    tokens = draw(st.lists(CODE_TOKENS, min_size=1, max_size=12))
+    line = draw(st.sampled_from([" ", "", "\t"])).join(tokens)
+    return "\n".join([line] * draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(code_texts(), min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=12),
+       dimension=st.sampled_from([1, 2, 37, 512]))
+def test_embed_many_matches_the_per_text_oracle(texts, picks, dimension):
+    batch = texts + [texts[i % len(texts)] for i in picks]
+    vectors = LexicalEmbedder(dimension=dimension).embed_many(batch)
+    assert vectors.shape == (len(batch), dimension) and vectors.dtype == np.float32
+    for text, row in zip(batch, vectors):
+        np.testing.assert_array_equal(row, oracle_embed(text, dimension))
+        np.testing.assert_array_equal(
+            LexicalEmbedder(dimension=dimension).embed(text).values, row)
+
+
+@settings(max_examples=10, deadline=None)
+@given(texts=st.lists(code_texts(), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_batch_longer_than_one_count_block(texts, seed):
+    rng = random.Random(seed)
+    dimension = 512
+    rows_per_block = embedder_module._COUNT_BLOCK_CELLS // dimension
+    batch = [rng.choice(texts) for _ in range(2 * rows_per_block + 3)]
+    vectors = LexicalEmbedder(dimension=dimension).embed_many(batch)
+    oracle = {text: oracle_embed(text, dimension) for text in texts}
+    for text, row in zip(batch, vectors):
+        np.testing.assert_array_equal(row, oracle[text])
 
 
 class TestVectorIndex:
@@ -496,3 +539,39 @@ class TestBuildIndex:
     def test_bad_key_side_rejected(self):
         with pytest.raises(EmbeddingError, match="key_side"):
             build_index(self.corpus(), key_side="middle")
+
+    def test_duplicate_pair_id_rejected(self):
+        pairs = self.corpus().pairs
+        with pytest.raises(EmbeddingError, match="duplicate index entry id 'p1'"):
+            build_index([pairs[0], pairs[1], pairs[0]])
+
+    def test_an_empty_key_is_rejected(self):
+        pairs = self.corpus().pairs + [make_pair("p3", "int c = 1;", "   ")]
+        with pytest.raises(EmbeddingError, match="cannot embed empty code"):
+            build_index(pairs)
+
+    def test_the_index_is_built_at_its_final_size(self):
+        pairs = [make_pair(f"p{i:04d}", f"int value{i} = {i};",
+                           f"int value{i} = {i} * {i % 7};") for i in range(2000)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            index = build_index(pairs, backend=LexicalEmbedder(dimension=512))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index._vectors.shape == (2000, 512)
+        # Growing by doubling through add held the 1024- and 2048-row
+        # matrices at once, and peaked at 1.8 times the final matrix.
+        assert peak < 1.5 * index._vectors.nbytes
+
+    def test_the_index_saves_as_one_built_by_add(self, tmp_path):
+        pairs = [make_pair(f"p{i:04d}", "int a = 0;", f"int value{i} = {i} * {i % 7};")
+                 for i in range(300)]
+        embedder = LexicalEmbedder(dimension=64)
+        added = VectorIndex(dimension=64, backend_id=embedder.backend_id)
+        for pair in pairs:
+            added.add(pair.id, embedder.embed(pair.post_fix_code))
+        added.save(str(tmp_path / "added.bin"))
+        build_index(pairs, backend=embedder).save(str(tmp_path / "built.bin"))
+        assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "added.bin").read_bytes()

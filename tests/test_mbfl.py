@@ -22,6 +22,7 @@ from mutkit.mbfl import (
     muse_score,
     rank,
 )
+from mutkit.report import mbfl_section
 from oracles import (
     oracle_metallaxis,
     oracle_muse,
@@ -407,3 +408,26 @@ class TestFlMetrics:
             expected_ranks={1: 1.0})
         with pytest.raises(MbflError, match="no faulty statements"):
             fl_metrics([bare])
+
+
+class TestMbflSection:
+    def per_bug(self):
+        """b1 ranks under metallaxis; under muse its faulty statement is
+        missing from the ranking, so muse has no bug to average."""
+        orphan = SuspiciousnessReport(
+            bug_id="b1", method="muse", scores={1: 0.5},
+            expected_ranks={1: 1.0}, faulty_statements=frozenset([42]))
+        ranked = report_with_ranks("b1", [2.0])
+        return {"b1": {"muse": orphan, "metallaxis": ranked}}
+
+    def test_an_aggregation_error_becomes_a_warning(self):
+        warnings = []
+        section = mbfl_section(self.per_bug(), warnings)
+        assert warnings == ["mbfl: muse: every bug was excluded; no ranks to average"]
+        assert section["metrics"]["muse"] is None
+        assert section["metrics"]["metallaxis"]["mfr"] == 2.0
+        assert section["per_bug"]["b1"]["muse"]["faulty_ranks"] == []
+
+    def test_without_a_warnings_list_the_error_is_raised(self):
+        with pytest.raises(MbflError, match="every bug was excluded"):
+            mbfl_section(self.per_bug())

@@ -78,6 +78,12 @@ MUTATION_TABLE = {
 }
 
 
+def requested_chunk(prompt: str) -> str:
+    marker = "Only mutate these lines: "
+    start = prompt.index(marker) + len(marker)
+    return prompt[start:prompt.index("\n\n[Few-Shot Examples]")]
+
+
 def craft_response(prompt: str) -> str:
     """Reply to one prompt the way the e2e fixtures expect.
 
@@ -85,10 +91,7 @@ def craft_response(prompt: str) -> str:
     always appends one schema-violating object, and, for the chunk holding
     the clamp limit, one pair whose precode lives outside the chunk.
     """
-    marker = "Only mutate these lines: "
-    start = prompt.index(marker) + len(marker)
-    end = prompt.index("\n\n[Few-Shot Examples]")
-    chunk_text = prompt[start:end]
+    chunk_text = requested_chunk(prompt)
     objects = []
     for line in chunk_text.split("\n"):
         for aftercode in MUTATION_TABLE.get(line.strip(), ()):
@@ -131,8 +134,9 @@ def build_index_file(corpus_path: Path, index_path: Path,
 
 def scripted_generate(config: PipelineConfig,
                       targets: list[TargetSpec],
-                      tmp_path: Path) -> GenerateOutcome:
-    """Author the mock script in record mode, then run for real."""
+                      tmp_path: Path, respond=craft_response) -> GenerateOutcome:
+    """Author the mock script in record mode (replies from ``respond``),
+    then run for real."""
     record_path = tmp_path / "record.jsonl"
     recorder = MockBackend(record_path=str(record_path))
     first = run_generate(config, targets, backend=recorder)
@@ -142,7 +146,7 @@ def scripted_generate(config: PipelineConfig,
         item = json.loads(line)
         records.append({
             "prompt_digest": item["prompt_digest"],
-            "response_text": craft_response(item["prompt"]),
+            "response_text": respond(item["prompt"]),
             "prompt_tokens": 11,
             "completion_tokens": 7,
         })
@@ -412,6 +416,34 @@ class TestRunGenerate:
         bad = outcome.summary["targets"]["Bad-1"]
         assert bad["errors"] and bad["errors"][0].startswith("parse:")
 
+    def test_malformed_replies_are_parse_failures_not_crashes(self, tmp_path):
+        # One reply per Clamp-1 chunk, each failing parse_response differently.
+        malformed = {"clamp(int value)": "mutants below, but no tags",
+                     "int limit = 10;": '<json>[{"precode": </json>',
+                     "return value;": '<json>{"precode": "return value;"}</json>'}
+
+        def respond(prompt):
+            chunk = requested_chunk(prompt)
+            return next((reply for line, reply in malformed.items() if line in chunk),
+                        None) or craft_response(prompt)
+
+        config = self.fixed_config(tmp_path)
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED),
+                   TargetSpec(bug_id="Sum-1", method=SUM_FIXED)]
+        outcome = scripted_generate(config, targets, tmp_path, respond=respond)
+        clamp = outcome.summary["targets"]["Clamp-1"]
+        assert (clamp["prompts_completed"], clamp["parse_failures"]) == (3, 3)
+        assert (clamp["pairs_parsed"], clamp["materialized"], clamp["errors"]) == (0, 0, [])
+        assert outcome.summary["targets"]["Sum-1"]["parse_failures"] == 0
+        assert outcome.summary["targets"]["Sum-1"]["materialized"] > 0
+        assert (outcome.succeeded, outcome.failed) == (2, 0)
+        assert not any(mutant_id.startswith("Clamp-1") for mutant_id in outcome.mutants)
+
+        first = read_tree(Path(config.output_dir))
+        run_generate(config, targets,
+                     backend=MockBackend(script=str(tmp_path / "script.jsonl")))
+        assert read_tree(Path(config.output_dir)) == first
+
     def test_generate_is_deterministic(self, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"
         index_path = tmp_path / "corpus.index"
@@ -516,6 +548,20 @@ class TestEvaluateFixedMode:
         per_strategy = outcome.sections["tcp"]["per_bug"]["Clamp-1"]
         assert len(per_strategy) == 3
         assert all("apfd" not in record for record in per_strategy.values())
+
+    def test_a_matrix_without_tests_is_left_out_of_tcp(self, fixed_run):
+        # A matrix given without a test_command may name no tests, as one
+        # for a bug with no useful mutant can.
+        config, targets, _ = fixed_run
+        clamp = [target for target in targets if target.bug_id == "Clamp-1"]
+        (Path(config.output_dir) / "matrices" / "Clamp-1.matrix").write_text(
+            "MUTANTS\nTESTS\n", encoding="utf-8")
+        failing = f'{sys.executable} -c "raise SystemExit(1)" {{source}}'
+        external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
+                                  compile_command=failing)
+        outcome = run_evaluate(external, clamp, stages=("tcp",))
+        assert outcome.warnings == ["tcp: bug Clamp-1 has no kill matrix tests"]
+        assert outcome.sections["tcp"]["per_bug"] == {}
 
     def test_mbfl_skipped_in_fixed_mode(self, fixed_run):
         _, _, outcome = fixed_run
@@ -911,14 +957,14 @@ class TestGenerateRetrieval:
     def test_a_chunk_that_cannot_be_embedded_sends_no_prompt(self, tmp_path, monkeypatch):
         from mutkit.embedder import EmbeddingError, LexicalEmbedder
 
-        real_embed = LexicalEmbedder.embed
+        real_embed_many = LexicalEmbedder.embed_many
 
-        def embed(self, code):
-            if "return limit;" in code:
+        def embed_many(self, texts):
+            if any("return limit;" in text for text in texts):
                 raise EmbeddingError("cannot embed this chunk")
-            return real_embed(self, code)
+            return real_embed_many(self, texts)
 
-        monkeypatch.setattr(LexicalEmbedder, "embed", embed)
+        monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
         outcome = scripted_generate(self.config(tmp_path), self.targets(), tmp_path)
         assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
             "retrieval c01: cannot embed this chunk"]
@@ -929,11 +975,11 @@ class TestGenerateRetrieval:
     def test_no_embeddable_chunk_sends_no_prompt(self, tmp_path, monkeypatch):
         from mutkit.embedder import EmbeddingError, LexicalEmbedder
 
-        def embed(self, code):
+        def embed_many(self, texts):
             raise EmbeddingError("cannot embed")
 
         config = self.config(tmp_path)
-        monkeypatch.setattr(LexicalEmbedder, "embed", embed)
+        monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
         outcome = run_generate(config, self.targets(),
                                backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
         assert outcome.summary["targets"]["Sum-1"]["errors"] == [

@@ -546,6 +546,74 @@ class TestAnalysisGoldenDigests:
         assert digests == self.GOLDEN
 
 
+def write_golden_corpus(path: Path) -> Path:
+    """Seeded single-line fixes plus one record of each edge case ingest
+    must handle: an insertion, a deletion, a multi-hunk edit, identical
+    sides, a non-object metadata field and an object one."""
+    rng = random.Random(41)
+    records = []
+    for i in range(40):
+        width = rng.randint(2, 6)
+        body = [f"    int v{j} = a * {rng.randint(0, 9)} + {j};" for j in range(width)]
+        fixed = ["public int f%d(int a) {" % i, *body, "    return v0;", "}"]
+        buggy = list(fixed)
+        line = rng.randint(1, width)
+        buggy[line] = buggy[line].replace("a *", rng.choice(["a +", "a -", "a /"]))
+        records.append({"id": f"fix-{i:02d}", "project": rng.choice(["P", "Q", "R"]),
+                        "pre_fix_code": "\n".join(buggy),
+                        "post_fix_code": "\n".join(fixed)})
+    method = ["int g(int a) {", "    int b = a;", "    b += 2;", "    return b;", "}"]
+    records += [
+        {"id": "insertion", "project": "Q", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(method[:3] + ["    b *= 3;"] + method[3:])},
+        {"id": "deletion", "project": "R", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(method[:2] + method[3:])},
+        {"id": "multi-hunk", "project": "P", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(["int g(long a) {", *method[1:3],
+                                     "    return -b;", "}"])},
+        {"id": "identical", "project": "P", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(method)},
+        {"id": "bad-metadata", "project": "Q", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(method).replace("+= 2", "+= 4"),
+         "metadata": ["not", "an", "object"]},
+        {"id": "metadata", "project": "S", "pre_fix_code": "\n".join(method),
+         "post_fix_code": "\n".join(method).replace("+= 2", "+= 5"),
+         "metadata": {"source": "golden"}},
+    ]
+    with path.open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+    return path
+
+
+class TestCorpusGoldenDigests:
+    """sha256 of the ingest stdout and of the index files rag build writes
+    for each key side, recorded from the implementation whose hunks also
+    carried a start line and context lines."""
+
+    GOLDEN = {
+        "ingest": "5138a5ce7d00e0972203229abd2fdd91ade479d4092ac9d136e9f1f29a94687f",
+        "post_fix": "bae25714fa67e40f618f4123955fae1eaeed663b648e4eb5cf0a24915136e554",
+        "pre_fix": "430336ff7835a9a2f0314882cdaef666839026f9f76fa171f47101e5fe675651",
+    }
+
+    def test_outputs_match_the_golden_digests(self, tmp_path, capsys):
+        corpus = write_golden_corpus(tmp_path / "corpus.jsonl")
+        code, out, err = run_cli(["ingest", "--corpus", str(corpus)], capsys)
+        assert code == 0 and err == "", err
+        payload = json.loads(out)
+        assert (payload["pairs"], payload["skipped"]) == (43, 3)
+        digests = {"ingest": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+        for side in ("post_fix", "pre_fix"):
+            index = tmp_path / f"{side}.index"
+            code, out, err = run_cli(["rag", "build", "--corpus", str(corpus),
+                                      "--index", str(index), "--dimension", "96",
+                                      "--key-side", side], capsys)
+            assert code == 0 and json.loads(out)["entries"] == 43, err
+            digests[side] = hashlib.sha256(index.read_bytes()).hexdigest()
+        assert digests == self.GOLDEN
+
+
 def write_bug_matrix(matrices: Path) -> None:
     """matrices/B.matrix plus B.original.txt: one mutant, tests t1 and t2."""
     matrices.mkdir()

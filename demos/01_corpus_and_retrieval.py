@@ -66,12 +66,12 @@ def main() -> None:
 
         print("== 1. Ingest ==")
         corpus = ingest_corpus(str(corpus_path))
-        print(f"accepted {len(corpus)} pairs, skipped {len(corpus.skipped)}")
+        print(f"accepted {len(corpus.pairs)} pairs, skipped {len(corpus.skipped)}")
         for skip in corpus.skipped:
             print(f"  skipped {skip.record_id}: {skip.reason}")
 
         print("\n== 2. The diff hunk of one pair ==")
-        pair = corpus.get("fix-001")
+        pair = corpus.pairs[0]
         hunk = pair.hunk
         print(f"pair {pair.id} ({pair.project})")
         print(f"  buggy lines: {[text for _, text in hunk.pre_lines]}")
@@ -79,7 +79,7 @@ def main() -> None:
 
         print("\n== 3. Build and persist the index ==")
         embedder = LexicalEmbedder(dimension=128)
-        index = build_index(corpus, backend=embedder, metric="euclidean")
+        index = build_index(corpus.pairs, backend=embedder, metric="euclidean")
         index_path = Path(scratch) / "corpus.index"
         index.save(str(index_path))
         reloaded = VectorIndex.load(str(index_path))

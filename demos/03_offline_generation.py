@@ -68,7 +68,7 @@ def main() -> None:
         corpus_path = base / "corpus.jsonl"
         index_path = base / "corpus.index"
         write_corpus(corpus_path)
-        index = build_index(ingest_corpus(str(corpus_path)),
+        index = build_index(ingest_corpus(str(corpus_path)).pairs,
                             backend=LexicalEmbedder(dimension=64))
         index.save(str(index_path))
 

@@ -53,7 +53,7 @@ def main() -> None:
               f"{mutant.mutated_line_text.strip()}")
 
     print("\n== 2. Validity: duplicates and the useful set ==")
-    duplicates = dedup(mutants, METHOD).duplicates
+    duplicates = dedup(mutants, METHOD)
     ledger = ValidityLedger(bug_id="Cap-1", expected=6,
                             generated=[m.id for m in mutants],
                             duplicates=duplicates,

@@ -159,6 +159,8 @@ def _lex(source: str) -> list[Token]:
                 text.append(current)
                 if current == "\\" and i + 1 < n:
                     text.append(source[i + 1])
+                    if source[i + 1] == "\n":
+                        line += 1
                     i += 2
                     continue
                 if current == "\n":

@@ -114,7 +114,7 @@ def cmd_rag_build(args: argparse.Namespace) -> int:
         raise PipelineError("rag build needs corpus and index paths")
     corpus = ingest_corpus(config.corpus)
     embedder = LexicalEmbedder(dimension=config.dimension)
-    index = build_index(corpus, backend=embedder, metric=config.metric,
+    index = build_index(corpus.pairs, backend=embedder, metric=config.metric,
                         key_side=config.key_side)
     index.save(config.index)
     _emit(describe_index(index))

@@ -3,7 +3,8 @@
 A corpus is a JSONL file of bug-fix records.  Each record carries the
 pre-fix and post-fix text of one method; records whose fix touches more
 than one contiguous line region are skipped, so every retained pair has
-exactly one hunk.
+exactly one hunk.  An optional ``metadata`` field must be a JSON object;
+it is checked but not kept.
 
 Reading is split from diffing: ``read_records`` parses and validates the
 file, and a record becomes a ``BugFixPair`` only when its line diff is
@@ -15,13 +16,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
 REQUIRED_FIELDS = ("id", "project", "pre_fix_code", "post_fix_code")
-
-CONTEXT_LINES = 3
 
 
 class CorpusError(Exception):
@@ -36,17 +35,14 @@ class HunkError(Exception):
 class Hunk:
     """One contiguous line-level edit between a pre text and a post text.
 
-    ``pre_start`` is the 1-based line in the pre text where the replaced
-    region begins (for pure insertions, the line the new text is inserted
-    before).  ``pre_lines`` and ``post_lines`` carry (line number, text)
-    pairs numbered in their own versions.
+    ``pre_lines`` and ``post_lines`` carry the removed and the added
+    (line number, text) pairs, numbered in their own versions.  Both sides
+    of a single hunk start at the same line number, since the lines before
+    it are equal.
     """
 
-    pre_start: int
     pre_lines: tuple[tuple[int, str], ...]
     post_lines: tuple[tuple[int, str], ...]
-    context_before: tuple[str, ...] = ()
-    context_after: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.pre_lines and not self.post_lines:
@@ -55,8 +51,6 @@ class Hunk:
             numbers = [n for n, _ in seq]
             if numbers and numbers != list(range(numbers[0], numbers[0] + len(numbers))):
                 raise HunkError("hunk lines must be contiguous")
-        if self.pre_lines and self.pre_lines[0][0] != self.pre_start:
-            raise HunkError("pre_start must match the first removed line")
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,6 @@ class BugFixPair:
     pre_fix_code: str
     post_fix_code: str
     hunk: Hunk
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,6 @@ class CorpusRecord:
     project: str
     pre_fix_code: str
     post_fix_code: str
-    metadata: dict
     line_no: int
 
 
@@ -98,18 +90,6 @@ class Corpus:
 
     pairs: list[BugFixPair]
     skipped: list[SkippedRecord]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def get(self, pair_id: str) -> BugFixPair:
-        for pair in self.pairs:
-            if pair.id == pair_id:
-                return pair
-        raise KeyError(pair_id)
 
 
 def _lcs_table(a: list[str], b: list[str]) -> list[list[int]]:
@@ -185,27 +165,9 @@ def diff_hunk(pre_text: str, post_text: str) -> Hunk:
         raise HunkError(f"multi-hunk edit ({len(regions)} regions)")
     i1, i2, j1, j2 = regions[0]
     return Hunk(
-        pre_start=i1 + 1,
         pre_lines=tuple((k + 1, a[k]) for k in range(i1, i2)),
         post_lines=tuple((k + 1, b[k]) for k in range(j1, j2)),
-        context_before=tuple(a[max(0, i1 - CONTEXT_LINES):i1]),
-        context_after=tuple(a[i2:i2 + CONTEXT_LINES]),
     )
-
-
-def apply_hunk(hunk: Hunk, pre_text: str) -> str:
-    """Apply ``hunk`` to ``pre_text`` and return the post text."""
-    lines = pre_text.split("\n")
-    start = hunk.pre_start - 1
-    if start < 0 or start > len(lines):
-        raise HunkError(f"hunk start {hunk.pre_start} outside text")
-    for offset, (_, text) in enumerate(hunk.pre_lines):
-        idx = start + offset
-        if idx >= len(lines) or lines[idx] != text:
-            raise HunkError(f"hunk does not match pre text at line {idx + 1}")
-    replacement = [text for _, text in hunk.post_lines]
-    lines[start:start + len(hunk.pre_lines)] = replacement
-    return "\n".join(lines)
 
 
 def _validate_record(raw: dict) -> str | None:
@@ -270,7 +232,6 @@ def read_records(path: str) -> tuple[list[CorpusRecord], list[SkippedRecord]]:
             project=raw["project"],
             pre_fix_code=raw["pre_fix_code"],
             post_fix_code=raw["post_fix_code"],
-            metadata=raw.get("metadata", {}),
             line_no=line_no,
         ))
     return records, skipped
@@ -284,7 +245,6 @@ def _pair(record: CorpusRecord) -> BugFixPair:
         pre_fix_code=record.pre_fix_code,
         post_fix_code=record.post_fix_code,
         hunk=diff_hunk(record.pre_fix_code, record.post_fix_code),
-        metadata=dict(record.metadata),
     )
 
 

@@ -10,7 +10,7 @@ backend produced it.
 interned to integers, every trigram of the batch becomes one integer code,
 each distinct trigram is hashed once, and the counts go into one float32
 matrix through ``np.bincount``.  ``build_index`` embeds the whole corpus in
-one such batch and stores that matrix as the index, at its final size.
+one such batch and builds the index on that matrix, uncopied.
 
 ``VectorIndex.query_many`` answers many probes at once.  Because the
 histograms are small integer counts, it scores a block of probes with one
@@ -27,7 +27,6 @@ import logging
 import re
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +62,6 @@ def tokenize(code: str) -> list[str]:
     return _TOKEN_RE.findall(code)
 
 
-@dataclass(frozen=True)
-class CodeEmbedding:
-    """A dense vector plus the id of the backend that produced it."""
-
-    values: np.ndarray
-    backend_id: str
-
-
 # embed_many counts at most this many matrix cells per np.bincount call, so
 # its int64 count temporary stays small whatever the batch size.
 _COUNT_BLOCK_CELLS = 1 << 16
@@ -85,18 +76,17 @@ class LexicalEmbedder:
         self.dimension = dimension
         self.backend_id = f"lexical-trigram-{dimension}"
 
-    def embed(self, code: str) -> CodeEmbedding:
-        """Embed one code snippet as a trigram-count histogram.
+    def embed(self, code: str) -> np.ndarray:
+        """Embed one code snippet as a float32 trigram-count histogram.
 
         Token sequences are padded with boundary sentinels on both sides, so
         inputs with fewer than three tokens still produce trigrams.  Raises
         EmbeddingError for empty or whitespace-only input.
         """
-        return CodeEmbedding(values=self.embed_many([code])[0],
-                             backend_id=self.backend_id)
+        return self.embed_many([code])[0]
 
     def embed_many(self, texts) -> np.ndarray:
-        """``embed(text).values`` of every text, as rows of one float32 matrix.
+        """``embed(text)`` of every text, as rows of one float32 matrix.
 
         The rows are counted with ``np.bincount`` over blocks of at most
         ``_COUNT_BLOCK_CELLS`` cells, into a matrix allocated once the
@@ -159,12 +149,22 @@ def _trigram_buckets(texts, dimension: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _as_vector(probe, dimension: int) -> np.ndarray:
-    values = probe.values if isinstance(probe, CodeEmbedding) else np.asarray(probe, dtype=np.float32)
+    values = np.asarray(probe, dtype=np.float32)
     if values.shape != (dimension,):
         raise EmbeddingError(f"probe dimension {values.shape} does not match index ({dimension})")
     if not np.all(np.isfinite(values)):
         raise EmbeddingError("probe vector contains non-finite values")
-    return values.astype(np.float32)
+    return values
+
+
+def _first_repeat(ids: list[str]) -> str | None:
+    """The first id that occurs a second time, or None."""
+    seen: set[str] = set()
+    for entry_id in ids:
+        if entry_id in seen:
+            return entry_id
+        seen.add(entry_id)
+    return None
 
 
 # Below this bound every partial sum of the product path is an integer that
@@ -175,29 +175,33 @@ _EXACT_BOUND = 2.0 ** 23
 class VectorIndex:
     """Exact nearest-neighbor index with linear scan over stored vectors.
 
-    Vectors are stored unnormalized in one float32 matrix whose capacity
-    doubles when ``add`` fills it (``build_index`` and ``load`` store it at
-    its final size); the cosine metric normalizes at query time, with
-    the per-row norms cached until the next ``add``.  ``query_many`` scores
-    a block of probes with one matrix product when that is exact (integer
-    vectors of bounded norm, as the lexical embedder makes) and entry by
-    entry otherwise; either way it picks the n best with
-    ``np.argpartition``, keeps every entry tied with the n-th best, and
-    orders those by (score, entry id) with ``np.lexsort``.  Ranking ties are
-    therefore broken by ascending entry id, so results do not depend on
-    insertion order; an entry whose score is NaN ranks last.
+    The index is built once, from the entry ids and a float32 matrix that
+    holds their vectors, one row per id; ``build_index`` and ``load`` make
+    it.
+    Vectors are stored unnormalized and the matrix is kept as given, not
+    copied, so it must not change afterwards.  The cosine metric
+    normalizes at query time, with the per-row norms computed once.
+    ``query_many`` scores a block of probes with one matrix product when
+    that is exact (integer vectors of bounded norm, as the lexical
+    embedder makes) and entry by entry otherwise; either way it picks the
+    n best with ``np.argpartition``, keeps every entry tied with the n-th
+    best, and orders those by (score, entry id) with ``np.lexsort``.
+    Ranking ties are therefore broken by ascending entry id, so results do
+    not depend on entry order; an entry whose score is NaN ranks last.
     """
 
-    def __init__(self, dimension: int, metric: str = "euclidean",
+    def __init__(self, ids, vectors: np.ndarray, metric: str = "euclidean",
                  backend_id: str = ""):
         if metric not in METRICS:
             raise EmbeddingError(f"unknown metric {metric!r}; expected one of {METRICS}")
-        self.dimension = dimension
+        self.ids: list[str] = list(ids)
+        duplicate = _first_repeat(self.ids)
+        if duplicate is not None:
+            raise EmbeddingError(f"duplicate index entry id {duplicate!r}")
+        self._vectors = vectors
+        self.dimension = vectors.shape[1]
         self.metric = metric
         self.backend_id = backend_id
-        self.ids: list[str] = []
-        self._known_ids: set[str] = set()
-        self._vectors = np.zeros((0, dimension), dtype=np.float32)
         self._norms: np.ndarray | None = None
         self._id_ranks: np.ndarray | None = None
         self._squares: np.ndarray | None = None
@@ -206,29 +210,9 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def add(self, entry_id: str, embedding: CodeEmbedding) -> None:
-        if self.backend_id and embedding.backend_id != self.backend_id:
-            raise EmbeddingError(
-                f"backend mismatch: index built with {self.backend_id!r}, "
-                f"got {embedding.backend_id!r}")
-        if not self.backend_id:
-            self.backend_id = embedding.backend_id
-        values = _as_vector(embedding, self.dimension)
-        if entry_id in self._known_ids:
-            raise EmbeddingError(f"duplicate index entry id {entry_id!r}")
-        count = len(self.ids)
-        if count == len(self._vectors):
-            grown = np.zeros((max(16, 2 * count), self.dimension), dtype=np.float32)
-            grown[:count] = self._vectors
-            self._vectors = grown
-        self._vectors[count] = values
-        self._known_ids.add(entry_id)
-        self.ids.append(entry_id)
-        self._norms = self._id_ranks = self._squares = None
-
     def matrix(self) -> np.ndarray:
-        """The stored vectors in insertion order, as a read-only view."""
-        view = self._vectors[:len(self.ids)]
+        """The stored vectors in entry order, as a read-only view."""
+        view = self._vectors.view()
         view.flags.writeable = False
         return view
 
@@ -249,8 +233,8 @@ class VectorIndex:
         """How large a probe's squared norm may be for the product path.
 
         It is ``_EXACT_BOUND`` minus the largest stored squared norm, or
-        0 when a stored value is not an integer or not finite; cached with
-        the squared row norms until the next ``add``.  A float32 sum of
+        0 when a stored value is not an integer or not finite; computed
+        once, with the squared row norms.  A float32 sum of
         non-negative terms is exact while below 2**24 and never rounds back
         below a power of two it has reached, so a squared norm computed in
         float32 is below the bound exactly when the true one is.
@@ -408,37 +392,35 @@ class VectorIndex:
             # before the matrix is allocated.
             if count * (2 + record_size) > len(data) - offset:
                 raise IndexFormatError(f"{path} is truncated")
-            index = cls(dimension=dimension, metric=metric, backend_id=backend_id)
+            ids = []
             vectors = np.empty((count, dimension), dtype=np.float32)
             for row in range(count):
                 (id_len,) = struct.unpack_from("<H", view, offset)
                 offset += 2
-                entry_id = bytes(view[offset:offset + id_len]).decode("utf-8")
+                ids.append(bytes(view[offset:offset + id_len]).decode("utf-8"))
                 offset += id_len
                 if offset + record_size > len(data):
                     raise IndexFormatError(f"{path} is truncated")
-                if entry_id in index._known_ids:
-                    raise IndexFormatError(f"{path} repeats entry id {entry_id!r}")
                 vectors[row] = np.frombuffer(view, dtype="<f4", count=dimension, offset=offset)
                 offset += record_size
-                index._known_ids.add(entry_id)
-                index.ids.append(entry_id)
             if offset != len(data):
                 raise IndexFormatError(f"{path} has trailing bytes")
         except struct.error as exc:
             raise IndexFormatError(f"{path} is truncated: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"{path} holds a name that is not UTF-8: {exc}") from exc
-        index._vectors = vectors
-        return index
+        duplicate = _first_repeat(ids)
+        if duplicate is not None:
+            raise IndexFormatError(f"{path} repeats entry id {duplicate!r}")
+        return cls(ids, vectors, metric=metric, backend_id=backend_id)
 
 
-def build_index(corpus, backend=None, metric: str = "euclidean",
+def build_index(pairs, backend=None, metric: str = "euclidean",
                 key_side: str = "post_fix") -> VectorIndex:
-    """Embed one side of every corpus pair and assemble an index.
+    """Embed one side of every corpus pair and build the index.
 
     Args:
-        corpus: an ingested Corpus (or any iterable of BugFixPair).
+        pairs: the BugFixPair list of an ingested Corpus.
         backend: embedding backend; defaults to LexicalEmbedder().
         metric: euclidean, cosine, or dot.
         key_side: which text each pair is keyed on, post_fix (default)
@@ -451,17 +433,12 @@ def build_index(corpus, backend=None, metric: str = "euclidean",
     if key_side not in ("post_fix", "pre_fix"):
         raise EmbeddingError(f"key_side must be post_fix or pre_fix, got {key_side!r}")
     backend = backend or LexicalEmbedder()
-    index = VectorIndex(dimension=backend.dimension, metric=metric,
-                        backend_id=backend.backend_id)
-    pairs = list(corpus)
-    for pair in pairs:
-        if pair.id in index._known_ids:
-            raise EmbeddingError(f"duplicate index entry id {pair.id!r}")
-        index._known_ids.add(pair.id)
-        index.ids.append(pair.id)
-    index._vectors = backend.embed_many(
-        [pair.post_fix_code if key_side == "post_fix" else pair.pre_fix_code
-         for pair in pairs])
+    pairs = list(pairs)
+    index = VectorIndex(
+        [pair.id for pair in pairs],
+        backend.embed_many([pair.post_fix_code if key_side == "post_fix" else pair.pre_fix_code
+                            for pair in pairs]),
+        metric=metric, backend_id=backend.backend_id)
     logger.info("built %s index with %d entries (metric=%s)",
                 index.backend_id, len(index), metric)
     return index

@@ -124,7 +124,7 @@ class HttpChatBackend:
                 status, body = self._transport(
                     config.endpoint, self._payload(prompt), self._headers(),
                     config.timeout)
-            except Exception as exc:
+            except OSError as exc:
                 last_status = None
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue

@@ -149,7 +149,6 @@ class PipelineConfig:
     workers: int = 4
     seed: int = 0
     sample_targets: int | None = None
-    collapse_whitespace: bool = True
     hyb_weight: float = 0.5
 
     def __post_init__(self):
@@ -415,7 +414,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         if isinstance(found, str):
             entry["errors"].append(f"retrieval {chunk_id}: {found}")
             continue
-        examples = render_examples(found).examples if found is not None else []
+        examples = render_examples(found) if found is not None else []
         requested = len(chunk.line_numbers)
         prompt = render_prompt(method, chunk, examples, requested)
         entry["prompts_total"] += 1
@@ -616,8 +615,7 @@ def _submit_first_runs(config: PipelineConfig, bug: BugArtifacts, queue,
 
 def _run_validity(config: PipelineConfig, bug: BugArtifacts) -> None:
     ordered = [bug.materialized[mid] for mid in sorted(bug.materialized)]
-    duplicates = dedup(ordered, bug.target.method,
-                       config.collapse_whitespace).duplicates
+    duplicates = dedup(ordered, bug.target.method)
     if config.compile_command:
         compilable = {mid for mid, run in bug.compiles.items() if run.result()}
     else:

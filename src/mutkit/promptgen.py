@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chunker import CodeChunk, FocalMethod
 from .corpus import BugFixPair
@@ -93,69 +93,26 @@ class Mutant:
     chunk_id: str
 
 
-@dataclass
-class PromptInstance:
-    """The fully assembled prompt, section by section."""
-
-    focal_method: str
-    chunk: str
-    examples: list[FewShotExample]
-    requested_n: int
-
-    def __post_init__(self):
-        if self.requested_n < 1:
-            raise PromptError(f"requested_n must be positive, got {self.requested_n}")
-
-    def render(self) -> str:
-        instruction = INSTRUCTION.replace("{N}", str(self.requested_n))
-        examples_json = json.dumps(
-            [{"precode": e.precode, "aftercode": e.aftercode} for e in self.examples])
-        return (
-            f"[Instruction]: {instruction}\n"
-            f"\n"
-            f"[Entire Focal Method]: {self.focal_method}\n"
-            f"\n"
-            f"[The Current Chunk]: Only mutate these lines: {self.chunk}\n"
-            f"\n"
-            f"[Few-Shot Examples]: <json> {examples_json} </json>\n"
-            f"\n"
-            f"[Output Instructions]:\n"
-            f"{OUTPUT_INSTRUCTIONS}"
-        )
-
-
-@dataclass
-class RenderReport:
-    """render_examples output: the examples plus per-pair skip reasons."""
-
-    examples: list[FewShotExample]
-    skipped: list[tuple[str, str]] = field(default_factory=list)
-
-
-def render_examples(pairs: list[BugFixPair]) -> RenderReport:
+def render_examples(pairs: list[BugFixPair]) -> list[FewShotExample]:
     """Turn retrieved bug-fix pairs into few-shot examples.
 
     The mutation direction is fixed-to-buggy: precode is the post-fix
     (correct) changed line and aftercode is the pre-fix (buggy) line it
-    replaced.  Pairs whose hunk is not one-line-to-one-line are skipped
-    with a reason; retrieval order is preserved.
+    replaced.  Pairs whose hunk is not one-line-to-one-line, or whose
+    changed lines are blank or equal once trimmed, are left out; retrieval
+    order is preserved.
     """
-    report = RenderReport(examples=[])
+    examples = []
     for pair in pairs:
         hunk = pair.hunk
         if len(hunk.pre_lines) != 1 or len(hunk.post_lines) != 1:
-            report.skipped.append(
-                (pair.id,
-                 f"hunk is {len(hunk.pre_lines)}-to-{len(hunk.post_lines)} lines"))
             continue
         buggy_line = hunk.pre_lines[0][1].strip()
         fixed_line = hunk.post_lines[0][1].strip()
-        if not fixed_line or fixed_line == buggy_line:
-            report.skipped.append((pair.id, "degenerate one-line hunk"))
-            continue
-        report.examples.append(FewShotExample(
-            precode=fixed_line, aftercode=buggy_line, source_pair_id=pair.id))
-    return report
+        if fixed_line and fixed_line != buggy_line:
+            examples.append(FewShotExample(
+                precode=fixed_line, aftercode=buggy_line, source_pair_id=pair.id))
+    return examples
 
 
 def render_prompt(method: FocalMethod | str, chunk: CodeChunk | str,
@@ -169,11 +126,25 @@ def render_prompt(method: FocalMethod | str, chunk: CodeChunk | str,
         n: number of mutants to request; equals the chunk's physical line
             count (or the method's when chunking is disabled).
     """
+    if n < 1:
+        raise PromptError(f"requested_n must be positive, got {n}")
     method_text = method.source if isinstance(method, FocalMethod) else method
     chunk_text = chunk.text if isinstance(chunk, CodeChunk) else chunk
-    instance = PromptInstance(focal_method=method_text, chunk=chunk_text,
-                              examples=list(examples), requested_n=n)
-    return instance.render()
+    instruction = INSTRUCTION.replace("{N}", str(n))
+    examples_json = json.dumps(
+        [{"precode": e.precode, "aftercode": e.aftercode} for e in examples])
+    return (
+        f"[Instruction]: {instruction}\n"
+        f"\n"
+        f"[Entire Focal Method]: {method_text}\n"
+        f"\n"
+        f"[The Current Chunk]: Only mutate these lines: {chunk_text}\n"
+        f"\n"
+        f"[Few-Shot Examples]: <json> {examples_json} </json>\n"
+        f"\n"
+        f"[Output Instructions]:\n"
+        f"{OUTPUT_INSTRUCTIONS}"
+    )
 
 
 @dataclass

@@ -189,27 +189,3 @@ def write_instances(instances: Iterable[TrainingInstance], path: str | Path) -> 
             count += 1
     return count
 
-
-def read_instances(path: str | Path) -> list[TrainingInstance]:
-    """Load instances back from a line-delimited JSON file."""
-    instances = []
-    for line_number, line in enumerate(Path(path).read_text(
-            encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise SftError(f"line {line_number}: invalid JSON: {error}") from error
-        try:
-            provenance = record["provenance"]
-            instances.append(TrainingInstance(
-                prompt=record["prompt"],
-                response=record["response"],
-                bug_id=provenance["bug_id"],
-                chunk_id=provenance["chunk_id"],
-                mutant_ids=tuple(provenance["mutant_ids"]),
-                project=provenance.get("project", "")))
-        except (KeyError, TypeError) as error:
-            raise SftError(f"line {line_number}: missing field {error}") from error
-    return instances

@@ -49,22 +49,13 @@ class ValidityLedger:
         return self.compilable - self.duplicates
 
 
-def normalize_line(text: str, collapse_whitespace: bool = True) -> str:
-    """Trim the ends and optionally collapse internal whitespace runs."""
-    trimmed = text.strip()
-    return _WS_RUN.sub(" ", trimmed) if collapse_whitespace else trimmed
+def normalize_line(text: str) -> str:
+    """Trim the ends and collapse internal whitespace runs to one space."""
+    return _WS_RUN.sub(" ", text.strip())
 
 
-@dataclass
-class DedupResult:
-    """Duplicate partition: duplicate ids plus each key's canonical id."""
-
-    duplicates: set[str]
-    canonical: dict = field(default_factory=dict)
-
-
-def dedup(mutants, original_source: str, collapse_whitespace: bool = True) -> DedupResult:
-    """Partition mutants of one bug into canonical mutants and duplicates.
+def dedup(mutants, original_source: str) -> set[str]:
+    """The ids of the duplicates among the mutants of one bug.
 
     A mutant is a duplicate iff its normalized mutated line equals the
     normalized original line at its target line, or another mutant with
@@ -73,24 +64,21 @@ def dedup(mutants, original_source: str, collapse_whitespace: bool = True) -> De
     the input order.
     """
     original_lines = original_source.split("\n")
-    result = DedupResult(duplicates=set())
+    duplicates: set[str] = set()
+    seen: set[tuple[int, str]] = set()
     for mutant in mutants:
-        mutated = normalize_line(mutant.mutated_line_text, collapse_whitespace)
+        mutated = normalize_line(mutant.mutated_line_text)
         index = mutant.target_line - 1
         if not 0 <= index < len(original_lines):
             raise ValidityError(
                 f"mutant {mutant.id} targets line {mutant.target_line} "
                 f"outside the original source")
-        original = normalize_line(original_lines[index], collapse_whitespace)
-        if mutated == original:
-            result.duplicates.add(mutant.id)
-            continue
         key = (mutant.target_line, mutated)
-        if key in result.canonical:
-            result.duplicates.add(mutant.id)
+        if mutated == normalize_line(original_lines[index]) or key in seen:
+            duplicates.add(mutant.id)
         else:
-            result.canonical[key] = mutant.id
-    return result
+            seen.add(key)
+    return duplicates
 
 
 @dataclass

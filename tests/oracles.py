@@ -205,3 +205,20 @@ def oracle_embed(code, dimension):
         digest = hashlib.blake2b(joined, digest_size=8).digest()
         buckets.append(int.from_bytes(digest, "little") % dimension)
     return np.bincount(buckets, minlength=dimension).astype(np.float32)
+
+
+def apply_hunk(hunk, pre_text):
+    """Apply a single hunk to the pre text and return the post text.
+
+    The round-trip oracle of ``diff_hunk``.  Both sides of a single hunk
+    start at the same line number, so the edit starts at the first removed
+    line or, for a pure insertion, at the first added one.  Raises
+    ValueError if the removed lines are not in the pre text there.
+    """
+    lines = pre_text.split("\n")
+    start = (hunk.pre_lines or hunk.post_lines)[0][0] - 1
+    for offset, (_, text) in enumerate(hunk.pre_lines):
+        if start + offset >= len(lines) or lines[start + offset] != text:
+            raise ValueError(f"hunk does not match pre text at line {start + offset + 1}")
+    lines[start:start + len(hunk.pre_lines)] = [text for _, text in hunk.post_lines]
+    return "\n".join(lines)

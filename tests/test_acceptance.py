@@ -251,9 +251,7 @@ def test_criterion_7_retrieval_self_query_and_determinism(tmp_path, capsys):
     snippets = {f"s{i:02d}": f"int v{i} = compute({i}) + {i * 7};"
                 for i in range(10)}
     entries = sorted(snippets)
-    index = VectorIndex(dimension=96, metric="euclidean")
-    for entry_id in entries:
-        index.add(entry_id, embedder.embed(snippets[entry_id]))
+    index = VectorIndex(entries, embedder.embed_many([snippets[i] for i in entries]))
     probe = embedder.embed(snippets["s04"])
     neighbors = index.query(probe, n=4)
     assert neighbors[0] == ("s04", 0.0)
@@ -263,9 +261,7 @@ def test_criterion_7_retrieval_self_query_and_determinism(tmp_path, capsys):
     for _ in range(10):
         shuffled = entries[:]
         rng.shuffle(shuffled)
-        permuted = VectorIndex(dimension=96, metric="euclidean")
-        for entry_id in shuffled:
-            permuted.add(entry_id, embedder.embed(snippets[entry_id]))
+        permuted = VectorIndex(shuffled, embedder.embed_many([snippets[i] for i in shuffled]))
         assert permuted.query(probe, n=len(entries)) == baseline
 
     assert PipelineConfig().retrieval_n == 6
@@ -314,18 +310,17 @@ def test_criterion_9_prompt_round_trip_and_materialize(tmp_path):
     """Rendered examples survive the response parser; edits stay in-chunk."""
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus_path)
-    pairs = list(ingest_corpus(str(corpus_path)))[:6]
-    report = render_examples(pairs)
-    assert not report.skipped
-    assert len(report.examples) == 6
+    pairs = ingest_corpus(str(corpus_path)).pairs[:6]
+    examples = render_examples(pairs)
+    assert len(examples) == 6
     chunks = chunk_method(parse_method(CLAMP_FIXED))
-    prompt = render_prompt(CLAMP_FIXED, chunks[0], report.examples,
+    prompt = render_prompt(CLAMP_FIXED, chunks[0], examples,
                            n=len(chunks[0].line_numbers))
     parsed = parse_response(prompt)
     assert parsed.failure is None
     assert parsed.dropped == 0
     assert ([(p.precode, p.aftercode) for p in parsed.pairs]
-            == [(e.precode, e.aftercode) for e in report.examples])
+            == [(e.precode, e.aftercode) for e in examples])
 
     rng = random.Random(9)
     for i in range(100):

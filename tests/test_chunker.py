@@ -89,6 +89,12 @@ class TestParseMethod:
         assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
             ("decl", 2, 3), ("decl", 4, 4)]
 
+    @pytest.mark.parametrize("literal", ['"one\\\ntwo"', "'\\\n'"])
+    def test_an_escaped_newline_inside_a_literal_is_counted(self, literal):
+        method = parse_method(f"void a() {{\n    String s = {literal};\n    int k = 1;\n}}")
+        assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
+            ("decl", 2, 3), ("decl", 4, 4)]
+
     def test_unbalanced_brace_reports_line(self):
         source = "void a() {\n    if (x) {\n    return;\n}"
         with pytest.raises(MethodSyntaxError) as err:

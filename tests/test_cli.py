@@ -250,6 +250,14 @@ class TestGenerateCommand:
         assert code == 2
         assert "unknown keys" in err
 
+    def test_the_dropped_collapse_whitespace_key_is_unknown(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"collapse_whitespace": True}))
+        code, _, err = run_cli(["validate", "--config", str(config_path),
+                                "--targets", str(tmp_path / "targets.jsonl")], capsys)
+        assert code == 2
+        assert "unknown keys: ['collapse_whitespace']" in err
+
 
 class TestReportCommands:
     def test_report_writes_sections(self, fixed_cli_run):

@@ -15,10 +15,10 @@ from mutkit.corpus import (
     CorpusError,
     Hunk,
     HunkError,
-    apply_hunk,
     diff_hunk,
     ingest_corpus,
 )
+from oracles import apply_hunk
 
 
 def oracle_region_count(pre: str, post: str) -> int:
@@ -53,16 +53,6 @@ class TestDiffHunk:
         hunk = diff_hunk(PRE, POST)
         assert hunk.pre_lines == ((4, "        count += 1;"),)
         assert hunk.post_lines == ((4, "        count += r.span();"),)
-        assert hunk.pre_start == 4
-
-    def test_context_windows_are_at_most_three_lines(self):
-        hunk = diff_hunk(PRE, POST)
-        assert hunk.context_before == ("int getRowCount() {".replace("int g", "int g"),
-                                       "    int count = 0;",
-                                       "    for (Row r : rows) {")[-3:] or True
-        assert len(hunk.context_before) == 3
-        assert hunk.context_before[-1] == "    for (Row r : rows) {"
-        assert hunk.context_after == ("    }", "    return count;", "}")
 
     def test_insertion_and_deletion_hunks(self):
         base = "a\nb\nc"
@@ -127,7 +117,7 @@ class TestApplyHunk:
 
     def test_mismatched_pre_text_rejected(self):
         hunk = diff_hunk(PRE, POST)
-        with pytest.raises(HunkError, match="does not match"):
+        with pytest.raises(ValueError, match="does not match"):
             apply_hunk(hunk, PRE.replace("count += 1;", "count += 2;"))
 
     def test_fifty_random_synthetic_edits_round_trip(self):
@@ -183,11 +173,11 @@ def test_prefix_trim_keeps_the_untrimmed_regions(a, b):
 class TestHunkValidation:
     def test_empty_hunk_rejected(self):
         with pytest.raises(HunkError):
-            Hunk(pre_start=1, pre_lines=(), post_lines=())
+            Hunk(pre_lines=(), post_lines=())
 
     def test_non_contiguous_lines_rejected(self):
         with pytest.raises(HunkError, match="contiguous"):
-            Hunk(pre_start=1, pre_lines=((1, "a"), (3, "b")), post_lines=())
+            Hunk(pre_lines=((1, "a"), (3, "b")), post_lines=())
 
 
 class TestIngestCorpus:
@@ -205,8 +195,8 @@ class TestIngestCorpus:
         path = self.write(tmp_path, [self.record("p1"), self.record("p2")])
         corpus = ingest_corpus(path)
         assert isinstance(corpus, Corpus)
-        assert [pair.id for pair in corpus] == ["p1", "p2"]
-        assert corpus.get("p2").project == "demo"
+        assert [pair.id for pair in corpus.pairs] == ["p1", "p2"]
+        assert corpus.pairs[1].project == "demo"
         assert not corpus.skipped
 
     def test_schema_violations_are_skipped_with_reasons(self, tmp_path):
@@ -217,7 +207,7 @@ class TestIngestCorpus:
         ]
         path = self.write(tmp_path, records)
         corpus = ingest_corpus(path)
-        assert len(corpus) == 1
+        assert len(corpus.pairs) == 1
         reasons = [s.reason for s in corpus.skipped]
         assert "missing field: post_fix_code" in reasons
         assert any("not a string" in r for r in reasons)
@@ -232,9 +222,17 @@ class TestIngestCorpus:
             self.record("ok"),
         ]
         corpus = ingest_corpus(self.write(tmp_path, records))
-        assert [pair.id for pair in corpus] == ["ok"]
+        assert [pair.id for pair in corpus.pairs] == ["ok"]
         assert corpus.skipped[0].record_id == "multi"
         assert "multi-hunk" in corpus.skipped[0].reason
+
+    def test_metadata_that_is_not_an_object_is_skipped(self, tmp_path):
+        records = [dict(self.record("listed"), metadata=["a"]),
+                   dict(self.record("kept"), metadata={"source": "x"})]
+        corpus = ingest_corpus(self.write(tmp_path, records))
+        assert [pair.id for pair in corpus.pairs] == ["kept"]
+        assert [(s.record_id, s.reason) for s in corpus.skipped] == [
+            ("listed", "metadata is not an object")]
 
     def test_duplicate_ids_fatal(self, tmp_path):
         path = self.write(tmp_path, [self.record("dup"), self.record("dup")])
@@ -262,5 +260,5 @@ class TestIngestCorpus:
             handle.write("{not json\n")
             handle.write(json.dumps(self.record("ok")) + "\n")
         corpus = ingest_corpus(str(path))
-        assert len(corpus) == 1
+        assert len(corpus.pairs) == 1
         assert corpus.skipped[0].line_no == 1

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutkit import embedder as embedder_module
-from mutkit.corpus import BugFixPair, Corpus, diff_hunk
+from mutkit.corpus import BugFixPair, diff_hunk
 from mutkit.embedder import (
     DEFAULT_DIMENSION,
-    CodeEmbedding,
     EmbeddingError,
     IndexFormatError,
     LexicalEmbedder,
@@ -38,35 +37,31 @@ class TestLexicalEmbedder:
         embedder = LexicalEmbedder(dimension=64)
         for code in ("int x = count + 1;", "int x = total + 1;",
                      "x = y; x = y; x = y; x = y;", 'String s = "h\u00e9llo";'):
-            embedding = embedder.embed(code)
-            np.testing.assert_array_equal(
-                embedding.values, oracle_embed(code, 64))
+            np.testing.assert_array_equal(embedder.embed(code), oracle_embed(code, 64))
 
     def test_one_identifier_change_changes_vector(self):
         embedder = LexicalEmbedder(dimension=DEFAULT_DIMENSION)
         a = embedder.embed("int x = count + 1;")
         b = embedder.embed("int x = total + 1;")
-        assert a.values.shape == (DEFAULT_DIMENSION,)
-        assert not np.array_equal(a.values, b.values)
+        assert a.shape == (DEFAULT_DIMENSION,) and a.dtype == np.float32
+        assert not np.array_equal(a, b)
 
     def test_deterministic_across_instances(self):
         code = "for (int i = 0; i < n; i++) { sum += i; }"
-        first = LexicalEmbedder().embed(code).values
-        second = LexicalEmbedder().embed(code).values
+        first = LexicalEmbedder().embed(code)
+        second = LexicalEmbedder().embed(code)
         np.testing.assert_array_equal(first, second)
 
     def test_short_inputs_still_embed(self):
-        embedding = LexicalEmbedder(dimension=32).embed("x")
-        assert embedding.values.sum() > 0
+        assert LexicalEmbedder(dimension=32).embed("x").sum() > 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmbeddingError, match="empty"):
             LexicalEmbedder().embed("   \n ")
 
     def test_vector_is_raw_counts(self):
-        embedding = LexicalEmbedder(dimension=16).embed("a b c d")
         # 6 trigrams from 4 tokens plus 4 sentinels.
-        assert embedding.values.sum() == 6.0
+        assert LexicalEmbedder(dimension=16).embed("a b c d").sum() == 6.0
 
     def test_embed_many_of_nothing_is_an_empty_matrix(self):
         vectors = LexicalEmbedder(dimension=37).embed_many([])
@@ -112,7 +107,7 @@ def test_embed_many_matches_the_per_text_oracle(texts, picks, dimension):
     for text, row in zip(batch, vectors):
         np.testing.assert_array_equal(row, oracle_embed(text, dimension))
         np.testing.assert_array_equal(
-            LexicalEmbedder(dimension=dimension).embed(text).values, row)
+            LexicalEmbedder(dimension=dimension).embed(text), row)
 
 
 @settings(max_examples=10, deadline=None)
@@ -129,12 +124,23 @@ def test_a_batch_longer_than_one_count_block(texts, seed):
         np.testing.assert_array_equal(row, oracle[text])
 
 
+def index_of(entries, metric="euclidean", dimension=None):
+    """A VectorIndex of (id, vector) entries, in entry order."""
+    vectors = (np.stack([vector for _, vector in entries]) if entries
+               else np.zeros((0, dimension), dtype=np.float32))
+    return VectorIndex([entry_id for entry_id, _ in entries], vectors.astype(np.float32),
+                       metric=metric, backend_id="toy")
+
+
+def embedded_index(embedder, codes: dict, metric="euclidean"):
+    """An index of embedded code texts keyed by their dict keys."""
+    return VectorIndex(list(codes), embedder.embed_many(list(codes.values())),
+                       metric=metric, backend_id=embedder.backend_id)
+
+
 class TestVectorIndex:
     def build_two_entry_index(self):
-        index = VectorIndex(dimension=2, metric="euclidean", backend_id="toy")
-        index.add("a", CodeEmbedding(np.array([0.0, 0.0], dtype=np.float32), "toy"))
-        index.add("b", CodeEmbedding(np.array([3.0, 4.0], dtype=np.float32), "toy"))
-        return index
+        return index_of(float32_entries(a=[0.0, 0.0], b=[3.0, 4.0]))
 
     def test_euclidean_scores_on_two_dimensional_fixture(self):
         index = self.build_two_entry_index()
@@ -143,10 +149,8 @@ class TestVectorIndex:
 
     def test_self_query_distance_zero(self):
         embedder = LexicalEmbedder(dimension=128)
-        index = VectorIndex(dimension=128, backend_id=embedder.backend_id)
         codes = {"p1": "int a = 1;", "p2": "int b = 2;", "p3": "while (x) { y(); }"}
-        for pair_id, code in codes.items():
-            index.add(pair_id, embedder.embed(code))
+        index = embedded_index(embedder, codes)
         top_id, top_score = index.query(embedder.embed(codes["p2"]), n=1)[0]
         assert top_id == "p2"
         assert top_score == 0.0
@@ -159,28 +163,20 @@ class TestVectorIndex:
         for seed in (1, 2, 3):
             order = list(codes)
             random.Random(seed).shuffle(order)
-            index = VectorIndex(dimension=128, backend_id=embedder.backend_id)
-            for pair_id in order:
-                index.add(pair_id, embedder.embed(codes[pair_id]))
+            index = embedded_index(embedder, {pair_id: codes[pair_id] for pair_id in order})
             rankings.append(index.query(probe, n=6))
         assert rankings[0] == rankings[1] == rankings[2]
 
     def test_equidistant_ties_broken_by_id(self):
-        index = VectorIndex(dimension=2, backend_id="toy")
-        for entry_id in ("z", "m", "a"):
-            index.add(entry_id, CodeEmbedding(np.array([1.0, 0.0], dtype=np.float32), "toy"))
+        index = index_of(float32_entries(z=[1.0, 0.0], m=[1.0, 0.0], a=[1.0, 0.0]))
         results = index.query(np.array([0.0, 0.0], dtype=np.float32), n=3)
         assert [i for i, _ in results] == ["a", "m", "z"]
 
     def test_cosine_and_dot_rank_descending(self):
-        index = VectorIndex(dimension=2, metric="dot", backend_id="toy")
-        index.add("small", CodeEmbedding(np.array([1.0, 0.0], dtype=np.float32), "toy"))
-        index.add("large", CodeEmbedding(np.array([5.0, 0.0], dtype=np.float32), "toy"))
+        index = index_of(float32_entries(small=[1.0, 0.0], large=[5.0, 0.0]), "dot")
         assert index.query(np.array([1.0, 0.0]), n=2)[0][0] == "large"
 
-        cosine = VectorIndex(dimension=2, metric="cosine", backend_id="toy")
-        cosine.add("aligned", CodeEmbedding(np.array([2.0, 0.0], dtype=np.float32), "toy"))
-        cosine.add("off", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
+        cosine = index_of(float32_entries(aligned=[2.0, 0.0], off=[1.0, 1.0]), "cosine")
         results = cosine.query(np.array([1.0, 0.0]), n=2)
         assert results[0][0] == "aligned"
         assert results[0][1] == pytest.approx(1.0)
@@ -191,63 +187,47 @@ class TestVectorIndex:
             index.query(np.zeros(3, dtype=np.float32), n=1)
 
     def test_query_empty_index_rejected(self):
-        index = VectorIndex(dimension=4)
+        index = index_of([], dimension=4)
+        assert index.dimension == 4 and len(index) == 0
         with pytest.raises(EmbeddingError, match="empty"):
             index.query(np.zeros(4, dtype=np.float32), n=1)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(EmbeddingError, match="metric"):
-            VectorIndex(dimension=4, metric="manhattan")
-
-    def test_backend_mismatch_rejected(self):
-        index = VectorIndex(dimension=2, backend_id="toy")
-        with pytest.raises(EmbeddingError, match="backend"):
-            index.add("x", CodeEmbedding(np.zeros(2, dtype=np.float32), "other"))
+            index_of(float32_entries(a=[1.0]), metric="manhattan")
 
     def test_thousand_entries_bounded(self):
         embedder = LexicalEmbedder(dimension=64)
-        index = VectorIndex(dimension=64, backend_id=embedder.backend_id)
-        for i in range(1000):
-            index.add(f"p{i:04d}", embedder.embed(f"int value{i} = {i} * 3;"))
+        index = embedded_index(
+            embedder, {f"p{i:04d}": f"int value{i} = {i} * 3;" for i in range(1000)})
         assert len(index) == 1000
         assert index.matrix().shape == (1000, 64)
         results = index.query(embedder.embed("int value500 = 500 * 3;"), n=6)
         assert results[0][0] == "p0500"
 
     def test_ties_across_the_cut_are_ordered_by_id(self):
-        index = VectorIndex(dimension=1, backend_id="toy")
-        for entry_id in ("d", "b", "c", "a"):
-            index.add(entry_id, CodeEmbedding(np.array([1.0], dtype=np.float32), "toy"))
-        index.add("e", CodeEmbedding(np.array([0.0], dtype=np.float32), "toy"))
+        index = index_of(float32_entries(d=[1.0], b=[1.0], c=[1.0], a=[1.0], e=[0.0]))
         probe = np.array([0.0], dtype=np.float32)
         assert [i for i, _ in index.query(probe, n=1)] == ["e"]
         assert [i for i, _ in index.query(probe, n=2)] == ["e", "a"]
         assert [i for i, _ in index.query(probe, n=3)] == ["e", "a", "b"]
 
-    def test_query_after_add_sees_the_new_entry(self):
-        index = VectorIndex(dimension=2, metric="cosine", backend_id="toy")
-        index.add("b", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
-        probe = np.array([1.0, 0.0], dtype=np.float32)
-        assert index.query(probe, n=1)[0][0] == "b"
-        index.add("a", CodeEmbedding(np.array([3.0, 0.0], dtype=np.float32), "toy"))
-        index.add("c", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
-        assert [i for i, _ in index.query(probe, n=3)] == ["a", "b", "c"]
-
     def test_nan_scores_rank_last(self):
-        index = VectorIndex(dimension=2, metric="dot", backend_id="toy")
-        big = np.float32(3e38)
-        index.add("a", CodeEmbedding(np.array([big, big], dtype=np.float32), "toy"))
-        index.add("b", CodeEmbedding(np.array([1.0, 0.0], dtype=np.float32), "toy"))
+        big = 3e38
+        index = index_of(float32_entries(a=[big, big], b=[1.0, 0.0]), "dot")
         probe = np.array([big, -big], dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):  # a's score is inf - inf
             assert [i for i, _ in index.query(probe, n=1)] == ["b"]
             assert [i for i, _ in index.query(probe, n=2)] == ["b", "a"]
 
     def test_duplicate_id_rejected(self):
-        index = self.build_two_entry_index()
-        with pytest.raises(EmbeddingError, match="duplicate"):
-            index.add("a", CodeEmbedding(np.array([1.0, 1.0], dtype=np.float32), "toy"))
-        assert index.ids == ["a", "b"]
+        with pytest.raises(EmbeddingError, match="duplicate index entry id 'a'"):
+            VectorIndex(["a", "b", "a"], np.zeros((3, 2), dtype=np.float32))
+
+    def test_the_matrix_is_kept_uncopied(self):
+        vectors = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
+        index = VectorIndex(["a", "b"], vectors)
+        assert np.shares_memory(index.matrix(), vectors)
 
     def test_matrix_is_a_read_only_view_of_the_filled_rows(self):
         index = self.build_two_entry_index()
@@ -262,9 +242,7 @@ class TestVectorIndex:
                    for i in range(300)]
         probes = [rng.normal(size=24).astype(np.float32) for _ in range(5)]
         for metric in ("euclidean", "cosine", "dot"):
-            index = VectorIndex(dimension=24, metric=metric, backend_id="toy")
-            for entry_id, vector in entries:
-                index.add(entry_id, CodeEmbedding(vector, "toy"))
+            index = index_of(entries, metric)
             for probe in probes:
                 for n in (1, 10, 300):
                     assert index.query(probe, n) == oracle_rank(entries, probe, metric, n)
@@ -297,19 +275,13 @@ def paths_taken(monkeypatch) -> list[str]:
 
 
 class TestQueryMany:
-    def index_of(self, entries, metric, dimension):
-        index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
-        for entry_id, vector in entries:
-            index.add(entry_id, CodeEmbedding(vector, "toy"))
-        return index
-
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
     def test_integer_vectors_take_one_product_per_block(self, monkeypatch, metric):
         embedder = LexicalEmbedder(dimension=16)
-        entries = [(f"p{i:02d}", embedder.embed(f"int v{i % 7} = {i} + w;").values)
+        entries = [(f"p{i:02d}", embedder.embed(f"int v{i % 7} = {i} + w;"))
                    for i in range(40)]
-        probes = [embedder.embed(f"int v{i} = w;").values for i in range(37)]
-        index = self.index_of(entries, metric, 16)
+        probes = [embedder.embed(f"int v{i} = w;") for i in range(37)]
+        index = index_of(entries, metric, 16)
         taken = paths_taken(monkeypatch)
         many = index.query_many(probes, 5)
         assert taken == ["product"] * 3  # blocks of `dimension` probes
@@ -317,8 +289,8 @@ class TestQueryMany:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "dot"])
     def test_real_valued_vectors_take_the_elementwise_path(self, monkeypatch, metric):
-        real = self.index_of(float32_entries(a=[0.5, 1.0], b=[2.0, -1.0]), metric, 2)
-        integral = self.index_of(float32_entries(a=[1.0, 1.0], b=[2.0, -1.0]), metric, 2)
+        real = index_of(float32_entries(a=[0.5, 1.0], b=[2.0, -1.0]), metric, 2)
+        integral = index_of(float32_entries(a=[1.0, 1.0], b=[2.0, -1.0]), metric, 2)
         taken = paths_taken(monkeypatch)
         real.query_many([np.array([1.0, 2.0]), np.array([-1.0, 0.0])], 2)
         assert taken == ["elementwise"] * 2
@@ -330,7 +302,7 @@ class TestQueryMany:
     def test_a_squared_norm_of_two_to_the_24_takes_the_fallback(self, monkeypatch, metric):
         entries = float32_entries(big=[4096.0, 0.0], one=[1.0, 1.0], zero=[0.0, 0.0])
         probes = [np.array([3.0, -5.0]), np.array([0.0, 0.0])]
-        index = self.index_of(entries, metric, 2)
+        index = index_of(entries, metric, 2)
         taken = paths_taken(monkeypatch)
         many = index.query_many(probes, 3)
         assert taken == ["elementwise"] * 2
@@ -341,7 +313,7 @@ class TestQueryMany:
         # formula and the elementwise sum round it differently.
         entries = float32_entries(s=[2165.0, 2703.0])
         probe = np.array([-2082.0, 360.0], dtype=np.float32)
-        index = self.index_of(entries, "euclidean", 2)
+        index = index_of(entries, "euclidean", 2)
         taken = paths_taken(monkeypatch)
         expected = oracle_rank(entries, probe, "euclidean", 1)
         assert index.query_many([probe], 1) == [expected]
@@ -356,28 +328,20 @@ class TestQueryMany:
         probe = np.array([-1537.0, 1355.0], dtype=np.float32)
         assert 2047 ** 2 + 2 ** 2 + 1537 ** 2 + 1355 ** 2 == 2 ** 23 - 1
         for metric in ("euclidean", "cosine", "dot"):
-            index = self.index_of(entries, metric, 2)
+            index = index_of(entries, metric, 2)
             taken = paths_taken(monkeypatch)
             assert index.query_many([probe], 2) == [oracle_rank(entries, probe, metric, 2)]
             assert taken == ["product"]
-        index = self.index_of(float32_entries(s=[2048.0, 0.0]), "euclidean", 2)
+        index = index_of(float32_entries(s=[2048.0, 0.0]), "euclidean", 2)
         taken = paths_taken(monkeypatch)
         assert index.query_many([np.array([-2048.0, 0.0])], 1) == [[("s", 4096.0)]]
         assert taken == ["elementwise"]  # 2**22 + 2**22 is on the bound
 
-    def test_an_add_resets_the_cached_bound(self, monkeypatch):
-        index = self.index_of(float32_entries(a=[1.0, 2.0]), "dot", 2)
-        taken = paths_taken(monkeypatch)
-        index.query_many([np.array([1.0, 1.0])], 1)
-        index.add("b", CodeEmbedding(np.array([0.5, 0.0], dtype=np.float32), "toy"))
-        assert index.query_many([np.array([1.0, 1.0])], 2) == [[("a", 3.0), ("b", 0.5)]]
-        assert taken == ["product", "elementwise"]
-
     def test_no_probes_give_no_results(self):
-        assert self.index_of(float32_entries(a=[1.0]), "dot", 1).query_many([], 3) == []
+        assert index_of(float32_entries(a=[1.0]), "dot", 1).query_many([], 3) == []
 
     def test_a_bad_probe_fails_the_whole_call(self):
-        index = self.index_of(float32_entries(a=[1.0, 0.0]), "dot", 2)
+        index = index_of(float32_entries(a=[1.0, 0.0]), "dot", 2)
         with pytest.raises(EmbeddingError, match="dimension"):
             index.query_many([np.zeros(2), np.zeros(3)], 1)
 
@@ -401,9 +365,8 @@ def small_indexes(draw):
 @settings(max_examples=150, deadline=None)
 def test_query_matches_the_full_sort_oracle(case, metric):
     dimension, entries, probe = case
-    index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
-    for count, (entry_id, vector) in enumerate(entries, start=1):
-        index.add(entry_id, CodeEmbedding(vector, "toy"))
+    for count in range(1, len(entries) + 1):
+        index = index_of(entries[:count], metric)
         for n in range(1, count + 2):
             assert index.query(probe, n) == oracle_rank(entries[:count], probe, metric, n)
 
@@ -418,9 +381,7 @@ def test_query_many_matches_query_and_the_oracle(case, metric, data):
                               max_size=4))
     probes = [probe, np.zeros(dimension, dtype=np.float32)] + [
         np.array(values, dtype=np.float32) for values in more]
-    index = VectorIndex(dimension=dimension, metric=metric, backend_id="toy")
-    for entry_id, vector in entries:
-        index.add(entry_id, CodeEmbedding(vector, "toy"))
+    index = index_of(entries, metric)
     for n in range(1, len(entries) + 2):
         many = index.query_many(probes, n)
         assert many == [index.query(p, n) for p in probes]
@@ -430,9 +391,8 @@ def test_query_many_matches_query_and_the_oracle(case, metric, data):
 class TestIndexPersistence:
     def test_save_load_round_trip(self, tmp_path):
         embedder = LexicalEmbedder(dimension=32)
-        index = VectorIndex(dimension=32, metric="cosine", backend_id=embedder.backend_id)
-        for i in range(5):
-            index.add(f"id{i}", embedder.embed(f"return x + {i};"))
+        index = embedded_index(embedder, {f"id{i}": f"return x + {i};" for i in range(5)},
+                               "cosine")
         path = str(tmp_path / "index.bin")
         index.save(path)
         loaded = VectorIndex.load(path)
@@ -443,8 +403,7 @@ class TestIndexPersistence:
 
     def test_truncated_file_rejected(self, tmp_path):
         embedder = LexicalEmbedder(dimension=32)
-        index = VectorIndex(dimension=32, backend_id=embedder.backend_id)
-        index.add("id0", embedder.embed("return 1;"))
+        index = embedded_index(embedder, {"id0": "return 1;"})
         path = tmp_path / "index.bin"
         index.save(str(path))
         data = path.read_bytes()
@@ -492,9 +451,9 @@ class TestIndexPersistence:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_saved_bytes_match_golden_digest(self, tmp_path, metric):
         embedder = LexicalEmbedder(dimension=64)
-        index = VectorIndex(dimension=64, metric=metric, backend_id=embedder.backend_id)
-        for i in range(1000):
-            index.add(f"p{i:04d}", embedder.embed(f"int value{i} = {i} * {i % 7};"))
+        index = embedded_index(
+            embedder, {f"p{i:04d}": f"int value{i} = {i} * {i % 7};" for i in range(1000)},
+            metric)
         path = tmp_path / "index.bin"
         index.save(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_INDEX_SHA256[metric]
@@ -515,40 +474,51 @@ def make_pair(pair_id: str, pre: str, post: str) -> BugFixPair:
 
 
 class TestBuildIndex:
-    def corpus(self):
-        pairs = [
+    def pairs(self):
+        return [
             make_pair("p1", "int a = 1;\nreturn a;", "int a = 2;\nreturn a;"),
             make_pair("p2", "int b = 1;\nreturn b;", "int b = 3;\nreturn b;"),
         ]
-        return Corpus(pairs=pairs, skipped=[])
 
     def test_default_keys_on_post_fix(self):
-        corpus = self.corpus()
-        index = build_index(corpus)
+        pairs = self.pairs()
+        index = build_index(pairs)
         embedder = LexicalEmbedder()
-        top = index.query(embedder.embed(corpus.pairs[0].post_fix_code), n=1)
+        top = index.query(embedder.embed(pairs[0].post_fix_code), n=1)
         assert top[0] == ("p1", 0.0)
 
     def test_pre_fix_key_side(self):
-        corpus = self.corpus()
-        index = build_index(corpus, key_side="pre_fix")
+        pairs = self.pairs()
+        index = build_index(pairs, key_side="pre_fix")
         embedder = LexicalEmbedder()
-        top = index.query(embedder.embed(corpus.pairs[1].pre_fix_code), n=1)
+        top = index.query(embedder.embed(pairs[1].pre_fix_code), n=1)
         assert top[0] == ("p2", 0.0)
 
     def test_bad_key_side_rejected(self):
         with pytest.raises(EmbeddingError, match="key_side"):
-            build_index(self.corpus(), key_side="middle")
+            build_index(self.pairs(), key_side="middle")
 
     def test_duplicate_pair_id_rejected(self):
-        pairs = self.corpus().pairs
+        pairs = self.pairs()
         with pytest.raises(EmbeddingError, match="duplicate index entry id 'p1'"):
             build_index([pairs[0], pairs[1], pairs[0]])
 
     def test_an_empty_key_is_rejected(self):
-        pairs = self.corpus().pairs + [make_pair("p3", "int c = 1;", "   ")]
+        pairs = self.pairs() + [make_pair("p3", "int c = 1;", "   ")]
         with pytest.raises(EmbeddingError, match="cannot embed empty code"):
             build_index(pairs)
+
+    def test_the_index_keeps_the_embedded_matrix(self, monkeypatch):
+        embedder = LexicalEmbedder(dimension=16)
+        embedded = []
+
+        def embed_many(texts):
+            embedded.append(LexicalEmbedder.embed_many(embedder, texts))
+            return embedded[-1]
+
+        monkeypatch.setattr(embedder, "embed_many", embed_many)
+        index = build_index(self.pairs(), backend=embedder)
+        assert np.shares_memory(index.matrix(), embedded[0])
 
     def test_the_index_is_built_at_its_final_size(self):
         pairs = [make_pair(f"p{i:04d}", f"int value{i} = {i};",
@@ -560,18 +530,18 @@ class TestBuildIndex:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert index._vectors.shape == (2000, 512)
-        # Growing by doubling through add held the 1024- and 2048-row
-        # matrices at once, and peaked at 1.8 times the final matrix.
-        assert peak < 1.5 * index._vectors.nbytes
+        assert index.matrix().shape == (2000, 512)
+        # One full-size matrix: growing it by doubling held the 1024- and
+        # 2048-row matrices at once, and peaked at 1.8 times the final one.
+        assert peak < 1.5 * index.matrix().nbytes
 
-    def test_the_index_saves_as_one_built_by_add(self, tmp_path):
+    def test_the_index_saves_as_one_of_single_embeddings(self, tmp_path):
         pairs = [make_pair(f"p{i:04d}", "int a = 0;", f"int value{i} = {i} * {i % 7};")
                  for i in range(300)]
         embedder = LexicalEmbedder(dimension=64)
-        added = VectorIndex(dimension=64, backend_id=embedder.backend_id)
-        for pair in pairs:
-            added.add(pair.id, embedder.embed(pair.post_fix_code))
-        added.save(str(tmp_path / "added.bin"))
+        single = VectorIndex([pair.id for pair in pairs],
+                             np.stack([embedder.embed(pair.post_fix_code) for pair in pairs]),
+                             backend_id=embedder.backend_id)
+        single.save(str(tmp_path / "single.bin"))
         build_index(pairs, backend=embedder).save(str(tmp_path / "built.bin"))
-        assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "added.bin").read_bytes()
+        assert (tmp_path / "built.bin").read_bytes() == (tmp_path / "single.bin").read_bytes()

@@ -88,6 +88,12 @@ class TestHttpChatBackend:
         completion = backend.complete("p")
         assert completion.retries == 1
 
+    def test_a_transport_error_that_is_not_an_os_error_is_not_retried(self):
+        backend, transport = make_backend([TypeError("bad payload"), (200, ok_body())])
+        with pytest.raises(TypeError, match="bad payload"):
+            backend.complete("p")
+        assert transport.calls == 1
+
     def test_malformed_reply_rejected(self):
         backend, _ = make_backend([(200, '{"weird": true}')])
         with pytest.raises(BackendError, match="malformed"):

@@ -128,7 +128,7 @@ def build_index_file(corpus_path: Path, index_path: Path,
     from mutkit.embedder import LexicalEmbedder, build_index
 
     corpus = ingest_corpus(str(corpus_path))
-    index = build_index(corpus, backend=LexicalEmbedder(dimension=dimension))
+    index = build_index(corpus.pairs, backend=LexicalEmbedder(dimension=dimension))
     index.save(str(index_path))
 
 
@@ -987,12 +987,11 @@ class TestGenerateRetrieval:
         assert outcome.prompts == [] and outcome.failed == 2
 
     def test_a_failed_query_fails_every_chunk(self, tmp_path):
-        from mutkit.embedder import CodeEmbedding, VectorIndex
+        from mutkit.embedder import VectorIndex
 
         config = self.config(tmp_path)
-        index = VectorIndex(dimension=8, backend_id="lexical-trigram-64")
-        index.add("pair-000", CodeEmbedding(np.ones(8, dtype=np.float32), index.backend_id))
-        index.save(config.index)
+        VectorIndex(["pair-000"], np.ones((1, 8), dtype=np.float32),
+                    backend_id="lexical-trigram-64").save(config.index)
         outcome = run_generate(config, self.targets(),
                                backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
         message = "probe dimension (64,) does not match index (8)"

@@ -12,7 +12,6 @@ from mutkit.promptgen import (
     MaterializeError,
     MutationPair,
     PromptError,
-    PromptInstance,
     materialize,
     manifest_record,
     parse_response,
@@ -47,26 +46,26 @@ class TestRenderExamples:
             "}",
         ])
         post = pre.replace("getColumnCount", "getRowCount")
-        report = render_examples([make_pair("fix1", pre, post)])
-        assert len(report.examples) == 1
-        example = report.examples[0]
+        examples = render_examples([make_pair("fix1", pre, post)])
+        assert len(examples) == 1
+        example = examples[0]
         assert example.precode == "int seriesCount = dataset.getRowCount();"
         assert example.aftercode == "int seriesCount = dataset.getColumnCount();"
         assert example.source_pair_id == "fix1"
 
     def test_insertion_only_hunk_skipped(self):
         pair = make_pair("ins", "a;\nc;", "a;\nb;\nc;")
-        report = render_examples([pair])
-        assert report.examples == []
-        assert report.skipped[0][0] == "ins"
+        assert render_examples([pair]) == []
+
+    def test_whitespace_only_hunk_skipped(self):
+        assert render_examples([make_pair("ws", "a;\n    b;", "a;\nb;")]) == []
 
     def test_six_retrieved_one_skipped_gives_five_in_order(self):
         pairs = [make_pair(f"p{i}", f"int v = {i};\nuse(v);",
                            f"int v = {i + 100};\nuse(v);") for i in range(5)]
         pairs.insert(2, make_pair("bad", "a;\nz;", "a;\nb;\nz;"))
-        report = render_examples(pairs)
-        assert [e.source_pair_id for e in report.examples] == ["p0", "p1", "p2", "p3", "p4"]
-        assert len(report.skipped) == 1
+        examples = render_examples(pairs)
+        assert [e.source_pair_id for e in examples] == ["p0", "p1", "p2", "p3", "p4"]
 
 
 class TestRenderPrompt:
@@ -106,8 +105,8 @@ class TestRenderPrompt:
         assert render_prompt(*args) == render_prompt(*args)
 
     def test_requested_n_must_be_positive(self):
-        with pytest.raises(PromptError):
-            PromptInstance(focal_method="m", chunk="c", examples=[], requested_n=0)
+        with pytest.raises(PromptError, match="^requested_n must be positive, got 0$"):
+            render_prompt("m", "c", [], n=0)
 
 
 class TestExampleValidation:

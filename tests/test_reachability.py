@@ -1,0 +1,59 @@
+"""Every public module-level function and class of mutkit has a caller in
+the product: the package itself, the demos or the benchmark harness.
+
+A name counts as used when code outside its own definition refers to it
+(a bare name or an attribute); imports and the tests do not count.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mutkit"
+PRODUCT = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_"))
+
+
+def _references(node: ast.AST) -> set[str]:
+    """The bare names and attribute names that code in ``node`` refers to."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def unreached(paths, package) -> list[str]:
+    """The public top-level functions and classes of the ``package`` files
+    that no top-level statement of ``paths``, other than their own
+    definition, refers to."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    references = {id(node): _references(node) for tree in trees.values() for node in tree.body}
+    uses = Counter(name for names in references.values() for name in names)
+    return [f"{path.stem}.{node.name}"
+            for path in package for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and uses[node.name] == (node.name in references[id(node)])]
+
+
+def test_the_product_files_are_found():
+    assert len(PRODUCT) > len(list(PACKAGE.glob("*.py"))) > 10
+
+
+def test_every_public_definition_is_named_by_the_product():
+    assert unreached(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f():\n    return f()\n", ["m.f"]),
+    ("def f():\n    pass\n\nx = f\n", []),
+    ("import n\nn.f()\n\ndef f():\n    pass\n", []),
+    ("from n import f\n\ndef f():\n    pass\n", ["m.f"]),
+    ("class C:\n    def f(self):\n        return C\n\ndef _g():\n    pass\n", ["m.C"]),
+])
+def test_only_a_reference_from_outside_the_definition_counts(tmp_path, source, expected):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unreached([path], [path]) == expected

@@ -12,7 +12,6 @@ from mutkit.sft import (
     SftError,
     TrainingInstance,
     export,
-    read_instances,
     render_response,
     write_instances,
 )
@@ -154,19 +153,14 @@ class TestDeterminism:
         path = tmp_path / "sft.jsonl"
         count = write_instances(result.instances, path)
         assert count == 1
-        loaded = read_instances(path)
-        assert loaded == result.instances
-        record = json.loads(path.read_text().splitlines()[0])
-        assert set(record) == {"prompt", "response", "provenance"}
-
-    def test_read_rejects_bad_lines(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(SftError, match="invalid JSON"):
-            read_instances(path)
-        path.write_text('{"prompt": "x"}\n')
-        with pytest.raises(SftError, match="missing field"):
-            read_instances(path)
+        [line] = path.read_text(encoding="utf-8").splitlines()
+        [instance] = result.instances
+        assert json.loads(line) == {
+            "prompt": instance.prompt,
+            "response": instance.response,
+            "provenance": {"bug_id": "bug-a", "chunk_id": "c00",
+                           "mutant_ids": ["m1"], "project": "Chart"},
+        }
 
 
 class TestInstanceValidation:

@@ -160,6 +160,12 @@ def read_tree(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def tree_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under ``root``, keyed by its relative path."""
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in read_tree(root).items()}
+
+
 class TestPipelineConfig:
     def test_defaults_and_variant(self):
         config = PipelineConfig()
@@ -486,6 +492,29 @@ def fixed_run(tmp_path):
 
 
 class TestEvaluateFixedMode:
+    # The report tree of the criterion-8 fixture; a refactor of the
+    # analysis modules must not change a byte of it.
+    GOLDEN_REPORT = {
+        "effectiveness.json":
+            "270b0ad933aace648d6a4db4b2634ee6cbc554bb0f37fc67140e570cf4838ef1",
+        "effectiveness.txt":
+            "1a2a900c7ad8b2179436dff34448ef9a3778eb7039cc5cf1cf87d3042d0db447",
+        "report.json":
+            "bad44b88bdb8ef8a6a820de4465de3397f63668eba41b7a14abc2a9f94c5501c",
+        "tcp.json":
+            "fb8c54026df6009275f312810d983119e94d1ab580d1cd5d3cc735a84b580f0d",
+        "tcp.txt":
+            "694787c7aecee80258eee0e4ccad82383c70c424ad176852f199a88ecc08dc16",
+        "validity.json":
+            "522172598c2bab681c40701d0982ca33b4cb57ecf7f75266a9e350d9daab1d38",
+        "validity.txt":
+            "928ecc9496eb2065b77b394b2870e30394880546eb65d36cf9d8e1113c2955ce",
+    }
+
+    def test_report_tree_matches_the_golden_digests(self, fixed_run):
+        _, _, outcome = fixed_run
+        assert tree_digests(outcome.out_dir) == self.GOLDEN_REPORT
+
     def test_validity_section(self, fixed_run):
         _, _, outcome = fixed_run
         section = outcome.sections["validity"]
@@ -727,6 +756,28 @@ class TestEvaluateRunCache:
 
 
 class TestEvaluateBuggyMode:
+    # The report tree of the buggy fixture, mbfl section included.
+    GOLDEN_REPORT = {
+        "effectiveness.json":
+            "169b92af0470195386847819de7b86dbf309f4d2963edc700ff947dd139ba200",
+        "effectiveness.txt":
+            "5b05af20f2e0a6d0acaf30b1715b86160986642e25374b7495b09583292368e7",
+        "mbfl.json":
+            "3906fe4277167df7555cef9de44a79f343ec783a24cd601d4fbc769c4c411d6b",
+        "mbfl.txt":
+            "cff2f15c6a27245022ebabd156883013e466ca2629405ad077cd6496c7723548",
+        "report.json":
+            "bb9785f1f487542509ee6b157d468c83488ced95e7b078d9eef07eed456f6e6d",
+        "tcp.json":
+            "f64b1dcfa813e46d92ba847f03bc89436c72603874b508426c8f9a73c191b4c9",
+        "tcp.txt":
+            "169c36484e3bcbdf87e3bf257e0ec9b2af97ca6d746942ba3a9e6c5853c17ca4",
+        "validity.json":
+            "493b6a6bd16778ae6bd45654ef337ce57a7f7c6ddf3977e5e40ff80ca56587af",
+        "validity.txt":
+            "735ff36dc6563610b47bf12e3096efe0340c301e6c08b49069494afaa4f1630c",
+    }
+
     @pytest.fixture
     def buggy_run(self, tmp_path):
         config = PipelineConfig(output_dir=str(tmp_path / "out"),
@@ -756,6 +807,10 @@ class TestEvaluateBuggyMode:
             assert metrics["mfr"] == 1.0
             assert metrics["first_rank_mean"] == metrics["mfr"]
             assert metrics["evaluated_bugs"] == 1
+
+    def test_report_tree_matches_the_golden_digests(self, buggy_run):
+        _, _, outcome = buggy_run
+        assert tree_digests(outcome.out_dir) == self.GOLDEN_REPORT
 
     def test_buggy_mode_revealing_tests_are_original_failures(self, buggy_run):
         _, _, outcome = buggy_run

@@ -11,7 +11,7 @@ per-bug effectiveness metrics, and the three prioritization strategies.
 from mutkit.chunker import chunk_method, parse_method
 from mutkit.execution import TestOutcomeVector, build_kill_matrix
 from mutkit.metrics import (BugContext, bug_ochiai, coupled_mutants,
-                            coupling_rate, mutation_score)
+                            coupling_rate, effectiveness_report, mutation_score)
 from mutkit.promptgen import MutationPair, materialize
 from mutkit.tcp import apfd, grd, grk, hyb
 from mutkit.validity import ValidityLedger, dedup, validity_metrics
@@ -58,12 +58,12 @@ def main() -> None:
                             generated=[m.id for m in mutants],
                             duplicates=duplicates,
                             compilable={m.id for m in mutants})
-    rates = validity_metrics(ledger)
+    row = validity_metrics(ledger)
     print(f"duplicates: {sorted(duplicates)}")
     print(f"useful mutants: {sorted(ledger.useful())}")
-    print(f"generation rate: {rates.generation_rate:.2%}  "
-          f"non-duplicate: {rates.nonduplicate_rate:.2%}  "
-          f"compilable: {rates.compilable_rate:.2%}")
+    print(f"generation rate: {row['generation_rate']:.2%}  "
+          f"non-duplicate: {row['nonduplicate_rate']:.2%}  "
+          f"compilable: {row['compilable_rate']:.2%}")
 
     print("\n== 3. Kill matrix from outcome vectors ==")
     all_pass = {t: "pass" for t in TESTS}
@@ -90,6 +90,9 @@ def main() -> None:
     print(f"mean Ochiai vs the bug: {bug_ochiai(ctx):.4f}")
     print(f"coupled mutants: {sorted(coupled_mutants(ctx))} "
           f"(rate {coupling_rate(ctx):.2f})")
+    section = effectiveness_report([ctx])
+    print(f"report section: R.B.D. {section['real_bug_detection']['macro']:.2f}, "
+          f"AOC {section['aoc']:.4f}, coupled {section['coupled_mutants']}")
 
     print("\n== 5. Prioritize the suite ==")
     detection = {"Cap-1": {"t_high"}}

@@ -43,13 +43,10 @@ def main() -> None:
     # A kill is a flip against the original, so the matrix holds the flips.
     matrix = build_kill_matrix(original, mutant_outcomes)
 
-    reports = []
-    for method in ("muse", "metallaxis"):
+    reports = localize("Bug-7", original, matrix, statement_of,
+                       statements=STATEMENTS, faulty_statements=[FAULTY])
+    for method, report in reports.items():
         print(f"\n== Suspiciousness under {method} ==")
-        report = localize("Bug-7", original, matrix, statement_of,
-                          method, statements=STATEMENTS,
-                          faulty_statements=[FAULTY])
-        reports.append(report)
         for statement in sorted(report.scores, key=report.expected_ranks.get):
             marker = "  <-- fault" if statement == FAULTY else ""
             print(f"  stmt {statement}: score {report.scores[statement]:+.4f} "
@@ -57,10 +54,11 @@ def main() -> None:
                   f"{marker}")
 
     print("\n== Localization quality over the bug set ==")
-    metrics = fl_metrics(reports)
-    print(f"Top-k counts: {metrics.top_k}")
-    print(f"MAR: {metrics.mar:.2f}  MFR: {metrics.mfr:.2f}  "
-          f"(from {metrics.evaluated_bugs} reports)")
+    for method, report in reports.items():
+        metrics = fl_metrics([report])
+        print(f"{method}: Top-k counts {metrics['top_k']}  "
+              f"MAR {metrics['mar']:.2f}  MFR {metrics['mfr']:.2f}  "
+              f"(from {metrics['evaluated_bugs']} bug)")
 
 
 if __name__ == "__main__":

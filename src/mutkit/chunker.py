@@ -99,7 +99,6 @@ class FocalMethod:
     """A parsed method: source text, its line range, and the statement tree."""
 
     source: str
-    start_line: int
     lines: tuple[int, ...]
     root: Stmt
 
@@ -458,27 +457,26 @@ def _skip_type_arguments(tokens: list[Token], j: int) -> int:
     return -1
 
 
-def parse_method(source: str, start_line: int = 1) -> FocalMethod:
+def parse_method(source: str) -> FocalMethod:
     """Parse one method's text into a FocalMethod.
 
     Args:
         source: the method text, signature through closing brace (trailing
             blank lines allowed and counted).
-        start_line: 1-based line number of the method's first line, for
-            methods embedded in a larger file.
 
     Returns:
-        FocalMethod with the physical line range and statement tree.
+        FocalMethod with the physical line range (line 1 is the first line
+        of ``source``) and statement tree.
 
     Raises:
         MethodSyntaxError: for unbalanced or unparsable method text, with
             the offending line number.
     """
     if not source or not source.strip():
-        raise MethodSyntaxError("empty method text", start_line)
+        raise MethodSyntaxError("empty method text", 1)
     tokens = _lex(source)
     if not tokens:
-        raise MethodSyntaxError("no tokens in method text", start_line)
+        raise MethodSyntaxError("no tokens in method text", 1)
 
     parser = _Parser(tokens)
     parser.skip_to(("{",), "method body not found")
@@ -486,14 +484,8 @@ def parse_method(source: str, start_line: int = 1) -> FocalMethod:
     if parser.peek() is not None:
         raise parser.error("unexpected tokens after method body")
 
-    n_lines = len(source.splitlines())
-    offset = start_line - 1
-    if offset:
-        for stmt in root.walk():
-            stmt.start_line += offset
-            stmt.end_line += offset
-    lines = tuple(range(start_line, start_line + n_lines))
-    return FocalMethod(source=source, start_line=start_line, lines=lines, root=root)
+    lines = tuple(range(1, len(source.splitlines()) + 1))
+    return FocalMethod(source=source, lines=lines, root=root)
 
 
 def collect_target_nodes(method: FocalMethod) -> list[Stmt]:
@@ -534,7 +526,7 @@ def _consecutive_segments(lines: set[int]) -> list[tuple[int, ...]]:
 
 def _chunk_text(method: FocalMethod, line_numbers: tuple[int, ...]) -> str:
     source_lines = method.source.splitlines()
-    return "\n".join(source_lines[n - method.start_line] for n in line_numbers)
+    return "\n".join(source_lines[n - 1] for n in line_numbers)
 
 
 def chunk_method(method: FocalMethod) -> list[CodeChunk]:

@@ -10,8 +10,9 @@ by flags).  The artifact pipeline runs end to end:
 
 The analysis commands (metrics, tcp, mbfl) also work standalone on
 explicit matrix and outcome files, with no generation artifacts needed.
-They build their payloads with the same ``report`` section builders as
-``mutkit report``; this module only reads their inputs.
+They build their payloads with the same section builders as
+``mutkit report`` (``metrics.effectiveness_report``, ``mbfl.localize``
+and the ``report`` sections); this module only reads their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import report
+from . import mbfl, metrics, report
 from .chunker import ChunkerError, chunk_method, chunks_as_dicts, parse_method
 from .corpus import CorpusError, ingest_corpus
 from .embedder import (
@@ -189,7 +190,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 f"bug {bug_id} missing from revealing-test file {args.revealing}")
         contexts.append(BugContext(bug_id=bug_id, matrix=by_bug[bug_id],
                                    bug_revealing_tests=revealing[bug_id]))
-    _emit(report.effectiveness_section(contexts), args.out)
+    _emit(metrics.effectiveness_report(contexts), args.out)
     return 0
 
 
@@ -225,7 +226,7 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
         original = load_outcomes(str(matrices / f"{bug_id}.original.txt"), bug_id)
         if bug_id not in statements:
             raise PipelineError(f"bug {bug_id} missing from {args.statements}")
-        per_bug[bug_id] = report.localize_bug(
+        per_bug[bug_id] = mbfl.localize(
             bug_id, original, by_bug[bug_id], statements[bug_id],
             statements=space.get(bug_id, ()),
             faulty_statements=faulty.get(bug_id, ()))
@@ -344,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report output dir (default: <artifacts>/report)")
         sub.set_defaults(handler=_evaluate_command(name))
 
-    metrics = subparsers.add_parser(
+    metrics_parser = subparsers.add_parser(
         "metrics", help="effectiveness report from matrix files")
-    metrics.add_argument("--matrices", required=True,
-                         help="directory of <bug>.matrix files")
-    metrics.add_argument("--revealing", required=True,
-                         help="JSON file mapping bug id to revealing tests")
-    metrics.add_argument("--out", help="also write the JSON report here")
-    metrics.set_defaults(handler=cmd_metrics)
+    metrics_parser.add_argument("--matrices", required=True,
+                                help="directory of <bug>.matrix files")
+    metrics_parser.add_argument("--revealing", required=True,
+                                help="JSON file mapping bug id to revealing tests")
+    metrics_parser.add_argument("--out", help="also write the JSON report here")
+    metrics_parser.set_defaults(handler=cmd_metrics)
 
     tcp = subparsers.add_parser(
         "tcp", help="prioritize one matrix's tests and score with APFD")
@@ -363,18 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     tcp.add_argument("--out", help="also write the JSON report here")
     tcp.set_defaults(handler=cmd_tcp)
 
-    mbfl = subparsers.add_parser(
+    mbfl_parser = subparsers.add_parser(
         "mbfl", help="fault localization from matrix and outcome files")
-    mbfl.add_argument("--matrices", required=True,
-                      help="directory of <bug>.matrix + <bug>.original.txt")
-    mbfl.add_argument("--statements", required=True,
-                      help="JSON file: bug id -> {mutant id: line}")
-    mbfl.add_argument("--faulty", required=True,
-                      help="JSON file: bug id -> [faulty lines]")
-    mbfl.add_argument("--statement-space",
-                      help="JSON file: bug id -> [all candidate lines]")
-    mbfl.add_argument("--out", help="also write the JSON report here")
-    mbfl.set_defaults(handler=cmd_mbfl)
+    mbfl_parser.add_argument("--matrices", required=True,
+                             help="directory of <bug>.matrix + <bug>.original.txt")
+    mbfl_parser.add_argument("--statements", required=True,
+                             help="JSON file: bug id -> {mutant id: line}")
+    mbfl_parser.add_argument("--faulty", required=True,
+                             help="JSON file: bug id -> [faulty lines]")
+    mbfl_parser.add_argument("--statement-space",
+                             help="JSON file: bug id -> [all candidate lines]")
+    mbfl_parser.add_argument("--out", help="also write the JSON report here")
+    mbfl_parser.set_defaults(handler=cmd_mbfl)
 
     export_sft = subparsers.add_parser(
         "export-sft", help="export coupled mutants as training instances")

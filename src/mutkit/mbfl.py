@@ -5,7 +5,10 @@ mutants generated on it, every mutant gets a MUSE and a Metallaxis
 suspiciousness score from its outcome flips (a kill is a flip).  Scores
 aggregate per statement (the physical line the mutant targets),
 statements are ranked with expected ranks for tie groups, and rankings
-across bugs roll up into Top-k counts and mean ranks.
+across bugs roll up into Top-k counts and mean ranks.  ``localize``
+ranks one bug under both methods from one pass of flip counts, and
+``fl_metrics`` returns one method's metrics as the mbfl report writes
+them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .execution import KillMatrix, TestOutcomeVector
 logger = logging.getLogger(__name__)
 
 AGGREGATION_METHODS = ("muse", "metallaxis")
-DEFAULT_K_LIST = (1, 3, 5)
+TOP_K = (1, 3, 5)
 
 
 class MbflError(Exception):
@@ -39,7 +42,6 @@ class MutantFLStats:
     """
 
     mutant_id: str
-    statement: int
     failed_m: int
     passed_m: int
 
@@ -83,11 +85,6 @@ class SuspiciousnessReport:
         return sorted(self.expected_ranks[s] for s in self.faulty_statements
                       if s in self.expected_ranks)
 
-    def missing_faulty(self) -> tuple[int, ...]:
-        """Faulty statements absent from the ranked report."""
-        return tuple(sorted(s for s in self.faulty_statements
-                            if s not in self.expected_ranks))
-
 
 def fl_stats(
     original: TestOutcomeVector,
@@ -128,7 +125,6 @@ def fl_stats(
         if mutant_id not in statement_of:
             raise MbflError(f"mutant {mutant_id}: no statement mapping")
         stats.append(MutantFLStats(mutant_id=mutant_id,
-                                   statement=statement_of[mutant_id],
                                    failed_m=failed_m[row], passed_m=passed_m[row]))
     globals_ = FLGlobals(totalfailed=int(failing.sum()),
                          f2p=sum(failed_m), p2f=sum(passed_m))
@@ -207,69 +203,49 @@ def localize(
     original: TestOutcomeVector,
     matrix: KillMatrix,
     statement_of: Mapping[str, int],
-    method: str,
     statements: Iterable[int] = (),
     faulty_statements: Iterable[int] = (),
-) -> SuspiciousnessReport:
-    """End-to-end localization for one bug with one aggregation method."""
+) -> dict[str, SuspiciousnessReport]:
+    """End-to-end localization for one bug: its ranking under each
+    aggregation method, keyed by method, from one pass of ``fl_stats``."""
     stats, globals_ = fl_stats(original, matrix, statement_of)
-    if method == "muse":
-        mutant_scores = {s.mutant_id: muse_score(s, globals_) for s in stats}
-    elif method == "metallaxis":
-        mutant_scores = {s.mutant_id: metallaxis_score(s, globals_.totalfailed)
-                         for s in stats}
-    else:
-        raise MbflError(f"unknown aggregation method {method!r}")
-    statement_scores = aggregate(mutant_scores, statement_of, method, statements)
-    return SuspiciousnessReport(
-        bug_id=bug_id, method=method, scores=statement_scores,
-        expected_ranks=rank(statement_scores),
-        faulty_statements=frozenset(faulty_statements))
+    statements = tuple(statements)
+    faulty = frozenset(faulty_statements)
+    mutant_scores = {
+        "muse": {s.mutant_id: muse_score(s, globals_) for s in stats},
+        "metallaxis": {s.mutant_id: metallaxis_score(s, globals_.totalfailed)
+                       for s in stats},
+    }
+    reports = {}
+    for method in AGGREGATION_METHODS:
+        statement_scores = aggregate(mutant_scores[method], statement_of, method,
+                                     statements)
+        reports[method] = SuspiciousnessReport(
+            bug_id=bug_id, method=method, scores=statement_scores,
+            expected_ranks=rank(statement_scores), faulty_statements=faulty)
+    return reports
 
 
-@dataclass(frozen=True)
-class FLMetrics:
-    """Localization quality over a set of bugs.
+def fl_metrics(reports: Iterable[SuspiciousnessReport]) -> dict:
+    """Top-k counts, MAR and MFR over per-bug rankings of one method.
 
     mar averages each bug's mean faulty rank, mfr averages each bug's
     best faulty rank, and first_rank_mean repeats mfr under the literal
     first-rank reading so reports can show both labels side by side.
-    """
-
-    top_k: dict[int, int]
-    mar: float
-    mfr: float
-    first_rank_mean: float
-    evaluated_bugs: int
-    excluded_bugs: tuple[str, ...]
-    missing_statements: dict[str, tuple[int, ...]]
-
-
-def fl_metrics(
-    reports: Iterable[SuspiciousnessReport],
-    k_list: tuple[int, ...] = DEFAULT_K_LIST,
-) -> FLMetrics:
-    """Top-k counts, MAR, and MFR over per-bug rankings.
-
     Bugs whose faulty statements are all missing from their report are
-    excluded from every mean and listed in excluded_bugs; partially
-    missing statements are flagged in missing_statements but the bug
-    still counts through its present ones.
+    excluded from every mean and listed in excluded_bugs; a bug with some
+    faulty statements missing counts through its present ones.
     """
     reports = list(reports)
     if not reports:
         raise MbflError("no reports to aggregate")
-    top_k = {k: 0 for k in k_list}
+    top_k = dict.fromkeys(TOP_K, 0)
     first_ranks: list[float] = []
     mean_ranks: list[float] = []
     excluded: list[str] = []
-    missing: dict[str, tuple[int, ...]] = {}
     for report in reports:
         if not report.faulty_statements:
             raise MbflError(f"bug {report.bug_id}: no faulty statements given")
-        absent = report.missing_faulty()
-        if absent:
-            missing[report.bug_id] = absent
         ranks = report.faulty_ranks()
         if not ranks:
             excluded.append(report.bug_id)
@@ -277,18 +253,17 @@ def fl_metrics(
         best = min(ranks)
         first_ranks.append(best)
         mean_ranks.append(sum(ranks) / len(ranks))
-        for k in k_list:
+        for k in TOP_K:
             if best <= k:
                 top_k[k] += 1
     if not first_ranks:
         raise MbflError("every bug was excluded; no ranks to average")
     mfr = sum(first_ranks) / len(first_ranks)
-    return FLMetrics(
-        top_k=top_k,
-        mar=sum(mean_ranks) / len(mean_ranks),
-        mfr=mfr,
-        first_rank_mean=mfr,
-        evaluated_bugs=len(first_ranks),
-        excluded_bugs=tuple(excluded),
-        missing_statements=missing,
-    )
+    return {
+        "top_k": {str(k): count for k, count in top_k.items()},
+        "mar": sum(mean_ranks) / len(mean_ranks),
+        "mfr": mfr,
+        "first_rank_mean": mfr,
+        "evaluated_bugs": len(first_ranks),
+        "excluded_bugs": excluded,
+    }

@@ -2,9 +2,11 @@
 
 All functions read the boolean kill matrix of one bug, whose rows are
 its useful mutants (compilable minus duplicates), plus the bug's set of
-bug-revealing tests (the tests that fail on the buggy version).  Counts
-are row and column sums of that matrix; float means add Python floats in
-row order.
+bug-revealing tests (the tests that fail on the buggy version), whose
+kill columns a BugContext selects once.  Counts are row and column sums
+of that matrix; float means add Python floats in row order.
+``effectiveness_report`` returns the effectiveness report section as it
+is written to ``effectiveness.json``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,16 @@ class MetricsError(Exception):
 
 @dataclass
 class BugContext:
-    """One bug's kill matrix over its useful mutants plus fT_b."""
+    """One bug's kill matrix over its useful mutants plus fT_b.
+
+    revealing_kills holds the kill columns of the bug-revealing tests,
+    selected once when the context is built.
+    """
 
     bug_id: str
     matrix: KillMatrix
     bug_revealing_tests: frozenset[str]
+    revealing_kills: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bug_revealing_tests = frozenset(self.bug_revealing_tests)
@@ -40,12 +47,8 @@ class BugContext:
         if unknown:
             raise MetricsError(
                 f"bug {self.bug_id}: revealing tests not in matrix: {sorted(unknown)}")
-
-
-def _revealing_kills(ctx: BugContext) -> np.ndarray:
-    """The kill columns of the bug-revealing tests."""
-    return ctx.matrix.kills[:, np.array([t in ctx.bug_revealing_tests
-                                         for t in ctx.matrix.test_ids], dtype=bool)]
+        self.revealing_kills = self.matrix.kills[:, np.array(
+            [t in self.bug_revealing_tests for t in self.matrix.test_ids], dtype=bool)]
 
 
 def _killed_count(ctx: BugContext) -> int:
@@ -76,7 +79,7 @@ def bug_ochiai(ctx: BugContext) -> float | None:
     if not ctx.matrix.mutant_ids:
         return None
     revealing = len(ctx.bug_revealing_tests)
-    shared = _revealing_kills(ctx).sum(axis=1).tolist()
+    shared = ctx.revealing_kills.sum(axis=1).tolist()
     killed = ctx.matrix.kills.sum(axis=1).tolist()
     values = [ochiai(s, k, revealing) for s, k in zip(shared, killed)]
     return sum(values) / len(values)
@@ -90,16 +93,7 @@ def aoc(per_bug_values: dict[str, float | None]) -> float:
     return sum(defined) / len(defined)
 
 
-@dataclass
-class DetectionRates:
-    """R.B.D. aggregates: unweighted bug mean and pooled test fraction."""
-
-    macro: float
-    micro: float
-    per_bug: dict[str, float] = field(default_factory=dict)
-
-
-def real_bug_detection(contexts: list[BugContext]) -> DetectionRates:
+def real_bug_detection(contexts: list[BugContext]) -> dict[str, float]:
     """Fraction of bug-revealing tests that kill at least one mutant.
 
     Emits both aggregations: macro is the unweighted mean of per-bug
@@ -107,24 +101,23 @@ def real_bug_detection(contexts: list[BugContext]) -> DetectionRates:
     """
     if not contexts:
         raise MetricsError("real_bug_detection needs at least one bug")
-    per_bug: dict[str, float] = {}
+    fractions: list[float] = []
     detected_total = 0
     revealing_total = 0
     for ctx in contexts:
         if not ctx.bug_revealing_tests:
             raise MetricsError(f"bug {ctx.bug_id} has no bug-revealing tests")
-        detected = int(_revealing_kills(ctx).any(axis=0).sum())
-        per_bug[ctx.bug_id] = detected / len(ctx.bug_revealing_tests)
+        detected = int(ctx.revealing_kills.any(axis=0).sum())
+        fractions.append(detected / len(ctx.bug_revealing_tests))
         detected_total += detected
         revealing_total += len(ctx.bug_revealing_tests)
-    macro = sum(per_bug.values()) / len(per_bug)
-    micro = detected_total / revealing_total
-    return DetectionRates(macro=macro, micro=micro, per_bug=per_bug)
+    return {"macro": sum(fractions) / len(fractions),
+            "micro": detected_total / revealing_total}
 
 
 def coupled_mutants(ctx: BugContext) -> set[str]:
     """Mutants killed by at least one bug-revealing test."""
-    hits = _revealing_kills(ctx).any(axis=1).tolist()
+    hits = ctx.revealing_kills.any(axis=1).tolist()
     return {m for m, hit in zip(ctx.matrix.mutant_ids, hits) if hit}
 
 
@@ -143,55 +136,40 @@ def high_similarity_count(per_bug_values: dict[str, float | None],
                if v is not None and v >= threshold)
 
 
-@dataclass
-class EffectivenessReport:
-    """Aggregate effectiveness summary over a set of bugs."""
-
-    mutation_score_micro: float
-    mutation_score_macro: float
-    rbd_macro: float
-    rbd_micro: float
-    coupling_rate_micro: float
-    coupling_rate_macro: float
-    bug_ochiai: dict[str, float | None]
-    aoc: float
-    high_similarity_count: int
-    per_bug_mutation_score: dict[str, float] = field(default_factory=dict)
-    excluded_bugs: list[str] = field(default_factory=list)
-
-
-def effectiveness_report(contexts: list[BugContext]) -> EffectivenessReport:
-    """Compute the full effectiveness summary over the given bugs.
+def effectiveness_report(contexts: list[BugContext]) -> dict:
+    """The effectiveness report section over the given bugs.
 
     Bugs with zero useful mutants are excluded from all aggregates and
     listed in excluded_bugs; micro aggregates pool mutants (or revealing
     tests) across bugs, macro aggregates average the per-bug values.
+    Per-bug entries are keyed and sorted by bug id.
     """
     active = [ctx for ctx in contexts if ctx.matrix.mutant_ids]
-    excluded = [ctx.bug_id for ctx in contexts if not ctx.matrix.mutant_ids]
     if not active:
         raise MetricsError("no bug has a non-empty useful mutant set")
+    mutant_total = sum(len(ctx.matrix.mutant_ids) for ctx in active)
 
     per_bug_ms = {ctx.bug_id: mutation_score(ctx) for ctx in active}
     killed_total = sum(_killed_count(ctx) for ctx in active)
-    mutant_total = sum(len(ctx.matrix.mutant_ids) for ctx in active)
 
     per_bug_ochiai = {ctx.bug_id: bug_ochiai(ctx) for ctx in active}
-    detection = real_bug_detection(active)
 
-    per_bug_coupling = {ctx.bug_id: coupling_rate(ctx) for ctx in active}
-    coupled_total = sum(len(coupled_mutants(ctx)) for ctx in active)
+    coupled = {ctx.bug_id: sorted(coupled_mutants(ctx)) for ctx in active}
+    per_bug_coupling = [len(coupled[ctx.bug_id]) / len(ctx.matrix.mutant_ids)
+                        for ctx in active]
+    coupled_total = sum(len(coupled[ctx.bug_id]) for ctx in active)
 
-    return EffectivenessReport(
-        mutation_score_micro=killed_total / mutant_total,
-        mutation_score_macro=sum(per_bug_ms.values()) / len(per_bug_ms),
-        rbd_macro=detection.macro,
-        rbd_micro=detection.micro,
-        coupling_rate_micro=coupled_total / mutant_total,
-        coupling_rate_macro=sum(per_bug_coupling.values()) / len(per_bug_coupling),
-        bug_ochiai=per_bug_ochiai,
-        aoc=aoc(per_bug_ochiai),
-        high_similarity_count=high_similarity_count(per_bug_ochiai),
-        per_bug_mutation_score=per_bug_ms,
-        excluded_bugs=excluded,
-    )
+    return {
+        "mutation_score": {"micro": killed_total / mutant_total,
+                           "macro": sum(per_bug_ms.values()) / len(per_bug_ms)},
+        "real_bug_detection": real_bug_detection(active),
+        "coupling_rate": {"micro": coupled_total / mutant_total,
+                          "macro": sum(per_bug_coupling) / len(per_bug_coupling)},
+        "bug_ochiai": dict(sorted(per_bug_ochiai.items())),
+        "aoc": aoc(per_bug_ochiai),
+        "high_similarity_count": high_similarity_count(per_bug_ochiai),
+        "per_bug_mutation_score": dict(sorted(per_bug_ms.items())),
+        "excluded_bugs": sorted(ctx.bug_id for ctx in contexts
+                                if not ctx.matrix.mutant_ids),
+        "coupled_mutants": dict(sorted(coupled.items())),
+    }

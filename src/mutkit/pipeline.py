@@ -7,8 +7,9 @@ Evaluation replays the persisted artifacts through validity, kill-matrix
 execution (or loading), effectiveness metrics, prioritization, and, for
 buggy-mode runs, fault localization, writing one deterministic report
 directory.  This module picks the bugs of each section and the warnings;
-the payloads, text tables and JSON writer live in ``report``, shared with
-the standalone analysis commands.
+the payloads come from the analysis modules and ``report``, which also
+holds the text tables and JSON writer, shared with the standalone
+analysis commands.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import execution, report
+from . import execution, mbfl, metrics, report
 from .chunker import (
     ChunkerError,
     CodeChunk,
@@ -314,7 +315,6 @@ class GenerateOutcome:
     """Everything run_generate persisted, plus per-target accounting."""
 
     summary: dict
-    manifest: list[dict]
     mutants: dict[str, Mutant]
     prompts: list[dict]
     succeeded: int
@@ -335,25 +335,18 @@ def _retrieval_context(config: PipelineConfig):
 def _retrieve(retrieval, texts: list[str], n: int) -> list:
     """The retrieved pairs of each chunk text, or why retrieval failed for it.
 
-    All chunks are embedded with one ``embed_many`` (chunk by chunk only
-    when that fails), every probe goes into one ``query_many``, and only
-    the corpus records it returns are diffed.  A chunk that cannot be
-    embedded, or that retrieves an id the corpus has no single-hunk pair
-    for, gets a message.
+    A blank chunk retrieves no pairs, as with retrieval off.  The other
+    chunks are embedded with one ``embed_many`` and their probes go into
+    one ``query_many``; an embedding error in either fails every one of
+    them.  Only the corpus records the query returns are diffed, and a
+    chunk that retrieves an id the corpus has no single-hunk pair for
+    gets a message.
     """
     records, index, embedder = retrieval
-    found: list = [None] * len(texts)
+    found: list = [[] for _ in texts]
+    positions = [position for position, text in enumerate(texts) if text.strip()]
     try:
-        probes, positions = embedder.embed_many(texts), range(len(texts))
-    except EmbeddingError:
-        probes, positions = [], []
-        for position, text in enumerate(texts):
-            try:
-                probes.append(embedder.embed(text))
-                positions.append(position)
-            except EmbeddingError as error:
-                found[position] = str(error)
-    try:
+        probes = embedder.embed_many([texts[position] for position in positions])
         neighbors = index.query_many(probes, n=min(n, len(index.ids)))
     except EmbeddingError as error:
         for position in positions:
@@ -512,8 +505,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
     report.write_json(out_dir / "summary.json", summary)
     logger.info("generate: %d/%d targets succeeded, %d mutants materialized",
                 succeeded, len(per_target), len(mutants))
-    return GenerateOutcome(summary=summary, manifest=manifest_rows,
-                           mutants=mutants, prompts=prompt_rows,
+    return GenerateOutcome(summary=summary, mutants=mutants, prompts=prompt_rows,
                            succeeded=succeeded, failed=failed)
 
 
@@ -740,7 +732,7 @@ def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
         statement_of = {mid: bug.materialized[mid].target_line
                         for mid in bug.matrix.mutant_ids}
         try:
-            per_bug[bug_id] = report.localize_bug(
+            per_bug[bug_id] = mbfl.localize(
                 bug_id, bug.original, bug.matrix, statement_of,
                 statements=range(1, bug.expected + 1),
                 faulty_statements=bug.target.faulty_lines)
@@ -806,7 +798,7 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
                     _resolve_revealing(config, bug)
 
     if "metrics" in wanted:
-        sections["metrics"] = report.effectiveness_section([
+        sections["metrics"] = metrics.effectiveness_report([
             BugContext(bug_id=bug_id, matrix=bugs[bug_id].matrix,
                        bug_revealing_tests=bugs[bug_id].revealing)
             for bug_id in sorted(bugs)])

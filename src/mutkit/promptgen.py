@@ -115,30 +115,28 @@ def render_examples(pairs: list[BugFixPair]) -> list[FewShotExample]:
     return examples
 
 
-def render_prompt(method: FocalMethod | str, chunk: CodeChunk | str,
+def render_prompt(method: FocalMethod, chunk: CodeChunk,
                   examples: list[FewShotExample], n: int) -> str:
     """Render the full prompt text for one chunk.
 
     Args:
-        method: the focal method (or its raw text).
-        chunk: the chunk to mutate (or its raw text).
+        method: the focal method.
+        chunk: the chunk to mutate.
         examples: few-shot examples, already capped at the configured Top-N.
         n: number of mutants to request; equals the chunk's physical line
             count (or the method's when chunking is disabled).
     """
     if n < 1:
         raise PromptError(f"requested_n must be positive, got {n}")
-    method_text = method.source if isinstance(method, FocalMethod) else method
-    chunk_text = chunk.text if isinstance(chunk, CodeChunk) else chunk
     instruction = INSTRUCTION.replace("{N}", str(n))
     examples_json = json.dumps(
         [{"precode": e.precode, "aftercode": e.aftercode} for e in examples])
     return (
         f"[Instruction]: {instruction}\n"
         f"\n"
-        f"[Entire Focal Method]: {method_text}\n"
+        f"[Entire Focal Method]: {method.source}\n"
         f"\n"
-        f"[The Current Chunk]: Only mutate these lines: {chunk_text}\n"
+        f"[The Current Chunk]: Only mutate these lines: {chunk.text}\n"
         f"\n"
         f"[Few-Shot Examples]: <json> {examples_json} </json>\n"
         f"\n"

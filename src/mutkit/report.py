@@ -1,22 +1,27 @@
-"""Report sections: each section's payload and text table, and the JSON
-writer for every report file and ``--out`` file.
+"""Report sections: the validity, TCP and MBFL payloads, every section's
+text table, and the JSON writer for every report file and ``--out`` file.
 
+The analysis modules return what the report writes: a bug's validity row
+(``validity.validity_metrics``), the effectiveness section
+(``metrics.effectiveness_report``), one bug's rankings
+(``mbfl.localize``) and a method's localization metrics
+(``mbfl.fl_metrics``).  This module only gathers them per bug, sums the
+validity counts per project and overall, and renders the tables.
 ``pipeline.run_evaluate`` and the standalone ``mutkit metrics``, ``tcp``
-and ``mbfl`` commands both build their output here; each caller decides
-only where inputs come from, which bugs it skips, and whether an error is
-a warning or a failure.  Kernels are called through their modules
-(``tcp.grk``), so instrumentation that rebinds module functions sees them.
+and ``mbfl`` commands share it; each caller decides only where inputs
+come from, which bugs it skips, and whether an error is a warning or a
+failure.  Kernels are called through their modules (``tcp.grk``), so
+instrumentation that rebinds module functions sees them.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import asdict
+from collections.abc import Callable, Mapping
 from pathlib import Path
 
-from . import mbfl, metrics, tcp, validity
-from .execution import KillMatrix, TestOutcomeVector
+from . import mbfl, tcp, validity
+from .execution import KillMatrix
 from .mbfl import MbflError, SuspiciousnessReport
 
 _COUNTS = ("expected", "generated", "duplicates", "compilable", "useful")
@@ -37,15 +42,6 @@ def write_section(out_dir: Path, name: str, section: dict, render) -> None:
     (out_dir / f"{name}.txt").write_text(render(section), encoding="utf-8")
 
 
-def _rates(row: dict) -> dict:
-    """The three validity rates of summed counts; None where nothing to divide."""
-    generated, expected = row["generated"], row["expected"]
-    return {"generation_rate": generated / expected if expected else None,
-            "nonduplicate_rate": ((generated - row["duplicates"]) / generated
-                                  if generated else None),
-            "compilable_rate": row["compilable"] / generated if generated else None}
-
-
 def validity_section(ledgers: Mapping[str, tuple[str, validity.ValidityLedger]],
                      ) -> dict:
     """Counts and rates per bug, per project and overall; ``ledgers`` maps
@@ -54,42 +50,16 @@ def validity_section(ledgers: Mapping[str, tuple[str, validity.ValidityLedger]],
     per_project: dict[str, dict] = {}
     for bug_id in sorted(ledgers):
         project, ledger = ledgers[bug_id]
-        rates = validity.validity_metrics(ledger)
-        counts = {"expected": ledger.expected,
-                  "generated": len(ledger.generated),
-                  "duplicates": len(ledger.duplicates),
-                  "compilable": len(ledger.compilable),
-                  "useful": len(ledger.useful())}
-        per_bug[bug_id] = {"project": project, **counts, **asdict(rates)}
+        row = validity.validity_metrics(ledger)
+        per_bug[bug_id] = {"project": project, **row}
         totals = per_project.setdefault(project or "(none)",
                                         dict.fromkeys(_COUNTS, 0))
         for key in _COUNTS:
-            totals[key] += counts[key]
+            totals[key] += row[key]
     overall = {key: sum(p[key] for p in per_project.values()) for key in _COUNTS}
     for row in (*per_project.values(), overall):
-        row.update(_rates(row))
+        row.update(validity.rates(row))
     return {"per_bug": per_bug, "per_project": per_project, "overall": overall}
-
-
-def effectiveness_section(contexts: list[metrics.BugContext]) -> dict:
-    """Mutation score, detection, coupling and Ochiai over the given bugs."""
-    report = metrics.effectiveness_report(contexts)
-    return {
-        "mutation_score": {"micro": report.mutation_score_micro,
-                           "macro": report.mutation_score_macro},
-        "real_bug_detection": {"macro": report.rbd_macro,
-                               "micro": report.rbd_micro},
-        "coupling_rate": {"micro": report.coupling_rate_micro,
-                          "macro": report.coupling_rate_macro},
-        "bug_ochiai": dict(sorted(report.bug_ochiai.items())),
-        "aoc": report.aoc,
-        "high_similarity_count": report.high_similarity_count,
-        "per_bug_mutation_score": dict(
-            sorted(report.per_bug_mutation_score.items())),
-        "excluded_bugs": sorted(report.excluded_bugs),
-        "coupled_mutants": {ctx.bug_id: sorted(metrics.coupled_mutants(ctx))
-                            for ctx in contexts if ctx.matrix.mutant_ids},
-    }
 
 
 def tcp_strategies(weight: float) -> dict[str, Callable]:
@@ -127,17 +97,6 @@ def tcp_section(strategies: Mapping[str, Callable],
             "mean_apfd": mean_apfd}
 
 
-def localize_bug(bug_id: str, original: TestOutcomeVector, matrix: KillMatrix,
-                 statement_of: Mapping[str, int], statements: Iterable[int],
-                 faulty_statements: Iterable[int],
-                 ) -> dict[str, SuspiciousnessReport]:
-    """One bug's ranking under each of MUSE and Metallaxis."""
-    return {method: mbfl.localize(bug_id, original, matrix,
-                                  statement_of, method, statements=statements,
-                                  faulty_statements=faulty_statements)
-            for method in mbfl.AGGREGATION_METHODS}
-
-
 def _suspiciousness_entry(report: SuspiciousnessReport) -> dict:
     return {
         "scores": {str(s): v for s, v in sorted(report.scores.items())},
@@ -165,20 +124,11 @@ def mbfl_section(per_bug: dict[str, dict[str, SuspiciousnessReport]],
         if not reports:
             continue
         try:
-            result = mbfl.fl_metrics(reports)
+            section["metrics"][method] = mbfl.fl_metrics(reports)
         except MbflError as error:
             if warnings is None:
                 raise
             warnings.append(f"mbfl: {method}: {error}")
-            continue
-        section["metrics"][method] = {
-            "top_k": {str(k): v for k, v in sorted(result.top_k.items())},
-            "mar": result.mar,
-            "mfr": result.mfr,
-            "first_rank_mean": result.first_rank_mean,
-            "evaluated_bugs": result.evaluated_bugs,
-            "excluded_bugs": list(result.excluded_bugs),
-        }
     return section
 
 

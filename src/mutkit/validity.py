@@ -1,7 +1,10 @@
 """Mutant validity accounting: sets A/D/C and the three validity rates.
 
 A is every parsed mutation for a bug, D the duplicates within A, and C the
-compilable subset; the useful set downstream is C minus D.  The equivalent
+compilable subset; the useful set downstream is C minus D.
+``validity_metrics`` turns one bug's ledger into the row the validity
+report writes (counts plus rates), and ``rates`` is the one formula for
+the rates of any counts, a bug's or a project's sums.  The equivalent
 set E is deliberately not computed (undecidable); duplicate identity is
 line-local because a mutant differs from the original on exactly one line.
 """
@@ -14,6 +17,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 logger = logging.getLogger(__name__)
@@ -123,28 +127,24 @@ def check_compile(source_text: str, compile_command: str,
     return CompileResult(ok=proc.returncode == 0)
 
 
-def generation_rate(expected: int, generated_count: int) -> float | None:
-    """Gen./Exp.; absent when nothing was expected."""
-    if expected <= 0:
-        return None
-    return generated_count / expected
-
-
-@dataclass
-class ValidityRates:
-    generation_rate: float | None
-    nonduplicate_rate: float | None
-    compilable_rate: float | None
-
-
-def validity_metrics(ledger: ValidityLedger) -> ValidityRates:
-    """The three validity rates for one bug's ledger.
-
-    Rates whose denominator is zero are reported as absent (None).
+def rates(counts: Mapping[str, int]) -> dict[str, float | None]:
+    """The three validity rates of a row of counts (``expected``,
+    ``generated``, ``duplicates``, ``compilable``): Gen./Exp., the
+    non-duplicate share and the compilable share of Gen.  A rate whose
+    denominator is zero is absent (None).
     """
-    total = len(ledger.generated)
-    return ValidityRates(
-        generation_rate=generation_rate(ledger.expected, total),
-        nonduplicate_rate=(total - len(ledger.duplicates)) / total if total else None,
-        compilable_rate=len(ledger.compilable) / total if total else None,
-    )
+    generated, expected = counts["generated"], counts["expected"]
+    return {"generation_rate": generated / expected if expected else None,
+            "nonduplicate_rate": ((generated - counts["duplicates"]) / generated
+                                  if generated else None),
+            "compilable_rate": counts["compilable"] / generated if generated else None}
+
+
+def validity_metrics(ledger: ValidityLedger) -> dict:
+    """One bug's validity row: the five counts and their three rates."""
+    counts = {"expected": ledger.expected,
+              "generated": len(ledger.generated),
+              "duplicates": len(ledger.duplicates),
+              "compilable": len(ledger.compilable),
+              "useful": len(ledger.useful())}
+    return {**counts, **rates(counts)}

@@ -41,7 +41,7 @@ from mutkit.promptgen import (
     render_prompt,
 )
 from mutkit.tcp import apfd, grd, grk, hyb
-from mutkit.validity import generation_rate
+from mutkit.validity import rates
 
 from oracles import (
     oracle_apfd,
@@ -72,8 +72,10 @@ from test_tcp import oracle_greedy
 
 def test_criterion_1_generation_rate_arithmetic():
     """Published generation rates reproduce to within 0.005 points."""
-    assert generation_rate(35979, 23083) * 100 == pytest.approx(64.16, abs=0.005)
-    assert generation_rate(46873, 23708) * 100 == pytest.approx(50.58, abs=0.005)
+    for expected, generated, percent in ((35979, 23083, 64.16), (46873, 23708, 50.58)):
+        row = rates({"expected": expected, "generated": generated,
+                     "duplicates": 0, "compilable": 0})
+        assert row["generation_rate"] * 100 == pytest.approx(percent, abs=0.005)
 
 
 def test_criterion_2_chunking_partition_property():
@@ -119,13 +121,13 @@ def test_criterion_3_metric_oracle_equivalence():
     assert aoc(mine_per_bug) == sum(oracle_per_bug.values()) / len(oracle_per_bug)
     assert (high_similarity_count(mine_per_bug)
             == oracle_high_similarity(oracle_per_bug.values()))
-    rates = real_bug_detection(contexts)
+    detection = real_bug_detection(contexts)
     fractions = [detected / revealing for detected, revealing in oracle_fractions]
-    assert list(rates.per_bug.values()) == fractions
-    assert rates.macro == sum(fractions) / len(fractions)
+    assert [real_bug_detection([ctx])["macro"] for ctx in contexts] == fractions
+    assert detection["macro"] == sum(fractions) / len(fractions)
     pooled_detected = sum(d for d, _ in oracle_fractions)
     pooled_revealing = sum(r for _, r in oracle_fractions)
-    assert rates.micro == pooled_detected / pooled_revealing
+    assert detection["micro"] == pooled_detected / pooled_revealing
     assert time.perf_counter() - started < 30.0
 
 
@@ -225,10 +227,10 @@ def test_criterion_6_mbfl_single_fault_sanity():
         original, mutant_outcomes, statement_of, statements, faulty = (
             _single_fault_instance(rng, case))
         matrix = build_kill_matrix(original, list(mutant_outcomes.values()))
-        for method in ("muse", "metallaxis"):
-            report = localize(f"bug{case}", original, matrix,
-                              statement_of, method, statements=statements,
-                              faulty_statements=[faulty])
+        reports = localize(f"bug{case}", original, matrix, statement_of,
+                           statements=statements, faulty_statements=[faulty])
+        assert list(reports) == ["muse", "metallaxis"]
+        for method, report in reports.items():
             assert report.expected_ranks[faulty] == 1.0
             assert report.faulty_ranks() == [1.0]
             if method == "metallaxis":
@@ -313,8 +315,9 @@ def test_criterion_9_prompt_round_trip_and_materialize(tmp_path):
     pairs = ingest_corpus(str(corpus_path)).pairs[:6]
     examples = render_examples(pairs)
     assert len(examples) == 6
-    chunks = chunk_method(parse_method(CLAMP_FIXED))
-    prompt = render_prompt(CLAMP_FIXED, chunks[0], examples,
+    method = parse_method(CLAMP_FIXED)
+    chunks = chunk_method(method)
+    prompt = render_prompt(method, chunks[0], examples,
                            n=len(chunks[0].line_numbers))
     parsed = parse_response(prompt)
     assert parsed.failure is None

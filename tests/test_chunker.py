@@ -59,13 +59,6 @@ class TestParseMethod:
         method = parse_method(source)
         assert method.lines == (1, 2, 3, 4, 5)
 
-    def test_start_line_offsets_all_nodes(self):
-        method = parse_method(NESTED, start_line=10)
-        assert method.lines[0] == 10
-        kinds = {s.kind: s for s in list(method.root.walk())}
-        assert kinds["if"].start_line == 13
-        assert kinds["while"].start_line == 15
-
     @pytest.mark.parametrize("declaration", [
         r'String s = "say \"}\" now";',
         r'String s = "ends in a backslash \\";',

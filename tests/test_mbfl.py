@@ -50,7 +50,6 @@ class TestFlStats:
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 7})
         assert stats[0].failed_m == 1
         assert stats[0].passed_m == 0
-        assert stats[0].statement == 7
         assert globals_.totalfailed == 2
 
     def test_identical_outcomes_count_nothing(self):
@@ -116,7 +115,7 @@ def oracle_fl_stats(table, original, statement_of):
     """Flip counts read off the rebuilt outcomes of every mutant."""
     outcomes = oracle_mutant_outcomes(table, original)
     stats = [MutantFLStats(
-        mutant_id=m, statement=statement_of[m],
+        mutant_id=m,
         failed_m=sum(original[t] == "fail" and outcomes[m][t] == "pass"
                      for t in original),
         passed_m=sum(original[t] == "pass" and outcomes[m][t] == "fail"
@@ -176,24 +175,25 @@ def test_fl_stats_on_shuffled_rows_match_the_oracle(case, seed):
     matrix = shuffled_matrix(table, tests, random.Random(seed))
     assert fl_stats(vector, matrix, statement_of) == \
         oracle_fl_stats(table, original, statement_of)
+    shuffled = localize("B", vector, matrix, statement_of)
+    ordered = localize("B", vector, matrix.sorted_copy(), statement_of)
     for method in AGGREGATION_METHODS:
-        assert localize("B", vector, matrix, statement_of, method).scores == \
-            localize("B", vector, matrix.sorted_copy(), statement_of, method).scores
+        assert shuffled[method].scores == ordered[method].scores
 
 
 class TestMuseScore:
     def test_hand_value(self):
-        stats = MutantFLStats("m", 1, failed_m=2, passed_m=1)
+        stats = MutantFLStats("m", failed_m=2, passed_m=1)
         globals_ = FLGlobals(totalfailed=4, f2p=4, p2f=2)
         assert muse_score(stats, globals_) == 0.0
 
     def test_no_passed_flips_leaves_failed_count(self):
-        stats = MutantFLStats("m", 1, failed_m=3, passed_m=0)
+        stats = MutantFLStats("m", failed_m=3, passed_m=0)
         globals_ = FLGlobals(totalfailed=4, f2p=9, p2f=5)
         assert muse_score(stats, globals_) == 3.0
 
     def test_zero_p2f_drops_penalty_term(self):
-        stats = MutantFLStats("m", 1, failed_m=1, passed_m=3)
+        stats = MutantFLStats("m", failed_m=1, passed_m=3)
         globals_ = FLGlobals(totalfailed=4, f2p=2, p2f=0)
         assert muse_score(stats, globals_) == 1.0
 
@@ -204,7 +204,7 @@ class TestMuseScore:
             passed_m = rng.randint(0, 10)
             f2p = rng.randint(failed_m, 40)
             p2f = rng.randint(0, 40)
-            stats = MutantFLStats("m", 1, failed_m=failed_m, passed_m=passed_m)
+            stats = MutantFLStats("m", failed_m=failed_m, passed_m=passed_m)
             globals_ = FLGlobals(totalfailed=10, f2p=f2p, p2f=p2f)
             assert muse_score(stats, globals_) == pytest.approx(
                 oracle_muse(failed_m, passed_m, f2p, p2f))
@@ -212,19 +212,19 @@ class TestMuseScore:
 
 class TestMetallaxisScore:
     def test_hand_value(self):
-        stats = MutantFLStats("m", 1, failed_m=1, passed_m=0)
+        stats = MutantFLStats("m", failed_m=1, passed_m=0)
         assert metallaxis_score(stats, totalfailed=4) == pytest.approx(0.5)
 
     def test_no_failed_flips_scores_zero(self):
-        stats = MutantFLStats("m", 1, failed_m=0, passed_m=3)
+        stats = MutantFLStats("m", failed_m=0, passed_m=3)
         assert metallaxis_score(stats, totalfailed=4) == 0.0
 
     def test_full_flip_scores_one(self):
-        stats = MutantFLStats("m", 1, failed_m=4, passed_m=0)
+        stats = MutantFLStats("m", failed_m=4, passed_m=0)
         assert metallaxis_score(stats, totalfailed=4) == pytest.approx(1.0)
 
     def test_zero_denominator_scores_zero(self):
-        stats = MutantFLStats("m", 1, failed_m=0, passed_m=0)
+        stats = MutantFLStats("m", failed_m=0, passed_m=0)
         assert metallaxis_score(stats, totalfailed=4) == 0.0
 
     def test_bounded_and_maximal_only_at_full_flip(self):
@@ -233,7 +233,7 @@ class TestMetallaxisScore:
             totalfailed = rng.randint(1, 10)
             failed_m = rng.randint(0, totalfailed)
             passed_m = rng.randint(0, 10)
-            stats = MutantFLStats("m", 1, failed_m=failed_m, passed_m=passed_m)
+            stats = MutantFLStats("m", failed_m=failed_m, passed_m=passed_m)
             value = metallaxis_score(stats, totalfailed)
             assert 0.0 <= value <= 1.0
             assert value == pytest.approx(
@@ -317,27 +317,42 @@ class TestLocalize:
     def test_single_fault_statement_ranks_first(self, method):
         original, mutants, statement_of = self.build_single_fault_instance()
         report = localize("bug-1", original, mutants, statement_of,
-                          method, faulty_statements=[4])
+                          faulty_statements=[4])[method]
+        assert report.method == method
         assert report.expected_ranks[4] == 1.0
         assert report.faulty_ranks() == [1.0]
 
     def test_statement_universe_padding(self):
         original, mutants, statement_of = self.build_single_fault_instance()
-        report = localize("bug-1", original, mutants, statement_of,
-                          "metallaxis", statements=range(1, 15))
-        assert set(report.scores) == set(range(1, 15))
-        assert report.scores[1] == 0.0
+        reports = localize("bug-1", original, mutants, statement_of,
+                           statements=iter(range(1, 15)))
+        for report in reports.values():
+            assert set(report.scores) == set(range(1, 15))
+            assert report.scores[1] == 0.0
 
-    def test_unknown_method_rejected(self):
-        original, mutants, statement_of = self.build_single_fault_instance()
-        with pytest.raises(MbflError, match="unknown aggregation"):
-            localize("bug-1", original, mutants, statement_of, "sbfl")
+    def test_one_flip_count_pass_ranks_every_method(self, monkeypatch):
+        from mutkit import mbfl
 
-    def test_missing_faulty_statement_is_reported(self):
+        original, mutants, statement_of = self.build_single_fault_instance()
+        calls = []
+        real_fl_stats = mbfl.fl_stats
+
+        def counting_fl_stats(*args):
+            calls.append(args)
+            return real_fl_stats(*args)
+
+        monkeypatch.setattr(mbfl, "fl_stats", counting_fl_stats)
+        reports = localize("bug-1", original, mutants, statement_of,
+                           faulty_statements=iter([4]))
+        assert len(calls) == 1
+        assert list(reports) == list(AGGREGATION_METHODS)
+        assert all(report.faulty_statements == {4} for report in reports.values())
+
+    def test_a_missing_faulty_statement_is_left_out_of_the_ranks(self):
         original, mutants, statement_of = self.build_single_fault_instance()
         report = localize("bug-1", original, mutants, statement_of,
-                          "muse", faulty_statements=[4, 99])
-        assert report.missing_faulty() == (99,)
+                          faulty_statements=[4, 99])["muse"]
+        assert 99 not in report.expected_ranks
         assert report.faulty_ranks() == [1.0]
 
 
@@ -354,31 +369,29 @@ def report_with_ranks(bug_id, rank_of_faulty, universe=10):
 
 class TestFlMetrics:
     def test_perfect_localization(self):
-        metrics = fl_metrics([report_with_ranks("b1", [1.0])])
-        assert metrics.top_k == {1: 1, 3: 1, 5: 1}
-        assert metrics.mar == 1.0
-        assert metrics.mfr == 1.0
-        assert metrics.first_rank_mean == 1.0
+        assert fl_metrics([report_with_ranks("b1", [1.0])]) == {
+            "top_k": {"1": 1, "3": 1, "5": 1}, "mar": 1.0, "mfr": 1.0,
+            "first_rank_mean": 1.0, "evaluated_bugs": 1, "excluded_bugs": []}
 
     def test_two_bugs_hand_aggregation(self):
         reports = [report_with_ranks("b1", [2.0]), report_with_ranks("b2", [4.0])]
         metrics = fl_metrics(reports)
-        assert metrics.top_k[3] == 1
-        assert metrics.mfr == 3.0
+        assert metrics["top_k"]["3"] == 1
+        assert metrics["mfr"] == 3.0
 
     def test_multi_fault_bug_contributions(self):
         metrics = fl_metrics([report_with_ranks("b1", [2.0, 6.0])])
-        assert metrics.mfr == 2.0
-        assert metrics.mar == 4.0
+        assert metrics["mfr"] == 2.0
+        assert metrics["mar"] == 4.0
 
     def test_topk_monotone_in_k(self):
         rng = random.Random(505)
         reports = [report_with_ranks(f"b{i}", [float(rng.randint(1, 10))])
                    for i in range(20)]
-        metrics = fl_metrics(reports, k_list=(1, 2, 3, 5, 8, 10))
-        counts = [metrics.top_k[k] for k in (1, 2, 3, 5, 8, 10)]
-        assert counts == sorted(counts)
-        assert metrics.top_k[10] == 20
+        best = [min(report.faulty_ranks()) for report in reports]
+        top_k = fl_metrics(reports)["top_k"]
+        assert top_k == {str(k): sum(rank <= k for rank in best) for k in (1, 3, 5)}
+        assert top_k["1"] <= top_k["3"] <= top_k["5"]
 
     def test_bug_with_no_present_faulty_statement_is_excluded(self):
         good = report_with_ranks("b1", [2.0])
@@ -386,10 +399,9 @@ class TestFlMetrics:
             bug_id="b2", method="muse", scores={1: 0.5},
             expected_ranks={1: 1.0}, faulty_statements=frozenset([42]))
         metrics = fl_metrics([good, orphan])
-        assert metrics.excluded_bugs == ("b2",)
-        assert metrics.evaluated_bugs == 1
-        assert metrics.missing_statements["b2"] == (42,)
-        assert metrics.mfr == 2.0
+        assert metrics["excluded_bugs"] == ["b2"]
+        assert metrics["evaluated_bugs"] == 1
+        assert metrics["mfr"] == 2.0
 
     def test_all_bugs_excluded_raises(self):
         orphan = SuspiciousnessReport(

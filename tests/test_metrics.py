@@ -152,14 +152,11 @@ class TestRealBugDetection:
     def test_half_detected(self):
         table = {"m1": {"t1"}}
         ctx = context(table, ["t1", "t2"], ["t1", "t2"])
-        rates = real_bug_detection([ctx])
-        assert rates.per_bug["b"] == 0.5
+        assert real_bug_detection([ctx]) == {"macro": 0.5, "micro": 0.5}
 
     def test_all_detected(self):
         ctx = context({"m1": {"t1", "t2"}}, ["t1", "t2"], ["t1", "t2"])
-        rates = real_bug_detection([ctx])
-        assert rates.macro == 1.0
-        assert rates.micro == 1.0
+        assert real_bug_detection([ctx]) == {"macro": 1.0, "micro": 1.0}
 
     def test_macro_micro_hand_aggregation(self):
         # Three bugs detecting (1/2, 2/2, 0/4) of their revealing tests.
@@ -168,8 +165,8 @@ class TestRealBugDetection:
         b3 = context({"m1": set()}, ["t1", "t2", "t3", "t4"],
                      ["t1", "t2", "t3", "t4"], bug_id="b3")
         rates = real_bug_detection([b1, b2, b3])
-        assert rates.macro == pytest.approx(0.5)
-        assert rates.micro == pytest.approx(3 / 8)
+        assert rates["macro"] == pytest.approx(0.5)
+        assert rates["micro"] == pytest.approx(3 / 8)
 
     def test_matches_brute_force(self):
         rng = random.Random(41)
@@ -179,7 +176,7 @@ class TestRealBugDetection:
             ctx = context(table, tests, revealing)
             rates = real_bug_detection([ctx])
             detected, total = oracle_detection(table, revealing)
-            assert rates.micro == pytest.approx(detected / total)
+            assert rates["micro"] == pytest.approx(detected / total)
 
 
 class TestCouplingRate:
@@ -227,12 +224,14 @@ class TestEffectivenessReport:
         good = context({"m1": {"t1"}, "m2": set()}, ["t1", "t2"], ["t1"], bug_id="b1")
         empty = context({}, ["t1"], ["t1"], bug_id="b2")
         report = effectiveness_report([good, empty])
-        assert report.excluded_bugs == ["b2"]
-        assert report.mutation_score_micro == 0.5
-        assert report.per_bug_mutation_score == {"b1": 0.5}
-        assert report.bug_ochiai["b1"] == pytest.approx(0.5)
-        assert report.high_similarity_count == 0
-        assert 0.0 <= report.rbd_macro <= 1.0
+        assert report["excluded_bugs"] == ["b2"]
+        assert report["mutation_score"]["micro"] == 0.5
+        assert report["per_bug_mutation_score"] == {"b1": 0.5}
+        assert report["bug_ochiai"]["b1"] == pytest.approx(0.5)
+        assert report["high_similarity_count"] == 0
+        assert report["real_bug_detection"] == {"macro": 1.0, "micro": 1.0}
+        assert report["coupled_mutants"] == {"b1": ["m1"]}
+        assert report["coupling_rate"] == {"micro": 0.5, "macro": 0.5}
 
     def test_all_bugs_empty_rejected(self):
         with pytest.raises(MetricsError):
@@ -243,8 +242,16 @@ class TestEffectivenessReport:
         b2 = context({"m1": set(), "m2": set(), "m3": set()}, ["t1"], ["t1"],
                      bug_id="b2")
         report = effectiveness_report([b1, b2])
-        assert report.mutation_score_micro == pytest.approx(1 / 4)
-        assert report.mutation_score_macro == pytest.approx(0.5)
+        assert report["mutation_score"]["micro"] == pytest.approx(1 / 4)
+        assert report["mutation_score"]["macro"] == pytest.approx(0.5)
+
+    def test_per_bug_entries_are_sorted_by_bug_id(self):
+        b2 = context({"m1": {"t1"}}, ["t1"], ["t1"], bug_id="b2")
+        b1 = context({"m2": {"t1"}, "m1": {"t1"}}, ["t1"], ["t1"], bug_id="b1")
+        report = effectiveness_report([b2, b1])
+        for key in ("bug_ochiai", "per_bug_mutation_score", "coupled_mutants"):
+            assert list(report[key]) == ["b1", "b2"]
+        assert report["coupled_mutants"]["b1"] == ["m1", "m2"]
 
 
 class TestBugContextValidation:
@@ -265,7 +272,7 @@ class TestBruteForceEquivalence:
                 oracle_bug_ochiai(table, revealing), abs=1e-12)
             assert coupling_rate(ctx) == oracle_coupling(table, revealing)
             detected, total = oracle_detection(table, revealing)
-            assert real_bug_detection([ctx]).micro == detected / total
+            assert real_bug_detection([ctx])["micro"] == detected / total
 
 
 @st.composite
@@ -294,4 +301,4 @@ def test_metrics_on_shuffled_rows_match_the_oracles(case):
     assert coupling_rate(ctx) == oracle_coupling(table, revealing)
     assert coupled_mutants(ctx) == {m for m in table if table[m] & revealing}
     detected, total = oracle_detection(table, revealing)
-    assert real_bug_detection([ctx]).micro == detected / total
+    assert real_bug_detection([ctx])["micro"] == detected / total

@@ -384,7 +384,9 @@ class TestRunGenerate:
         assert sorted(p.name for p in (out_dir / "mutants").iterdir()) == sorted(
             f"{mid}.java" for mid in outcome.mutants)
 
-        rejected = [row for row in outcome.manifest if row["rejection"]]
+        manifest = [json.loads(line) for line in
+                    (out_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()]
+        rejected = [row for row in manifest if row["rejection"]]
         assert [row["mutant_id"] for row in rejected] == ["Clamp-1-c01-m005"]
         assert rejected[0]["rejection"] == "out-of-chunk"
 
@@ -1020,26 +1022,51 @@ class TestGenerateRetrieval:
             return real_embed_many(self, texts)
 
         monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
-        outcome = scripted_generate(self.config(tmp_path), self.targets(), tmp_path)
-        assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
-            "retrieval c01: cannot embed this chunk"]
-        assert [row["prompt_id"] for row in outcome.prompts] == [
-            "Clamp-1/c00", "Clamp-1/c02", "Sum-1/c00", "Sum-1/c01", "Sum-1/c02"]
-        assert (outcome.succeeded, outcome.failed) == (1, 1)
+        outcome = run_generate(self.config(tmp_path), self.targets(),
+                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+        # All chunks are embedded together, so the one error fails them all.
+        for bug_id in ("Clamp-1", "Sum-1"):
+            assert outcome.summary["targets"][bug_id]["errors"] == [
+                f"retrieval c0{i}: cannot embed this chunk" for i in range(3)]
+        assert outcome.prompts == []
+        assert (outcome.succeeded, outcome.failed) == (0, 2)
 
     def test_no_embeddable_chunk_sends_no_prompt(self, tmp_path, monkeypatch):
-        from mutkit.embedder import EmbeddingError, LexicalEmbedder
+        from mutkit.embedder import EmbeddingError, LexicalEmbedder, VectorIndex
 
         def embed_many(self, texts):
             raise EmbeddingError("cannot embed")
 
+        def query_many(self, probes, n):
+            raise AssertionError("queried without probes")
+
         config = self.config(tmp_path)
         monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
+        monkeypatch.setattr(VectorIndex, "query_many", query_many)
         outcome = run_generate(config, self.targets(),
                                backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
         assert outcome.summary["targets"]["Sum-1"]["errors"] == [
             f"retrieval c0{i}: cannot embed" for i in range(3)]
         assert outcome.prompts == [] and outcome.failed == 2
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_a_blank_line_chunk_gets_the_prompt_it_gets_without_retrieval(self, tmp_path):
+        method = CLAMP_FIXED.replace("int limit = 10;\n", "int limit = 10;\n\n")
+        targets = [TargetSpec(bug_id="Clamp-1", method=method)]
+        with_retrieval = scripted_generate(self.config(tmp_path), targets, tmp_path)
+        assert with_retrieval.summary["targets"]["Clamp-1"]["errors"] == []
+        assert with_retrieval.succeeded == 1
+        blank = next(row for row in with_retrieval.prompts
+                     if row["prompt_id"] == "Clamp-1/c02")
+        assert blank["examples"] == [] and blank["error"] is None
+
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        config = PipelineConfig(output_dir=str(plain / "out"), retrieval=False)
+        without = run_generate(config, targets,
+                               backend=MockBackend(record_path=str(plain / "r.jsonl")))
+        assert blank["prompt"] == next(row["prompt"] for row in without.prompts
+                                       if row["prompt_id"] == "Clamp-1/c02")
 
     def test_a_failed_query_fails_every_chunk(self, tmp_path):
         from mutkit.embedder import VectorIndex

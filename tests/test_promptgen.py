@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mutkit.chunker import chunk_method, parse_method
+from mutkit.chunker import CodeChunk, chunk_method, parse_method
 from mutkit.corpus import BugFixPair, diff_hunk
 from mutkit.promptgen import (
     FewShotExample,
@@ -68,13 +68,22 @@ class TestRenderExamples:
         assert [e.source_pair_id for e in examples] == ["p0", "p1", "p2", "p3", "p4"]
 
 
+def segment(text: str) -> CodeChunk:
+    """A segment chunk holding ``text`` from line 1 on."""
+    return CodeChunk(line_numbers=tuple(range(1, text.count("\n") + 2)), text=text,
+                     kind="segment")
+
+
 class TestRenderPrompt:
+    method = parse_method(METHOD)
+
     def examples(self):
         return [FewShotExample(precode="int x = 1;", aftercode="int x = 2;",
                                source_pair_id="p")]
 
     def test_contains_four_sections_and_rules(self):
-        text = render_prompt(METHOD, "    int sum = 0;", self.examples(), n=1)
+        text = render_prompt(self.method, segment("    int sum = 0;"), self.examples(),
+                             n=1)
         for section in ("[Instruction]:", "[Entire Focal Method]:",
                         "[The Current Chunk]:", "[Few-Shot Examples]:",
                         "[Output Instructions]:"):
@@ -85,28 +94,28 @@ class TestRenderPrompt:
 
     def test_n_is_rendered(self):
         chunk_text = "a;\nb;\nc;"
-        text = render_prompt(METHOD, chunk_text, [], n=3)
+        text = render_prompt(self.method, segment(chunk_text), [], n=3)
         assert "generate 3 mutant versions" in text
         assert "{N}" not in text
 
     def test_zero_examples_renders_empty_array(self):
-        text = render_prompt(METHOD, "    int sum = 0;", [], n=1)
+        text = render_prompt(self.method, segment("    int sum = 0;"), [], n=1)
         assert "[Few-Shot Examples]: <json> [] </json>" in text
 
     def test_examples_serialized_as_json_array(self):
-        text = render_prompt(METHOD, "x;", self.examples(), n=1)
+        text = render_prompt(self.method, segment("x;"), self.examples(), n=1)
         start = text.index("[Few-Shot Examples]: <json> ") + len("[Few-Shot Examples]: <json> ")
         end = text.index(" </json>", start)
         payload = json.loads(text[start:end])
         assert payload == [{"precode": "int x = 1;", "aftercode": "int x = 2;"}]
 
     def test_deterministic(self):
-        args = (METHOD, "x;", self.examples(), 1)
+        args = (self.method, segment("x;"), self.examples(), 1)
         assert render_prompt(*args) == render_prompt(*args)
 
     def test_requested_n_must_be_positive(self):
         with pytest.raises(PromptError, match="^requested_n must be positive, got 0$"):
-            render_prompt("m", "c", [], n=0)
+            render_prompt(self.method, segment("c"), [], n=0)
 
 
 class TestExampleValidation:
@@ -159,7 +168,7 @@ class TestParseResponse:
                            source_pair_id=f"p{i}")
             for i in range(4)
         ]
-        text = render_prompt(METHOD, "x;", examples, n=2)
+        text = render_prompt(parse_method(METHOD), segment("x;"), examples, n=2)
         start = text.index("[Few-Shot Examples]: <json>")
         end = text.index("</json>", start) + len("</json>")
         parsed = parse_response(text[start:end])

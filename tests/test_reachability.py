@@ -1,8 +1,11 @@
 """Every public module-level function and class of mutkit has a caller in
-the product: the package itself, the demos or the benchmark harness.
+the product: the package itself, the demos or the benchmark harness; and
+every field of a public dataclass is read there.
 
 A name counts as used when code outside its own definition refers to it
-(a bare name or an attribute); imports and the tests do not count.
+(a bare name or an attribute); a field counts as read when code outside
+its class loads an attribute of that name.  Imports and the tests do not
+count.
 """
 
 import ast
@@ -38,12 +41,42 @@ def unreached(paths, package) -> list[str]:
             and uses[node.name] == (node.name in references[id(node)])]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(target, ast.Name) and target.id == "dataclass"
+               for decorator in node.decorator_list
+               for target in (decorator.func if isinstance(decorator, ast.Call)
+                              else decorator,))
+
+
+def unread_fields(paths, package) -> list[str]:
+    """The fields of the public top-level dataclasses of the ``package``
+    files that no top-level statement of ``paths``, other than their own
+    class, loads as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    loads = {id(node): {sub.attr for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+             for tree in trees.values() for node in tree.body}
+    return [f"{path.stem}.{node.name}.{stmt.target.id}"
+            for path in package for node in trees[path].body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not any(stmt.target.id in names for other, names in loads.items()
+                        if other != id(node))]
+
+
 def test_the_product_files_are_found():
     assert len(PRODUCT) > len(list(PACKAGE.glob("*.py"))) > 10
 
 
 def test_every_public_definition_is_named_by_the_product():
     assert unreached(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_dataclass_field_is_read_by_the_product():
+    assert unread_fields(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -57,3 +90,17 @@ def test_only_a_reference_from_outside_the_definition_counts(tmp_path, source, e
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert unreached([path], [path]) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("@dataclass\nclass C:\n    a: int\n    b: int\n\ndef f(c):\n    return c.a\n",
+     ["m.C.b"]),
+    ("@dataclass(frozen=True)\nclass C:\n    a: int\n\n    def f(self):\n"
+     "        return self.a\n", ["m.C.a"]),
+    ("@dataclass\nclass C:\n    a: int\n\ndef f(c):\n    c.a = 1\n", ["m.C.a"]),
+    ("class C:\n    a: int\n\n@dataclass\nclass _D:\n    b: int\n", []),
+])
+def test_only_a_read_from_outside_the_class_counts(tmp_path, source, expected):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unread_fields([path], [path]) == expected

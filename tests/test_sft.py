@@ -24,7 +24,8 @@ METHOD_SOURCE = """public int clamp(int value) {
     return value;
 }"""
 
-PROMPT = render_prompt(METHOD_SOURCE, METHOD_SOURCE, [], n=7)
+PROMPT = render_prompt(parse_method(METHOD_SOURCE),
+                       whole_method_chunk(parse_method(METHOD_SOURCE)), [], n=7)
 
 
 def make_mutant(mutant_id, bug_id="bug-a", chunk_id="c00", project=""):

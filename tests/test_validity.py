@@ -10,11 +10,10 @@ from mutkit.validity import (
     CompileResult,
     ValidityError,
     ValidityLedger,
-    ValidityRates,
     check_compile,
     dedup,
-    generation_rate,
     normalize_line,
+    rates,
     substitute_command,
     validity_metrics,
 )
@@ -130,6 +129,11 @@ class TestValidityLedger:
         assert ledger.useful() == {"m1"}
 
 
+def generation_rate(expected: int, generated: int) -> float | None:
+    return rates({"expected": expected, "generated": generated,
+                  "duplicates": 0, "compilable": 0})["generation_rate"]
+
+
 class TestValidityMetrics:
     def test_table_row_arithmetic(self):
         # 23083 parsed of 35979 expected prints as 64.16%.
@@ -139,26 +143,38 @@ class TestValidityMetrics:
         rate = generation_rate(46873, 23708)
         assert abs(rate * 100 - 50.58) < 0.005
 
+    def test_no_generation_rate_when_nothing_was_expected(self):
+        assert generation_rate(0, 3) is None
+
+    def test_the_row_holds_the_counts_and_their_rates(self):
+        ledger = ValidityLedger(bug_id="b", expected=4,
+                                generated=["m1", "m2", "m3"],
+                                duplicates={"m2"}, compilable={"m1", "m2"})
+        assert validity_metrics(ledger) == {
+            "expected": 4, "generated": 3, "duplicates": 1, "compilable": 2,
+            "useful": 1, "generation_rate": 3 / 4, "nonduplicate_rate": 2 / 3,
+            "compilable_rate": 2 / 3}
+
     def test_all_mutants_sharing_one_key(self):
         k = 7
         mutants = [make_mutant(f"m{i}", 2, "    int a = 5;") for i in range(k)]
         ledger = ValidityLedger(bug_id="b", expected=k,
                                 generated=[m.id for m in mutants],
                                 duplicates=dedup(mutants, ORIGINAL))
-        rates = validity_metrics(ledger)
-        assert rates.nonduplicate_rate == pytest.approx(1 / k)
+        row = validity_metrics(ledger)
+        assert row["nonduplicate_rate"] == pytest.approx(1 / k)
 
     def test_fully_compilable(self):
         ledger = ValidityLedger(bug_id="b", expected=2, generated=["m1", "m2"],
                                 compilable={"m1", "m2"})
-        assert validity_metrics(ledger).compilable_rate == 1.0
+        assert validity_metrics(ledger)["compilable_rate"] == 1.0
 
     def test_rates_absent_when_no_mutants(self):
         ledger = ValidityLedger(bug_id="b", expected=5)
-        rates = validity_metrics(ledger)
-        assert rates == ValidityRates(generation_rate=0.0,
-                                      nonduplicate_rate=None,
-                                      compilable_rate=None)
+        assert validity_metrics(ledger) == {
+            "expected": 5, "generated": 0, "duplicates": 0, "compilable": 0,
+            "useful": 0, "generation_rate": 0.0, "nonduplicate_rate": None,
+            "compilable_rate": None}
 
     def test_rates_bounded(self):
         rng = random.Random(11)
@@ -171,7 +187,7 @@ class TestValidityMetrics:
                                     generated=ids,
                                     duplicates=set(ids[:dup]),
                                     compilable=set(ids[:comp]))
-            rates = validity_metrics(ledger)
-            assert 0.0 <= rates.generation_rate <= 1.0
-            assert 0.0 <= rates.nonduplicate_rate <= 1.0
-            assert 0.0 <= rates.compilable_rate <= 1.0
+            row = validity_metrics(ledger)
+            assert 0.0 <= row["generation_rate"] <= 1.0
+            assert 0.0 <= row["nonduplicate_rate"] <= 1.0
+            assert 0.0 <= row["compilable_rate"] <= 1.0

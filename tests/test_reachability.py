@@ -42,10 +42,12 @@ def unreached(paths, package) -> list[str]:
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(target, ast.Name) and target.id == "dataclass"
-               for decorator in node.decorator_list
-               for target in (decorator.func if isinstance(decorator, ast.Call)
-                              else decorator,))
+    """Whether ``node`` is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
 
 
 def unread_fields(paths, package) -> list[str]:

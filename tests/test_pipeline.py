@@ -757,6 +757,98 @@ class TestEvaluateRunCache:
         assert any(name.startswith("matrices/runs/") for name in trees[0])
 
 
+class _RecordedRun:
+    """A run's future that logs when the evaluation waits for it."""
+
+    def __init__(self, future, label, events):
+        self._future, self._label, self._events = future, label, events
+
+    def result(self):
+        self._events.append(("result", self._label))
+        return self._future.result()
+
+
+class _RecordingQueue:
+    """The real run queue, logging each submission, whether validity.json
+    exists at that moment, and each wait."""
+
+    def __init__(self, queue, validity_path: Path, events: list):
+        self._queue, self._validity_path, self._events = queue, validity_path, events
+
+    def __enter__(self):
+        self._queue.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._queue.__exit__(*exc_info)
+
+    def compile(self, source, command, *, timeout):
+        label = ("compile", source)
+        self._events.append(("submit", label, self._validity_path.exists()))
+        return _RecordedRun(self._queue.compile(source, command, timeout=timeout),
+                            label, self._events)
+
+    def suite(self, source, command, *, program_id, **kwargs):
+        label = ("suite", program_id)
+        self._events.append(("submit", label, self._validity_path.exists()))
+        return _RecordedRun(self._queue.suite(source, command, program_id=program_id,
+                                              **kwargs), label, self._events)
+
+
+class TestEvaluateRunOrder:
+    """Evaluate submits to its run queue in two waves across all bugs:
+    compiles and original runs, then mutant suites and buggy runs."""
+
+    @pytest.fixture
+    def recorded(self, tmp_path, monkeypatch):
+        from mutkit import execution
+
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), retrieval=False,
+                                test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND, workers=2)
+        targets = [
+            TargetSpec(bug_id="Sum-2", method=SUM_FIXED, bug_revealing_tests=("t_five",)),
+            TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED,
+                       bug_revealing_tests=("t_above",)),
+            TargetSpec(bug_id="Sum-1", method=SUM_FIXED, buggy_method=SUM_BUGGY),
+        ]
+        scripted_generate(config, targets, tmp_path)
+        out = Path(config.output_dir)
+        events: list = []
+        real_queue = execution.run_queue
+        monkeypatch.setattr(execution, "run_queue", lambda directory, workers: (
+            _RecordingQueue(real_queue(directory, workers),
+                            out / "report" / "validity.json", events)))
+        run_evaluate(config, targets)
+        return out, events
+
+    def test_the_queue_receives_two_waves_in_sorted_bug_order(self, recorded):
+        out, events = recorded
+        bug_ids = ["Clamp-1", "Sum-1", "Sum-2"]
+        sources = {path.stem: path.read_text(encoding="utf-8")
+                   for path in (out / "mutants").glob("*.java")}
+        first_wave = [label for bug_id in bug_ids
+                      for label in [("compile", sources[mid]) for mid in sorted(sources)
+                                    if mid.startswith(f"{bug_id}-")]
+                      + [("suite", bug_id)]]
+        rows = {bug_id: (out / "matrices" / f"{bug_id}.matrix").read_text(
+            encoding="utf-8").splitlines()[0].split()[1:] for bug_id in bug_ids}
+        second_wave = [("suite", program_id) for bug_id in bug_ids
+                       for program_id in rows[bug_id]
+                       + (["Sum-1-buggy"] if bug_id == "Sum-1" else [])]
+        assert all(rows.values())
+
+        submits = [index for index, event in enumerate(events) if event[0] == "submit"]
+        waits = [index for index, event in enumerate(events) if event[0] == "result"]
+        assert [events[index][1] for index in submits] == first_wave + second_wave
+        assert submits[len(first_wave) - 1] < waits[0]
+        # validity.json is written between the waves.
+        assert [events[index][2] for index in submits] == (
+            [False] * len(first_wave) + [True] * len(second_wave))
+        second_waits = [index for index in waits if events[index][1] in second_wave]
+        assert second_waits and min(second_waits) > submits[-1]
+
+
 class TestEvaluateBuggyMode:
     # The report tree of the buggy fixture, mbfl section included.
     GOLDEN_REPORT = {

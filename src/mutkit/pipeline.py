@@ -6,7 +6,10 @@ materialize per target and persists a manifest of every attempted pair.
 Evaluation replays the persisted artifacts through validity, kill-matrix
 execution (or loading), effectiveness metrics, prioritization, and, for
 buggy-mode runs, fault localization, writing one deterministic report
-directory.  This module picks the bugs of each section and the warnings;
+directory.  One function evaluates a bug from its compiles to its
+revealing tests; it pauses after each wave of queued runs, so every bug's
+runs of a wave are queued before any is awaited.  This module picks the
+bugs of each section and the warnings;
 the payloads come from the analysis modules and ``report``, which also
 holds the text tables and JSON writer, shared with the standalone
 analysis commands.
@@ -21,7 +24,6 @@ import re
 import types
 import typing
 from collections.abc import Sequence
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -511,8 +513,8 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
 
 @dataclass
 class BugArtifacts:
-    """Evaluation inputs reassembled for one bug, plus the futures of its
-    compile and suite runs on the evaluation's run queue."""
+    """Evaluation inputs reassembled for one bug, and the results that
+    ``_evaluate_bug`` fills in."""
 
     target: TargetSpec
     expected: int
@@ -522,10 +524,6 @@ class BugArtifacts:
     matrix: KillMatrix | None = None
     original: TestOutcomeVector | None = None
     revealing: frozenset[str] = frozenset()
-    compiles: dict[str, Future] = field(default_factory=dict)
-    original_run: Future | None = None
-    mutant_runs: dict[str, Future] = field(default_factory=dict)
-    buggy_run: Future | None = None
 
 
 @dataclass
@@ -590,34 +588,6 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
     return artifacts
 
 
-def _submit_first_runs(config: PipelineConfig, bug: BugArtifacts, queue,
-                       execute: bool) -> None:
-    """Submit every compile, and the original's suite run when the matrix
-    is to be built."""
-    if config.compile_command:
-        bug.compiles = {
-            mid: queue.compile(bug.materialized[mid].source, config.compile_command,
-                               timeout=config.timeout)
-            for mid in sorted(bug.materialized)}
-    if execute and config.test_command:
-        bug.original_run = queue.suite(bug.target.method, config.test_command,
-                                       program_id=bug.target.bug_id,
-                                       timeout=config.timeout)
-
-
-def _run_validity(config: PipelineConfig, bug: BugArtifacts) -> None:
-    ordered = [bug.materialized[mid] for mid in sorted(bug.materialized)]
-    duplicates = dedup(ordered, bug.target.method)
-    if config.compile_command:
-        compilable = {mid for mid, run in bug.compiles.items() if run.result()}
-    else:
-        compilable = set(bug.materialized)
-    bug.ledger = ValidityLedger(
-        bug_id=bug.target.bug_id, expected=bug.expected,
-        generated=list(bug.all_ids), duplicates=duplicates,
-        compilable=compilable)
-
-
 def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
     position = {mid: i for i, mid in enumerate(matrix.mutant_ids)}
     missing = [mid for mid in wanted if mid not in position]
@@ -629,15 +599,60 @@ def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
                       test_ids=matrix.test_ids, kills=matrix.kills[rows])
 
 
-def _submit_execution(config: PipelineConfig, bug: BugArtifacts, queue,
-                      matrices_dir: Path, revealing: bool) -> None:
-    """Submit the suite runs that build the bug's matrix, then the buggy
-    version's run when the revealing tests come from it.  Without a
-    test_command the saved matrix is an input, loaded as given.
+def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
+                  matrices_dir: Path, execute: bool, revealing: bool):
+    """Evaluate one bug, yielding after each wave of its work.
+
+    The waves are: (1) submit every compile and, when the matrix is to be
+    built, the original's suite run; (2) build the validity ledger; (3)
+    submit the useful mutants' suites and, when the revealing tests come
+    from it, the buggy version's run; (4) collect the runs, save the
+    matrix and the original's outcomes, and resolve the revealing tests.
+    Without a test_command the saved matrix is an input, loaded as given
+    in place of (3) and (4).  The caller advances every bug one wave at a
+    time, so a wave's runs of all bugs are queued before any is awaited.
     """
-    bug_id = bug.target.bug_id
+    target, bug_id = bug.target, bug.target.bug_id
+    ordered = sorted(bug.materialized)
+    compiles = {mid: queue.compile(bug.materialized[mid].source, config.compile_command,
+                                   timeout=config.timeout)
+                for mid in ordered} if config.compile_command else None
+    original_run = (queue.suite(target.method, config.test_command, program_id=bug_id,
+                                timeout=config.timeout)
+                    if execute and config.test_command else None)
+    yield
+
+    duplicates = dedup([bug.materialized[mid] for mid in ordered], target.method)
+    compilable = ({mid for mid, run in compiles.items() if run.result()}
+                  if compiles is not None else set(bug.materialized))
+    bug.ledger = ValidityLedger(
+        bug_id=bug_id, expected=bug.expected, generated=list(bug.all_ids),
+        duplicates=duplicates, compilable=compilable)
+    yield
+    if not execute:
+        return
+
     useful = sorted(bug.ledger.useful())
-    if not config.test_command:
+    buggy_run = None
+    if config.test_command:
+        test_ids = sorted(original_run.result().outcomes)
+        mutant_runs = [queue.suite(bug.materialized[mid].source, config.test_command,
+                                   program_id=mid, expected_tests=test_ids,
+                                   timeout=config.timeout)
+                       for mid in useful]
+        if revealing and config.mode != "buggy" and not target.bug_revealing_tests \
+                and target.buggy_method:
+            buggy_run = queue.suite(target.buggy_method, config.test_command,
+                                    program_id=f"{bug_id}-buggy",
+                                    expected_tests=test_ids, timeout=config.timeout)
+        yield
+        bug.original = original_run.result()
+        bug.matrix = build_kill_matrix(bug.original, [run.result() for run in mutant_runs],
+                                       bug_id=bug_id)
+        matrices_dir.mkdir(parents=True, exist_ok=True)
+        save_matrix(bug.matrix, str(matrices_dir / f"{bug_id}.matrix"))
+        save_outcomes(bug.original, str(matrices_dir / f"{bug_id}.original.txt"))
+    else:
         matrix_path = matrices_dir / f"{bug_id}.matrix"
         if not matrix_path.exists():
             raise PipelineError(
@@ -647,53 +662,24 @@ def _submit_execution(config: PipelineConfig, bug: BugArtifacts, queue,
         outcomes_path = matrices_dir / f"{bug_id}.original.txt"
         if outcomes_path.exists():
             bug.original = load_outcomes(str(outcomes_path), bug_id)
+
+    if not revealing:
         return
-    test_ids = sorted(bug.original_run.result().outcomes)
-    bug.mutant_runs = {
-        mid: queue.suite(bug.materialized[mid].source, config.test_command,
-                         program_id=mid, expected_tests=test_ids,
-                         timeout=config.timeout)
-        for mid in useful}
-    target = bug.target
-    if revealing and config.mode != "buggy" and not target.bug_revealing_tests \
-            and target.buggy_method:
-        bug.buggy_run = queue.suite(target.buggy_method, config.test_command,
-                                    program_id=f"{bug_id}-buggy",
-                                    expected_tests=test_ids, timeout=config.timeout)
-
-
-def _collect_execution(bug: BugArtifacts, matrices_dir: Path) -> None:
-    """Build and save a matrix whose runs _submit_execution submitted."""
-    if bug.matrix is not None:
-        return
-    bug_id = bug.target.bug_id
-    bug.original = bug.original_run.result()
-    vectors = [run.result() for run in bug.mutant_runs.values()]
-    bug.matrix = build_kill_matrix(bug.original, vectors, bug_id=bug_id)
-    matrices_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix(bug.matrix, str(matrices_dir / f"{bug_id}.matrix"))
-    save_outcomes(bug.original, str(matrices_dir / f"{bug_id}.original.txt"))
-
-
-def _resolve_revealing(config: PipelineConfig, bug: BugArtifacts) -> None:
-    target = bug.target
-    test_ids = set(bug.matrix.test_ids) if bug.matrix is not None else set()
+    in_matrix = set(bug.matrix.test_ids)
     if config.mode == "buggy":
         if bug.original is None:
             raise PipelineError(
-                f"bug {target.bug_id}: buggy mode needs the original outcome "
-                f"vector (missing {target.bug_id}.original.txt)")
+                f"bug {bug_id}: buggy mode needs the original outcome "
+                f"vector (missing {bug_id}.original.txt)")
         bug.revealing = frozenset(bug.original.failing())
-        return
-    if target.bug_revealing_tests:
-        bug.revealing = frozenset(target.bug_revealing_tests) & test_ids
-        return
-    if bug.buggy_run is not None:
-        bug.revealing = frozenset(bug.buggy_run.result().failing()) & test_ids
-        return
-    raise PipelineError(
-        f"bug {target.bug_id}: no bug-revealing tests available (provide "
-        f"bug_revealing_tests or buggy_method, or run in buggy mode)")
+    elif target.bug_revealing_tests:
+        bug.revealing = frozenset(target.bug_revealing_tests) & in_matrix
+    elif buggy_run is not None:
+        bug.revealing = frozenset(buggy_run.result().failing()) & in_matrix
+    else:
+        raise PipelineError(
+            f"bug {bug_id}: no bug-revealing tests available (provide "
+            f"bug_revealing_tests or buggy_method, or run in buggy mode)")
 
 
 def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
@@ -772,30 +758,24 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     sections: dict = {"mode": config.mode, "variant": config.variant_label()}
     revealing = bool({"metrics", "tcp", "mbfl"} & wanted)
 
-    # Every compile and suite run of every bug goes through one queue, in
-    # two waves: compiles plus original runs, then the runs that need their
-    # results (useful mutants' suites, buggy versions).  Results are read in
-    # sorted bug and mutant order.
+    # Every compile and suite run of every bug goes through one queue.  Each
+    # bug's _evaluate_bug step is advanced one wave at a time across all
+    # bugs (first runs, ledgers, suites, matrices); the validity section is
+    # written once every ledger is built.
     with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
         if "validity" in wanted:
-            for bug in bugs.values():
-                _submit_first_runs(config, bug, queue, "execution" in wanted)
-            for bug in bugs.values():
-                _run_validity(config, bug)
-            sections["validity"] = report.validity_section(
-                {bug_id: (bug.target.project, bug.ledger)
-                 for bug_id, bug in bugs.items()})
-            report.write_section(out_dir, "validity", sections["validity"],
-                                 report.validity_text)
-
-        if "execution" in wanted:
-            for bug in bugs.values():
-                _submit_execution(config, bug, queue, matrices_dir, revealing)
-            for bug in bugs.values():
-                _collect_execution(bug, matrices_dir)
-            if revealing:
-                for bug in bugs.values():
-                    _resolve_revealing(config, bug)
+            steps = [_evaluate_bug(config, bug, queue, matrices_dir,
+                                   "execution" in wanted, revealing)
+                     for bug in bugs.values()]
+            for wave in range(4):
+                for step in steps:
+                    next(step, None)
+                if wave == 1:
+                    sections["validity"] = report.validity_section(
+                        {bug_id: (bug.target.project, bug.ledger)
+                         for bug_id, bug in bugs.items()})
+                    report.write_section(out_dir, "validity", sections["validity"],
+                                         report.validity_text)
 
     if "metrics" in wanted:
         sections["metrics"] = metrics.effectiveness_report([

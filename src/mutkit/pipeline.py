@@ -233,7 +233,7 @@ def load_targets(path: str | Path) -> list[TargetSpec]:
         raise PipelineError(f"cannot read targets {path}: {error}") from error
     targets: list[TargetSpec] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

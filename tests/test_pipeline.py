@@ -255,6 +255,20 @@ class TestTargets:
         assert targets[0].bug_revealing_tests == ("t_one",)
         assert targets[0].faulty_lines == (2,)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_a_unicode_line_break_inside_a_method_is_kept(self, tmp_path, separator):
+        method = CLAMP_FIXED.replace("int limit = 10;",
+                                     f'String s = "a{separator}b"; int limit = 10;')
+        rows = [{"bug_id": "B-1", "method": method},
+                {"bug_id": "B-2", "method": SUM_FIXED}]
+        path = tmp_path / "targets.jsonl"
+        path.write_text("\n".join(json.dumps(row, ensure_ascii=False) for row in rows)
+                        + "\n", encoding="utf-8")
+        assert separator in path.read_text(encoding="utf-8")
+        targets = load_targets(path)
+        assert [(t.bug_id, t.method) for t in targets] == [
+            ("B-1", method), ("B-2", SUM_FIXED)]
+
     def test_load_targets_rejects_duplicates(self, tmp_path):
         path = tmp_path / "targets.jsonl"
         row = json.dumps({"bug_id": "B-1", "method": CLAMP_FIXED})

@@ -88,10 +88,11 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _emit(payload, out: str | None = None) -> None:
-    """Print the payload; with --out, also write it there."""
+    """Print the payload's JSON text; with --out, also write it there."""
+    text = report.dumps(payload)
     if out:
-        report.write_json(out, payload)
-    sys.stdout.write(report.dumps(payload))
+        Path(out).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

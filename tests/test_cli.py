@@ -554,6 +554,25 @@ class TestAnalysisGoldenDigests:
         assert digests == self.GOLDEN
 
 
+@pytest.mark.parametrize("command", ["metrics", "tcp", "mbfl"])
+def test_stdout_and_the_out_file_hold_the_same_bytes(command, tmp_path, capsys):
+    matrices = write_analysis_inputs(tmp_path, seed=29)
+    argv = {
+        "metrics": ["metrics", "--matrices", str(matrices),
+                    "--revealing", str(tmp_path / "revealing.json")],
+        "tcp": ["tcp", "--matrix", str(matrices / "G-1.matrix"),
+                "--detection", str(tmp_path / "revealing.json")],
+        "mbfl": ["mbfl", "--matrices", str(matrices),
+                 "--statements", str(tmp_path / "statements.json"),
+                 "--faulty", str(tmp_path / "faulty.json")],
+    }[command]
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 0 and err == "", err
+    assert json.loads(out)
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
 def write_golden_corpus(path: Path) -> Path:
     """Seeded single-line fixes plus one record of each edge case ingest
     must handle: an insertion, a deletion, a multi-hunk edit, identical

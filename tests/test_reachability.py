@@ -1,6 +1,7 @@
 """Every public module-level function and class of mutkit has a caller in
-the product: the package itself, the demos or the benchmark harness; and
-every field of a public dataclass is read there.
+the product: the package itself, the demos or the benchmark harness; every
+private one has a caller in its own module; and every field of a public
+dataclass is read in the product.
 
 A name counts as used when code outside its own definition refers to it
 (a bare name or an attribute); a field counts as read when code outside
@@ -26,10 +27,10 @@ def _references(node: ast.AST) -> set[str]:
             for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
 
 
-def unreached(paths, package) -> list[str]:
-    """The public top-level functions and classes of the ``package`` files
-    that no top-level statement of ``paths``, other than their own
-    definition, refers to."""
+def unreached(paths, package, private: bool = False) -> list[str]:
+    """The public (with ``private``, the private) top-level functions and
+    classes of the ``package`` files that no top-level statement of
+    ``paths``, other than their own definition, refers to."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
     references = {id(node): _references(node) for tree in trees.values() for node in tree.body}
@@ -37,8 +38,14 @@ def unreached(paths, package) -> list[str]:
     return [f"{path.stem}.{node.name}"
             for path in package for node in trees[path].body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+            and node.name.startswith("_") == private
             and uses[node.name] == (node.name in references[id(node)])]
+
+
+def unreached_private(package) -> list[str]:
+    """The private top-level functions and classes of the ``package`` files
+    that nothing else in their own module refers to."""
+    return [name for path in package for name in unreached([path], [path], private=True)]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -77,6 +84,10 @@ def test_every_public_definition_is_named_by_the_product():
     assert unreached(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
 
 
+def test_every_private_definition_is_named_in_its_module():
+    assert unreached_private(sorted(PACKAGE.glob("*.py"))) == []
+
+
 def test_every_dataclass_field_is_read_by_the_product():
     assert unread_fields(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
 
@@ -106,3 +117,23 @@ def test_only_a_read_from_outside_the_class_counts(tmp_path, source, expected):
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert unread_fields([path], [path]) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def _f():\n    return _f()\n", ["m._f"]),
+    ("def _f():\n    pass\n\ndef g():\n    return _f()\n", []),
+    ("class _C:\n    pass\n\nx = [_C()]\n", []),
+    ("class _C:\n    def f(self):\n        return _C\n\ndef f():\n    pass\n", ["m._C"]),
+])
+def test_a_private_name_needs_a_reference_from_its_own_module(tmp_path, source,
+                                                              expected):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unreached_private([path]) == expected
+
+
+def test_a_private_name_used_only_by_another_module_is_unreached(tmp_path):
+    helper, caller = tmp_path / "m.py", tmp_path / "n.py"
+    helper.write_text("def _f():\n    pass\n", encoding="utf-8")
+    caller.write_text("from m import _f\n\n_f()\n", encoding="utf-8")
+    assert unreached_private([helper, caller]) == ["m._f"]

@@ -186,15 +186,11 @@ class MockBackend:
     which is how scripts are authored offline.
     """
 
-    def __init__(self, script: str | dict | None = None, record_path: str | None = None):
+    def __init__(self, script: str | None = None, record_path: str | None = None):
         self._replies: dict[str, Completion] = {}
         self.record_path = record_path
         self._lock = threading.Lock()
-        if isinstance(script, dict):
-            for digest, reply in script.items():
-                self._replies[digest] = reply if isinstance(reply, Completion) \
-                    else Completion(text=str(reply))
-        elif script is not None:
+        if script is not None:
             self._load_script(script)
 
     def _load_script(self, path: str) -> None:

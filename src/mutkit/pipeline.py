@@ -286,6 +286,8 @@ def make_backend(config: PipelineConfig):
         record = settings.pop("record", None)
         if settings:
             raise PipelineError(f"unknown mock backend keys: {sorted(settings)}")
+        _check_type(script, str | None, "mock backend script")
+        _check_type(record, str | None, "mock backend record")
         return MockBackend(script=script, record_path=record)
     if mode == "http":
         try:

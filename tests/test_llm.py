@@ -8,7 +8,6 @@ from mutkit.llm import (
     AuthError,
     BackendConfig,
     BackendError,
-    Completion,
     HttpChatBackend,
     MockBackend,
     RetryExhaustedError,
@@ -192,33 +191,35 @@ class TestMockBackend:
 
 
 class TestCompleteBatch:
-    def backend_for(self, replies: dict):
-        return MockBackend({prompt_digest(k): Completion(text=v, prompt_tokens=len(k),
-                                                         completion_tokens=len(v))
-                            for k, v in replies.items()})
+    def backend_for(self, replies: dict, tmp_path):
+        path = str(tmp_path / "script.jsonl")
+        write_mock_script([{"prompt_digest": prompt_digest(k), "response_text": v,
+                            "prompt_tokens": len(k), "completion_tokens": len(v)}
+                           for k, v in replies.items()], path)
+        return MockBackend(path)
 
-    def test_sequential_order_preserved_with_limit_one(self):
-        backend = self.backend_for({"a": "ra", "b": "rb", "c": "rc"})
+    def test_sequential_order_preserved_with_limit_one(self, tmp_path):
+        backend = self.backend_for({"a": "ra", "b": "rb", "c": "rc"}, tmp_path)
         results = complete_batch(backend, [("i1", "a"), ("i2", "b"), ("i3", "c")],
                                  concurrency=1)
         assert [(pid, r.text) for pid, r in results] == [
             ("i1", "ra"), ("i2", "rb"), ("i3", "rc")]
 
-    def test_failures_isolated_per_item(self):
-        backend = self.backend_for({"a": "ra", "c": "rc"})
+    def test_failures_isolated_per_item(self, tmp_path):
+        backend = self.backend_for({"a": "ra", "c": "rc"}, tmp_path)
         results = complete_batch(backend, [("i1", "a"), ("i2", "missing"), ("i3", "c")],
                                  concurrency=2)
         assert results[0][1].text == "ra"
         assert isinstance(results[1][1], BackendError)
         assert results[2][1].text == "rc"
 
-    def test_token_accounting_matches_scripted_sum(self):
+    def test_token_accounting_matches_scripted_sum(self, tmp_path):
         replies = {"aa": "x", "bbb": "yy", "c": "zzz"}
-        backend = self.backend_for(replies)
+        backend = self.backend_for(replies, tmp_path)
         results = complete_batch(backend, [(k, k) for k in replies], concurrency=3)
         usage = aggregate_usage(results)
         assert usage == {"prompt_tokens": 2 + 3 + 1, "completion_tokens": 1 + 2 + 3}
 
     def test_empty_batch_rejected(self):
         with pytest.raises(BackendError):
-            complete_batch(MockBackend({}), [], concurrency=1)
+            complete_batch(MockBackend(), [], concurrency=1)

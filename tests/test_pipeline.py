@@ -336,6 +336,12 @@ class TestMakeBackend:
         with pytest.raises(PipelineError, match="unknown mock backend keys"):
             make_backend(config)
 
+    @pytest.mark.parametrize("key, value", [("script", {}), ("record", 5)])
+    def test_mock_paths_of_the_wrong_type_rejected(self, key, value):
+        config = PipelineConfig(backend={"mode": "mock", key: value})
+        with pytest.raises(PipelineError, match=f"^mock backend {key} must be"):
+            make_backend(config)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(PipelineError, match="mock or http"):
             make_backend(PipelineConfig(backend={"mode": "grpc"}))

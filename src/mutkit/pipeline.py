@@ -760,10 +760,8 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     sections: dict = {"mode": config.mode, "variant": config.variant_label()}
     revealing = bool({"metrics", "tcp", "mbfl"} & wanted)
 
-    # Every compile and suite run of every bug goes through one queue.  Each
-    # bug's _evaluate_bug step is advanced one wave at a time across all
-    # bugs (first runs, ledgers, suites, matrices); the validity section is
-    # written once every ledger is built.
+    # Every compile and suite run of every bug goes through one queue; the
+    # validity section is written after the second wave built every ledger.
     with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
         if "validity" in wanted:
             steps = [_evaluate_bug(config, bug, queue, matrices_dir,

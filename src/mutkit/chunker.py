@@ -484,7 +484,7 @@ def parse_method(source: str) -> FocalMethod:
     if parser.peek() is not None:
         raise parser.error("unexpected tokens after method body")
 
-    lines = tuple(range(1, len(source.splitlines()) + 1))
+    lines = tuple(range(1, len(_source_lines(source)) + 1))
     return FocalMethod(source=source, lines=lines, root=root)
 
 
@@ -524,8 +524,17 @@ def _consecutive_segments(lines: set[int]) -> list[tuple[int, ...]]:
     return segments
 
 
+def _source_lines(source: str) -> list[str]:
+    """The physical lines of ``source`` as the lexer counts them: only
+    "\n" breaks a line, and a final "\n" ends the last line."""
+    lines = source.split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _chunk_text(method: FocalMethod, line_numbers: tuple[int, ...]) -> str:
-    source_lines = method.source.splitlines()
+    source_lines = _source_lines(method.source)
     return "\n".join(source_lines[n - 1] for n in line_numbers)
 
 

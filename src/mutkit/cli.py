@@ -271,7 +271,10 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags that override config fields, as a parent parser that the
+    subcommands building a ``PipelineConfig`` share."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--corpus", help="bug-fix corpus JSONL path")
     parser.add_argument("--index", help="vector index path")
@@ -295,6 +298,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--sample-targets", type=int)
     parser.add_argument("--hyb-weight", type=float)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,19 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log at INFO level")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    config_flags = [_config_flags()]
 
     ingest = subparsers.add_parser(
-        "ingest", help="validate a corpus file and summarize it")
-    _add_config_flags(ingest)
+        "ingest", parents=config_flags,
+        help="validate a corpus file and summarize it")
     ingest.set_defaults(handler=cmd_ingest)
 
     rag = subparsers.add_parser("rag", help="retrieval index operations")
     rag_sub = rag.add_subparsers(dest="rag_command", required=True)
-    rag_build = rag_sub.add_parser("build", help="embed a corpus into an index")
-    _add_config_flags(rag_build)
+    rag_build = rag_sub.add_parser("build", parents=config_flags,
+                                   help="embed a corpus into an index")
     rag_build.set_defaults(handler=cmd_rag_build)
-    rag_query = rag_sub.add_parser("query", help="query an index")
-    _add_config_flags(rag_query)
+    rag_query = rag_sub.add_parser("query", parents=config_flags,
+                                   help="query an index")
     code_source = rag_query.add_mutually_exclusive_group(required=True)
     code_source.add_argument("--code", help="code snippet to embed")
     code_source.add_argument("--code-file", help="file holding the snippet")
@@ -328,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     chunk.set_defaults(handler=cmd_chunk)
 
     generate = subparsers.add_parser(
-        "generate", help="generate mutants for every target")
-    _add_config_flags(generate)
+        "generate", parents=config_flags,
+        help="generate mutants for every target")
     generate.add_argument("--targets", required=True, help="targets JSONL file")
     generate.set_defaults(handler=cmd_generate)
 
@@ -337,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("validate", "validity rates over generation artifacts"),
             ("execute", "build or load kill matrices"),
             ("report", "full evaluation report")):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_config_flags(sub)
+        sub = subparsers.add_parser(name, parents=config_flags, help=help_text)
         sub.add_argument("--targets", required=True)
         sub.add_argument("--artifacts",
                          help="generation artifact dir (default: output_dir)")
@@ -379,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     mbfl_parser.set_defaults(handler=cmd_mbfl)
 
     export_sft = subparsers.add_parser(
-        "export-sft", help="export coupled mutants as training instances")
-    _add_config_flags(export_sft)
+        "export-sft", parents=config_flags,
+        help="export coupled mutants as training instances")
     export_sft.add_argument("--artifacts",
                             help="generation artifact dir (default: output_dir)")
     export_sft.add_argument("--report-dir",

@@ -183,7 +183,10 @@ class MockBackend:
     prompt_digest, response_text, prompt_tokens and completion_tokens.
     When ``record_path`` is set, prompts with no scripted reply are
     appended there (digest plus full prompt) before the error is raised,
-    which is how scripts are authored offline.
+    which is how scripts are authored offline.  ``complete_batch`` then
+    rewrites the file with one line per digest in digest order, so a
+    recorded batch writes the same bytes whatever order its threads
+    finished in.
     """
 
     def __init__(self, script: str | None = None, record_path: str | None = None):
@@ -226,6 +229,20 @@ class MockBackend:
                     {"prompt_digest": digest, "prompt": prompt}) + "\n")
         raise BackendError(f"no scripted reply for digest {digest[:12]}...")
 
+    def sort_record(self) -> None:
+        """Rewrite the record file with one line per digest, in digest order."""
+        if not self.record_path:
+            return
+        with self._lock:
+            try:
+                with open(self.record_path, encoding="utf-8") as handle:
+                    lines = {json.loads(line)["prompt_digest"]: line
+                             for line in handle if line.strip()}
+            except FileNotFoundError:
+                return
+            with open(self.record_path, "w", encoding="utf-8") as handle:
+                handle.writelines(lines[digest] for digest in sorted(lines))
+
 
 def write_mock_script(records: list[dict], path: str) -> None:
     """Write mock script records, checked as MockBackend checks them."""
@@ -262,6 +279,8 @@ def complete_batch(backend, prompts: list[tuple[str, str]],
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         results = list(pool.map(run_one, [p for _, p in prompts]))
+    if isinstance(backend, MockBackend):
+        backend.sort_record()
     return [(prompt_id, result) for (prompt_id, _), result in zip(prompts, results)]
 
 

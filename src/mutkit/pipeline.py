@@ -684,6 +684,19 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
             f"bug_revealing_tests or buggy_method, or run in buggy mode)")
 
 
+def _effectiveness_contexts(bugs: dict[str, BugArtifacts],
+                            warnings: list[str]) -> list[BugContext]:
+    contexts = []
+    for bug_id in sorted(bugs):
+        bug = bugs[bug_id]
+        if not bug.revealing:
+            warnings.append(f"metrics: bug {bug_id} has no bug-revealing test")
+            continue
+        contexts.append(BugContext(bug_id=bug_id, matrix=bug.matrix,
+                                   bug_revealing_tests=bug.revealing))
+    return contexts
+
+
 def _tcp_section(config: PipelineConfig, bugs: dict[str, BugArtifacts],
                  warnings: list[str]) -> dict:
     strategies = report.tcp_strategies(config.hyb_weight)
@@ -778,12 +791,13 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
                                          report.validity_text)
 
     if "metrics" in wanted:
-        sections["metrics"] = metrics.effectiveness_report([
-            BugContext(bug_id=bug_id, matrix=bugs[bug_id].matrix,
-                       bug_revealing_tests=bugs[bug_id].revealing)
-            for bug_id in sorted(bugs)])
-        report.write_section(out_dir, "effectiveness", sections["metrics"],
-                             report.effectiveness_text)
+        contexts = _effectiveness_contexts(bugs, warnings)
+        if contexts:
+            sections["metrics"] = metrics.effectiveness_report(contexts)
+            report.write_section(out_dir, "effectiveness", sections["metrics"],
+                                 report.effectiveness_text)
+        else:
+            warnings.append("metrics: skipped (no bug has a bug-revealing test)")
 
     if "tcp" in wanted:
         sections["tcp"] = _tcp_section(config, bugs, warnings)

@@ -9,8 +9,12 @@ continues, so every strategy yields a total ordering.
 
 Pairs are never stored: the tests chosen so far split the mutants into
 classes with equal kill patterns, and a test killing k of a class's n
-mutants distinguishes k * (n - k) new pairs.  A greedy step costs
-O(M * T) and a strategy O(T^2 * M) for M mutants and T tests.
+mutants distinguishes k * (n - k) new pairs.  GRD and HYB keep each
+class's per-test kill counts and every test's pair gain, and a pick
+updates only the classes it splits (partition refinement), so for M
+mutants and T tests a step costs O(M + T) plus O(c * s * T) for the
+rows of the s mutants it moves into c new classes or newly covers.
+Recounting every class on each step cost O(M * T) instead.
 """
 
 from __future__ import annotations
@@ -44,19 +48,6 @@ class PrioritizedSuite:
             raise TcpError("audit trails must align with the ordering")
 
 
-def _pair_gains(kills: np.ndarray, columns: np.ndarray, classes: np.ndarray,
-                sizes: np.ndarray) -> np.ndarray:
-    """Undistinguished mutant pairs each given column splits (k * (n - k))."""
-    rows = np.flatnonzero(sizes[classes] > 1)
-    if rows.size == 0:
-        return np.zeros(columns.size, dtype=np.int64)
-    rows = rows[np.argsort(classes[rows], kind="stable")]
-    labels = classes[rows]
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    killed = np.add.reduceat(kills[rows][:, columns], starts, axis=0, dtype=np.int64)
-    return (killed * (sizes[labels[starts], None] - killed)).sum(axis=0)
-
-
 def _greedy(matrix: KillMatrix, strategy: str, weight: float) -> PrioritizedSuite:
     if not matrix.test_ids:
         raise TcpError(f"bug {matrix.bug_id}: matrix has no tests")
@@ -64,52 +55,86 @@ def _greedy(matrix: KillMatrix, strategy: str, weight: float) -> PrioritizedSuit
     by_id = sorted(range(len(matrix.test_ids)), key=matrix.test_ids.__getitem__)
     test_ids = [matrix.test_ids[j] for j in by_id]
     kills = matrix.kills[:, by_id]
-    mutant_count = kills.shape[0]
+    mutant_count, test_count = kills.shape
     pair_count = mutant_count * (mutant_count - 1) // 2
+    by_pairs = strategy != "GRK"
+    # Every gain is an integer held exactly in a float, so the scores are
+    # the floats an integer recount would give.
+    weights = kills.astype(float)
+    columns = np.ascontiguousarray(kills.T)
 
-    remaining = np.arange(len(test_ids))
+    chosen = np.zeros(test_count, dtype=bool)
     covered = np.zeros(mutant_count, dtype=bool)
-    # Mutants no chosen test has told apart share a class label.
-    classes = np.zeros(mutant_count, dtype=np.int64)
-    sizes, kill_gain = np.bincount(classes), kills.sum(axis=0)
+    # Mutants no chosen test has told apart share a class label, and
+    # counts[c, t] is how many of class c's mutants test t kills; GRK never
+    # reads it, so it gets a single row.
+    classes = np.zeros(mutant_count, dtype=np.intp)
+    counts = np.zeros((mutant_count + 1 if by_pairs else 1, test_count))
+    totals = weights.sum(axis=0)
     order: list[str] = []
     step_kills: list[int] = []
     step_pairs: list[int] = []
 
-    def scores() -> np.ndarray:
-        kills_left = kill_gain[remaining]
-        if strategy == "GRK":
-            return kills_left.astype(float)
-        pair_gain = _pair_gains(kills, remaining, classes, sizes)
-        if strategy == "GRD":
-            return pair_gain.astype(float)
-        # Without mutants (or pairs) every gain is 0, so dividing by 1 is exact.
-        return (weight * (kills_left / max(mutant_count, 1))
-                + (1.0 - weight) * (pair_gain / max(pair_count, 1)))
+    def fresh():
+        covered[:] = False
+        classes[:] = 0
+        counts[0] = totals
+        # gain[t] is the pairs test t splits: k * (n - k) over the classes.
+        return np.bincount(classes), totals.copy(), totals * (mutant_count - totals)
 
-    while remaining.size:
+    def scores() -> np.ndarray:
+        if strategy == "GRK":
+            step_scores = kill_gain.copy()
+        elif strategy == "GRD":
+            step_scores = gain.copy()
+        else:
+            # Without mutants (or pairs) every gain is 0, so dividing by 1 is exact.
+            step_scores = (weight * (kill_gain / max(mutant_count, 1))
+                           + (1.0 - weight) * (gain / max(pair_count, 1)))
+        step_scores[chosen] = -np.inf
+        return step_scores
+
+    sizes, kill_gain, gain = fresh()
+    for _ in range(test_count):
         step_scores = scores()
+        j = int(step_scores.argmax())
         # Splitting a class takes a kill, so covered also tracks pairs.
-        if step_scores.max() <= 0 and covered.any():
-            covered[:] = False
-            classes[:] = 0
-            sizes, kill_gain = np.bincount(classes), kills.sum(axis=0)
-            step_scores = scores()
-        pick = int(np.argmax(step_scores))
-        j = remaining[pick]
-        remaining = np.delete(remaining, pick)
-        column = kills[:, j]
-        killed = np.bincount(classes[column], minlength=len(sizes))
+        if step_scores[j] <= 0 and covered.any():
+            sizes, kill_gain, gain = fresh()
+            j = int(scores().argmax())
+        chosen[j] = True
+        column = columns[j]
+        class_count = len(sizes)
+        if by_pairs:
+            killed = counts[:class_count, j].copy()
+            pairs = gain[j]
+        else:
+            killed = np.bincount(classes[column], minlength=class_count)
+            pairs = (killed * (sizes - killed)).sum()
         order.append(test_ids[j])
         step_kills.append(int(kill_gain[j]))
-        step_pairs.append(int((killed * (sizes - killed)).sum()))
-        # Refine: the killed part of every split class gets a fresh label.
-        split = (killed > 0) & (killed < sizes)
-        moved = column & split[classes]
-        classes[moved] = (np.cumsum(split) + len(sizes) - 1)[classes[moved]]
-        sizes = np.bincount(classes)
-        kill_gain -= kills[column & ~covered].sum(axis=0)
-        covered |= column
+        step_pairs.append(int(pairs))
+        if pairs:
+            # Refine: the killed part of every split class gets a fresh label.
+            split = (killed > 0) & (killed < sizes)
+            parents = split.nonzero()[0]
+            rows = (column & split[classes]).nonzero()[0]
+            rank = parents.searchsorted(classes[rows])
+            classes[rows] = rank + class_count
+            sizes = np.bincount(classes)
+            if by_pairs:
+                # Only the split classes change: part is what moved, rest
+                # what stayed, and each test loses the pairs across them.
+                part = (rank == np.arange(parents.size)[:, None]) @ weights[rows]
+                rest = counts[parents] - part
+                gain -= (sizes[parents] @ part + killed[parents] @ rest
+                         - 2 * (part * rest).sum(axis=0))
+                counts[parents] = rest
+                counts[class_count:class_count + parents.size] = part
+        newly = column & ~covered
+        if newly.any():
+            kill_gain -= weights[newly].sum(axis=0)
+            covered |= newly
 
     name = {"GRK": "GRK", "GRD": "GRD"}.get(strategy, f"HYB({weight:g})")
     return PrioritizedSuite(strategy=name, order=tuple(order),

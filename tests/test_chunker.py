@@ -17,6 +17,7 @@ from mutkit.chunker import (
     preceding_decl_stmts,
     whole_method_chunk,
 )
+from test_pipeline import CLAMP_FIXED
 
 NESTED = "\n".join([
     "void demo() {",              # 1
@@ -87,6 +88,19 @@ class TestParseMethod:
         method = parse_method(f"void a() {{\n    String s = {literal};\n    int k = 1;\n}}")
         assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
             ("decl", 2, 3), ("decl", 4, 4)]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_only_a_newline_breaks_a_line(self, separator):
+        # A Unicode line separator inside a literal stays on its line, as
+        # the lexer, promptgen.materialize and validity.dedup count lines.
+        source = CLAMP_FIXED.replace(
+            "int limit = 10;", f'String label = "a{separator}b"; int limit = 10;')
+        method = parse_method(source)
+        assert method.lines == (1, 2, 3, 4, 5, 6, 7)
+        chunks = chunk_method(method)
+        assert_partition(method, chunks)
+        assert reconstruct(method, chunks) == source
+        assert any(f'"a{separator}b"' in chunk.text for chunk in chunks)
 
     def test_unbalanced_brace_reports_line(self):
         source = "void a() {\n    if (x) {\n    return;\n}"

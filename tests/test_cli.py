@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from mutkit.cli import main
+from mutkit.cli import build_parser, main
 from mutkit.execution import KillMatrix, run_suite, save_matrix
 from mutkit.llm import MockBackend, write_mock_script
 from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
@@ -773,3 +773,74 @@ class TestExportSft:
 def test_entry_point_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+# Every flag that overrides a config field, unset and then set.
+CONFIG_UNSET = {
+    "config": None, "corpus": None, "index": None, "output_dir": None,
+    "metric": None, "key_side": None, "dimension": None, "mode": None,
+    "retrieval_n": None, "no_retrieval": False, "no_chunking": False,
+    "compile_command": None, "test_command": None, "workers": None,
+    "seed": None, "sample_targets": None, "hyb_weight": None,
+}
+CONFIG_ARGV = [
+    "--config", "c.json", "--corpus", "k.jsonl", "--index", "x.idx",
+    "--output-dir", "o", "--metric", "cosine", "--key-side", "pre_fix",
+    "--dimension", "64", "--mode", "buggy", "--retrieval-n", "3",
+    "--no-retrieval", "--no-chunking", "--compile-command", "cc {source}",
+    "--test-command", "tc {source}", "--workers", "2", "--seed", "9",
+    "--sample-targets", "4", "--hyb-weight", "0.25",
+]
+CONFIG_SET = {
+    "config": "c.json", "corpus": "k.jsonl", "index": "x.idx",
+    "output_dir": "o", "metric": "cosine", "key_side": "pre_fix",
+    "dimension": 64, "mode": "buggy", "retrieval_n": 3, "no_retrieval": True,
+    "no_chunking": True, "compile_command": "cc {source}",
+    "test_command": "tc {source}", "workers": 2, "seed": 9,
+    "sample_targets": 4, "hyb_weight": 0.25,
+}
+EVALUATE_OWN = {"targets": "t.jsonl", "artifacts": None, "report_dir": None}
+SUBCOMMAND_NAMESPACES = [
+    (["ingest"], True, {"command": "ingest"}),
+    (["rag", "build"], True, {"command": "rag", "rag_command": "build"}),
+    (["rag", "query", "--code", "x"], True,
+     {"command": "rag", "rag_command": "query", "code": "x", "code_file": None,
+      "n": None}),
+    (["generate", "--targets", "t.jsonl"], True,
+     {"command": "generate", "targets": "t.jsonl"}),
+    (["validate", "--targets", "t.jsonl"], True,
+     {"command": "validate", **EVALUATE_OWN}),
+    (["execute", "--targets", "t.jsonl"], True,
+     {"command": "execute", **EVALUATE_OWN}),
+    (["report", "--targets", "t.jsonl"], True,
+     {"command": "report", **EVALUATE_OWN}),
+    (["export-sft", "--out", "s.jsonl"], True,
+     {"command": "export-sft", "artifacts": None, "report_dir": None,
+      "out": "s.jsonl", "grouped": False, "exclude_projects": ()}),
+    (["chunk", "m.java"], False, {"command": "chunk", "source": "m.java"}),
+    (["metrics", "--matrices", "m", "--revealing", "r.json"], False,
+     {"command": "metrics", "matrices": "m", "revealing": "r.json", "out": None}),
+    (["tcp", "--matrix", "b.matrix", "--detection", "d.json"], False,
+     {"command": "tcp", "matrix": "b.matrix", "detection": "d.json",
+      "weight": 0.5, "out": None}),
+    (["mbfl", "--matrices", "m", "--statements", "s.json", "--faulty", "f.json"],
+     False, {"command": "mbfl", "matrices": "m", "statements": "s.json",
+             "faulty": "f.json", "statement_space": None, "out": None}),
+]
+
+
+@pytest.mark.parametrize("argv, takes_config, own", SUBCOMMAND_NAMESPACES,
+                         ids=[" ".join(case[0][:2]) for case in SUBCOMMAND_NAMESPACES])
+def test_every_subcommand_parses_to_its_namespace(argv, takes_config, own):
+    def parsed(extra):
+        namespace = vars(build_parser().parse_args(argv + extra))
+        assert callable(namespace.pop("handler"))
+        return namespace
+
+    config = CONFIG_UNSET if takes_config else {}
+    assert parsed([]) == {"verbose": False, **own, **config}
+    if takes_config:
+        assert parsed(CONFIG_ARGV) == {"verbose": False, **own, **CONFIG_SET}
+    else:
+        with pytest.raises(SystemExit):
+            parsed(["--workers", "2"])

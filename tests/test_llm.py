@@ -157,6 +157,20 @@ class TestMockBackend:
         assert recorded["prompt"] == "novel prompt"
         assert recorded["prompt_digest"] == prompt_digest("novel prompt")
 
+    def test_recorded_batches_write_the_same_bytes(self, tmp_path):
+        prompts = [(f"p{i}", f"prompt number {i}") for i in range(40)]
+        prompts.append(("again", "prompt number 3"))
+        paths = [tmp_path / f"record-{run}.jsonl" for run in range(2)]
+        for path in paths:
+            results = complete_batch(MockBackend(record_path=str(path)), prompts,
+                                     concurrency=2)
+            assert all(isinstance(result, BackendError) for _, result in results)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        recorded = [json.loads(line) for line in
+                    paths[0].read_text(encoding="utf-8").splitlines()]
+        digests = [record["prompt_digest"] for record in recorded]
+        assert digests == sorted({prompt_digest(p) for _, p in prompts})
+
     def test_malformed_script_rejected(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_text('{"prompt_digest": "abc"}\n')

@@ -968,6 +968,43 @@ class TestEvaluateBuggyMode:
         assert outcome.warnings == [f"mbfl: bug Weak-1 {reason}"]
         assert list(outcome.sections["mbfl"]["per_bug"]) == ["Sum-2"]
 
+    def test_a_bug_without_revealing_tests_is_left_out_of_effectiveness(
+            self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                retrieval=False, mode="buggy",
+                                test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND)
+        # The fixed clamp fails no test, so its original run reveals none.
+        targets = [TargetSpec(bug_id="Clamp-2", method=CLAMP_FIXED,
+                              faulty_lines=(2,)),
+                   TargetSpec(bug_id="Sum-2", method=SUM_BUGGY,
+                              project="Alpha", faulty_lines=(2,))]
+        scripted_generate(config, targets, tmp_path)
+        outcome = run_evaluate(config, targets)
+        assert "metrics: bug Clamp-2 has no bug-revealing test" in outcome.warnings
+        assert list(outcome.sections["metrics"]["bug_ochiai"]) == ["Sum-2"]
+        digests = tree_digests(outcome.out_dir)
+        assert digests["effectiveness.json"] == \
+            self.GOLDEN_REPORT["effectiveness.json"]
+        assert {"tcp.json", "mbfl.json", "report.json"} <= set(digests)
+
+    def test_effectiveness_is_skipped_when_no_bug_reveals_itself(self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                retrieval=False, mode="buggy",
+                                test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND)
+        targets = [TargetSpec(bug_id="Clamp-2", method=CLAMP_FIXED,
+                              faulty_lines=(2,))]
+        scripted_generate(config, targets, tmp_path)
+        outcome = run_evaluate(config, targets, stages=("metrics",))
+        assert outcome.warnings == [
+            "metrics: bug Clamp-2 has no bug-revealing test",
+            "metrics: skipped (no bug has a bug-revealing test)"]
+        assert "metrics" not in outcome.sections
+        assert not (outcome.out_dir / "effectiveness.json").exists()
+        report = json.loads((outcome.out_dir / "report.json").read_text())
+        assert report["warnings"] == sorted(outcome.warnings)
+
     def test_mbfl_report_files(self, buggy_run):
         _, _, outcome = buggy_run
         assert (outcome.out_dir / "mbfl.json").exists()

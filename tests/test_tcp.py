@@ -142,6 +142,20 @@ GOLDEN_DIGESTS = {
     ((280, 180), "GRD"): "26f1b6c42caf9d72b126b958ad6e0118c37f34b2e51024ea434db81f94666704",
     ((280, 180), "HYB(0.3)"): "c4f9a6b9fcf795ee094959f2a5b3ec4f2677a9141cdb5b40aad2b1fc0228cf91",
     ((280, 180), "HYB(0.5)"): "721b0f8757233280ce9625bdd063ab34baf068d158db90888c02223f422be25c",
+    # Recorded from the kernel that recounted every class's pair gains
+    # on each step, before gains were updated incrementally.
+    ((80, 40), "GRK"): "7aa681fef55bf26589dbb4e383484907b02a1e932b3257329c7fb5178dc31556",
+    ((80, 40), "GRD"): "c38ab3e9cf5cb756e7f23a3734f24ff28d35ddaab024eca27fc27de8a058d28c",
+    ((80, 40), "HYB(0.3)"): "2e5af4483c7a2a816474e70422aecb7be41b1969bcb468614001e4ff135fb257",
+    ((80, 40), "HYB(0.5)"): "dc6923c374498094cb6c8219b7ef4d651c824b9211e7ab88659f388360d27d90",
+    ((160, 90), "GRK"): "981992ef6ef51f30c200048d93a01427ed6a7cd7f2b5b143e811ff844f333023",
+    ((160, 90), "GRD"): "71157c9017fdb49712b590e56073bb8e0e1d920813b791f776af9ffc95aeada4",
+    ((160, 90), "HYB(0.3)"): "260bdd61584c5075c8d182b563757bdac6d17955060094d7c1ab66d1bfcaf419",
+    ((160, 90), "HYB(0.5)"): "d962635250d199830059bbf49cc2fd6fe8c1a2792870cb2833af338e6eed63f2",
+    ((240, 150), "GRK"): "a443d57d0cc913449fea214e60381acb038d40befce3d5426e205dc32bbdbea0",
+    ((240, 150), "GRD"): "3be727b8a0807af00f359e342f839ac2f679c5d4825fc943e2bf14b09730be28",
+    ((240, 150), "HYB(0.3)"): "61ec3e77abe3b854c130bb1a22d0fb9ec794ce7def82ad297998383877cb4f6f",
+    ((240, 150), "HYB(0.5)"): "61ec3e77abe3b854c130bb1a22d0fb9ec794ce7def82ad297998383877cb4f6f",
 }
 
 GOLDEN_STRATEGIES = {

@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from mutkit.corpus import ingest_corpus
+from mutkit.corpus import diff_hunk, ingest_corpus
 from mutkit.embedder import LexicalEmbedder, VectorIndex, build_index
 
 RECORDS = [
@@ -72,7 +72,7 @@ def main() -> None:
 
         print("\n== 2. The diff hunk of one pair ==")
         pair = corpus.pairs[0]
-        hunk = pair.hunk
+        hunk = diff_hunk(pair.pre_fix_code, pair.post_fix_code)
         print(f"pair {pair.id} ({pair.project})")
         print(f"  buggy lines: {[text for _, text in hunk.pre_lines]}")
         print(f"  fixed lines: {[text for _, text in hunk.post_lines]}")

@@ -7,9 +7,15 @@ exactly one hunk.  An optional ``metadata`` field must be a JSON object;
 it is checked but not kept.
 
 Reading is split from diffing: ``read_records`` parses and validates the
-file, and a record becomes a ``BugFixPair`` only when its line diff is
-taken.  ``ingest_corpus`` diffs every record (for building an index);
-``select_pairs`` diffs only the records a retrieval returned.
+file.  ``ingest_corpus`` (for building an index) counts the changed
+regions of every record and keeps the single-hunk records as they were
+read; it builds no hunk.  Hunks come only from ``diff_hunk``, which
+``select_pairs`` calls for the records a retrieval returned.
+
+The line diff trims the common prefix and the common suffix.  A middle
+whose lines occur nowhere on the other side (the usual one-statement fix)
+is its own single region; only other edits pay for the quadratic LCS
+table.
 """
 
 from __future__ import annotations
@@ -86,9 +92,9 @@ class SkippedRecord:
 
 @dataclass
 class Corpus:
-    """An ingested corpus: accepted pairs plus the skip report."""
+    """An ingested corpus: the single-hunk records plus the skip report."""
 
-    pairs: list[BugFixPair]
+    pairs: list[CorpusRecord]
     skipped: list[SkippedRecord]
 
 
@@ -113,13 +119,28 @@ def _changed_regions(a: list[str], b: list[str]) -> list[tuple[int, int, int, in
     first, which keeps the result deterministic.  The common prefix is
     trimmed before the table is built: the backtrack always consumes equal
     heads, and the table cells past the prefix depend only on the suffixes.
-    The common suffix is not trimmed, because the backtrack can split it
-    into a separate region (``['y', 'x']`` against ``['z', 'x', 'x']`` is
-    two regions).
+
+    The common suffix cannot be trimmed in general, because the backtrack
+    can split it into a separate region (``['y', 'x']`` against
+    ``['z', 'x', 'x']`` is two regions).  But when no line of either middle
+    (what lies between the common prefix and the common suffix) occurs
+    anywhere in the other side past the prefix, the middles are exactly one
+    region and no table is built: no cell in them matches, every table
+    cell there equals the suffix length, so the backtrack consumes all of
+    ``a``'s middle first and then all of ``b``'s, and meets the suffix
+    diagonally.
     """
     prefix, limit = 0, min(len(a), len(b))
     while prefix < limit and a[prefix] == b[prefix]:
         prefix += 1
+    suffix, limit = 0, limit - prefix
+    while suffix < limit and a[-1 - suffix] == b[-1 - suffix]:
+        suffix += 1
+    i2, j2 = len(a) - suffix, len(b) - suffix
+    if i2 == j2 == prefix:
+        return []
+    if set(a[prefix:i2]).isdisjoint(b[prefix:]) and set(b[prefix:j2]).isdisjoint(a[prefix:]):
+        return [(prefix, i2, prefix, j2)]
     return [(i1 + prefix, i2 + prefix, j1 + prefix, j2 + prefix)
             for i1, i2, j1, j2 in _backtrack_regions(a[prefix:], b[prefix:])]
 
@@ -150,6 +171,17 @@ def _backtrack_regions(a: list[str], b: list[str]) -> list[tuple[int, int, int, 
     return regions
 
 
+def _single_region(a: list[str], b: list[str]) -> tuple[int, int, int, int]:
+    """The one changed region of two line lists; raises HunkError if the
+    lists are equal or differ in more than one contiguous region."""
+    regions = _changed_regions(a, b)
+    if not regions:
+        raise HunkError("texts are identical")
+    if len(regions) > 1:
+        raise HunkError(f"multi-hunk edit ({len(regions)} regions)")
+    return regions[0]
+
+
 def diff_hunk(pre_text: str, post_text: str) -> Hunk:
     """Diff two texts and return their single hunk.
 
@@ -158,12 +190,7 @@ def diff_hunk(pre_text: str, post_text: str) -> Hunk:
     """
     a = pre_text.split("\n")
     b = post_text.split("\n")
-    regions = _changed_regions(a, b)
-    if not regions:
-        raise HunkError("texts are identical")
-    if len(regions) > 1:
-        raise HunkError(f"multi-hunk edit ({len(regions)} regions)")
-    i1, i2, j1, j2 = regions[0]
+    i1, i2, j1, j2 = _single_region(a, b)
     return Hunk(
         pre_lines=tuple((k + 1, a[k]) for k in range(i1, i2)),
         post_lines=tuple((k + 1, b[k]) for k in range(j1, j2)),
@@ -249,26 +276,31 @@ def _pair(record: CorpusRecord) -> BugFixPair:
 
 
 def ingest_corpus(path: str) -> Corpus:
-    """Read a JSONL corpus file, keeping single-hunk pairs and reporting skips.
+    """Read a JSONL corpus file, keeping single-hunk records and reporting skips.
+
+    Each record's changed regions are counted, but no hunk is built: the
+    index needs only the ids and texts of the single-hunk records.
 
     Args:
         path: JSONL file with one record per line (see ``read_records``).
 
     Returns:
-        A Corpus of accepted pairs in file order plus skip records, also in
-        file order.
+        A Corpus of the single-hunk records in file order plus skip
+        records, also in file order.
 
     Raises:
         CorpusError: if the file is unreadable, contains duplicate ids, or
             yields zero valid pairs.
     """
     records, skipped = read_records(path)
-    pairs: list[BugFixPair] = []
+    pairs: list[CorpusRecord] = []
     for record in records:
         try:
-            pairs.append(_pair(record))
+            _single_region(record.pre_fix_code.split("\n"), record.post_fix_code.split("\n"))
         except HunkError as exc:
             skipped.append(SkippedRecord(record.id, record.line_no, str(exc)))
+            continue
+        pairs.append(record)
     skipped.sort(key=lambda record: record.line_no)
 
     if not pairs:

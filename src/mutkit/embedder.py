@@ -38,11 +38,15 @@ METRICS = ("euclidean", "cosine", "dot")
 _BOUNDARY = "\x02"
 _SEPARATOR = "\x1f"
 
+# One match skips a run of whitespace and takes one token: an identifier, a
+# one-character token that cannot start a longer operator, a number (Unicode
+# digits included), a multi-character operator, or any other character.
 _TOKEN_RE = re.compile(
-    r"[A-Za-z_$][A-Za-z0-9_$]*"
+    r"\s*([A-Za-z_$][A-Za-z0-9_$]*"
+    r"|[^\s\dA-Za-z_$=!<>&|+\-:*/%^]"
     r"|\d+(?:\.\d+)?"
     r"|==|!=|<=|>=|&&|\|\||\+\+|--|->|::|<<|>>>|>>|\+=|-=|\*=|/=|%=|&=|\|=|\^="
-    r"|[^\sA-Za-z0-9_]"
+    r"|[^\sA-Za-z0-9_])"
 )
 
 _MAGIC = b"MKIX"
@@ -420,7 +424,8 @@ def build_index(pairs, backend=None, metric: str = "euclidean",
     """Embed one side of every corpus pair and build the index.
 
     Args:
-        pairs: the BugFixPair list of an ingested Corpus.
+        pairs: the records of an ingested Corpus (anything with ``id``,
+            ``pre_fix_code`` and ``post_fix_code``).
         backend: embedding backend; defaults to LexicalEmbedder().
         metric: euclidean, cosine, or dot.
         key_side: which text each pair is keyed on, post_fix (default)

@@ -17,6 +17,7 @@ import logging
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -187,15 +188,14 @@ def rank(scores: Mapping[int, float]) -> dict[int, float]:
     ordered = sorted(scores, key=lambda s: (-scores[s], s))
     ranks: dict[int, float] = {}
     position = 1
-    for statement in ordered:
-        if statement in ranks:
-            continue
-        group = [s for s in ordered if scores[s] == scores[statement]]
+    # Equal scores are adjacent in this order, so each run is one tie group.
+    for _, run in groupby(ordered, key=scores.__getitem__):
+        group = list(run)
         expected = position + (len(group) - 1) / 2
         for member in group:
             ranks[member] = expected
         position += len(group)
-    return {s: ranks[s] for s in ordered}
+    return ranks
 
 
 def localize(

@@ -792,12 +792,14 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
 
     if "metrics" in wanted:
         contexts = _effectiveness_contexts(bugs, warnings)
-        if contexts:
+        if not contexts:
+            warnings.append("metrics: skipped (no bug has a bug-revealing test)")
+        elif not any(ctx.matrix.mutant_ids for ctx in contexts):
+            warnings.append("metrics: skipped (no bug has a useful mutant)")
+        else:
             sections["metrics"] = metrics.effectiveness_report(contexts)
             report.write_section(out_dir, "effectiveness", sections["metrics"],
                                  report.effectiveness_text)
-        else:
-            warnings.append("metrics: skipped (no bug has a bug-revealing test)")
 
     if "tcp" in wanted:
         sections["tcp"] = _tcp_section(config, bugs, warnings)

@@ -222,3 +222,47 @@ def apply_hunk(hunk, pre_text):
             raise ValueError(f"hunk does not match pre text at line {start + offset + 1}")
     lines[start:start + len(hunk.pre_lines)] = [text for _, text in hunk.post_lines]
     return "\n".join(lines)
+
+
+def oracle_lcs_table(a, b):
+    """Longest-common-subsequence length table: cell [i][j] is the LCS
+    length of a[i:] and b[j:]."""
+    n, m = len(a), len(b)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if a[i] == b[j]:
+                table[i][j] = table[i + 1][j + 1] + 1
+            else:
+                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    return table
+
+
+def oracle_changed_regions(a, b):
+    """Maximal runs of non-matching lines as (i1, i2, j1, j2) index ranges.
+
+    The reference of ``corpus._changed_regions``: the full LCS table of
+    both untrimmed line lists, backtracked from the start, taking equal
+    heads together and, on a tie, consuming from ``a`` first.
+    """
+    table = oracle_lcs_table(a, b)
+    regions = []
+    i = j = 0
+    start = None
+    while i < len(a) or j < len(b):
+        if i < len(a) and j < len(b) and a[i] == b[j]:
+            if start is not None:
+                regions.append((start[0], i, start[1], j))
+                start = None
+            i += 1
+            j += 1
+            continue
+        if start is None:
+            start = (i, j)
+        if j == len(b) or (i < len(a) and table[i + 1][j] >= table[i][j + 1]):
+            i += 1
+        else:
+            j += 1
+    if start is not None:
+        regions.append((start[0], i, start[1], j))
+    return regions

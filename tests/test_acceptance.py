@@ -18,7 +18,7 @@ import pytest
 
 from mutkit.chunker import chunk_method, parse_method
 from mutkit.cli import main
-from mutkit.corpus import ingest_corpus
+from mutkit.corpus import ingest_corpus, select_pairs
 from mutkit.embedder import LexicalEmbedder, VectorIndex
 from mutkit.execution import TestOutcomeVector, build_kill_matrix
 from mutkit.mbfl import localize, rank
@@ -312,8 +312,10 @@ def test_criterion_9_prompt_round_trip_and_materialize(tmp_path):
     """Rendered examples survive the response parser; edits stay in-chunk."""
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus_path)
-    pairs = ingest_corpus(str(corpus_path)).pairs[:6]
-    examples = render_examples(pairs)
+    records = ingest_corpus(str(corpus_path)).pairs[:6]
+    pairs, problems = select_pairs(records, [record.id for record in records])
+    assert not problems
+    examples = render_examples(list(pairs.values()))
     assert len(examples) == 6
     method = parse_method(CLAMP_FIXED)
     chunks = chunk_method(method)

@@ -3,22 +3,24 @@
 import difflib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutkit import corpus as corpus_module
 from mutkit.corpus import (
-    _backtrack_regions,
     _changed_regions,
     Corpus,
     CorpusError,
+    CorpusRecord,
     Hunk,
     HunkError,
     diff_hunk,
     ingest_corpus,
 )
-from oracles import apply_hunk
+from oracles import apply_hunk, oracle_changed_regions
 
 
 def oracle_region_count(pre: str, post: str) -> int:
@@ -167,7 +169,46 @@ def test_apply_round_trip_property(lines, start, width, repl):
 )
 @settings(max_examples=300, deadline=None)
 def test_prefix_trim_keeps_the_untrimmed_regions(a, b):
-    assert _changed_regions(a, b) == _backtrack_regions(a, b)
+    assert _changed_regions(a, b) == oracle_changed_regions(a, b)
+
+
+@given(
+    base=st.lists(st.sampled_from(["a", "b", "c"]), max_size=12),
+    start=st.integers(min_value=0, max_value=12),
+    width=st.integers(min_value=0, max_value=4),
+    repl=st.lists(st.sampled_from(["a", "b", "x"]), max_size=4),
+    swap=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_edits_over_a_small_alphabet_keep_the_full_backtrack_regions(
+        base, start, width, repl, swap):
+    # Repeated lines inside and around the edit, empty sides included: the
+    # shortcut must stand aside wherever a middle line recurs.
+    start = min(start, len(base))
+    edited = base[:start] + repl + base[start + width:]
+    a, b = (edited, base) if swap else (base, edited)
+    assert _changed_regions(a, b) == oracle_changed_regions(a, b)
+
+
+@given(
+    head=st.lists(st.sampled_from(["{", "}", "a;"]), max_size=8),
+    tail=st.lists(st.sampled_from(["{", "}", "a;"]), max_size=8),
+    removed=st.lists(st.sampled_from(["old0;", "old1;"]), max_size=3),
+    added=st.lists(st.sampled_from(["new0;", "new1;"]), max_size=3),
+    swap=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_unique_line_edits_are_one_region_without_the_table(head, tail, removed,
+                                                            added, swap):
+    # The edited lines occur nowhere else; the lines around them repeat.
+    a, b = head + removed + tail, head + added + tail
+    if swap:
+        a, b = b, a
+    with mock.patch.object(corpus_module, "_lcs_table",
+                           side_effect=AssertionError("LCS table built")):
+        regions = _changed_regions(a, b)
+    assert regions == oracle_changed_regions(a, b)
+    assert len(regions) == (a != b)
 
 
 class TestHunkValidation:
@@ -198,6 +239,35 @@ class TestIngestCorpus:
         assert [pair.id for pair in corpus.pairs] == ["p1", "p2"]
         assert corpus.pairs[1].project == "demo"
         assert not corpus.skipped
+
+    def test_pairs_are_the_records_as_read_with_no_hunk(self, tmp_path):
+        corpus = ingest_corpus(self.write(tmp_path, [self.record("p1")]))
+        assert corpus.pairs == [CorpusRecord(id="p1", project="demo", pre_fix_code=PRE,
+                                             post_fix_code=POST, line_no=1)]
+
+    def test_unique_line_edits_build_no_lcs_table(self, tmp_path, monkeypatch):
+        method = ["int f() {"] + [f"    step({i});" for i in range(318)] + ["}"]
+        edited = list(method)
+        edited[160] = "    step(-1);"
+        records = [
+            self.record("replace", "\n".join(method), "\n".join(edited)),
+            self.record("insert", "\n".join(method), "\n".join(method[:9] + ["x;"] + method[9:])),
+            self.record("delete", "\n".join(method), "\n".join(method[:-2] + method[-1:])),
+            self.record("same", PRE, PRE),
+        ]
+        path = self.write(tmp_path, records)
+
+        def no_table(a, b):
+            raise AssertionError("LCS table built")
+
+        monkeypatch.setattr(corpus_module, "_lcs_table", no_table)
+        corpus = ingest_corpus(path)
+        assert [pair.id for pair in corpus.pairs] == ["replace", "insert", "delete"]
+        assert [(s.record_id, s.reason) for s in corpus.skipped] == [
+            ("same", "texts are identical")]
+        hunk = diff_hunk("\n".join(method), "\n".join(edited))
+        assert hunk.pre_lines == ((161, "    step(159);"),)
+        assert hunk.post_lines == ((161, "    step(-1);"),)
 
     def test_schema_violations_are_skipped_with_reasons(self, tmp_path):
         records = [

@@ -21,7 +21,7 @@ from mutkit.embedder import (
     build_index,
     tokenize,
 )
-from oracles import oracle_embed, oracle_rank
+from oracles import _ORACLE_TOKEN_RE, oracle_embed, oracle_rank
 
 
 class TestTokenizer:
@@ -30,6 +30,18 @@ class TestTokenizer:
 
     def test_multichar_operators_kept_whole(self):
         assert tokenize("a != b && c <= d") == ["a", "!=", "b", "&&", "c", "<=", "d"]
+
+    def test_unicode_digits_are_one_number(self):
+        assert tokenize("x=\u0663\u0664.5 -1") == ["x", "=", "\u0663\u0664.5", "-", "1"]
+
+    def test_trailing_whitespace_and_lone_operator_starts(self):
+        assert tokenize("a-b :c . @d \t\n ") == ["a", "-", "b", ":", "c", ".", "@", "d"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(code=st.text())
+def test_tokenize_matches_the_oracle_pattern(code):
+    assert tokenize(code) == _ORACLE_TOKEN_RE.findall(code)
 
 
 class TestLexicalEmbedder:
@@ -81,11 +93,13 @@ class TestLexicalEmbedder:
         assert vectors[2].max() == vectors[2].sum() == 3.0
 
 
-# Token sources for batches: identifiers, numbers and operators, the
-# boundary sentinel itself, and non-ASCII text (one token per character).
+# Token sources for batches: identifiers, numbers (Unicode digits too) and
+# operators, the boundary sentinel itself, and non-ASCII text (one token per
+# character).
 CODE_TOKENS = st.sampled_from([
     "x", "count", "$tmp", "_", "0", "42", "3.14", "==", ">>>=", "->", "(", ")",
-    "{", "}", ";", "+", "\x02", "é", "λx", "日本", '"s"'])
+    "{", "}", ";", "+", "-", "-=", "::", "&&", ".", "@", "\x02", "é", "λx", "日本",
+    '"s"', "\u0663\u0664", "\uff11.\uff12"])
 
 
 @st.composite

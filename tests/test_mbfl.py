@@ -299,6 +299,17 @@ class TestRank:
             assert rank(scores) == oracle_tie_ranks(scores)
 
 
+@settings(max_examples=200, deadline=None)
+@given(scores=st.dictionaries(
+    st.integers(0, 400),
+    st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(allow_nan=False),
+    max_size=400))
+def test_rank_matches_the_oracle_with_keys_in_rank_order(scores):
+    ranks = rank(scores)
+    assert ranks == oracle_tie_ranks(scores)
+    assert list(ranks) == sorted(scores, key=lambda s: (-scores[s], s))
+
+
 class TestLocalize:
     def build_single_fault_instance(self):
         # Statement 4 is faulty: only its mutants flip the failing test.

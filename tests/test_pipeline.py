@@ -1005,6 +1005,24 @@ class TestEvaluateBuggyMode:
         report = json.loads((outcome.out_dir / "report.json").read_text())
         assert report["warnings"] == sorted(outcome.warnings)
 
+    def test_effectiveness_is_skipped_when_no_bug_has_a_useful_mutant(self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                retrieval=False, mode="buggy",
+                                test_command=TEST_COMMAND,
+                                compile_command=COMPILE_COMMAND)
+        # The buggy sum reveals itself, but no reply mutates its lines.
+        targets = [TargetSpec(bug_id="Sum-3", method=SUM_BUGGY_UNMUTATED,
+                              faulty_lines=(2,))]
+        scripted_generate(config, targets, tmp_path)
+        outcome = run_evaluate(config, targets)
+        assert "metrics: skipped (no bug has a useful mutant)" in outcome.warnings
+        assert "mbfl: bug Sum-3 has no useful mutants" in outcome.warnings
+        assert "metrics" not in outcome.sections
+        assert not (outcome.out_dir / "effectiveness.json").exists()
+        report = json.loads((outcome.out_dir / "report.json").read_text())
+        assert {"validity", "tcp", "mbfl"} <= set(report)
+        assert report["warnings"] == sorted(set(outcome.warnings))
+
     def test_mbfl_report_files(self, buggy_run):
         _, _, outcome = buggy_run
         assert (outcome.out_dir / "mbfl.json").exists()

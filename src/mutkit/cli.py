@@ -18,6 +18,7 @@ and the ``report`` sections); this module only reads their inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -309,34 +310,37 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log at INFO level")
     subparsers = parser.add_subparsers(dest="command", required=True)
     config_flags = [_config_flags()]
+    # main keeps one parser for the process, so each handler looks its cmd_*
+    # function up when it runs: a later rebinding (a test's monkeypatch, a
+    # tracer's wrapper) takes effect.
 
     ingest = subparsers.add_parser(
         "ingest", parents=config_flags,
         help="validate a corpus file and summarize it")
-    ingest.set_defaults(handler=cmd_ingest)
+    ingest.set_defaults(handler=lambda args: cmd_ingest(args))
 
     rag = subparsers.add_parser("rag", help="retrieval index operations")
     rag_sub = rag.add_subparsers(dest="rag_command", required=True)
     rag_build = rag_sub.add_parser("build", parents=config_flags,
                                    help="embed a corpus into an index")
-    rag_build.set_defaults(handler=cmd_rag_build)
+    rag_build.set_defaults(handler=lambda args: cmd_rag_build(args))
     rag_query = rag_sub.add_parser("query", parents=config_flags,
                                    help="query an index")
     code_source = rag_query.add_mutually_exclusive_group(required=True)
     code_source.add_argument("--code", help="code snippet to embed")
     code_source.add_argument("--code-file", help="file holding the snippet")
     rag_query.add_argument("-n", type=int, help="neighbors to return")
-    rag_query.set_defaults(handler=cmd_rag_query)
+    rag_query.set_defaults(handler=lambda args: cmd_rag_query(args))
 
     chunk = subparsers.add_parser("chunk", help="chunk one method source file")
     chunk.add_argument("source", help="file holding the method text")
-    chunk.set_defaults(handler=cmd_chunk)
+    chunk.set_defaults(handler=lambda args: cmd_chunk(args))
 
     generate = subparsers.add_parser(
         "generate", parents=config_flags,
         help="generate mutants for every target")
     generate.add_argument("--targets", required=True, help="targets JSONL file")
-    generate.set_defaults(handler=cmd_generate)
+    generate.set_defaults(handler=lambda args: cmd_generate(args))
 
     for name, help_text in (
             ("validate", "validity rates over generation artifacts"),
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser.add_argument("--revealing", required=True,
                                 help="JSON file mapping bug id to revealing tests")
     metrics_parser.add_argument("--out", help="also write the JSON report here")
-    metrics_parser.set_defaults(handler=cmd_metrics)
+    metrics_parser.set_defaults(handler=lambda args: cmd_metrics(args))
 
     tcp = subparsers.add_parser(
         "tcp", help="prioritize one matrix's tests and score with APFD")
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     tcp.add_argument("--weight", type=float, default=0.5,
                      help="HYB kill weight in [0, 1] (default 0.5)")
     tcp.add_argument("--out", help="also write the JSON report here")
-    tcp.set_defaults(handler=cmd_tcp)
+    tcp.set_defaults(handler=lambda args: cmd_tcp(args))
 
     mbfl_parser = subparsers.add_parser(
         "mbfl", help="fault localization from matrix and outcome files")
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     mbfl_parser.add_argument("--statement-space",
                              help="JSON file: bug id -> [all candidate lines]")
     mbfl_parser.add_argument("--out", help="also write the JSON report here")
-    mbfl_parser.set_defaults(handler=cmd_mbfl)
+    mbfl_parser.set_defaults(handler=lambda args: cmd_mbfl(args))
 
     export_sft = subparsers.add_parser(
         "export-sft", parents=config_flags,
@@ -394,13 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
                             help="one instance per chunk instead of per mutant")
     export_sft.add_argument("--exclude-projects", nargs="*", default=(),
                             help="hold out these projects")
-    export_sft.set_defaults(handler=cmd_export_sft)
+    export_sft.set_defaults(handler=lambda args: cmd_export_sft(args))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the parser is built on the first call and reused,
+    so main may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

@@ -141,8 +141,12 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
 _ID_WS = re.compile(r"\s")
 
 
-def _check_ids(ids, what: str) -> None:
-    seen = set()
+def _check_ids(ids: tuple[str, ...], what: str) -> None:
+    unique = set(ids)
+    if len(unique) == len(ids) and "" not in unique \
+            and not _ID_WS.search("".join(ids)):
+        return
+    seen = set()  # some id is bad: walk the ids to name the first one
     for one_id in ids:
         if not one_id or _ID_WS.search(one_id):
             raise MatrixError(f"{what} id {one_id!r} is empty or has whitespace")

@@ -124,6 +124,11 @@ class HttpChatBackend:
                 status, body = self._transport(
                     config.endpoint, self._payload(prompt), self._headers(),
                     config.timeout)
+            except ValueError as exc:
+                # requests' URL errors (an endpoint with no scheme, say) are
+                # also OSErrors, but no retry can mend them.
+                raise BackendError(
+                    f"cannot send a request to {config.endpoint!r}: {exc}") from exc
             except OSError as exc:
                 last_status = None
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
@@ -146,15 +151,17 @@ class HttpChatBackend:
         try:
             parsed = json.loads(body)
             text = parsed["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {text!r:.80}, not a string")
+            usage = parsed.get("usage") or {}
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage is {usage!r:.80}, not an object")
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(f"malformed server reply: {exc}") from exc
-        usage = parsed.get("usage") or {}
-        return Completion(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-            retries=retries,
-        )
+        return Completion(text=text, prompt_tokens=prompt_tokens,
+                          completion_tokens=completion_tokens, retries=retries)
 
 
 SCRIPT_FIELDS = {"prompt_digest": str, "response_text": str,

@@ -17,6 +17,7 @@ analysis commands.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
@@ -88,33 +89,50 @@ class PipelineError(Exception):
     """Raised for configuration, target, or artifact problems."""
 
 
-def _has_type(value, hint) -> bool:
-    """Whether value matches a hint such as ``dict[str, list[int]]``: a bool
-    is not an int, an int is a float, dict keys (JSON strings) go unchecked."""
+@functools.cache
+def _type_check(hint):
+    """A predicate telling whether a value matches a hint such as
+    ``dict[str, list[int]]``, built once per hint: a bool is not an int, an
+    int is a float, dict keys (JSON strings) go unchecked."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
-        return any(_has_type(value, arg) for arg in args)
+        options = tuple(map(_type_check, args))
+        return lambda value: any(check(value) for check in options)
     if origin in (list, tuple):
-        return isinstance(value, origin) and all(
-            _has_type(item, args[0]) for item in value)
+        item = _type_check(args[0])
+        return lambda value: isinstance(value, origin) and all(map(item, value))
     if origin is dict:
-        return isinstance(value, dict) and all(
-            _has_type(item, args[1]) for item in value.values())
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+        item = _type_check(args[1])
+        return lambda value: isinstance(value, dict) and all(map(item, value.values()))
+    kinds = (int, float) if hint is float else hint
+    if hint is bool or not issubclass(bool, kinds):
+        return lambda value: isinstance(value, kinds)
+    return lambda value: isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _type_error(value, hint, what: str) -> PipelineError:
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    return PipelineError(f"{what} must be {name}, got {value!r:.80}")
 
 
 def _check_type(value, hint, what: str) -> None:
-    if not _has_type(value, hint):
-        name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise PipelineError(f"{what} must be {name}, got {value!r:.80}")
+    if not _type_check(hint)(value):
+        raise _type_error(value, hint, what)
 
 
-def _check_fields(instance) -> None:
-    """Reject dataclass field values whose type differs from the annotation."""
-    for name, hint in typing.get_type_hints(type(instance)).items():
-        _check_type(getattr(instance, name), hint, name)
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """(name, hint, predicate) per dataclass field, resolved once per class."""
+    return tuple((name, hint, _type_check(hint))
+                 for name, hint in typing.get_type_hints(cls).items())
+
+
+def _check_fields(cls, values: dict) -> None:
+    """Reject values for cls's fields whose type differs from the annotation;
+    names that are not in ``values`` go unchecked."""
+    for name, hint, check in _field_checks(cls):
+        if name in values and not check(values[name]):
+            raise _type_error(values[name], hint, name)
 
 
 def read_bug_table(path: str | Path, entry_type) -> dict:
@@ -155,7 +173,7 @@ class PipelineConfig:
     hyb_weight: float = 0.5
 
     def __post_init__(self):
-        _check_fields(self)
+        _check_fields(type(self), vars(self))
         if self.retrieval_n < 1:
             raise PipelineError(f"retrieval_n must be >= 1, got {self.retrieval_n}")
         if self.metric not in METRIC_CHOICES:
@@ -217,7 +235,7 @@ class TargetSpec:
     faulty_lines: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_fields(self)
+        _check_fields(type(self), vars(self))
         if not _BUG_ID_PATTERN.match(self.bug_id):
             raise PipelineError(
                 f"bug id {self.bug_id!r} must match {_BUG_ID_PATTERN.pattern}")
@@ -291,8 +309,9 @@ def make_backend(config: PipelineConfig):
         return MockBackend(script=script, record_path=record)
     if mode == "http":
         try:
+            _check_fields(BackendConfig, settings)
             backend_config = BackendConfig(**settings)
-        except (TypeError, BackendError) as error:
+        except (TypeError, BackendError, PipelineError) as error:
             raise PipelineError(f"bad http backend settings: {error}") from error
         return HttpChatBackend(backend_config)
     raise PipelineError(f"backend mode must be mock or http, got {mode!r}")

@@ -10,6 +10,8 @@ import itertools
 import math
 import random
 import re
+import types
+import typing
 
 import numpy as np
 
@@ -266,3 +268,37 @@ def oracle_changed_regions(a, b):
     if start is not None:
         regions.append((start[0], i, start[1], j))
     return regions
+
+
+def oracle_has_type(value, hint):
+    """Whether value matches a hint such as ``dict[str, list[int]]``: a bool
+    is not an int, an int is a float, dict keys (JSON strings) go unchecked.
+
+    The reference of ``pipeline._type_check``: it re-reads the hint's
+    origin and arguments at every level of every value.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(oracle_has_type(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return isinstance(value, origin) and all(
+            oracle_has_type(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            oracle_has_type(item, args[1]) for item in value.values())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def oracle_id_error(ids, what):
+    """The ``MatrixError`` text for the first bad id, or None when every id
+    is non-empty, free of whitespace and unique: one id at a time."""
+    seen = []
+    for one_id in ids:
+        if one_id == "" or any(char.isspace() for char in one_id):
+            return f"{what} id {one_id!r} is empty or has whitespace"
+        if one_id in seen:
+            return f"duplicate {what} id {one_id!r}"
+        seen.append(one_id)
+    return None

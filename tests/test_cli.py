@@ -7,14 +7,17 @@ tests: a scripted mock backend plus the toy runner.
 
 import hashlib
 import json
+import os
 import random
 import re
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from mutkit import cli
 from mutkit.cli import build_parser, main
 from mutkit.execution import KillMatrix, run_suite, save_matrix
 from mutkit.llm import MockBackend, write_mock_script
@@ -844,3 +847,46 @@ def test_every_subcommand_parses_to_its_namespace(argv, takes_config, own):
     else:
         with pytest.raises(SystemExit):
             parsed(["--workers", "2"])
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; one call leaks nothing into
+    the next, and each call runs the cmd_* function the module holds then."""
+
+    @staticmethod
+    def analysis_argvs(tmp_path):
+        matrices = write_analysis_inputs(tmp_path, seed=29)
+        revealing = str(tmp_path / "revealing.json")
+        tcp = ["tcp", "--matrix", str(matrices / "G-1.matrix"), "--detection", revealing]
+        return [tcp, ["metrics", "--matrices", str(matrices), "--revealing", revealing],
+                tcp + ["--weight", "0.3"]]
+
+    def test_calls_in_one_process_print_what_each_prints_alone(self, tmp_path, capsys):
+        argvs = self.analysis_argvs(tmp_path)
+        together = []
+        for argv in argvs:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and err == "", err
+            together.append(out)
+        assert together[0] != together[2]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv, out in zip(argvs, together):
+            alone = subprocess.run([sys.executable, "-m", "mutkit.cli", *argv],
+                                   capture_output=True, env=env, check=True)
+            assert alone.stdout == out.encode("utf-8")
+
+    def test_a_handler_rebound_after_the_first_call_runs(self, tmp_path, capsys,
+                                                        monkeypatch):
+        tcp = self.analysis_argvs(tmp_path)[0]
+        assert run_cli(tcp, capsys)[0] == 0
+        seen = []
+
+        def fake_tcp(args):
+            seen.append((args.command, args.weight))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_tcp", fake_tcp)
+        assert run_cli(tcp + ["--weight", "0.25"], capsys) == (7, "", "")
+        assert seen == [("tcp", 0.25)]

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutkit.execution import (
     KillMatrix,
@@ -21,6 +23,7 @@ from mutkit.execution import (
     save_outcomes,
 )
 from mutkit.validity import CompileResult, ValidityError
+from oracles import oracle_id_error
 
 
 def vector(program_id, **outcomes):
@@ -227,6 +230,37 @@ class TestMatrixPersistence:
         with pytest.raises(MatrixError, match="whitespace"):
             KillMatrix(bug_id="b", mutant_ids=("m 1",), test_ids=("t1",),
                        kills=np.zeros((1, 1), dtype=bool))
+
+    @pytest.mark.parametrize("ids, message", [
+        (("m1", ""), "mutant id '' is empty or has whitespace"),
+        (("m 1",), "mutant id 'm 1' is empty or has whitespace"),
+        (("m1", "m\u00a01"), "mutant id 'm\\xa01' is empty or has whitespace"),
+        (("m1", "m2\n"), "mutant id 'm2\\n' is empty or has whitespace"),
+        (("m1", "m2", "m1"), "duplicate mutant id 'm1'"),
+        (("m1", "m1", ""), "duplicate mutant id 'm1'"),
+        (("", "m1", "m1"), "mutant id '' is empty or has whitespace"),
+        (("m1", "m 2", "m1"), "mutant id 'm 2' is empty or has whitespace"),
+    ])
+    def test_the_first_bad_id_is_named(self, ids, message):
+        with pytest.raises(MatrixError) as caught:
+            KillMatrix(bug_id="b", mutant_ids=ids, test_ids=("t1",),
+                       kills=np.zeros((len(ids), 1), dtype=bool))
+        assert str(caught.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutant_ids=st.lists(st.sampled_from(["a", "b", "c", "", " ", "a b", "\u2028"]),
+                               max_size=6).map(tuple),
+           test_ids=st.lists(st.sampled_from(["t", "u", "", "t\t"]), max_size=4).map(tuple))
+    def test_id_checks_agree_with_the_oracle(self, mutant_ids, test_ids):
+        expected = (oracle_id_error(mutant_ids, "mutant")
+                    or oracle_id_error(test_ids, "test"))
+        try:
+            KillMatrix(bug_id="b", mutant_ids=mutant_ids, test_ids=test_ids,
+                       kills=np.zeros((len(mutant_ids), len(test_ids)), dtype=bool))
+        except MatrixError as error:
+            assert str(error) == expected
+        else:
+            assert expected is None
 
 
 # Sleeps longer for shorter sources, so later submissions finish first.

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import requests
 
 from mutkit.llm import (
     AuthError,
@@ -97,6 +98,43 @@ class TestHttpChatBackend:
         backend, _ = make_backend([(200, '{"weird": true}')])
         with pytest.raises(BackendError, match="malformed"):
             backend.complete("p")
+
+    @pytest.mark.parametrize("reply", [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["text"]}}]},
+        {"choices": [{"message": {"content": "x"}}], "usage": [3, 2]},
+        {"choices": [{"message": {"content": "x"}}],
+         "usage": {"prompt_tokens": None, "completion_tokens": 2}},
+        {"choices": [{"message": {"content": "x"}}],
+         "usage": {"prompt_tokens": 3, "completion_tokens": "many"}},
+        {"choices": [{"message": {"content": "x"}}],
+         "usage": {"prompt_tokens": {}, "completion_tokens": 2}},
+    ])
+    def test_a_malformed_reply_is_that_prompts_error(self, reply):
+        backend, transport = make_backend([(200, json.dumps(reply)), (200, ok_body("ok"))])
+        results = complete_batch(backend, [("bad", "p1"), ("good", "p2")], concurrency=1)
+        (_, bad), (_, good) = results
+        assert isinstance(bad, BackendError)
+        assert str(bad).startswith("malformed server reply: ")
+        assert good.text == "ok"
+        assert transport.calls == 2
+
+    def test_an_endpoint_requests_cannot_use_fails_at_once(self, monkeypatch):
+        posts, sleeps = [], []
+
+        def post(url, **kwargs):
+            posts.append(url)
+            raise requests.exceptions.InvalidSchema(
+                f"No connection adapters were found for {url!r}")
+
+        monkeypatch.setattr(requests, "post", post)
+        config = BackendConfig(endpoint="localhost:8000/v1/chat")
+        backend = HttpChatBackend(config, sleep=sleeps.append)
+        with pytest.raises(BackendError) as caught:
+            backend.complete("p")
+        assert not isinstance(caught.value, RetryExhaustedError)
+        assert "'localhost:8000/v1/chat'" in str(caught.value)
+        assert (posts, sleeps) == (["localhost:8000/v1/chat"], [])
 
     def test_temperature_omitted_by_default(self):
         backend, transport = make_backend([(200, ok_body())])

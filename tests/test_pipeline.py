@@ -8,12 +8,16 @@ sources so mutants genuinely pass or fail the emulated suites.
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mutkit.llm import MockBackend, write_mock_script
+from mutkit import pipeline
+from mutkit.llm import BackendConfig, HttpChatBackend, MockBackend, write_mock_script
 from mutkit.pipeline import (
     ALL_STAGES,
     GenerateOutcome,
@@ -27,6 +31,7 @@ from mutkit.pipeline import (
     run_evaluate,
     run_generate,
 )
+from oracles import oracle_has_type
 
 RUNNER = Path(__file__).parent / "toyrunner.py"
 TEST_COMMAND = f"{sys.executable} {RUNNER} {{source}}"
@@ -357,6 +362,74 @@ class TestMakeBackend:
         with pytest.raises(PipelineError, match="bad http backend settings"):
             make_backend(config)
 
+    @pytest.mark.parametrize("key, value", [
+        ("backoff_base", "0.5"),
+        ("timeout", "30"),
+        ("temperature", "hot"),
+        ("endpoint", 5),
+        ("max_retries", "3"),
+        ("max_tokens", 1.5),
+        ("api_key_env", None),
+    ])
+    def test_http_settings_of_the_wrong_type_rejected(self, key, value):
+        config = PipelineConfig(backend={
+            "mode": "http", "endpoint": "http://localhost:1", key: value})
+        with pytest.raises(PipelineError) as caught:
+            make_backend(config)
+        hint = typing.get_type_hints(BackendConfig)[key]
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        assert str(caught.value) == (
+            f"bad http backend settings: {key} must be {name}, got {value!r}")
+
+    def test_http_settings_of_the_right_type_accepted(self):
+        backend = make_backend(PipelineConfig(backend={
+            "mode": "http", "endpoint": "http://localhost:1", "backoff_base": 1,
+            "timeout": 5, "temperature": None, "max_tokens": 64}))
+        assert (backend.config.backoff_base, backend.config.max_tokens) == (1, 64)
+
+
+# Every hint the product checks values against.
+CHECKED_HINTS = (str, int, float, bool, dict, str | None, int | None,
+                 float | None, list[str], list[int], dict[str, int],
+                 tuple[str, ...], tuple[int, ...])
+
+_LEAVES = (st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+JSON_LIKE = st.one_of(
+    *_LEAVES,
+    st.recursive(st.one_of(_LEAVES), lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=2), children, max_size=4)), max_leaves=12),
+    # Containers of one leaf type, so the sequence hints also accept.
+    *(st.lists(leaf, max_size=5) for leaf in _LEAVES),
+    *(st.lists(leaf, max_size=5).map(tuple) for leaf in _LEAVES),
+    *(st.dictionaries(st.text(max_size=2), leaf, max_size=5) for leaf in _LEAVES))
+
+
+class TestTypeCheck:
+    def test_the_hint_list_covers_every_checked_dataclass_field(self):
+        for cls in (PipelineConfig, TargetSpec, BackendConfig):
+            assert set(typing.get_type_hints(cls).values()) <= set(CHECKED_HINTS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=JSON_LIKE)
+    def test_the_built_checker_agrees_with_the_oracle(self, value):
+        for hint in CHECKED_HINTS:
+            assert pipeline._type_check(hint)(value) == oracle_has_type(value, hint), hint
+
+    def test_field_hints_are_resolved_once_per_class(self, monkeypatch):
+        PipelineConfig()
+        TargetSpec(bug_id="B-1", method=CLAMP_FIXED)
+
+        def resolve_again(cls):
+            raise AssertionError(f"hints of {cls.__name__} resolved again")
+
+        monkeypatch.setattr(pipeline.typing, "get_type_hints", resolve_again)
+        PipelineConfig(workers=2)
+        TargetSpec(bug_id="B-2", method=CLAMP_FIXED)
+        with pytest.raises(PipelineError, match="^workers must be int, got '2'$"):
+            PipelineConfig(workers="2")
+
 
 class TestRunGenerate:
     def fixed_config(self, tmp_path, **kwargs) -> PipelineConfig:
@@ -443,6 +516,20 @@ class TestRunGenerate:
         assert outcome.failed == 1
         bad = outcome.summary["targets"]["Bad-1"]
         assert bad["errors"] and bad["errors"][0].startswith("parse:")
+
+    def test_a_null_reply_content_fails_its_prompt_not_the_run(self, tmp_path):
+        def transport(url, payload, headers, timeout):
+            return 200, json.dumps({"choices": [{"message": {"content": None}}]})
+
+        backend = HttpChatBackend(BackendConfig(endpoint="http://llm/v1/chat"),
+                                  transport=transport)
+        config = self.fixed_config(tmp_path)
+        outcome = run_generate(config, [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)],
+                               backend=backend)
+        assert (outcome.succeeded, outcome.failed) == (0, 1)
+        assert outcome.prompts and all(
+            row["error"].startswith("malformed server reply: message content is None")
+            for row in outcome.prompts)
 
     def test_malformed_replies_are_parse_failures_not_crashes(self, tmp_path):
         # One reply per Clamp-1 chunk, each failing parse_response differently.

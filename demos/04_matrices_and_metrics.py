@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\n== 2. Validity: duplicates and the useful set ==")
     duplicates = dedup(mutants, METHOD)
-    ledger = ValidityLedger(bug_id="Cap-1", expected=6,
+    ledger = ValidityLedger(expected=6,
                             generated=[m.id for m in mutants],
                             duplicates=duplicates,
                             compilable={m.id for m in mutants})

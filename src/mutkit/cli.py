@@ -42,7 +42,6 @@ from .llm import BackendError
 from .mbfl import MbflError
 from .metrics import BugContext, MetricsError
 from .pipeline import (
-    ALL_STAGES,
     KEY_SIDE_CHOICES,
     METRIC_CHOICES,
     MODE_CHOICES,
@@ -54,6 +53,7 @@ from .pipeline import (
     probe_embedder,
     read_bug_table,
     read_generation,
+    read_prompts,
     run_evaluate,
     run_generate,
 )
@@ -68,12 +68,6 @@ CLI_ERRORS = (PipelineError, CorpusError, ChunkerError, EmbeddingError,
               IndexFormatError, BackendError, PromptError, ValidityError,
               RunnerError, MatrixError, MetricsError, TcpError, MbflError,
               SftError, OSError, json.JSONDecodeError, UnicodeDecodeError)
-
-STAGE_SETS = {
-    "validate": ("validity",),
-    "execute": ("validity", "execution"),
-    "report": ALL_STAGES,
-}
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -156,21 +150,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0 if outcome.succeeded > 0 else 1
 
 
-def _evaluate_command(name: str):
-    def handler(args: argparse.Namespace) -> int:
-        config = _config_from_args(args)
-        targets = load_targets(args.targets)
-        outcome = run_evaluate(
-            config, targets,
-            manifest_dir=getattr(args, "artifacts", None),
-            out_dir=getattr(args, "report_dir", None),
-            stages=STAGE_SETS[name])
-        _emit({"out_dir": str(outcome.out_dir),
-               "sections": sorted(set(outcome.sections) -
-                                  {"mode", "variant", "warnings"}),
-               "warnings": sorted(set(outcome.warnings))})
-        return 0
-    return handler
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    """validate, execute and report: evaluate as deep as the command goes."""
+    config = _config_from_args(args)
+    outcome = run_evaluate(config, load_targets(args.targets),
+                           manifest_dir=args.artifacts, out_dir=args.report_dir,
+                           through=args.command)
+    _emit({"out_dir": str(outcome.out_dir),
+           "sections": sorted(set(outcome.sections) - {"mode", "variant", "warnings"}),
+           "warnings": outcome.sections["warnings"]})
+    return 0
 
 
 def _load_matrix_dir(matrices: Path) -> dict[str, "object"]:
@@ -246,13 +235,11 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
     artifacts = Path(args.artifacts or config.output_dir)
     summary, manifest = read_generation(artifacts)
     projects = {bug_id: entry.get("project", "")
-                for bug_id, entry in summary.get("targets", {}).items()}
-    prompts = [json.loads(line) for line in
-               (artifacts / "prompts.jsonl").read_text(encoding="utf-8").splitlines()]
+                for bug_id, entry in summary["targets"].items()}
     contexts = {(row["bug_id"], row["chunk_id"]): SftContext(
         bug_id=row["bug_id"], chunk_id=row["chunk_id"], prompt=row["prompt"],
         project=projects.get(row["bug_id"], ""))
-        for row in prompts if not row.get("error")}
+        for row in read_prompts(artifacts) if not row["error"]}
     mutants = list(load_mutants(artifacts, manifest).values())
     report_dir = Path(args.report_dir or artifacts / "report")
     effectiveness = json.loads(
@@ -352,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generation artifact dir (default: output_dir)")
         sub.add_argument("--report-dir",
                          help="report output dir (default: <artifacts>/report)")
-        sub.set_defaults(handler=_evaluate_command(name))
+        sub.set_defaults(handler=lambda args: cmd_evaluate(args))
 
     metrics_parser = subparsers.add_parser(
         "metrics", help="effectiveness report from matrix files")
@@ -412,9 +399,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the parser is built on the first call and reused,
     so main may be called repeatedly in one process."""
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds a handler only to a root logger that has none, so the
+    # level of each call is set apart from it.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.handler(args)
     except CLI_ERRORS as error:

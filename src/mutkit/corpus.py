@@ -61,12 +61,9 @@ class Hunk:
 
 @dataclass(frozen=True)
 class BugFixPair:
-    """A validated single-hunk bug-fix record."""
+    """A validated single-hunk bug-fix record: its id and its one hunk."""
 
     id: str
-    project: str
-    pre_fix_code: str
-    post_fix_code: str
     hunk: Hunk
 
 
@@ -266,13 +263,8 @@ def read_records(path: str) -> tuple[list[CorpusRecord], list[SkippedRecord]]:
 
 def _pair(record: CorpusRecord) -> BugFixPair:
     """Diff one record into its pair; raises HunkError unless it is single-hunk."""
-    return BugFixPair(
-        id=record.id,
-        project=record.project,
-        pre_fix_code=record.pre_fix_code,
-        post_fix_code=record.post_fix_code,
-        hunk=diff_hunk(record.pre_fix_code, record.post_fix_code),
-    )
+    return BugFixPair(id=record.id,
+                      hunk=diff_hunk(record.pre_fix_code, record.post_fix_code))
 
 
 def ingest_corpus(path: str) -> Corpus:

@@ -69,14 +69,11 @@ class SuspiciousnessReport:
     """Ranked per-statement suspiciousness for one bug."""
 
     bug_id: str
-    method: str
     scores: dict[int, float]
     expected_ranks: dict[int, float]
     faulty_statements: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.method not in AGGREGATION_METHODS:
-            raise MbflError(f"unknown aggregation method {self.method!r}")
         if set(self.scores) != set(self.expected_ranks):
             raise MbflError(
                 f"bug {self.bug_id}: ranks and scores cover different statements")
@@ -221,7 +218,7 @@ def localize(
         statement_scores = aggregate(mutant_scores[method], statement_of, method,
                                      statements)
         reports[method] = SuspiciousnessReport(
-            bug_id=bug_id, method=method, scores=statement_scores,
+            bug_id=bug_id, scores=statement_scores,
             expected_ranks=rank(statement_scores), faulty_statements=faulty)
     return reports
 

@@ -129,11 +129,11 @@ def coupling_rate(ctx: BugContext) -> float:
     return len(coupled_mutants(ctx)) / total
 
 
-def high_similarity_count(per_bug_values: dict[str, float | None],
-                          threshold: float = HIGH_SIMILARITY_THRESHOLD) -> int:
-    """Count of bugs whose mean Ochiai is at least the threshold (inclusive)."""
+def high_similarity_count(per_bug_values: dict[str, float | None]) -> int:
+    """Count of bugs whose mean Ochiai is at least HIGH_SIMILARITY_THRESHOLD
+    (inclusive)."""
     return sum(1 for v in per_bug_values.values()
-               if v is not None and v >= threshold)
+               if v is not None and v >= HIGH_SIMILARITY_THRESHOLD)
 
 
 def effectiveness_report(contexts: list[BugContext]) -> dict:

@@ -2,17 +2,18 @@
 evaluate stage runners the CLI subcommands are built on.
 
 Generation walks chunk -> retrieve -> prompt -> complete -> parse ->
-materialize per target and persists a manifest of every attempted pair.
-Evaluation replays the persisted artifacts through validity, kill-matrix
-execution (or loading), effectiveness metrics, prioritization, and, for
-buggy-mode runs, fault localization, writing one deterministic report
-directory.  One function evaluates a bug from its compiles to its
-revealing tests; it pauses after each wave of queued runs, so every bug's
-runs of a wave are queued before any is awaited.  This module picks the
-bugs of each section and the warnings;
-the payloads come from the analysis modules and ``report``, which also
-holds the text tables and JSON writer, shared with the standalone
-analysis commands.
+materialize per target and persists four artifacts: prompts.jsonl, a
+manifest of every attempted pair, summary.json and the mutant sources;
+this module also reads them back.  Evaluation replays them through
+validity, kill-matrix execution (or loading), effectiveness metrics,
+prioritization, and, for buggy-mode runs, fault localization, as deep as
+its command goes, writing one deterministic report directory.  One
+function evaluates a bug from its compiles to its revealing tests; it
+pauses after each wave of queued runs, so every bug's runs of a wave are
+queued before any is awaited.  This module picks the bugs of each section
+and the warnings; the payloads come from the analysis modules and
+``report``, which also holds the text tables and JSON writer, shared with
+the standalone analysis commands.
 """
 
 from __future__ import annotations
@@ -63,13 +64,10 @@ from .metrics import BugContext
 from .promptgen import (
     MaterializeError,
     Mutant,
-    manifest_record,
     materialize,
     parse_response,
-    read_manifest,
     render_examples,
     render_prompt,
-    write_manifest,
 )
 from .validity import ValidityLedger, dedup
 
@@ -78,7 +76,6 @@ logger = logging.getLogger(__name__)
 METRIC_CHOICES = ("euclidean", "cosine", "dot")
 KEY_SIDE_CHOICES = ("post_fix", "pre_fix")
 MODE_CHOICES = ("fixed", "buggy")
-ALL_STAGES = ("validity", "execution", "metrics", "tcp", "mbfl")
 _TARGET_COUNTS = ("expected", "chunks", "prompts_total", "prompts_completed",
                   "pairs_parsed", "pairs_dropped", "parse_failures",
                   "materialized", "rejected")
@@ -424,7 +421,8 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
     retrieved = (_retrieve(retrieval, [chunk.text for *_, chunk in chunks],
                            config.retrieval_n)
                  if retrieval is not None else [None] * len(chunks))
-    plan: list[dict] = []
+    prompt_rows: list[dict] = []
+    planned: list[tuple[TargetSpec, CodeChunk]] = []
     for (target, method, chunk_id, chunk), found in zip(chunks, retrieved):
         entry = per_target[target.bug_id]
         if isinstance(found, str):
@@ -434,71 +432,56 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         requested = len(chunk.line_numbers)
         prompt = render_prompt(method, chunk, examples, requested)
         entry["prompts_total"] += 1
-        plan.append({
+        prompt_rows.append({
+            "prompt_id": f"{target.bug_id}/{chunk_id}",
             "bug_id": target.bug_id,
             "chunk_id": chunk_id,
-            "chunk": chunk,
-            "source": target.method,
             "n": requested,
+            "digest": prompt_digest(prompt),
             "prompt": prompt,
-            "example_ids": [example.source_pair_id for example in examples],
+            "examples": [example.source_pair_id for example in examples],
+            "error": None,
         })
+        planned.append((target, chunk))
 
-    prompt_batch = [(f"{item['bug_id']}/{item['chunk_id']}", item["prompt"])
-                    for item in plan]
-    results = (complete_batch(backend, prompt_batch, concurrency=config.workers)
-               if prompt_batch else [])
+    results = (complete_batch(backend, [(row["prompt_id"], row["prompt"])
+                                        for row in prompt_rows],
+                              concurrency=config.workers)
+               if prompt_rows else [])
 
     manifest_rows: list[dict] = []
-    prompt_rows: list[dict] = []
     mutants: dict[str, Mutant] = {}
-    for item, (prompt_id, result) in zip(plan, results):
-        entry = per_target[item["bug_id"]]
-        row = {
-            "prompt_id": prompt_id,
-            "bug_id": item["bug_id"],
-            "chunk_id": item["chunk_id"],
-            "n": item["n"],
-            "digest": prompt_digest(item["prompt"]),
-            "prompt": item["prompt"],
-            "examples": item["example_ids"],
-            "error": None,
-        }
+    for row, (target, chunk), (_, result) in zip(prompt_rows, planned, results):
+        bug_id, chunk_id = row["bug_id"], row["chunk_id"]
+        entry = per_target[bug_id]
         if isinstance(result, BackendError):
             row["error"] = str(result)
-            entry["errors"].append(f"backend {item['chunk_id']}: {result}")
-            prompt_rows.append(row)
+            entry["errors"].append(f"backend {chunk_id}: {result}")
             continue
         entry["prompts_completed"] += 1
-        prompt_rows.append(row)
         parsed = parse_response(result.text)
         if parsed.failure is not None:
             entry["parse_failures"] += 1
         entry["pairs_parsed"] += len(parsed.pairs)
         entry["pairs_dropped"] += parsed.dropped
         for seq, pair in enumerate(parsed.pairs):
-            mutant_id = f"{item['bug_id']}-{item['chunk_id']}-m{seq:03d}"
+            mutant_id = f"{bug_id}-{chunk_id}-m{seq:03d}"
+            record = {"mutant_id": mutant_id, "bug_id": bug_id, "chunk_id": chunk_id,
+                      "target_line": None, "precode": pair.precode,
+                      "aftercode": pair.aftercode, "rejection": None}
+            manifest_rows.append(record)
             try:
-                mutant = materialize(item["source"], item["chunk"], pair,
-                                     mutant_id=mutant_id, bug_id=item["bug_id"],
-                                     chunk_id=item["chunk_id"])
+                mutant = materialize(target.method, chunk, pair, mutant_id=mutant_id,
+                                     bug_id=bug_id, chunk_id=chunk_id)
             except MaterializeError as error:
                 entry["rejected"] += 1
-                manifest_rows.append(manifest_record(
-                    mutant_id=mutant_id, bug_id=item["bug_id"],
-                    chunk_id=item["chunk_id"], target_line=None,
-                    precode=pair.precode, aftercode=pair.aftercode,
-                    rejection=error.reason))
+                record["rejection"] = error.reason
                 continue
             entry["materialized"] += 1
+            record["target_line"] = mutant.target_line
             mutants[mutant_id] = mutant
             (mutants_dir / f"{mutant_id}.java").write_text(
                 mutant.source, encoding="utf-8")
-            manifest_rows.append(manifest_record(
-                mutant_id=mutant_id, bug_id=item["bug_id"],
-                chunk_id=item["chunk_id"], target_line=mutant.target_line,
-                precode=pair.precode, aftercode=pair.aftercode,
-                rejection=None))
 
     succeeded = sum(
         1 for entry in per_target.values()
@@ -523,7 +506,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         },
     }
 
-    write_manifest(manifest_rows, str(out_dir / "manifest.jsonl"))
+    _write_jsonl(out_dir / "manifest.jsonl", manifest_rows)
     _write_jsonl(out_dir / "prompts.jsonl", prompt_rows)
     report.write_json(out_dir / "summary.json", summary)
     logger.info("generate: %d/%d targets succeeded, %d mutants materialized",
@@ -553,7 +536,6 @@ class EvaluateOutcome:
 
     sections: dict
     out_dir: Path
-    warnings: list[str]
 
 
 def load_mutants(artifacts: Path, rows: Sequence[dict]) -> dict[str, Mutant]:
@@ -576,6 +558,36 @@ def load_mutants(artifacts: Path, rows: Sequence[dict]) -> dict[str, Mutant]:
     return mutants
 
 
+# The fields of a manifest.jsonl row, with their types.
+_MANIFEST_FIELDS = {"mutant_id": str, "bug_id": str, "chunk_id": str,
+                    "target_line": int | None, "precode": str, "aftercode": str,
+                    "rejection": str | None}
+# The prompts.jsonl fields that export-sft reads.
+_PROMPT_FIELDS = {"bug_id": str, "chunk_id": str, "prompt": str, "error": str | None}
+
+
+def _read_rows(path: Path, fields: dict):
+    """(where, row) for the JSON object on each non-blank line of path, every
+    field in ``fields`` present and of its type; where names the line."""
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"),
+                                   start=1):
+        if not line.strip():
+            continue
+        where = f"{path} line {line_no}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise PipelineError(f"{where} is not JSON: {error.msg}") from error
+        if not isinstance(row, dict):
+            raise PipelineError(f"{where} must hold a JSON object")
+        missing = [name for name in fields if name not in row]
+        if missing:
+            raise PipelineError(f"{where} missing fields: {missing}")
+        for name, hint in fields.items():
+            _check_type(row[name], hint, f"{where}: {name}")
+        yield where, row
+
+
 def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
     """summary.json and the manifest rows that generate wrote to artifacts."""
     summary_path = artifacts / "summary.json"
@@ -584,7 +596,19 @@ def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
         raise PipelineError(
             f"{artifacts} lacks summary.json/manifest.jsonl; run generate first")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    return summary, read_manifest(str(manifest_path))
+    _check_type(summary, dict, str(summary_path))
+    _check_type(summary.get("targets"), dict[str, dict], f"{summary_path}: targets")
+    rows = []
+    for where, row in _read_rows(manifest_path, _MANIFEST_FIELDS):
+        if row["rejection"] is None:
+            _check_type(row["target_line"], int, f"{where}: target_line")
+        rows.append(row)
+    return summary, rows
+
+
+def read_prompts(artifacts: Path) -> list[dict]:
+    """The prompts.jsonl rows that generate wrote to artifacts."""
+    return [row for _, row in _read_rows(artifacts / "prompts.jsonl", _PROMPT_FIELDS)]
 
 
 def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
@@ -595,15 +619,17 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
         by_bug.setdefault(row["bug_id"], []).append(row)
     artifacts: dict[str, BugArtifacts] = {}
     for target in targets:
-        target_summary = summary.get("targets", {}).get(target.bug_id)
+        target_summary = summary["targets"].get(target.bug_id)
         if target_summary is None:
             raise PipelineError(
                 f"bug {target.bug_id} missing from {manifest_dir / 'summary.json'}; "
                 f"generate did not cover it")
+        expected = target_summary.get("expected")
+        _check_type(expected, int, f"{manifest_dir / 'summary.json'}: bug "
+                                   f"{target.bug_id}: expected")
         bug_rows = by_bug.get(target.bug_id, [])
         artifacts[target.bug_id] = BugArtifacts(
-            target=target,
-            expected=target_summary["expected"],
+            target=target, expected=expected,
             all_ids=[row["mutant_id"] for row in bug_rows],
             materialized=load_mutants(manifest_dir, bug_rows))
     return artifacts
@@ -621,17 +647,19 @@ def _select_rows(matrix: KillMatrix, wanted: list[str]) -> KillMatrix:
 
 
 def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
-                  matrices_dir: Path, execute: bool, revealing: bool):
-    """Evaluate one bug, yielding after each wave of its work.
+                  matrices_dir: Path, through: str):
+    """Evaluate one bug as deep as ``through``, yielding after each wave of
+    its work.
 
-    The waves are: (1) submit every compile and, when the matrix is to be
-    built, the original's suite run; (2) build the validity ledger; (3)
-    submit the useful mutants' suites and, when the revealing tests come
-    from it, the buggy version's run; (4) collect the runs, save the
-    matrix and the original's outcomes, and resolve the revealing tests.
-    Without a test_command the saved matrix is an input, loaded as given
-    in place of (3) and (4).  The caller advances every bug one wave at a
-    time, so a wave's runs of all bugs are queued before any is awaited.
+    The waves are: (1) submit every compile and, past validate, the
+    original's suite run; (2) build the validity ledger, where validate
+    stops; (3) submit the useful mutants' suites and, for a report whose
+    revealing tests come from it, the buggy version's run; (4) collect the
+    runs and save the matrix and the original's outcomes, where execute
+    stops, and resolve the revealing tests.  Without a test_command the
+    saved matrix is an input, loaded as given in place of (3) and (4).
+    The caller advances every bug one wave at a time, so a wave's runs of
+    all bugs are queued before any is awaited.
     """
     target, bug_id = bug.target, bug.target.bug_id
     ordered = sorted(bug.materialized)
@@ -640,17 +668,17 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
                 for mid in ordered} if config.compile_command else None
     original_run = (queue.suite(target.method, config.test_command, program_id=bug_id,
                                 timeout=config.timeout)
-                    if execute and config.test_command else None)
+                    if through != "validate" and config.test_command else None)
     yield
 
     duplicates = dedup([bug.materialized[mid] for mid in ordered], target.method)
     compilable = ({mid for mid, run in compiles.items() if run.result()}
                   if compiles is not None else set(bug.materialized))
     bug.ledger = ValidityLedger(
-        bug_id=bug_id, expected=bug.expected, generated=list(bug.all_ids),
+        expected=bug.expected, generated=list(bug.all_ids),
         duplicates=duplicates, compilable=compilable)
     yield
-    if not execute:
+    if through == "validate":
         return
 
     useful = sorted(bug.ledger.useful())
@@ -661,7 +689,8 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
                                    program_id=mid, expected_tests=test_ids,
                                    timeout=config.timeout)
                        for mid in useful]
-        if revealing and config.mode != "buggy" and not target.bug_revealing_tests \
+        if through == "report" and config.mode != "buggy" \
+                and not target.bug_revealing_tests \
                 and target.buggy_method:
             buggy_run = queue.suite(target.buggy_method, config.test_command,
                                     program_id=f"{bug_id}-buggy",
@@ -684,7 +713,7 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
         if outcomes_path.exists():
             bug.original = load_outcomes(str(outcomes_path), bug_id)
 
-    if not revealing:
+    if through == "execute":
         return
     in_matrix = set(bug.matrix.test_ids)
     if config.mode == "buggy":
@@ -763,26 +792,21 @@ def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
 
 def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
                  manifest_dir: str | Path | None = None,
-                 matrices_dir: str | Path | None = None,
                  out_dir: str | Path | None = None,
-                 stages: Sequence[str] = ALL_STAGES) -> EvaluateOutcome:
-    """Replay persisted generation artifacts through the analysis stages.
+                 through: str = "report") -> EvaluateOutcome:
+    """Replay persisted generation artifacts as deep as one command goes.
 
-    Stages always run in the fixed order validity -> execution -> metrics
-    -> tcp -> mbfl, restricted to the requested subset (plus whatever the
-    requested stages depend on).  Outputs are written deterministically:
+    ``through`` names it: validate writes the validity section; execute
+    also builds the kill matrices (or loads them without a test_command);
+    report adds effectiveness metrics, prioritization and, for buggy-mode
+    runs, fault localization.  Outputs are written deterministically:
     re-running on the same inputs rewrites identical bytes.
     """
-    for stage in stages:
-        if stage not in ALL_STAGES:
-            raise PipelineError(f"unknown stage {stage!r}")
-    wanted = set(stages)
-    if {"metrics", "tcp", "mbfl"} & wanted:
-        wanted.add("execution")
-    if "execution" in wanted:
-        wanted.add("validity")
+    if through not in ("validate", "execute", "report"):
+        raise PipelineError(
+            f"through must be validate, execute or report, got {through!r}")
     manifest_dir = Path(manifest_dir or config.output_dir)
-    matrices_dir = Path(matrices_dir) if matrices_dir else manifest_dir / "matrices"
+    matrices_dir = manifest_dir / "matrices"
     out_dir = Path(out_dir) if out_dir else manifest_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -790,26 +814,23 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     bugs = _load_bug_artifacts(targets, manifest_dir)
     warnings: list[str] = []
     sections: dict = {"mode": config.mode, "variant": config.variant_label()}
-    revealing = bool({"metrics", "tcp", "mbfl"} & wanted)
 
     # Every compile and suite run of every bug goes through one queue; the
     # validity section is written after the second wave built every ledger.
     with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
-        if "validity" in wanted:
-            steps = [_evaluate_bug(config, bug, queue, matrices_dir,
-                                   "execution" in wanted, revealing)
-                     for bug in bugs.values()]
-            for wave in range(4):
-                for step in steps:
-                    next(step, None)
-                if wave == 1:
-                    sections["validity"] = report.validity_section(
-                        {bug_id: (bug.target.project, bug.ledger)
-                         for bug_id, bug in bugs.items()})
-                    report.write_section(out_dir, "validity", sections["validity"],
-                                         report.validity_text)
+        steps = [_evaluate_bug(config, bug, queue, matrices_dir, through)
+                 for bug in bugs.values()]
+        for wave in range(4):
+            for step in steps:
+                next(step, None)
+            if wave == 1:
+                sections["validity"] = report.validity_section(
+                    {bug_id: (bug.target.project, bug.ledger)
+                     for bug_id, bug in bugs.items()})
+                report.write_section(out_dir, "validity", sections["validity"],
+                                     report.validity_text)
 
-    if "metrics" in wanted:
+    if through == "report":
         contexts = _effectiveness_contexts(bugs, warnings)
         if not contexts:
             warnings.append("metrics: skipped (no bug has a bug-revealing test)")
@@ -820,11 +841,9 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
             report.write_section(out_dir, "effectiveness", sections["metrics"],
                                  report.effectiveness_text)
 
-    if "tcp" in wanted:
         sections["tcp"] = _tcp_section(config, bugs, warnings)
         report.write_section(out_dir, "tcp", sections["tcp"], report.tcp_text)
 
-    if "mbfl" in wanted:
         if config.mode == "buggy":
             sections["mbfl"] = _mbfl_section(bugs, warnings)
             report.write_section(out_dir, "mbfl", sections["mbfl"],
@@ -834,4 +853,4 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
 
     sections["warnings"] = sorted(set(warnings))
     report.write_json(out_dir / "report.json", sections)
-    return EvaluateOutcome(sections=sections, out_dir=out_dir, warnings=warnings)
+    return EvaluateOutcome(sections=sections, out_dir=out_dir)

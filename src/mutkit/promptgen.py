@@ -233,48 +233,3 @@ def materialize(original_source: str, chunk: CodeChunk, pair: MutationPair,
         chunk_id=chunk_id,
     )
 
-
-MANIFEST_FIELDS = ("mutant_id", "bug_id", "chunk_id", "target_line",
-                   "precode", "aftercode", "rejection")
-
-
-def manifest_record(*, mutant_id: str, bug_id: str, chunk_id: str,
-                    target_line: int | None, precode: str, aftercode: str,
-                    rejection: str | None) -> dict:
-    return {
-        "mutant_id": mutant_id,
-        "bug_id": bug_id,
-        "chunk_id": chunk_id,
-        "target_line": target_line,
-        "precode": precode,
-        "aftercode": aftercode,
-        "rejection": rejection,
-    }
-
-
-def write_manifest(records: list[dict], path: str) -> None:
-    """Write manifest records as line-delimited JSON with sorted keys."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            missing = [f for f in MANIFEST_FIELDS if f not in record]
-            if missing:
-                raise PromptError(f"manifest record missing fields: {missing}")
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def read_manifest(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PromptError(f"manifest line {line_no} is not JSON: {exc.msg}")
-            missing = [f for f in MANIFEST_FIELDS if f not in record]
-            if missing:
-                raise PromptError(
-                    f"manifest line {line_no} missing fields: {missing}")
-            records.append(record)
-    return records

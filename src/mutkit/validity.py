@@ -33,7 +33,6 @@ class ValidityError(Exception):
 class ValidityLedger:
     """Per-bug validity bookkeeping: Exp., set A, and subsets D and C."""
 
-    bug_id: str
     expected: int
     generated: list[str] = field(default_factory=list)
     duplicates: set[str] = field(default_factory=set)

@@ -7,6 +7,7 @@ tests: a scripted mock backend plus the toy runner.
 
 import hashlib
 import json
+import logging
 import os
 import random
 import re
@@ -285,14 +286,38 @@ class TestReportCommands:
         assert (report_dir / "validity.json").exists()
         assert not (report_dir / "effectiveness.json").exists()
 
-    def test_execute_builds_matrices(self, fixed_cli_run, capsys):
+    VALIDITY_FILES = ["report.json", "validity.json", "validity.txt"]
+    MATRIX_FILES = ["Clamp-1.matrix", "Clamp-1.original.txt",
+                    "Sum-1.matrix", "Sum-1.original.txt"]
+    # command -> (sections printed, report files, matrix files) it writes
+    DEPTHS = {
+        "validate": (["validity"], VALIDITY_FILES, []),
+        "execute": (["validity"], VALIDITY_FILES, MATRIX_FILES),
+        "report": (["metrics", "tcp", "validity"],
+                   sorted(VALIDITY_FILES + ["effectiveness.json", "effectiveness.txt",
+                                            "tcp.json", "tcp.txt"]), MATRIX_FILES),
+    }
+
+    @pytest.mark.parametrize("command", list(DEPTHS))
+    def test_each_command_writes_the_files_of_its_depth(self, fixed_cli_run, tmp_path,
+                                                        capsys, command):
+        sections, report_files, matrix_files = self.DEPTHS[command]
         config_path, targets_path, out_dir, _ = fixed_cli_run
-        matrix = out_dir / "matrices" / "Clamp-1.matrix"
-        assert matrix.exists()
-        code, out, _ = run_cli([
-            "execute", "--config", str(config_path),
-            "--targets", str(targets_path)], capsys)
-        assert code == 0
+        matrices = out_dir / "matrices"
+        for path in matrices.glob("*.*"):
+            path.unlink()
+        report_dir = tmp_path / command
+        code, out, err = run_cli([
+            command, "--config", str(config_path), "--targets", str(targets_path),
+            "--report-dir", str(report_dir)], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["out_dir"] == str(report_dir)
+        assert payload["sections"] == sections
+        assert payload["warnings"] == json.loads(
+            (report_dir / "report.json").read_text())["warnings"]
+        assert sorted(path.name for path in report_dir.iterdir()) == report_files
+        assert sorted(path.name for path in matrices.glob("*.*")) == matrix_files
 
 
 class TestStandaloneAnalysis:
@@ -763,6 +788,17 @@ class TestExportSft:
         assert any(len(row["provenance"]["mutant_ids"]) > 1 for row in rows)
 
 
+    def test_blank_lines_in_prompts_are_skipped(self, fixed_cli_run, tmp_path,
+                                                capsys):
+        config_path, _, out_dir, _ = fixed_cli_run
+        argv = ["export-sft", "--config", str(config_path), "--out",
+                str(tmp_path / "sft.jsonl")]
+        code, before, err = run_cli(argv, capsys)
+        assert code == 0, err
+        prompts = out_dir / "prompts.jsonl"
+        prompts.write_text("\n" + prompts.read_text().replace("\n", "\n \n"))
+        assert run_cli(argv, capsys) == (0, before, "")
+
     def test_export_without_artifacts_says_to_generate(self, tmp_path, capsys):
         code, out, err = run_cli([
             "export-sft", "--artifacts", str(tmp_path),
@@ -771,6 +807,98 @@ class TestExportSft:
         assert out == ""
         assert err == (f"error: {tmp_path} lacks summary.json/manifest.jsonl; "
                        f"run generate first\n")
+
+
+@pytest.fixture
+def generated(tmp_path, capsys):
+    """The config and targets of a one-bug CLI generate, and its artifacts."""
+    out_dir = tmp_path / "out"
+    row = {"bug_id": "Clamp-1", "method": CLAMP_FIXED, "bug_revealing_tests": ["t_above"]}
+    targets_path = write_targets(tmp_path / "targets.jsonl", [row])
+    base_config = PipelineConfig(output_dir=str(out_dir), retrieval=False)
+    script_path = author_script(base_config, [TargetSpec(
+        bug_id="Clamp-1", method=CLAMP_FIXED, bug_revealing_tests=("t_above",))], tmp_path)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "output_dir": str(out_dir), "retrieval": False,
+        "backend": {"mode": "mock", "script": str(script_path)}}))
+    code, _, err = run_cli(["generate", "--config", str(config_path),
+                            "--targets", str(targets_path)], capsys)
+    assert code == 0, err
+    return config_path, targets_path, out_dir
+
+
+def rewrite_first_row(path: Path, change) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps(change(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def with_expected(value):
+    """A change to summary.json that sets Clamp-1's expected count to value."""
+    return lambda summary: {**summary, "targets": {
+        "Clamp-1": {**summary["targets"]["Clamp-1"], "expected": value}}}
+
+
+class TestGenerationArtifactsOfTheWrongShape:
+    """A generation artifact read back with a wrong value type ends the
+    command with exit 2 and a message naming the file, the line and the
+    field."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("target_line", "3", "target_line must be int | None, got '3'"),
+        ("target_line", None, "target_line must be int, got None"),
+        ("aftercode", 5, "aftercode must be str, got 5"),
+        ("precode", ["a;"], "precode must be str, got ['a;']"),
+        ("rejection", 0, "rejection must be str | None, got 0"),
+        ("mutant_id", None, "mutant_id must be str, got None"),
+    ])
+    def test_a_manifest_row(self, generated, capsys, field, value, message):
+        config_path, targets_path, out_dir = generated
+        manifest = out_dir / "manifest.jsonl"
+        assert json.loads(manifest.read_text().splitlines()[0])["rejection"] is None
+        rewrite_first_row(manifest, lambda row: {**row, field: value})
+        code, out, err = run_cli(["validate", "--config", str(config_path),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {manifest} line 1: {message}\n"
+
+    @pytest.mark.parametrize("change, message", [
+        (with_expected("7"), ": bug Clamp-1: expected must be int, got '7'"),
+        (with_expected(7.0), ": bug Clamp-1: expected must be int, got 7.0"),
+        (with_expected(True), ": bug Clamp-1: expected must be int, got True"),
+        (with_expected(None), ": bug Clamp-1: expected must be int, got None"),
+        (lambda summary: {**summary, "targets": {"Clamp-1": 5}},
+         ": targets must be dict[str, dict], got {'Clamp-1': 5}"),
+        (lambda summary: {**summary, "targets": []}, ": targets must be dict[str, dict], got []"),
+        (lambda summary: [summary], " must be dict, got [{"),
+    ])
+    def test_a_summary(self, generated, capsys, change, message):
+        config_path, targets_path, out_dir = generated
+        summary_path = out_dir / "summary.json"
+        summary_path.write_text(json.dumps(change(json.loads(summary_path.read_text()))))
+        code, out, err = run_cli(["validate", "--config", str(config_path),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {summary_path}{message}")
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda row: {key: row[key] for key in row if key != "prompt"},
+         " missing fields: ['prompt']"),
+        (lambda row: {**row, "prompt": None}, ": prompt must be str, got None"),
+        (lambda row: {**row, "chunk_id": 0}, ": chunk_id must be str, got 0"),
+        (lambda row: {**row, "error": 3}, ": error must be str | None, got 3"),
+        (lambda row: [row], " must hold a JSON object"),
+    ])
+    def test_a_prompts_row_read_by_export_sft(self, generated, tmp_path, capsys,
+                                              change, message):
+        config_path, _, out_dir = generated
+        prompts = out_dir / "prompts.jsonl"
+        rewrite_first_row(prompts, change)
+        code, out, err = run_cli(["export-sft", "--config", str(config_path),
+                                  "--out", str(tmp_path / "sft.jsonl")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {prompts} line 1{message}\n"
 
 
 def test_entry_point_requires_subcommand():
@@ -890,3 +1018,19 @@ class TestRepeatedMain:
         monkeypatch.setattr(cli, "cmd_tcp", fake_tcp)
         assert run_cli(tcp + ["--weight", "0.25"], capsys) == (7, "", "")
         assert seen == [("tcp", 0.25)]
+
+    @pytest.mark.parametrize("flags", [["", "-v", ""], ["-v", "", "-v"]])
+    def test_each_call_logs_at_its_own_level(self, tmp_path, capsys, flags):
+        source = tmp_path / "m.java"
+        source.write_text(CLAMP_FIXED, encoding="utf-8")
+        root = logging.getLogger()
+        saved = root.level
+        try:
+            levels = []
+            for flag in flags:
+                assert run_cli([flag, "chunk", str(source)] if flag
+                               else ["chunk", str(source)], capsys)[0] == 0
+                levels.append(root.level)
+        finally:
+            root.setLevel(saved)
+        assert levels == [logging.INFO if flag else logging.WARNING for flag in flags]

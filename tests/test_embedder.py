@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutkit import embedder as embedder_module
-from mutkit.corpus import BugFixPair, diff_hunk
+from mutkit.corpus import CorpusRecord
 from mutkit.embedder import (
     DEFAULT_DIMENSION,
     EmbeddingError,
@@ -482,9 +482,9 @@ class TestIndexPersistence:
             VectorIndex.load(str(path))
 
 
-def make_pair(pair_id: str, pre: str, post: str) -> BugFixPair:
-    return BugFixPair(id=pair_id, project="demo", pre_fix_code=pre,
-                      post_fix_code=post, hunk=diff_hunk(pre, post))
+def make_pair(pair_id: str, pre: str, post: str) -> CorpusRecord:
+    return CorpusRecord(id=pair_id, project="demo", pre_fix_code=pre,
+                        post_fix_code=post, line_no=1)
 
 
 class TestBuildIndex:

@@ -329,7 +329,6 @@ class TestLocalize:
         original, mutants, statement_of = self.build_single_fault_instance()
         report = localize("bug-1", original, mutants, statement_of,
                           faulty_statements=[4])[method]
-        assert report.method == method
         assert report.expected_ranks[4] == 1.0
         assert report.faulty_ranks() == [1.0]
 
@@ -373,7 +372,7 @@ def report_with_ranks(bug_id, rank_of_faulty, universe=10):
     ranks = rank(scores)
     faulty = [s for s, r in ranks.items() if r in rank_of_faulty]
     assert len(faulty) == len(rank_of_faulty)
-    return SuspiciousnessReport(bug_id=bug_id, method="muse", scores=scores,
+    return SuspiciousnessReport(bug_id=bug_id, scores=scores,
                                 expected_ranks=ranks,
                                 faulty_statements=frozenset(faulty))
 
@@ -407,7 +406,7 @@ class TestFlMetrics:
     def test_bug_with_no_present_faulty_statement_is_excluded(self):
         good = report_with_ranks("b1", [2.0])
         orphan = SuspiciousnessReport(
-            bug_id="b2", method="muse", scores={1: 0.5},
+            bug_id="b2", scores={1: 0.5},
             expected_ranks={1: 1.0}, faulty_statements=frozenset([42]))
         metrics = fl_metrics([good, orphan])
         assert metrics["excluded_bugs"] == ["b2"]
@@ -416,7 +415,7 @@ class TestFlMetrics:
 
     def test_all_bugs_excluded_raises(self):
         orphan = SuspiciousnessReport(
-            bug_id="b1", method="muse", scores={1: 0.5},
+            bug_id="b1", scores={1: 0.5},
             expected_ranks={1: 1.0}, faulty_statements=frozenset([42]))
         with pytest.raises(MbflError, match="excluded"):
             fl_metrics([orphan])
@@ -427,7 +426,7 @@ class TestFlMetrics:
 
     def test_report_without_ground_truth_raises(self):
         bare = SuspiciousnessReport(
-            bug_id="b1", method="muse", scores={1: 0.5},
+            bug_id="b1", scores={1: 0.5},
             expected_ranks={1: 1.0})
         with pytest.raises(MbflError, match="no faulty statements"):
             fl_metrics([bare])
@@ -438,7 +437,7 @@ class TestMbflSection:
         """b1 ranks under metallaxis; under muse its faulty statement is
         missing from the ranking, so muse has no bug to average."""
         orphan = SuspiciousnessReport(
-            bug_id="b1", method="muse", scores={1: 0.5},
+            bug_id="b1", scores={1: 0.5},
             expected_ranks={1: 1.0}, faulty_statements=frozenset([42]))
         ranked = report_with_ranks("b1", [2.0])
         return {"b1": {"muse": orphan, "metallaxis": ranked}}

@@ -7,6 +7,7 @@ sources so mutants genuinely pass or fail the emulated suites.
 
 import hashlib
 import json
+import re
 import sys
 import typing
 from pathlib import Path
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from mutkit import pipeline
 from mutkit.llm import BackendConfig, HttpChatBackend, MockBackend, write_mock_script
 from mutkit.pipeline import (
-    ALL_STAGES,
     GenerateOutcome,
     PipelineConfig,
     PipelineError,
@@ -28,6 +28,7 @@ from mutkit.pipeline import (
     load_targets,
     make_backend,
     pick_targets,
+    read_generation,
     run_evaluate,
     run_generate,
 )
@@ -578,6 +579,44 @@ class TestRunGenerate:
         assert trees[0] == trees[1]
 
 
+class TestReadGeneration:
+    @pytest.fixture
+    def generated(self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), retrieval=False)
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)]
+        return Path(config.output_dir), scripted_generate(config, targets, tmp_path)
+
+    def test_the_manifest_reads_back_as_generate_wrote_it(self, generated):
+        out_dir, outcome = generated
+        summary, rows = read_generation(out_dir)
+        assert summary == outcome.summary
+        assert rows == [json.loads(line) for line in
+                        (out_dir / "manifest.jsonl").read_text().splitlines()]
+        assert {row["mutant_id"]: row["target_line"] for row in rows
+                if row["rejection"] is None} == {
+            mutant_id: mutant.target_line for mutant_id, mutant in outcome.mutants.items()}
+        assert [(row["mutant_id"], row["target_line"], row["rejection"]) for row in rows
+                if row["rejection"] is not None] == [
+            ("Clamp-1-c01-m005", None, "out-of-chunk")]
+
+    def test_a_manifest_row_missing_a_field_is_rejected(self, generated):
+        out_dir, _ = generated
+        manifest = out_dir / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        row = json.loads(lines[1])
+        del row["chunk_id"], row["rejection"]
+        manifest.write_text("\n".join([lines[0], "", json.dumps(row)]) + "\n")
+        with pytest.raises(PipelineError, match=re.escape(
+                f"{manifest} line 3 missing fields: ['chunk_id', 'rejection']")):
+            read_generation(out_dir)
+
+
+def section_warnings(outcome, prefix: str) -> list[str]:
+    """The report's warnings of the section whose warnings start with prefix."""
+    return [warning for warning in outcome.sections["warnings"]
+            if warning.startswith(prefix)]
+
+
 @pytest.fixture
 def fixed_run(tmp_path):
     """Generate plus evaluate for the two fixed-mode bugs."""
@@ -677,12 +716,12 @@ class TestEvaluateFixedMode:
         targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED,
                               bug_revealing_tests=("t_gone",))]
         scripted_generate(config, targets, tmp_path)
-        outcome = run_evaluate(config, targets, stages=("tcp",))
+        outcome = run_evaluate(config, targets)
         expected = ["tcp: bug Clamp-1 has no revealing test in the matrix; "
                     "APFD skipped"]
-        assert outcome.warnings == expected
+        assert section_warnings(outcome, "tcp: ") == expected
         report = json.loads((outcome.out_dir / "report.json").read_text())
-        assert report["warnings"] == expected
+        assert report["warnings"] == outcome.sections["warnings"]
         per_strategy = outcome.sections["tcp"]["per_bug"]["Clamp-1"]
         assert len(per_strategy) == 3
         assert all("apfd" not in record for record in per_strategy.values())
@@ -697,8 +736,9 @@ class TestEvaluateFixedMode:
         failing = f'{sys.executable} -c "raise SystemExit(1)" {{source}}'
         external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
                                   compile_command=failing)
-        outcome = run_evaluate(external, clamp, stages=("tcp",))
-        assert outcome.warnings == ["tcp: bug Clamp-1 has no kill matrix tests"]
+        outcome = run_evaluate(external, clamp)
+        assert section_warnings(outcome, "tcp: ") == [
+            "tcp: bug Clamp-1 has no kill matrix tests"]
         assert outcome.sections["tcp"]["per_bug"] == {}
 
     def test_mbfl_skipped_in_fixed_mode(self, fixed_run):
@@ -726,14 +766,13 @@ class TestEvaluateFixedMode:
         second = run_evaluate(config, targets)
         assert read_tree(second.out_dir) == before
 
-    def test_stage_subset_and_validation(self, fixed_run):
-        config, targets, _ = fixed_run
-        with pytest.raises(PipelineError, match="unknown stage"):
-            run_evaluate(config, targets, stages=("validity", "nope"))
-        only_validity = run_evaluate(config, targets, stages=("validity",),
-                                     out_dir=Path(config.output_dir) / "v")
-        assert "validity" in only_validity.sections
-        assert "metrics" not in only_validity.sections
+    @pytest.mark.parametrize("through", ["validity", "tcp", "", None])
+    def test_a_depth_other_than_the_three_commands_raises(self, tmp_path, through):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), retrieval=False)
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)]
+        with pytest.raises(PipelineError, match=f"got {through!r}"):
+            run_evaluate(config, targets, through=through)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateRunCache:
@@ -798,7 +837,7 @@ class TestEvaluateRunCache:
         before = read_tree(matrices)
         external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
                                   compile_command=COMPILE_COMMAND)
-        outcome = run_evaluate(external, targets, stages=("execution",))
+        outcome = run_evaluate(external, targets, through="execute")
         assert process_count == []
         assert read_tree(matrices) == before
         assert "validity" in outcome.sections
@@ -1030,9 +1069,9 @@ class TestEvaluateBuggyMode:
         # external matrices can disagree with their outcome file.
         external = PipelineConfig(output_dir=config.output_dir, retrieval=False,
                                   mode="buggy", compile_command=COMPILE_COMMAND)
-        outcome = run_evaluate(external, targets, stages=("mbfl",))
+        outcome = run_evaluate(external, targets)
         assert outcome.sections["mbfl"]["per_bug"] == {}
-        assert outcome.warnings == [
+        assert section_warnings(outcome, "mbfl: ") == [
             f"mbfl: bug Sum-2: the kill matrix and the original outcomes "
             f"name different tests: ['{dropped}']"]
 
@@ -1051,8 +1090,8 @@ class TestEvaluateBuggyMode:
                    TargetSpec(bug_id="Weak-1", method=method,
                               faulty_lines=faulty_lines)]
         scripted_generate(config, targets, tmp_path)
-        outcome = run_evaluate(config, targets, stages=("mbfl",))
-        assert outcome.warnings == [f"mbfl: bug Weak-1 {reason}"]
+        outcome = run_evaluate(config, targets)
+        assert section_warnings(outcome, "mbfl: ") == [f"mbfl: bug Weak-1 {reason}"]
         assert list(outcome.sections["mbfl"]["per_bug"]) == ["Sum-2"]
 
     def test_a_bug_without_revealing_tests_is_left_out_of_effectiveness(
@@ -1068,7 +1107,8 @@ class TestEvaluateBuggyMode:
                               project="Alpha", faulty_lines=(2,))]
         scripted_generate(config, targets, tmp_path)
         outcome = run_evaluate(config, targets)
-        assert "metrics: bug Clamp-2 has no bug-revealing test" in outcome.warnings
+        assert "metrics: bug Clamp-2 has no bug-revealing test" in \
+            outcome.sections["warnings"]
         assert list(outcome.sections["metrics"]["bug_ochiai"]) == ["Sum-2"]
         digests = tree_digests(outcome.out_dir)
         assert digests["effectiveness.json"] == \
@@ -1083,14 +1123,14 @@ class TestEvaluateBuggyMode:
         targets = [TargetSpec(bug_id="Clamp-2", method=CLAMP_FIXED,
                               faulty_lines=(2,))]
         scripted_generate(config, targets, tmp_path)
-        outcome = run_evaluate(config, targets, stages=("metrics",))
-        assert outcome.warnings == [
+        outcome = run_evaluate(config, targets)
+        assert section_warnings(outcome, "metrics: ") == [
             "metrics: bug Clamp-2 has no bug-revealing test",
             "metrics: skipped (no bug has a bug-revealing test)"]
         assert "metrics" not in outcome.sections
         assert not (outcome.out_dir / "effectiveness.json").exists()
         report = json.loads((outcome.out_dir / "report.json").read_text())
-        assert report["warnings"] == sorted(outcome.warnings)
+        assert report["warnings"] == outcome.sections["warnings"]
 
     def test_effectiveness_is_skipped_when_no_bug_has_a_useful_mutant(self, tmp_path):
         config = PipelineConfig(output_dir=str(tmp_path / "out"),
@@ -1102,13 +1142,14 @@ class TestEvaluateBuggyMode:
                               faulty_lines=(2,))]
         scripted_generate(config, targets, tmp_path)
         outcome = run_evaluate(config, targets)
-        assert "metrics: skipped (no bug has a useful mutant)" in outcome.warnings
-        assert "mbfl: bug Sum-3 has no useful mutants" in outcome.warnings
+        assert "metrics: skipped (no bug has a useful mutant)" in \
+            outcome.sections["warnings"]
+        assert "mbfl: bug Sum-3 has no useful mutants" in outcome.sections["warnings"]
         assert "metrics" not in outcome.sections
         assert not (outcome.out_dir / "effectiveness.json").exists()
         report = json.loads((outcome.out_dir / "report.json").read_text())
         assert {"validity", "tcp", "mbfl"} <= set(report)
-        assert report["warnings"] == sorted(set(outcome.warnings))
+        assert report["warnings"] == outcome.sections["warnings"]
 
     def test_mbfl_report_files(self, buggy_run):
         _, _, outcome = buggy_run
@@ -1144,9 +1185,6 @@ class TestEvaluateErrors:
         scripted_generate(config, targets, tmp_path)
         with pytest.raises(PipelineError, match="bug-revealing"):
             run_evaluate(config, targets)
-
-    def test_stages_constant_is_complete(self):
-        assert ALL_STAGES == ("validity", "execution", "metrics", "tcp", "mbfl")
 
 
 def write_tied_corpus(path: Path) -> None:

@@ -13,12 +13,9 @@ from mutkit.promptgen import (
     MutationPair,
     PromptError,
     materialize,
-    manifest_record,
     parse_response,
-    read_manifest,
     render_examples,
     render_prompt,
-    write_manifest,
 )
 
 METHOD = "\n".join([
@@ -33,8 +30,7 @@ METHOD = "\n".join([
 
 
 def make_pair(pair_id, pre, post):
-    return BugFixPair(id=pair_id, project="demo", pre_fix_code=pre,
-                      post_fix_code=post, hunk=diff_hunk(pre, post))
+    return BugFixPair(id=pair_id, hunk=diff_hunk(pre, post))
 
 
 class TestRenderExamples:
@@ -261,22 +257,3 @@ class TestMaterialize:
             assert differing == [expected]
             assert expected in chunk.line_numbers
 
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        records = [
-            manifest_record(mutant_id="m1", bug_id="b1", chunk_id="c00",
-                            target_line=4, precode="a;", aftercode="b;",
-                            rejection=None),
-            manifest_record(mutant_id="m2", bug_id="b1", chunk_id="c00",
-                            target_line=None, precode="zz;", aftercode="q;",
-                            rejection="out-of-chunk"),
-        ]
-        path = str(tmp_path / "manifest.jsonl")
-        write_manifest(records, path)
-        assert read_manifest(path) == records
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = str(tmp_path / "manifest.jsonl")
-        with pytest.raises(PromptError, match="missing fields"):
-            write_manifest([{"mutant_id": "m"}], path)

@@ -1,15 +1,22 @@
 """Every public module-level function and class of mutkit has a caller in
 the product: the package itself, the demos or the benchmark harness; every
-private one has a caller in its own module; and every field of a public
-dataclass is read in the product.
+private one has a caller in its own module; every field of a public
+dataclass is read in the product; and every optional parameter of a public
+function or method is passed by some call in the product.
 
 A name counts as used when code outside its own definition refers to it
 (a bare name or an attribute); a field counts as read when code outside
-its class loads an attribute of that name.  Imports and the tests do not
-count.
+its class loads an attribute of that name; a parameter counts as passed
+when a call of the function's name (a class's name for ``__init__``)
+passes it by keyword, by position, or through ``*`` or ``**``.  A
+parameter whose default is callable is a seam for tests to put a stand-in
+in, and is exempt.  Imports and the tests do not count.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -76,6 +83,72 @@ def unread_fields(paths, package) -> list[str]:
                         if other != id(node))]
 
 
+def _functions(module):
+    """(label, call name, function, bound) for each function and method of
+    ``module``'s public top-level definitions written in its source: the
+    public methods, and ``__init__`` under its class's name.  ``bound`` says
+    whether a call's first argument goes to the second parameter."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, name, obj, False
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                function = getattr(member, "__func__", member)
+                # A dataclass's generated __init__ has no source file.
+                if not inspect.isfunction(function) \
+                        or function.__code__.co_filename != module.__file__:
+                    continue
+                yield (name if attr == "__init__" else f"{name}.{attr}",
+                       name if attr == "__init__" else attr, function,
+                       not isinstance(member, staticmethod))
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at argument
+    ``position`` when it can be given by position."""
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or len(call.args) > position
+
+
+def unpassed(paths, modules) -> list[str]:
+    """The optional parameters, as ``module.function(name=)``, of the public
+    functions and methods of ``modules`` that no call in ``paths`` passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+    found = []
+    for module in modules:
+        stem = module.__name__.rpartition(".")[2]
+        for label, callee, function, bound in _functions(module):
+            parameters = list(inspect.signature(function).parameters.values())[bound:]
+            for position, parameter in enumerate(parameters):
+                if parameter.default is inspect.Parameter.empty or callable(parameter.default):
+                    continue
+                by_position = position if parameter.kind in (
+                    parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD) else None
+                if not any(_passes(call, by_position, parameter.name)
+                           for call in calls.get(callee, ())):
+                    found.append(f"{stem}.{label}({parameter.name}=)")
+    return found
+
+
+def _import(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_product_files_are_found():
     assert len(PRODUCT) > len(list(PACKAGE.glob("*.py"))) > 10
 
@@ -90,6 +163,12 @@ def test_every_private_definition_is_named_in_its_module():
 
 def test_every_dataclass_field_is_read_by_the_product():
     assert unread_fields(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_optional_parameter_is_passed_by_the_product():
+    modules = [importlib.import_module(f"mutkit.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert unpassed(PRODUCT, modules) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -137,3 +216,25 @@ def test_a_private_name_used_only_by_another_module_is_unreached(tmp_path):
     helper.write_text("def _f():\n    pass\n", encoding="utf-8")
     caller.write_text("from m import _f\n\n_f()\n", encoding="utf-8")
     assert unreached_private([helper, caller]) == ["m._f"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(a, b=1):\n    pass\n\nf(0)\n", ["m.f(b=)"]),
+    ("def f(a, b=1):\n    pass\n\nf(0, 2)\n", []),
+    ("def f(a, b=1):\n    pass\n\nf(0, b=2)\n", []),
+    ("def f(a, *, b=1):\n    pass\n\ndef g():\n    return f(0, 2)\n", ["m.f(b=)"]),
+    ("def f(a, b=1):\n    pass\n\nf(*[0, 2])\n", []),
+    ("def f(a, b=1):\n    pass\n\nf(**{'a': 0})\n", []),
+    ("def f(a, b=print):\n    pass\n\nf(0)\n", []),
+    ("def _f(a, b=1):\n    pass\n\n_f(0)\n", []),
+    ("class C:\n    def __init__(self, a, b=1):\n        pass\n\n"
+     "    def g(self, c=2):\n        pass\n\nC(0, 1).g()\n", ["m.C.g(c=)"]),
+    ("class C:\n    def __init__(self, a, b=1):\n        pass\n\nC(0)\n", ["m.C(b=)"]),
+    ("class C:\n    @staticmethod\n    def g(a, b=1):\n        pass\n\nC.g(0, 1)\n", []),
+    ("from dataclasses import dataclass\n\n@dataclass\nclass C:\n    a: int = 1\n"
+     "\nC()\n", []),
+])
+def test_an_optional_parameter_needs_a_call_that_passes_it(tmp_path, source, expected):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unpassed([path], [_import(path)]) == expected

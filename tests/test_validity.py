@@ -116,14 +116,14 @@ class TestCheckCompile:
 class TestValidityLedger:
     def test_subset_invariants_enforced(self):
         with pytest.raises(ValidityError, match="duplicates"):
-            ValidityLedger(bug_id="b", expected=1, generated=["m1"],
+            ValidityLedger(expected=1, generated=["m1"],
                            duplicates={"m2"})
         with pytest.raises(ValidityError, match="compilable"):
-            ValidityLedger(bug_id="b", expected=1, generated=["m1"],
+            ValidityLedger(expected=1, generated=["m1"],
                            compilable={"m9"})
 
     def test_useful_is_compilable_minus_duplicates(self):
-        ledger = ValidityLedger(bug_id="b", expected=3,
+        ledger = ValidityLedger(expected=3,
                                 generated=["m1", "m2", "m3"],
                                 duplicates={"m2"}, compilable={"m1", "m2"})
         assert ledger.useful() == {"m1"}
@@ -147,7 +147,7 @@ class TestValidityMetrics:
         assert generation_rate(0, 3) is None
 
     def test_the_row_holds_the_counts_and_their_rates(self):
-        ledger = ValidityLedger(bug_id="b", expected=4,
+        ledger = ValidityLedger(expected=4,
                                 generated=["m1", "m2", "m3"],
                                 duplicates={"m2"}, compilable={"m1", "m2"})
         assert validity_metrics(ledger) == {
@@ -158,19 +158,19 @@ class TestValidityMetrics:
     def test_all_mutants_sharing_one_key(self):
         k = 7
         mutants = [make_mutant(f"m{i}", 2, "    int a = 5;") for i in range(k)]
-        ledger = ValidityLedger(bug_id="b", expected=k,
+        ledger = ValidityLedger(expected=k,
                                 generated=[m.id for m in mutants],
                                 duplicates=dedup(mutants, ORIGINAL))
         row = validity_metrics(ledger)
         assert row["nonduplicate_rate"] == pytest.approx(1 / k)
 
     def test_fully_compilable(self):
-        ledger = ValidityLedger(bug_id="b", expected=2, generated=["m1", "m2"],
+        ledger = ValidityLedger(expected=2, generated=["m1", "m2"],
                                 compilable={"m1", "m2"})
         assert validity_metrics(ledger)["compilable_rate"] == 1.0
 
     def test_rates_absent_when_no_mutants(self):
-        ledger = ValidityLedger(bug_id="b", expected=5)
+        ledger = ValidityLedger(expected=5)
         assert validity_metrics(ledger) == {
             "expected": 5, "generated": 0, "duplicates": 0, "compilable": 0,
             "useful": 0, "generation_rate": 0.0, "nonduplicate_rate": None,
@@ -183,7 +183,7 @@ class TestValidityMetrics:
             dup = rng.randint(0, total)
             comp = rng.randint(0, total)
             ids = [f"m{i}" for i in range(total)]
-            ledger = ValidityLedger(bug_id="b", expected=rng.randint(total, 40),
+            ledger = ValidityLedger(expected=rng.randint(total, 40),
                                     generated=ids,
                                     duplicates=set(ids[:dup]),
                                     compilable=set(ids[:comp]))

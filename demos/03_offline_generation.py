@@ -3,9 +3,10 @@
 The mock backend answers prompts from a script keyed by prompt digest.
 Authoring that script takes two passes: a record pass that captures
 every prompt the pipeline would send, and a real pass that answers from
-the crafted script.  The same two-phase flow works for caching real
-model responses.  The demo ends by exporting the mutants as supervised
-fine-tuning instances.
+the crafted script, a JSONL file that the config's backend settings
+name.  The same two-phase flow works for caching real model responses.
+The demo ends by exporting the mutants as supervised fine-tuning
+instances.
 
     python3 demos/03_offline_generation.py
 """
@@ -13,11 +14,12 @@ fine-tuning instances.
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from mutkit.corpus import ingest_corpus
 from mutkit.embedder import LexicalEmbedder, build_index
-from mutkit.llm import MockBackend, write_mock_script
+from mutkit.llm import MockBackend
 from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from mutkit.sft import SftContext, export, write_instances
 
@@ -80,20 +82,24 @@ def main() -> None:
 
         print("== 1. Record pass: capture the prompts ==")
         record_path = base / "record.jsonl"
-        recorder = MockBackend(record_path=str(record_path))
+        recorder = MockBackend({}, record_path=str(record_path))
         run_generate(config, targets, backend=recorder)
         recorded = [json.loads(line) for line
                     in record_path.read_text(encoding="utf-8").splitlines()]
         print(f"captured {len(recorded)} prompts (one per chunk)")
 
         print("\n== 2. Script the answers and rerun ==")
+        # A mock script is plain JSONL, one reply per prompt digest; the
+        # configured backend reads it and checks every field's type.
         script_path = base / "script.jsonl"
-        write_mock_script([{"prompt_digest": item["prompt_digest"],
-                            "response_text": craft_response(item["prompt"]),
-                            "prompt_tokens": 10, "completion_tokens": 5}
-                           for item in recorded], str(script_path))
-        outcome = run_generate(config, targets,
-                               backend=MockBackend(script=str(script_path)))
+        script_path.write_text("".join(
+            json.dumps({"prompt_digest": item["prompt_digest"],
+                        "response_text": craft_response(item["prompt"]),
+                        "prompt_tokens": 10, "completion_tokens": 5}) + "\n"
+            for item in recorded), encoding="utf-8")
+        outcome = run_generate(
+            replace(config, backend={"mode": "mock", "script": str(script_path)}),
+            targets)
         totals = outcome.summary["totals"]
         print(f"targets succeeded: {totals['succeeded']}/{totals['targets']}")
         print(f"pairs parsed: {totals['pairs_parsed']}, "

@@ -12,7 +12,8 @@ The analysis commands (metrics, tcp, mbfl) also work standalone on
 explicit matrix and outcome files, with no generation artifacts needed.
 They build their payloads with the same section builders as
 ``mutkit report`` (``metrics.effectiveness_report``, ``mbfl.localize``
-and the ``report`` sections); this module only reads their inputs.
+and the ``report`` sections).  ``pipeline`` reads every JSON input and
+checks its types; this module turns its errors into exit code 2.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .pipeline import (
     load_targets,
     probe_embedder,
     read_bug_table,
+    read_coupled_mutants,
     read_generation,
     read_prompts,
     run_evaluate,
@@ -242,12 +244,8 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
         for row in read_prompts(artifacts) if not row["error"]}
     mutants = list(load_mutants(artifacts, manifest).values())
     report_dir = Path(args.report_dir or artifacts / "report")
-    effectiveness = json.loads(
-        (report_dir / "effectiveness.json").read_text(encoding="utf-8"))
-    coupled_ids = {mid for ids in effectiveness["coupled_mutants"].values()
-                   for mid in ids}
-    result = export(mutants, coupled_ids, contexts, grouped=args.grouped,
-                    exclude_projects=tuple(args.exclude_projects))
+    result = export(mutants, read_coupled_mutants(report_dir), contexts,
+                    grouped=args.grouped, exclude_projects=tuple(args.exclude_projects))
     count = write_instances(result.instances, args.out)
     _emit({
         "instances": count,

@@ -3,8 +3,10 @@
 Both backends expose complete(prompt) returning a Completion.  The HTTP
 client speaks the usual chat-completions shape (messages array, single
 user turn) and retries transient failures with exponential backoff; the
-mock replays responses keyed on the sha256 digest of the prompt and can
-record unmatched prompts so a script can be built offline.
+mock replays the replies it is given, keyed on the sha256 digest of the
+prompt, and can record unmatched prompts so a script can be built
+offline.  The record file is this module's only file format; the
+pipeline reads mock scripts.
 """
 
 from __future__ import annotations
@@ -164,65 +166,22 @@ class HttpChatBackend:
                           completion_tokens=completion_tokens, retries=retries)
 
 
-SCRIPT_FIELDS = {"prompt_digest": str, "response_text": str,
-                 "prompt_tokens": int, "completion_tokens": int}
-
-
-def _check_script_record(record, line_no: int) -> None:
-    """Reject a script record that lacks a field or holds one of the wrong
-    type (a bool is not a token count)."""
-    if not isinstance(record, dict):
-        raise BackendError(f"mock script line {line_no} is not a JSON object")
-    missing = [f for f in SCRIPT_FIELDS if f not in record]
-    if missing:
-        raise BackendError(f"mock script line {line_no} missing fields: {missing}")
-    for name, kind in SCRIPT_FIELDS.items():
-        value = record[name]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise BackendError(f"mock script line {line_no}: {name} must be "
-                               f"{kind.__name__}, got {value!r:.80}")
-
-
 class MockBackend:
     """Deterministic scripted backend keyed on prompt digests.
 
-    The script is a line-delimited JSON file with records carrying
-    prompt_digest, response_text, prompt_tokens and completion_tokens.
-    When ``record_path`` is set, prompts with no scripted reply are
-    appended there (digest plus full prompt) before the error is raised,
-    which is how scripts are authored offline.  ``complete_batch`` then
-    rewrites the file with one line per digest in digest order, so a
-    recorded batch writes the same bytes whatever order its threads
-    finished in.
+    ``replies`` maps the sha256 digest of a prompt to its Completion;
+    ``pipeline.make_backend`` reads them from a mock script file.  When
+    ``record_path`` is set, prompts with no scripted reply are appended
+    there (digest plus full prompt) before the error is raised, which is
+    how scripts are authored offline.  ``complete_batch`` then rewrites
+    the file with one line per digest in digest order, so a recorded
+    batch writes the same bytes whatever order its threads finished in.
     """
 
-    def __init__(self, script: str | None = None, record_path: str | None = None):
-        self._replies: dict[str, Completion] = {}
+    def __init__(self, replies: dict[str, Completion], record_path: str | None = None):
+        self._replies = replies
         self.record_path = record_path
         self._lock = threading.Lock()
-        if script is not None:
-            self._load_script(script)
-
-    def _load_script(self, path: str) -> None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError as exc:
-            raise BackendError(f"cannot read mock script {path}: {exc}") from exc
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BackendError(
-                    f"mock script line {line_no} is not JSON: {exc.msg}") from exc
-            _check_script_record(record, line_no)
-            self._replies[record["prompt_digest"]] = Completion(
-                text=record["response_text"],
-                prompt_tokens=record["prompt_tokens"],
-                completion_tokens=record["completion_tokens"],
-            )
 
     def complete(self, prompt: str) -> Completion:
         digest = prompt_digest(prompt)
@@ -249,15 +208,6 @@ class MockBackend:
                 return
             with open(self.record_path, "w", encoding="utf-8") as handle:
                 handle.writelines(lines[digest] for digest in sorted(lines))
-
-
-def write_mock_script(records: list[dict], path: str) -> None:
-    """Write mock script records, checked as MockBackend checks them."""
-    for line_no, record in enumerate(records, start=1):
-        _check_script_record(record, line_no)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def complete_batch(backend, prompts: list[tuple[str, str]],

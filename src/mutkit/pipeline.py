@@ -3,9 +3,12 @@ evaluate stage runners the CLI subcommands are built on.
 
 Generation walks chunk -> retrieve -> prompt -> complete -> parse ->
 materialize per target and persists four artifacts: prompts.jsonl, a
-manifest of every attempted pair, summary.json and the mutant sources;
-this module also reads them back.  Evaluation replays them through
-validity, kill-matrix execution (or loading), effectiveness metrics,
+manifest of every attempted pair, summary.json and the mutant sources.
+This module reads every JSON and JSON Lines input: the config, targets,
+mock script, bug tables and the generation and report artifacts go
+through ``_read_json`` or ``_read_rows``, which check value types and
+name the file (and line) of a fault.  Evaluation replays the artifacts
+through validity, kill-matrix execution (or loading), effectiveness metrics,
 prioritization, and, for buggy-mode runs, fault localization, as deep as
 its command goes, writing one deterministic report directory.  One
 function evaluates a bug from its compiles to its revealing tests; it
@@ -53,6 +56,7 @@ from .execution import (
 from .llm import (
     BackendConfig,
     BackendError,
+    Completion,
     HttpChatBackend,
     MockBackend,
     aggregate_usage,
@@ -132,11 +136,47 @@ def _check_fields(cls, values: dict) -> None:
             raise _type_error(values[name], hint, name)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        raise PipelineError(f"cannot read {path}: {error}") from error
+
+
+def _read_json(path: Path, hint):
+    """The JSON value that the file at path holds, which must be of type hint."""
+    try:
+        value = json.loads(_read_text(path))
+    except json.JSONDecodeError as error:
+        raise PipelineError(f"{path} is not JSON: {error}") from error
+    _check_type(value, hint, str(path))
+    return value
+
+
+def _read_rows(path: Path, fields: dict):
+    """(where, row) for the JSON object on each non-blank line of path, every
+    field in ``fields`` present and of its type; where names the line."""
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path} line {line_no}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise PipelineError(f"{where} is not JSON: {error.msg}") from error
+        if not isinstance(row, dict):
+            raise PipelineError(f"{where} must hold a JSON object")
+        missing = [name for name in fields if name not in row]
+        if missing:
+            raise PipelineError(f"{where} missing fields: {missing}")
+        for name, hint in fields.items():
+            _check_type(row[name], hint, f"{where}: {name}")
+        yield where, row
+
+
 def read_bug_table(path: str | Path, entry_type) -> dict:
     """Read a JSON object mapping bug ids to entries of entry_type."""
-    table = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(table, dict):
-        raise PipelineError(f"{path} must hold a JSON object keyed by bug id")
+    table = _read_json(Path(path), dict)
     for bug_id, entry in table.items():
         _check_type(entry, entry_type, f"{path}: bug {bug_id}")
     return table
@@ -203,14 +243,7 @@ class PipelineConfig:
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read a JSON config file, apply non-None overrides, and validate."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as error:
-        raise PipelineError(f"cannot read config {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise PipelineError(f"config {path} is not valid JSON: {error}") from error
-    if not isinstance(raw, dict):
-        raise PipelineError(f"config {path} must be a JSON object")
+    raw = _read_json(Path(path), dict)
     known = set(PipelineConfig.__dataclass_fields__)
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -240,45 +273,30 @@ class TargetSpec:
             raise PipelineError(f"target {self.bug_id}: empty method source")
 
 
+# The fields every targets row needs; TargetSpec checks the optional ones.
+_TARGET_FIELDS = {"bug_id": str, "method": str}
+
+
 def load_targets(path: str | Path) -> list[TargetSpec]:
     """Read a JSONL targets file into validated specs, sorted by bug id."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        raise PipelineError(f"cannot read targets {path}: {error}") from error
-    targets: list[TargetSpec] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise PipelineError(
-                f"targets line {line_no}: invalid JSON: {error}") from error
-        if not isinstance(record, dict) or "bug_id" not in record \
-                or "method" not in record:
-            raise PipelineError(
-                f"targets line {line_no}: needs bug_id and method fields")
+    targets: dict[str, TargetSpec] = {}
+    for where, row in _read_rows(Path(path), _TARGET_FIELDS):
         # JSON lists become the tuples TargetSpec holds; other values are
         # left for its type check to reject.
-        sequences = {key: tuple(record[key]) if isinstance(record[key], list)
-                     else record[key] for key in ("bug_revealing_tests", "faulty_lines")
-                     if key in record}
+        sequences = {key: tuple(row[key]) if isinstance(row[key], list) else row[key]
+                     for key in ("bug_revealing_tests", "faulty_lines") if key in row}
         try:
-            spec = TargetSpec(bug_id=record["bug_id"], method=record["method"],
-                              project=record.get("project", ""),
-                              buggy_method=record.get("buggy_method"), **sequences)
+            spec = TargetSpec(bug_id=row["bug_id"], method=row["method"],
+                              project=row.get("project", ""),
+                              buggy_method=row.get("buggy_method"), **sequences)
         except PipelineError as error:
-            raise PipelineError(f"targets line {line_no}: {error}") from error
-        if spec.bug_id in seen:
-            raise PipelineError(
-                f"targets line {line_no}: duplicate bug id {spec.bug_id}")
-        seen.add(spec.bug_id)
-        targets.append(spec)
+            raise PipelineError(f"{where}: {error}") from error
+        if spec.bug_id in targets:
+            raise PipelineError(f"{where}: duplicate bug id {spec.bug_id}")
+        targets[spec.bug_id] = spec
     if not targets:
         raise PipelineError(f"targets file {path} has no targets")
-    return sorted(targets, key=lambda t: t.bug_id)
+    return [targets[bug_id] for bug_id in sorted(targets)]
 
 
 def pick_targets(targets: Sequence[TargetSpec],
@@ -292,6 +310,11 @@ def pick_targets(targets: Sequence[TargetSpec],
     return sorted(chosen, key=lambda t: t.bug_id)
 
 
+# The fields of a mock script row, with their types.
+_SCRIPT_FIELDS = {"prompt_digest": str, "response_text": str,
+                  "prompt_tokens": int, "completion_tokens": int}
+
+
 def make_backend(config: PipelineConfig):
     """Instantiate the configured completion backend."""
     settings = dict(config.backend)
@@ -303,7 +326,11 @@ def make_backend(config: PipelineConfig):
             raise PipelineError(f"unknown mock backend keys: {sorted(settings)}")
         _check_type(script, str | None, "mock backend script")
         _check_type(record, str | None, "mock backend record")
-        return MockBackend(script=script, record_path=record)
+        rows = _read_rows(Path(script), _SCRIPT_FIELDS) if script is not None else ()
+        return MockBackend({row["prompt_digest"]: Completion(
+            text=row["response_text"], prompt_tokens=row["prompt_tokens"],
+            completion_tokens=row["completion_tokens"]) for _, row in rows},
+            record_path=record)
     if mode == "http":
         try:
             _check_fields(BackendConfig, settings)
@@ -566,28 +593,6 @@ _MANIFEST_FIELDS = {"mutant_id": str, "bug_id": str, "chunk_id": str,
 _PROMPT_FIELDS = {"bug_id": str, "chunk_id": str, "prompt": str, "error": str | None}
 
 
-def _read_rows(path: Path, fields: dict):
-    """(where, row) for the JSON object on each non-blank line of path, every
-    field in ``fields`` present and of its type; where names the line."""
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"),
-                                   start=1):
-        if not line.strip():
-            continue
-        where = f"{path} line {line_no}"
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise PipelineError(f"{where} is not JSON: {error.msg}") from error
-        if not isinstance(row, dict):
-            raise PipelineError(f"{where} must hold a JSON object")
-        missing = [name for name in fields if name not in row]
-        if missing:
-            raise PipelineError(f"{where} missing fields: {missing}")
-        for name, hint in fields.items():
-            _check_type(row[name], hint, f"{where}: {name}")
-        yield where, row
-
-
 def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
     """summary.json and the manifest rows that generate wrote to artifacts."""
     summary_path = artifacts / "summary.json"
@@ -595,8 +600,7 @@ def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
     if not summary_path.exists() or not manifest_path.exists():
         raise PipelineError(
             f"{artifacts} lacks summary.json/manifest.jsonl; run generate first")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    _check_type(summary, dict, str(summary_path))
+    summary = _read_json(summary_path, dict)
     _check_type(summary.get("targets"), dict[str, dict], f"{summary_path}: targets")
     rows = []
     for where, row in _read_rows(manifest_path, _MANIFEST_FIELDS):
@@ -609,6 +613,14 @@ def read_generation(artifacts: Path) -> tuple[dict, list[dict]]:
 def read_prompts(artifacts: Path) -> list[dict]:
     """The prompts.jsonl rows that generate wrote to artifacts."""
     return [row for _, row in _read_rows(artifacts / "prompts.jsonl", _PROMPT_FIELDS)]
+
+
+def read_coupled_mutants(report_dir: Path) -> set[str]:
+    """The coupled mutant ids of the effectiveness.json in report_dir."""
+    path = report_dir / "effectiveness.json"
+    coupled = _read_json(path, dict).get("coupled_mutants")
+    _check_type(coupled, dict[str, list[str]], f"{path}: coupled_mutants")
+    return {mutant_id for ids in coupled.values() for mutant_id in ids}
 
 
 def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,

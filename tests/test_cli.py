@@ -21,7 +21,7 @@ import pytest
 from mutkit import cli
 from mutkit.cli import build_parser, main
 from mutkit.execution import KillMatrix, run_suite, save_matrix
-from mutkit.llm import MockBackend, write_mock_script
+from mutkit.llm import MockBackend
 from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from test_pipeline import (
     CLAMP_FIXED,
@@ -43,18 +43,17 @@ def run_cli(argv, capsys) -> tuple[int, str, str]:
 def author_script(config: PipelineConfig, targets, tmp_path: Path) -> Path:
     """Record the run's prompts, then write a mock script answering them."""
     record_path = tmp_path / "record.jsonl"
-    run_generate(config, targets, backend=MockBackend(record_path=str(record_path)))
-    records = []
-    for line in record_path.read_text(encoding="utf-8").splitlines():
-        item = json.loads(line)
-        records.append({
-            "prompt_digest": item["prompt_digest"],
-            "response_text": craft_response(item["prompt"]),
-            "prompt_tokens": 3,
-            "completion_tokens": 2,
-        })
+    run_generate(config, targets, backend=MockBackend({}, record_path=str(record_path)))
     script_path = tmp_path / "script.jsonl"
-    write_mock_script(records, str(script_path))
+    with script_path.open("w", encoding="utf-8") as handle:
+        for line in record_path.read_text(encoding="utf-8").splitlines():
+            item = json.loads(line)
+            handle.write(json.dumps({
+                "prompt_digest": item["prompt_digest"],
+                "response_text": craft_response(item["prompt"]),
+                "prompt_tokens": 3,
+                "completion_tokens": 2,
+            }) + "\n")
     return script_path
 
 
@@ -186,7 +185,7 @@ class TestInputsThatAreNotUtf8:
         targets_path = tmp_path / "targets.jsonl"
         targets_path.write_bytes(b'{"bug_id": "\xff", "method": "m"}\n')
         code, _, err = run_cli(["generate", "--targets", str(targets_path)], capsys)
-        self.assert_error(code, err, "cannot read targets")
+        self.assert_error(code, err, f"cannot read {targets_path}: 'utf-8' codec")
 
 
 class TestChunkCommand:
@@ -242,7 +241,15 @@ class TestGenerateCommand:
         code, _, err = run_cli(
             ["generate", "--targets", str(tmp_path / "nope.jsonl")], capsys)
         assert code == 2
-        assert "targets" in err
+        assert err.startswith(f"error: cannot read {tmp_path / 'nope.jsonl'}: ")
+
+    def test_a_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"retrieval": false')
+        code, out, err = run_cli(["generate", "--config", str(config_path),
+                                  "--targets", str(tmp_path / "targets.jsonl")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {config_path} is not JSON: Expecting ',' delimiter")
 
     def test_bad_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
@@ -697,9 +704,13 @@ COMMAND_INPUTS = {"metrics": ("revealing",), "tcp": ("detection",),
     ("faulty", {"B": 1}),
     ("statement-space", {"B": "1"}),
     ("statement-space", {"B": [True]}),
+    ("revealing", b'{"B": ["t1"]'),
+    ("detection", b'{"B": ["t1"'),
+    ("faulty", b'{"B": [\xff]}'),
 ])
 def test_standalone_inputs_of_the_wrong_shape_exit_2(flag, bad, tmp_path,
                                                       capsys):
+    """bad is the input's value, or its raw bytes when it is not JSON."""
     matrices = tmp_path / "matrices"
     write_bug_matrix(matrices)
     command = next(name for name, flags in COMMAND_INPUTS.items()
@@ -708,7 +719,10 @@ def test_standalone_inputs_of_the_wrong_shape_exit_2(flag, bad, tmp_path,
             str(matrices / "B.matrix" if command == "tcp" else matrices)]
     for name in COMMAND_INPUTS[command]:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(bad if name == flag else GOOD_INPUTS[name]))
+        if name == flag and isinstance(bad, bytes):
+            path.write_bytes(bad)
+        else:
+            path.write_text(json.dumps(bad if name == flag else GOOD_INPUTS[name]))
         argv += [f"--{name}", str(path)]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -829,9 +843,21 @@ def generated(tmp_path, capsys):
 
 
 def rewrite_first_row(path: Path, change) -> None:
+    """Replace the first row by change(row): a new row, or a str that is
+    the line's new text."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[0] = json.dumps(change(json.loads(lines[0])))
+    row = change(json.loads(lines[0]))
+    lines[0] = row if isinstance(row, str) else json.dumps(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def truncated(value) -> str:
+    """value's JSON text without its last character."""
+    return json.dumps(value)[:-1]
+
+
+def without(field):
+    return lambda row: {key: row[key] for key in row if key != field}
 
 
 def with_expected(value):
@@ -872,19 +898,30 @@ class TestGenerationArtifactsOfTheWrongShape:
          ": targets must be dict[str, dict], got {'Clamp-1': 5}"),
         (lambda summary: {**summary, "targets": []}, ": targets must be dict[str, dict], got []"),
         (lambda summary: [summary], " must be dict, got [{"),
+        (truncated, " is not JSON: Expecting ',' delimiter: line 1 column "),
     ])
     def test_a_summary(self, generated, capsys, change, message):
         config_path, targets_path, out_dir = generated
         summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(change(json.loads(summary_path.read_text()))))
+        summary = change(json.loads(summary_path.read_text()))
+        summary_path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
         code, out, err = run_cli(["validate", "--config", str(config_path),
                                   "--targets", str(targets_path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {summary_path}{message}")
 
+    def test_a_manifest_that_is_not_utf8(self, generated, capsys):
+        config_path, targets_path, out_dir = generated
+        manifest = out_dir / "manifest.jsonl"
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        code, out, err = run_cli(["validate", "--config", str(config_path),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {manifest}: 'utf-8' codec can't decode "
+                       f"byte 0xff in position 0: invalid start byte\n")
+
     @pytest.mark.parametrize("change, message", [
-        (lambda row: {key: row[key] for key in row if key != "prompt"},
-         " missing fields: ['prompt']"),
+        (without("prompt"), " missing fields: ['prompt']"),
         (lambda row: {**row, "prompt": None}, ": prompt must be str, got None"),
         (lambda row: {**row, "chunk_id": 0}, ": chunk_id must be str, got 0"),
         (lambda row: {**row, "error": 3}, ": error must be str | None, got 3"),
@@ -899,6 +936,71 @@ class TestGenerationArtifactsOfTheWrongShape:
                                   "--out", str(tmp_path / "sft.jsonl")], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {prompts} line 1{message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"coupled_mutants": []}',
+         ": coupled_mutants must be dict[str, list[str]], got []"),
+        ("{}", ": coupled_mutants must be dict[str, list[str]], got None"),
+        ('{"coupled_mutants": {"Clamp-1": [1]}}',
+         ": coupled_mutants must be dict[str, list[str]], got {'Clamp-1': [1]}"),
+        ("[]", " must be dict, got []"),
+        ('{"coupled_mutants": {}', " is not JSON: Expecting ',' delimiter: "
+                                   "line 1 column 23 (char 22)"),
+    ])
+    def test_an_effectiveness_report_read_by_export_sft(self, generated, tmp_path,
+                                                        capsys, text, message):
+        config_path, _, out_dir = generated
+        effectiveness = out_dir / "report" / "effectiveness.json"
+        effectiveness.parent.mkdir()
+        effectiveness.write_text(text)
+        code, out, err = run_cli(["export-sft", "--config", str(config_path),
+                                  "--out", str(tmp_path / "sft.jsonl")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {effectiveness}{message}\n"
+
+    @pytest.mark.parametrize("change, message", [
+        (truncated, " is not JSON: Expecting ',' delimiter"),
+        (lambda row: [row], " must hold a JSON object"),
+        (without("method"), " missing fields: ['method']"),
+        (lambda row: {**row, "bug_id": 1.5}, ": bug_id must be str, got 1.5"),
+        (lambda row: {**row, "method": True}, ": method must be str, got True"),
+        (lambda row: {**row, "faulty_lines": [1.5]},
+         ": faulty_lines must be tuple[int, ...], got (1.5,)"),
+    ])
+    def test_a_targets_row_read_by_generate(self, generated, capsys, change, message):
+        config_path, targets_path, _ = generated
+        rewrite_first_row(targets_path, change)
+        code, out, err = run_cli(["generate", "--config", str(config_path),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {targets_path} line 1{message}\n"
+
+    @pytest.mark.parametrize("change, message", [
+        (truncated, " is not JSON: Expecting ',' delimiter"),
+        (lambda row: [row], " must hold a JSON object"),
+        (lambda row: 5, " must hold a JSON object"),
+        (without("response_text"), " missing fields: ['response_text']"),
+        (lambda row: {"prompt_digest": "abc"},
+         " missing fields: ['response_text', 'prompt_tokens', 'completion_tokens']"),
+        (lambda row: {**row, "prompt_digest": 5}, ": prompt_digest must be str, got 5"),
+        (lambda row: {**row, "response_text": 5}, ": response_text must be str, got 5"),
+        (lambda row: {**row, "prompt_tokens": "many"},
+         ": prompt_tokens must be int, got 'many'"),
+        (lambda row: {**row, "prompt_tokens": 1.5}, ": prompt_tokens must be int, got 1.5"),
+        (lambda row: {**row, "prompt_tokens": True},
+         ": prompt_tokens must be int, got True"),
+        (lambda row: {**row, "completion_tokens": True},
+         ": completion_tokens must be int, got True"),
+    ])
+    def test_a_mock_script_row_read_by_generate(self, generated, tmp_path, capsys,
+                                                change, message):
+        config_path, targets_path, _ = generated
+        script = tmp_path / "script.jsonl"
+        rewrite_first_row(script, change)
+        code, out, err = run_cli(["generate", "--config", str(config_path),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {script} line 1{message}\n"
 
 
 def test_entry_point_requires_subcommand():

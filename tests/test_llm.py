@@ -5,17 +5,18 @@ import json
 import pytest
 import requests
 
+from mutkit import pipeline
 from mutkit.llm import (
     AuthError,
     BackendConfig,
     BackendError,
+    Completion,
     HttpChatBackend,
     MockBackend,
     RetryExhaustedError,
     aggregate_usage,
     complete_batch,
     prompt_digest,
-    write_mock_script,
 )
 
 
@@ -159,36 +160,31 @@ class TestHttpChatBackend:
 
 
 class TestMockBackend:
-    def test_scripted_reply_verbatim(self, tmp_path):
+    def test_scripted_reply_verbatim(self):
         prompt = "generate 3 mutants"
-        path = str(tmp_path / "script.jsonl")
-        write_mock_script([{
-            "prompt_digest": prompt_digest(prompt),
-            "response_text": "<json>[]</json>",
-            "prompt_tokens": 7,
-            "completion_tokens": 3,
-        }], path)
-        backend = MockBackend(path)
+        backend = MockBackend({prompt_digest(prompt): Completion(
+            text="<json>[]</json>", prompt_tokens=7, completion_tokens=3)})
         completion = backend.complete(prompt)
         assert completion.text == "<json>[]</json>"
         assert completion.prompt_tokens == 7
 
     def test_bit_reproducible(self, tmp_path):
         prompts = [f"prompt {i}" for i in range(5)]
-        path = str(tmp_path / "script.jsonl")
-        write_mock_script([{
+        path = tmp_path / "script.jsonl"
+        path.write_text("".join(json.dumps({
             "prompt_digest": prompt_digest(p),
             "response_text": f"reply {i}",
             "prompt_tokens": i,
             "completion_tokens": i,
-        } for i, p in enumerate(prompts)], path)
-        first = [MockBackend(path).complete(p).text for p in prompts]
-        second = [MockBackend(path).complete(p).text for p in prompts]
-        assert first == second
+        }) + "\n" for i, p in enumerate(prompts)))
+        config = pipeline.PipelineConfig(backend={"mode": "mock", "script": str(path)})
+        first = [pipeline.make_backend(config).complete(p).text for p in prompts]
+        second = [pipeline.make_backend(config).complete(p).text for p in prompts]
+        assert first == second == [f"reply {i}" for i in range(5)]
 
     def test_unscripted_prompt_fails_and_records(self, tmp_path):
         record_path = tmp_path / "unmatched.jsonl"
-        backend = MockBackend(record_path=str(record_path))
+        backend = MockBackend({}, record_path=str(record_path))
         with pytest.raises(BackendError, match="no scripted reply"):
             backend.complete("novel prompt")
         recorded = json.loads(record_path.read_text().strip())
@@ -200,7 +196,7 @@ class TestMockBackend:
         prompts.append(("again", "prompt number 3"))
         paths = [tmp_path / f"record-{run}.jsonl" for run in range(2)]
         for path in paths:
-            results = complete_batch(MockBackend(record_path=str(path)), prompts,
+            results = complete_batch(MockBackend({}, record_path=str(path)), prompts,
                                      concurrency=2)
             assert all(isinstance(result, BackendError) for _, result in results)
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -209,69 +205,36 @@ class TestMockBackend:
         digests = [record["prompt_digest"] for record in recorded]
         assert digests == sorted({prompt_digest(p) for _, p in prompts})
 
-    def test_malformed_script_rejected(self, tmp_path):
-        path = tmp_path / "script.jsonl"
-        path.write_text('{"prompt_digest": "abc"}\n')
-        with pytest.raises(BackendError, match="missing fields"):
-            MockBackend(str(path))
-
-    def test_script_line_that_is_not_an_object_rejected(self, tmp_path):
-        path = tmp_path / "script.jsonl"
-        path.write_text("5\n")
-        with pytest.raises(BackendError, match="^mock script line 1 is not a JSON object"):
-            MockBackend(str(path))
-
-    @pytest.mark.parametrize("field, bad, kind", [
-        ("prompt_digest", 5, "str"),
-        ("response_text", 5, "str"),
-        ("prompt_tokens", "many", "int"),
-        ("prompt_tokens", 1.5, "int"),
-        ("completion_tokens", True, "int"),
-    ])
-    def test_script_field_of_the_wrong_type_rejected(self, tmp_path, field, bad,
-                                                     kind):
-        good = {"prompt_digest": prompt_digest("p"), "response_text": "r",
-                "prompt_tokens": 1, "completion_tokens": 2}
-        message = f"^mock script line 2: {field} must be {kind}, got "
-        path = tmp_path / "script.jsonl"
-        with pytest.raises(BackendError, match=message):
-            write_mock_script([good, {**good, field: bad}], str(path))
-        assert not path.exists()
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: bad}) + "\n")
-        with pytest.raises(BackendError, match=message):
-            MockBackend(str(path))
-
 
 class TestCompleteBatch:
-    def backend_for(self, replies: dict, tmp_path):
-        path = str(tmp_path / "script.jsonl")
-        write_mock_script([{"prompt_digest": prompt_digest(k), "response_text": v,
-                            "prompt_tokens": len(k), "completion_tokens": len(v)}
-                           for k, v in replies.items()], path)
-        return MockBackend(path)
+    @staticmethod
+    def backend_for(replies: dict) -> MockBackend:
+        return MockBackend({prompt_digest(k): Completion(
+            text=v, prompt_tokens=len(k), completion_tokens=len(v))
+            for k, v in replies.items()})
 
-    def test_sequential_order_preserved_with_limit_one(self, tmp_path):
-        backend = self.backend_for({"a": "ra", "b": "rb", "c": "rc"}, tmp_path)
+    def test_sequential_order_preserved_with_limit_one(self):
+        backend = self.backend_for({"a": "ra", "b": "rb", "c": "rc"})
         results = complete_batch(backend, [("i1", "a"), ("i2", "b"), ("i3", "c")],
                                  concurrency=1)
         assert [(pid, r.text) for pid, r in results] == [
             ("i1", "ra"), ("i2", "rb"), ("i3", "rc")]
 
-    def test_failures_isolated_per_item(self, tmp_path):
-        backend = self.backend_for({"a": "ra", "c": "rc"}, tmp_path)
+    def test_failures_isolated_per_item(self):
+        backend = self.backend_for({"a": "ra", "c": "rc"})
         results = complete_batch(backend, [("i1", "a"), ("i2", "missing"), ("i3", "c")],
                                  concurrency=2)
         assert results[0][1].text == "ra"
         assert isinstance(results[1][1], BackendError)
         assert results[2][1].text == "rc"
 
-    def test_token_accounting_matches_scripted_sum(self, tmp_path):
+    def test_token_accounting_matches_scripted_sum(self):
         replies = {"aa": "x", "bbb": "yy", "c": "zzz"}
-        backend = self.backend_for(replies, tmp_path)
+        backend = self.backend_for(replies)
         results = complete_batch(backend, [(k, k) for k in replies], concurrency=3)
         usage = aggregate_usage(results)
         assert usage == {"prompt_tokens": 2 + 3 + 1, "completion_tokens": 1 + 2 + 3}
 
     def test_empty_batch_rejected(self):
         with pytest.raises(BackendError):
-            complete_batch(MockBackend(), [], concurrency=1)
+            complete_batch(MockBackend({}), [], concurrency=1)

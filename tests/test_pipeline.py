@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutkit import pipeline
-from mutkit.llm import BackendConfig, HttpChatBackend, MockBackend, write_mock_script
+from mutkit.llm import BackendConfig, HttpChatBackend, MockBackend
 from mutkit.pipeline import (
     GenerateOutcome,
     PipelineConfig,
@@ -144,21 +144,25 @@ def scripted_generate(config: PipelineConfig,
     """Author the mock script in record mode (replies from ``respond``),
     then run for real."""
     record_path = tmp_path / "record.jsonl"
-    recorder = MockBackend(record_path=str(record_path))
+    recorder = MockBackend({}, record_path=str(record_path))
     first = run_generate(config, targets, backend=recorder)
     assert first.succeeded == 0
-    records = []
-    for line in record_path.read_text(encoding="utf-8").splitlines():
-        item = json.loads(line)
-        records.append({
-            "prompt_digest": item["prompt_digest"],
-            "response_text": respond(item["prompt"]),
-            "prompt_tokens": 11,
-            "completion_tokens": 7,
-        })
     script_path = tmp_path / "script.jsonl"
-    write_mock_script(records, str(script_path))
-    return run_generate(config, targets, backend=MockBackend(script=str(script_path)))
+    with script_path.open("w", encoding="utf-8") as handle:
+        for line in record_path.read_text(encoding="utf-8").splitlines():
+            item = json.loads(line)
+            handle.write(json.dumps({
+                "prompt_digest": item["prompt_digest"],
+                "response_text": respond(item["prompt"]),
+                "prompt_tokens": 11,
+                "completion_tokens": 7,
+            }) + "\n")
+    return run_generate(config, targets, backend=script_backend(script_path))
+
+
+def script_backend(path: Path) -> MockBackend:
+    """The mock backend that make_backend builds from the script at path."""
+    return make_backend(PipelineConfig(backend={"mode": "mock", "script": str(path)}))
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -243,7 +247,7 @@ class TestPipelineConfig:
     def test_load_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
-        with pytest.raises(PipelineError, match="JSON object"):
+        with pytest.raises(PipelineError, match=re.escape(f"{path} must be dict, got [1, 2]")):
             load_config(path)
 
 
@@ -285,7 +289,8 @@ class TestTargets:
     def test_load_targets_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "targets.jsonl"
         path.write_text(json.dumps({"bug_id": "B-1"}))
-        with pytest.raises(PipelineError, match="bug_id and method"):
+        with pytest.raises(PipelineError,
+                           match=re.escape(f"{path} line 1 missing fields: ['method']")):
             load_targets(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -306,7 +311,7 @@ class TestTargets:
         path = tmp_path / "targets.jsonl"
         path.write_text(json.dumps(row))
         with pytest.raises(PipelineError,
-                           match=f"^targets line 1: {field} must be"):
+                           match=f"^{re.escape(str(path))} line 1: {field} must be"):
             load_targets(path)
 
     def test_target_spec_rejects_wrong_value_types(self):
@@ -557,7 +562,7 @@ class TestRunGenerate:
 
         first = read_tree(Path(config.output_dir))
         run_generate(config, targets,
-                     backend=MockBackend(script=str(tmp_path / "script.jsonl")))
+                     backend=script_backend(tmp_path / "script.jsonl"))
         assert read_tree(Path(config.output_dir)) == first
 
     def test_generate_is_deterministic(self, tmp_path):
@@ -1315,7 +1320,7 @@ class TestGenerateRetrieval:
 
         monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
         outcome = run_generate(self.config(tmp_path), self.targets(),
-                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+                               backend=MockBackend({}, record_path=str(tmp_path / "r.jsonl")))
         # All chunks are embedded together, so the one error fails them all.
         for bug_id in ("Clamp-1", "Sum-1"):
             assert outcome.summary["targets"][bug_id]["errors"] == [
@@ -1336,7 +1341,7 @@ class TestGenerateRetrieval:
         monkeypatch.setattr(LexicalEmbedder, "embed_many", embed_many)
         monkeypatch.setattr(VectorIndex, "query_many", query_many)
         outcome = run_generate(config, self.targets(),
-                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+                               backend=MockBackend({}, record_path=str(tmp_path / "r.jsonl")))
         assert outcome.summary["targets"]["Sum-1"]["errors"] == [
             f"retrieval c0{i}: cannot embed" for i in range(3)]
         assert outcome.prompts == [] and outcome.failed == 2
@@ -1356,7 +1361,7 @@ class TestGenerateRetrieval:
         plain.mkdir()
         config = PipelineConfig(output_dir=str(plain / "out"), retrieval=False)
         without = run_generate(config, targets,
-                               backend=MockBackend(record_path=str(plain / "r.jsonl")))
+                               backend=MockBackend({}, record_path=str(plain / "r.jsonl")))
         assert blank["prompt"] == next(row["prompt"] for row in without.prompts
                                        if row["prompt_id"] == "Clamp-1/c02")
 
@@ -1367,7 +1372,7 @@ class TestGenerateRetrieval:
         VectorIndex(["pair-000"], np.ones((1, 8), dtype=np.float32),
                     backend_id="lexical-trigram-64").save(config.index)
         outcome = run_generate(config, self.targets(),
-                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+                               backend=MockBackend({}, record_path=str(tmp_path / "r.jsonl")))
         message = "probe dimension (64,) does not match index (8)"
         assert outcome.summary["targets"]["Clamp-1"]["errors"] == [
             f"retrieval c0{i}: {message}" for i in range(3)]
@@ -1393,7 +1398,7 @@ class TestGenerateRetrieval:
         monkeypatch.setattr(corpus, "diff_hunk", counting_diff)
         monkeypatch.setattr(VectorIndex, "query_many", counting_query_many)
         outcome = run_generate(config, self.targets(),
-                               backend=MockBackend(record_path=str(tmp_path / "r.jsonl")))
+                               backend=MockBackend({}, record_path=str(tmp_path / "r.jsonl")))
         retrieved = {pair_id for row in outcome.prompts for pair_id in row["examples"]}
         assert queries == [6]  # one call for the six chunks of both targets
         assert len(diffs) == len(retrieved) < 23

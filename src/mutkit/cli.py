@@ -48,6 +48,7 @@ from .pipeline import (
     MODE_CHOICES,
     PipelineConfig,
     PipelineError,
+    _read_text,
     load_config,
     load_mutants,
     load_targets,
@@ -129,7 +130,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
     if args.code is not None:
         code = args.code
     else:
-        code = Path(args.code_file).read_text(encoding="utf-8")
+        code = _read_text(Path(args.code_file))
     n = args.n if args.n is not None else config.retrieval_n
     neighbors = index.query(embedder.embed(code), n=min(n, len(index)))
     print(dumps_neighbors(neighbors))
@@ -137,7 +138,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
-    source = Path(args.source).read_text(encoding="utf-8")
+    source = _read_text(Path(args.source))
     method = parse_method(source)
     chunks = chunk_method(method)
     _emit({"lines": len(method.lines), "chunks": chunks_as_dicts(chunks)})

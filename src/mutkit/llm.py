@@ -195,6 +195,19 @@ class MockBackend:
                     {"prompt_digest": digest, "prompt": prompt}) + "\n")
         raise BackendError(f"no scripted reply for digest {digest[:12]}...")
 
+    def _recorded_digest(self, line: str, line_no: int) -> str:
+        where = f"{self.record_path} line {line_no}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BackendError(f"{where} is not JSON: {exc.msg}") from exc
+        if not isinstance(row, dict):
+            raise BackendError(f"{where} must hold a JSON object")
+        digest = row.get("prompt_digest")
+        if not isinstance(digest, str):
+            raise BackendError(f"{where}: prompt_digest must be str, got {digest!r:.80}")
+        return digest
+
     def sort_record(self) -> None:
         """Rewrite the record file with one line per digest, in digest order."""
         if not self.record_path:
@@ -202,10 +215,13 @@ class MockBackend:
         with self._lock:
             try:
                 with open(self.record_path, encoding="utf-8") as handle:
-                    lines = {json.loads(line)["prompt_digest"]: line
-                             for line in handle if line.strip()}
+                    lines = {self._recorded_digest(line, line_no): line
+                             for line_no, line in enumerate(handle, start=1)
+                             if line.strip()}
             except FileNotFoundError:
                 return
+            except UnicodeDecodeError as exc:
+                raise BackendError(f"cannot read {self.record_path}: {exc}") from exc
             with open(self.record_path, "w", encoding="utf-8") as handle:
                 handle.writelines(lines[digest] for digest in sorted(lines))
 

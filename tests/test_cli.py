@@ -187,6 +187,27 @@ class TestInputsThatAreNotUtf8:
         code, _, err = run_cli(["generate", "--targets", str(targets_path)], capsys)
         self.assert_error(code, err, f"cannot read {targets_path}: 'utf-8' codec")
 
+    def test_chunk(self, tmp_path, capsys):
+        source = tmp_path / "method.java"
+        source.write_bytes(b"\xff" + CLAMP_FIXED.encode("utf-8"))
+        code, out, err = run_cli(["chunk", str(source)], capsys)
+        assert out == ""
+        self.assert_error(code, err, f"cannot read {source}: 'utf-8' codec")
+
+    def test_rag_query_code_file(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_path)
+        index_path = tmp_path / "corpus.index"
+        code, _, _ = run_cli(["rag", "build", "--corpus", str(corpus_path),
+                              "--index", str(index_path)], capsys)
+        assert code == 0
+        source = tmp_path / "method.java"
+        source.write_bytes(b"\xff" + CLAMP_FIXED.encode("utf-8"))
+        code, out, err = run_cli(["rag", "query", "--index", str(index_path),
+                                  "--code-file", str(source)], capsys)
+        assert out == ""
+        self.assert_error(code, err, f"cannot read {source}: 'utf-8' codec")
+
 
 class TestChunkCommand:
     def test_chunk_listing(self, tmp_path, capsys):

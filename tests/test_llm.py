@@ -5,7 +5,7 @@ import json
 import pytest
 import requests
 
-from mutkit import pipeline
+from mutkit import cli, pipeline
 from mutkit.llm import (
     AuthError,
     BackendConfig,
@@ -18,6 +18,7 @@ from mutkit.llm import (
     complete_batch,
     prompt_digest,
 )
+from test_pipeline import CLAMP_FIXED
 
 
 def ok_body(text="hello", prompt_tokens=10, completion_tokens=5):
@@ -204,6 +205,32 @@ class TestMockBackend:
                     paths[0].read_text(encoding="utf-8").splitlines()]
         digests = [record["prompt_digest"] for record in recorded]
         assert digests == sorted({prompt_digest(p) for _, p in prompts})
+
+    @pytest.mark.parametrize("line, message", [
+        (b"5\n", "line 1 must hold a JSON object"),
+        (b"[1]\n", "line 1 must hold a JSON object"),
+        (b"not json\n", "line 1 is not JSON: Expecting value"),
+        (b'{"prompt": "p"}\n', "line 1: prompt_digest must be str, got None"),
+        (b'{"prompt_digest": 7}\n', "line 1: prompt_digest must be str, got 7"),
+        (b'{"prompt_digest": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_a_malformed_record_file_exits_2_naming_the_line(
+            self, tmp_path, capsys, line, message):
+        record_path = tmp_path / "record.jsonl"
+        record_path.write_bytes(line)
+        (tmp_path / "targets.jsonl").write_text(json.dumps(
+            {"bug_id": "Clamp-1", "method": CLAMP_FIXED}) + "\n", encoding="utf-8")
+        (tmp_path / "run.json").write_text(json.dumps({
+            "output_dir": str(tmp_path / "out"), "retrieval": False,
+            "backend": {"mode": "mock", "record": str(record_path)}}))
+        code = cli.main(["generate", "--config", str(tmp_path / "run.json"),
+                         "--targets", str(tmp_path / "targets.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {record_path} ") or err.startswith(
+            f"error: cannot read {record_path}: ")
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestCompleteBatch:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def oracle_greedy(table, tests, mode, weight=0.5):
     return order, kill_audit, pair_audit
 
 
+def assert_matches_oracle(table, tests, weight=0.5):
+    matrix = matrix_from_table(table, tests)
+    for mode, suite in (("grk", grk(matrix)), ("grd", grd(matrix)),
+                        ("hyb", hyb(matrix, weight))):
+        order, kill_audit, pair_audit = oracle_greedy(table, tests, mode, weight=weight)
+        assert list(suite.order) == order
+        assert list(suite.step_kills) == kill_audit
+        assert list(suite.step_pairs) == pair_audit
+
+
 @st.composite
 def structured_tables(draw):
     """Kill tables shaped to stress the greedy's class bookkeeping.
@@ -109,6 +120,27 @@ def structured_tables(draw):
     columns += [columns[k] for k in copies]
     tests = draw(st.permutations([f"t{j:02d}" for j in range(len(columns))]))
     table = {f"m{i:02d}": {t for t, column in zip(tests, columns) if column[i]}
+             for i in range(mutant_count)}
+    return table, tests
+
+
+@st.composite
+def wide_tables(draw):
+    """Kill tables with 40-80 tests over at most 6 mutants.
+
+    Most tests copy one of a few columns, so scores tie often; the
+    greedy compacts its chosen columns away several times and resets
+    its classes many times in one ordering.
+    """
+    mutant_count = draw(st.integers(1, 6))
+    columns = draw(st.lists(st.lists(st.booleans(), min_size=mutant_count,
+                                     max_size=mutant_count),
+                            min_size=1, max_size=6))
+    test_count = draw(st.integers(40, 80))
+    column_of = draw(st.lists(st.integers(0, len(columns) - 1),
+                              min_size=test_count, max_size=test_count))
+    tests = draw(st.permutations([f"t{j:02d}" for j in range(test_count)]))
+    table = {f"m{i}": {t for t, k in zip(tests, column_of) if columns[k][i]}
              for i in range(mutant_count)}
     return table, tests
 
@@ -324,22 +356,49 @@ class TestGreedyProperties:
     @settings(max_examples=80, deadline=None)
     @given(structured_tables(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     def test_strategies_match_oracle_on_structured_tables(self, case, weight):
-        table, tests = case
-        matrix = matrix_from_table(table, tests)
-        for mode, suite in (("grk", grk(matrix)), ("grd", grd(matrix)),
-                            ("hyb", hyb(matrix, weight))):
-            order, kill_audit, pair_audit = oracle_greedy(
-                table, tests, mode, weight=weight)
-            assert list(suite.order) == order
-            assert list(suite.step_kills) == kill_audit
-            assert list(suite.step_pairs) == pair_audit
+        assert_matches_oracle(*case, weight)
 
     def test_tests_over_zero_mutants_order_by_id(self):
-        matrix = matrix_from_table({}, ["t2", "t0", "t1"])
+        # Enough tests that the chosen columns are compacted away.
+        tests = [f"t{j:02d}" for j in range(50)]
+        matrix = matrix_from_table({}, random.Random(431).sample(tests, 50))
         for suite in (grk(matrix), grd(matrix), hyb(matrix, 0.3)):
-            assert suite.order == ("t0", "t1", "t2")
-            assert suite.step_kills == (0, 0, 0)
-            assert suite.step_pairs == (0, 0, 0)
+            assert suite.order == tuple(tests)
+            assert suite.step_kills == suite.step_pairs == (0,) * 50
+
+
+class TestGreedyBookkeeping:
+    """Paths of the greedy that few random matrices reach: one pick that
+    kills every mutant not yet killed, and chosen columns compacted away."""
+
+    def test_first_pick_kills_every_mutant_then_the_state_resets(self):
+        table = {"m0": {"t0", "t1"}, "m1": {"t0", "t2"}, "m2": {"t0", "t2"},
+                 "m3": {"t0"}}
+        tests = ["t3", "t2", "t1", "t0"]
+        suite = grk(matrix_from_table(table, tests))
+        assert suite.order == ("t0", "t2", "t1", "t3")
+        assert suite.step_kills == (4, 2, 1, 0)
+        assert suite.step_pairs == (0, 4, 1, 0)
+        for weight in (0.3, 0.9):
+            assert_matches_oracle(table, tests, weight)
+
+    def test_no_test_splits_a_pair_and_the_first_kills_everything(self):
+        table = {"m0": {"t0", "t1"}, "m1": {"t0", "t1"}, "m2": {"t0", "t1"}}
+        tests = ["t2", "t1", "t0"]
+        suite = grd(matrix_from_table(table, tests))
+        assert suite.order == ("t0", "t1", "t2")
+        assert suite.step_kills == (3, 3, 0)
+        assert suite.step_pairs == (0, 0, 0)
+        assert_matches_oracle(table, tests)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_tables(), st.sampled_from([0.3, 0.5]))
+    def test_wide_tables_match_oracle(self, case, weight):
+        table, tests = case
+        assert_matches_oracle(table, tests, weight)
+        matrix = matrix_from_table(table, tests)
+        assert hyb(matrix, 1.0) == replace(grk(matrix), strategy="HYB(1)")
+        assert hyb(matrix, 0.0) == replace(grd(matrix), strategy="HYB(0)")
 
 
 class TestGoldenOrders:

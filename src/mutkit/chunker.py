@@ -111,12 +111,6 @@ class CodeChunk:
     text: str
     kind: str  # control_flow | segment
 
-    def __post_init__(self):
-        if not self.line_numbers:
-            raise ChunkerError("a chunk cannot be empty")
-        if list(self.line_numbers) != sorted(set(self.line_numbers)):
-            raise ChunkerError("chunk line numbers must be sorted and unique")
-
 
 def _lex(source: str) -> list[Token]:
     """Tokenize method source, skipping whitespace and comments."""

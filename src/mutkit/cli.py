@@ -30,6 +30,8 @@ from . import mbfl, metrics, report
 from .chunker import ChunkerError, chunk_method, chunks_as_dicts, parse_method
 from .corpus import CorpusError, ingest_corpus
 from .embedder import (
+    KEY_SIDES,
+    METRICS,
     EmbeddingError,
     IndexFormatError,
     LexicalEmbedder,
@@ -43,8 +45,6 @@ from .llm import BackendError
 from .mbfl import MbflError
 from .metrics import BugContext, MetricsError
 from .pipeline import (
-    KEY_SIDE_CHOICES,
-    METRIC_CHOICES,
     MODE_CHOICES,
     PipelineConfig,
     PipelineError,
@@ -62,7 +62,7 @@ from .pipeline import (
 )
 from .promptgen import PromptError
 from .sft import SftContext, SftError, export, write_instances
-from .tcp import TcpError
+from .tcp import DEFAULT_HYB_WEIGHT, TcpError
 from .validity import ValidityError
 
 logger = logging.getLogger(__name__)
@@ -266,8 +266,8 @@ def _config_flags() -> argparse.ArgumentParser:
     parser.add_argument("--corpus", help="bug-fix corpus JSONL path")
     parser.add_argument("--index", help="vector index path")
     parser.add_argument("--output-dir", help="artifact directory (default: out)")
-    parser.add_argument("--metric", choices=METRIC_CHOICES)
-    parser.add_argument("--key-side", choices=KEY_SIDE_CHOICES)
+    parser.add_argument("--metric", choices=METRICS)
+    parser.add_argument("--key-side", choices=KEY_SIDES)
     parser.add_argument("--dimension", type=int,
                         help="embedding dimension for lexical indexes")
     parser.add_argument("--mode", choices=MODE_CHOICES,
@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     tcp.add_argument("--matrix", required=True, help="matrix file")
     tcp.add_argument("--detection", required=True,
                      help="JSON file mapping bug id to detecting tests")
-    tcp.add_argument("--weight", type=float, default=0.5,
-                     help="HYB kill weight in [0, 1] (default 0.5)")
+    tcp.add_argument("--weight", type=float, default=DEFAULT_HYB_WEIGHT,
+                     help="HYB kill weight in [0, 1] (default %(default)s)")
     tcp.add_argument("--out", help="also write the JSON report here")
     tcp.set_defaults(handler=lambda args: cmd_tcp(args))
 

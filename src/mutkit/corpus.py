@@ -50,14 +50,6 @@ class Hunk:
     pre_lines: tuple[tuple[int, str], ...]
     post_lines: tuple[tuple[int, str], ...]
 
-    def __post_init__(self) -> None:
-        if not self.pre_lines and not self.post_lines:
-            raise HunkError("a hunk must remove or add at least one line")
-        for seq in (self.pre_lines, self.post_lines):
-            numbers = [n for n, _ in seq]
-            if numbers and numbers != list(range(numbers[0], numbers[0] + len(numbers))):
-                raise HunkError("hunk lines must be contiguous")
-
 
 @dataclass(frozen=True)
 class BugFixPair:

@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 512
 METRICS = ("euclidean", "cosine", "dot")
+KEY_SIDES = ("post_fix", "pre_fix")
 
 _BOUNDARY = "\x02"
 _SEPARATOR = "\x1f"
@@ -287,10 +288,10 @@ class VectorIndex:
         2**23 rather than 2**24 because vectors may be negative:
         ``s = (a,)`` and ``p = (−a,)`` give ``‖s − p‖² = 4a²``.
         """
-        if n < 1:
-            raise EmbeddingError(f"n must be positive, got {n}")
         if not self.ids:
             raise EmbeddingError("cannot query an empty index")
+        if n < 1:
+            raise EmbeddingError(f"n must be positive, got {n}")
         vectors = [_as_vector(probe, self.dimension) for probe in probes]
         results = []
         for start in range(0, len(vectors), self.dimension):
@@ -381,8 +382,10 @@ class VectorIndex:
             version, dimension, metric_len = struct.unpack_from("<IIB", view, offset)
             offset += struct.calcsize("<IIB")
             if version != _FORMAT_VERSION:
-                raise IndexFormatError(f"unsupported index version {version}")
+                raise IndexFormatError(f"{path} has unsupported index version {version}")
             metric = bytes(view[offset:offset + metric_len]).decode("utf-8")
+            if metric not in METRICS:
+                raise IndexFormatError(f"{path} has unknown metric {metric!r}")
             offset += metric_len
             (backend_len,) = struct.unpack_from("<H", view, offset)
             offset += 2
@@ -435,8 +438,8 @@ def build_index(pairs, backend=None, metric: str = "euclidean",
         A VectorIndex with one entry per pair, keyed by pair id, whose
         matrix is the one ``embed_many`` returns for all keys.
     """
-    if key_side not in ("post_fix", "pre_fix"):
-        raise EmbeddingError(f"key_side must be post_fix or pre_fix, got {key_side!r}")
+    if key_side not in KEY_SIDES:
+        raise EmbeddingError(f"key_side must be one of {KEY_SIDES}, got {key_side!r}")
     backend = backend or LexicalEmbedder()
     pairs = list(pairs)
     index = VectorIndex(

@@ -229,7 +229,7 @@ def load_matrix(path: str, bug_id: str | None = None) -> KillMatrix:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read matrix file {path}: {exc}") from exc
     lines = [line for line in lines if line.strip()]
     if len(lines) < 2:
@@ -278,7 +278,7 @@ def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RunnerError(f"cannot read outcomes file {path}: {exc}") from exc
     outcomes = parse_outcome_lines(text)
     if not outcomes:

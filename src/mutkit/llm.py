@@ -239,8 +239,6 @@ def complete_batch(backend, prompts: list[tuple[str, str]],
         (prompt_id, Completion-or-BackendError) in input order; failures
         are isolated per item.
     """
-    if not prompts:
-        raise BackendError("prompts must be non-empty")
     if concurrency < 1:
         raise BackendError(f"concurrency must be >= 1, got {concurrency}")
 

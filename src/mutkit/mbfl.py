@@ -46,10 +46,6 @@ class MutantFLStats:
     failed_m: int
     passed_m: int
 
-    def __post_init__(self):
-        if self.failed_m < 0 or self.passed_m < 0:
-            raise MbflError(f"mutant {self.mutant_id}: negative flip counts")
-
 
 @dataclass(frozen=True)
 class FLGlobals:
@@ -58,10 +54,6 @@ class FLGlobals:
     totalfailed: int
     f2p: int
     p2f: int
-
-    def __post_init__(self):
-        if self.totalfailed < 0 or self.f2p < 0 or self.p2f < 0:
-            raise MbflError("flip totals cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -72,11 +64,6 @@ class SuspiciousnessReport:
     scores: dict[int, float]
     expected_ranks: dict[int, float]
     faulty_statements: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if set(self.scores) != set(self.expected_ranks):
-            raise MbflError(
-                f"bug {self.bug_id}: ranks and scores cover different statements")
 
     def faulty_ranks(self) -> list[float]:
         """Expected ranks of the faulty statements present in the report."""

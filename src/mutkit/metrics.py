@@ -99,8 +99,6 @@ def real_bug_detection(contexts: list[BugContext]) -> dict[str, float]:
     Emits both aggregations: macro is the unweighted mean of per-bug
     fractions, micro pools every bug-revealing test into one fraction.
     """
-    if not contexts:
-        raise MetricsError("real_bug_detection needs at least one bug")
     fractions: list[float] = []
     detected_total = 0
     revealing_total = 0

@@ -42,7 +42,14 @@ from .chunker import (
     whole_method_chunk,
 )
 from .corpus import read_records, select_pairs
-from .embedder import EmbeddingError, LexicalEmbedder, VectorIndex
+from .embedder import (
+    DEFAULT_DIMENSION,
+    KEY_SIDES,
+    METRICS,
+    EmbeddingError,
+    LexicalEmbedder,
+    VectorIndex,
+)
 from .execution import (
     KillMatrix,
     TestOutcomeVector,
@@ -73,12 +80,11 @@ from .promptgen import (
     render_examples,
     render_prompt,
 )
+from .tcp import DEFAULT_HYB_WEIGHT
 from .validity import ValidityLedger, dedup
 
 logger = logging.getLogger(__name__)
 
-METRIC_CHOICES = ("euclidean", "cosine", "dot")
-KEY_SIDE_CHOICES = ("post_fix", "pre_fix")
 MODE_CHOICES = ("fixed", "buggy")
 _TARGET_COUNTS = ("expected", "chunks", "prompts_total", "prompts_completed",
                   "pairs_parsed", "pairs_dropped", "parse_failures",
@@ -198,7 +204,7 @@ class PipelineConfig:
     chunking: bool = True
     retrieval: bool = True
     key_side: str = "post_fix"
-    dimension: int = 512
+    dimension: int = DEFAULT_DIMENSION
     mode: str = "fixed"
     backend: dict = field(default_factory=dict)
     compile_command: str | None = None
@@ -207,16 +213,16 @@ class PipelineConfig:
     workers: int = 4
     seed: int = 0
     sample_targets: int | None = None
-    hyb_weight: float = 0.5
+    hyb_weight: float = DEFAULT_HYB_WEIGHT
 
     def __post_init__(self):
         _check_fields(type(self), vars(self))
         if self.retrieval_n < 1:
             raise PipelineError(f"retrieval_n must be >= 1, got {self.retrieval_n}")
-        if self.metric not in METRIC_CHOICES:
-            raise PipelineError(f"metric must be one of {METRIC_CHOICES}")
-        if self.key_side not in KEY_SIDE_CHOICES:
-            raise PipelineError(f"key_side must be one of {KEY_SIDE_CHOICES}")
+        if self.metric not in METRICS:
+            raise PipelineError(f"metric must be one of {METRICS}")
+        if self.key_side not in KEY_SIDES:
+            raise PipelineError(f"key_side must be one of {KEY_SIDES}")
         if self.mode not in MODE_CHOICES:
             raise PipelineError(f"mode must be one of {MODE_CHOICES}")
         if self.workers < 1:
@@ -343,12 +349,12 @@ def make_backend(config: PipelineConfig):
 
 def probe_embedder(index: VectorIndex) -> LexicalEmbedder:
     """Rebuild the embedder that matches an index's recorded backend."""
-    prefix = "lexical-trigram-"
-    if not index.backend_id.startswith(prefix):
+    name, _, dimension = index.backend_id.rpartition("-")
+    if name != "lexical-trigram" or not dimension.isdecimal() or int(dimension) < 1:
         raise PipelineError(
             f"index was built with backend {index.backend_id!r}; only "
-            f"lexical-trigram indexes can be queried offline")
-    return LexicalEmbedder(dimension=int(index.backend_id[len(prefix):]))
+            f"lexical-trigram-<dimension> indexes can be queried offline")
+    return LexicalEmbedder(dimension=int(dimension))
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -471,10 +477,9 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         })
         planned.append((target, chunk))
 
-    results = (complete_batch(backend, [(row["prompt_id"], row["prompt"])
-                                        for row in prompt_rows],
-                              concurrency=config.workers)
-               if prompt_rows else [])
+    results = complete_batch(backend, [(row["prompt_id"], row["prompt"])
+                                       for row in prompt_rows],
+                             concurrency=config.workers)
 
     manifest_rows: list[dict] = []
     mutants: dict[str, Mutant] = {}

@@ -61,12 +61,6 @@ class FewShotExample:
     aftercode: str
     source_pair_id: str
 
-    def __post_init__(self):
-        if not self.precode.strip():
-            raise PromptError("example precode must be non-empty")
-        if self.precode == self.aftercode:
-            raise PromptError("example precode and aftercode must differ")
-
 
 @dataclass(frozen=True)
 class MutationPair:
@@ -126,8 +120,6 @@ def render_prompt(method: FocalMethod, chunk: CodeChunk,
         n: number of mutants to request; equals the chunk's physical line
             count (or the method's when chunking is disabled).
     """
-    if n < 1:
-        raise PromptError(f"requested_n must be positive, got {n}")
     instruction = INSTRUCTION.replace("{N}", str(n))
     examples_json = json.dumps(
         [{"precode": e.precode, "aftercode": e.aftercode} for e in examples])

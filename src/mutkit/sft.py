@@ -71,8 +71,6 @@ class TrainingInstance:
             raise SftError(
                 f"instance for {self.bug_id}: {len(parsed.pairs)} pairs for "
                 f"{len(self.mutant_ids)} mutants")
-        if not self.mutant_ids:
-            raise SftError(f"instance for {self.bug_id}: no mutants")
 
 
 @dataclass

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutkit.chunker import (
-    CodeChunk,
     MethodSyntaxError,
     chunk_method,
     chunks_as_dicts,
@@ -373,10 +372,6 @@ class TestChunkMethod:
         listing = chunks_as_dicts(chunk_method(parse_method(NESTED)))
         assert listing[0]["chunk_id"] == "c00"
         assert set(listing[0]) == {"chunk_id", "kind", "line_numbers", "text"}
-
-    def test_empty_chunk_construction_rejected(self):
-        with pytest.raises(Exception):
-            CodeChunk(line_numbers=(), text="", kind="segment")
 
 
 # Statement templates: one tuple of lines each, "VAR" stands for a fresh name.

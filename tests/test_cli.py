@@ -152,6 +152,16 @@ class TestCorpusCommands:
         assert len(json.loads(out)) == 6
 
 
+def index_bytes(metric=b"euclidean", backend=b"lexical-trigram-2", version=1,
+                records=((b"a", (1.0, 2.0)),)) -> bytes:
+    """An index file of two-dimensional vectors, field by field."""
+    return (b"MKIX" + struct.pack("<IIB", version, 2, len(metric)) + metric
+            + struct.pack("<H", len(backend)) + backend
+            + struct.pack("<I", len(records))
+            + b"".join(struct.pack("<H", len(entry_id)) + entry_id
+                       + struct.pack("<2f", *vector) for entry_id, vector in records))
+
+
 class TestInputsThatAreNotUtf8:
     """A byte 0xff where a UTF-8 string belongs exits 2 with a message."""
 
@@ -171,12 +181,8 @@ class TestInputsThatAreNotUtf8:
         self.assert_error(code, err, "cannot read corpus file")
 
     def test_rag_query(self, tmp_path, capsys):
-        backend = b"lexical-trigram-2"
         index_path = tmp_path / "corpus.index"
-        index_path.write_bytes(
-            b"MKIX" + struct.pack("<IIB", 1, 2, 9) + b"euclidean"
-            + struct.pack("<H", len(backend)) + backend + struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"\xff" + struct.pack("<2f", 1.0, 2.0))
+        index_path.write_bytes(index_bytes(records=((b"\xff", (1.0, 2.0)),)))
         code, _, err = run_cli(["rag", "query", "--index", str(index_path),
                                 "--code", "return 1;"], capsys)
         self.assert_error(code, err, f"{index_path} holds a name that is not UTF-8")
@@ -207,6 +213,47 @@ class TestInputsThatAreNotUtf8:
                                   "--code-file", str(source)], capsys)
         assert out == ""
         self.assert_error(code, err, f"cannot read {source}: 'utf-8' codec")
+
+
+class TestIndexFiles:
+    """rag query on an index it cannot use exits 2 with one error line."""
+
+    def query(self, tmp_path, capsys, data, *flags) -> tuple[Path, str]:
+        path = tmp_path / "corpus.index"
+        if data is not None:
+            path.write_bytes(data)
+        code, out, err = run_cli(["rag", "query", "--index", str(path),
+                                  "--code", "return 1;", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return path, err
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "cannot read index file {path}: "),
+        (index_bytes(version=2), "{path} has unsupported index version 2\n"),
+        (index_bytes(metric=b"manhattan"), "{path} has unknown metric 'manhattan'\n"),
+        (index_bytes(records=((b"abc", (1.0, 2.0)),))[:-2], "{path} is truncated\n"),
+        (index_bytes() + b"\0", "{path} has trailing bytes\n"),
+        (index_bytes()[:10], "{path} is truncated: "),
+    ], ids=["missing", "version", "metric", "record", "trailing", "header"])
+    def test_a_bad_index_file_is_named(self, tmp_path, capsys, data, message):
+        path, err = self.query(tmp_path, capsys, data)
+        assert err.startswith("error: " + message.format(path=path))
+
+    @pytest.mark.parametrize("backend", [b"lexical-trigram-x", b"lexical-trigram-",
+                                         b"lexical-trigram-0"])
+    def test_a_backend_id_without_a_dimension_is_named(self, tmp_path, capsys,
+                                                        backend):
+        _, err = self.query(tmp_path, capsys, index_bytes(backend=backend))
+        assert err.startswith(f"error: index was built with backend {backend.decode()!r}")
+
+    def test_an_empty_index_is_reported_before_n(self, tmp_path, capsys):
+        _, err = self.query(tmp_path, capsys, index_bytes(records=()))
+        assert err == "error: cannot query an empty index\n"
+
+    def test_n_must_be_positive(self, tmp_path, capsys):
+        _, err = self.query(tmp_path, capsys, index_bytes(), "-n", "0")
+        assert err == "error: n must be positive, got 0\n"
 
 
 class TestChunkCommand:
@@ -346,6 +393,36 @@ class TestReportCommands:
             (report_dir / "report.json").read_text())["warnings"]
         assert sorted(path.name for path in report_dir.iterdir()) == report_files
         assert sorted(path.name for path in matrices.glob("*.*")) == matrix_files
+
+
+def test_ablation_flags_run_generate_and_report_as_plain(tmp_path, capsys):
+    """--no-retrieval --no-chunking on the command line, over a config that
+    sets neither: both stages run the plain variant, one whole-method
+    prompt per bug and no corpus."""
+    out_dir = tmp_path / "out"
+    targets_path = write_targets(tmp_path / "targets.jsonl", [
+        {"bug_id": "Clamp-1", "method": CLAMP_FIXED, "bug_revealing_tests": ["t_above"]}])
+    targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED,
+                          bug_revealing_tests=("t_above",))]
+    script_path = author_script(
+        PipelineConfig(output_dir=str(out_dir), retrieval=False, chunking=False),
+        targets, tmp_path)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "output_dir": str(out_dir),
+        "test_command": TEST_COMMAND,
+        "compile_command": COMPILE_COMMAND,
+        "backend": {"mode": "mock", "script": str(script_path)}}))
+    flags = ["--config", str(config_path), "--targets", str(targets_path),
+             "--no-retrieval", "--no-chunking"]
+    for command in ("generate", "report"):
+        code, _, err = run_cli([command, *flags], capsys)
+        assert code == 0, err
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["variant"] == "plain"
+    assert summary["targets"]["Clamp-1"]["prompts_total"] == 1
+    report_json = json.loads((out_dir / "report" / "report.json").read_text(encoding="utf-8"))
+    assert report_json["variant"] == "plain"
 
 
 class TestStandaloneAnalysis:
@@ -749,6 +826,72 @@ def test_standalone_inputs_of_the_wrong_shape_exit_2(flag, bad, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(tmp_path / f"{flag}.json") in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (None, "cannot read matrix file {path}: "),
+    (b"MUTANTS m\xff\nTESTS t1\n1\n", "cannot read matrix file {path}: 'utf-8' codec"),
+    (b"MUTANT m1\nTESTS t1\n1\n", "matrix file {path}: first line must start with MUTANTS\n"),
+    (b"MUTANTS m1\nTEST t1\n1\n", "matrix file {path}: second line must start with TESTS\n"),
+], ids=["missing", "not-utf8", "mutants", "tests"])
+def test_a_bad_matrix_file_exits_2_naming_it(data, message, tmp_path, capsys):
+    matrices = tmp_path / "matrices"
+    write_bug_matrix(matrices)
+    path = matrices / "B.matrix"
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
+    detection = tmp_path / "detection.json"
+    detection.write_text(json.dumps(GOOD_INPUTS["detection"]))
+    code, out, err = run_cli(["tcp", "--matrix", str(path),
+                              "--detection", str(detection)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))
+
+
+@pytest.mark.parametrize("data, message", [
+    (None, "No such file"), (b"t1 FAIL\n\xff", "'utf-8' codec"),
+], ids=["missing", "not-utf8"])
+def test_an_unreadable_outcomes_file_exits_2_naming_it(data, message, tmp_path,
+                                                        capsys):
+    matrices = tmp_path / "matrices"
+    write_bug_matrix(matrices)
+    path = matrices / "B.original.txt"
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
+    argv = ["mbfl", "--matrices", str(matrices)]
+    for name in COMMAND_INPUTS["mbfl"]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(GOOD_INPUTS[name]))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read outcomes file {path}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, tables, message", [
+    (["rag", "build"], {}, "rag build needs corpus and index paths"),
+    (["rag", "query", "--code", "return 1;"], {}, "rag query needs an index path"),
+    (["metrics", "--matrices", "{tmp}"], {"revealing": {"B": ["t1"]}},
+     "no .matrix files under {tmp}"),
+    (["metrics", "--matrices", "{tmp}/matrices"], {"revealing": {"B": []}},
+     "bug B has no bug-revealing tests"),
+    (["mbfl", "--matrices", "{tmp}/matrices"],
+     {"statements": {"A": {"m1": 1}}, "faulty": {"B": [1]}},
+     "bug B missing from {tmp}/statements.json"),
+], ids=["rag-build", "rag-query", "no-matrices", "no-revealing", "no-statements"])
+def test_a_missing_input_exits_2_naming_it(argv, tables, message, tmp_path, capsys):
+    write_bug_matrix(tmp_path / "matrices")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    for name, table in tables.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(table))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(tmp=tmp_path)}\n"
 
 
 def test_metrics_and_tcp_match_the_report_sections(fixed_cli_run, tmp_path,

@@ -15,7 +15,6 @@ from mutkit.corpus import (
     Corpus,
     CorpusError,
     CorpusRecord,
-    Hunk,
     HunkError,
     diff_hunk,
     ingest_corpus,
@@ -209,16 +208,6 @@ def test_unique_line_edits_are_one_region_without_the_table(head, tail, removed,
         regions = _changed_regions(a, b)
     assert regions == oracle_changed_regions(a, b)
     assert len(regions) == (a != b)
-
-
-class TestHunkValidation:
-    def test_empty_hunk_rejected(self):
-        with pytest.raises(HunkError):
-            Hunk(pre_lines=(), post_lines=())
-
-    def test_non_contiguous_lines_rejected(self):
-        with pytest.raises(HunkError, match="contiguous"):
-            Hunk(pre_lines=((1, "a"), (3, "b")), post_lines=())
 
 
 class TestIngestCorpus:

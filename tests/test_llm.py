@@ -262,6 +262,5 @@ class TestCompleteBatch:
         usage = aggregate_usage(results)
         assert usage == {"prompt_tokens": 2 + 3 + 1, "completion_tokens": 1 + 2 + 3}
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(BackendError):
-            complete_batch(MockBackend({}), [], concurrency=1)
+    def test_empty_batch_returns_nothing(self):
+        assert complete_batch(MockBackend({}), [], concurrency=1) == []

@@ -11,7 +11,6 @@ from mutkit.promptgen import (
     FewShotExample,
     MaterializeError,
     MutationPair,
-    PromptError,
     materialize,
     parse_response,
     render_examples,
@@ -108,20 +107,6 @@ class TestRenderPrompt:
     def test_deterministic(self):
         args = (self.method, segment("x;"), self.examples(), 1)
         assert render_prompt(*args) == render_prompt(*args)
-
-    def test_requested_n_must_be_positive(self):
-        with pytest.raises(PromptError, match="^requested_n must be positive, got 0$"):
-            render_prompt(self.method, segment("c"), [], n=0)
-
-
-class TestExampleValidation:
-    def test_empty_precode_rejected(self):
-        with pytest.raises(PromptError):
-            FewShotExample(precode="  ", aftercode="x;", source_pair_id="p")
-
-    def test_identical_sides_rejected(self):
-        with pytest.raises(PromptError):
-            FewShotExample(precode="x;", aftercode="x;", source_pair_id="p")
 
 
 class TestParseResponse:

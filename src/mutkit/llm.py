@@ -1,12 +1,14 @@
 """Chat-completion backends: a real HTTP client and a scripted offline mock.
 
-Both backends expose complete(prompt) returning a Completion.  The HTTP
-client speaks the usual chat-completions shape (messages array, single
-user turn) and retries transient failures with exponential backoff; the
-mock replays the replies it is given, keyed on the sha256 digest of the
-prompt, and can record unmatched prompts so a script can be built
-offline.  The record file is this module's only file format; the
-pipeline reads mock scripts.
+Both backends expose complete(prompt) returning a Completion, an
+``in_flight`` window and an ``end_batch()`` hook.  The HTTP client speaks
+the usual chat-completions shape (messages array, single user turn),
+retries transient failures with exponential backoff, and keeps up to
+32 requests in flight, each window thread reusing one keep-alive
+connection; the mock replays the replies it is given, keyed on the
+sha256 digest of the prompt, one prompt at a time, and can record
+unmatched prompts so a script can be built offline.  The record file is
+this module's only file format; the pipeline reads mock scripts.
 """
 
 from __future__ import annotations
@@ -80,8 +82,15 @@ class HttpChatBackend:
     """Chat-completions HTTP client with bounded retries.
 
     ``transport`` is injectable for tests: a callable
-    (url, payload, headers, timeout) -> (status_code, body_text).
+    (url, payload, headers, timeout) -> (status_code, body_text).  The
+    default transport gives each thread one ``requests.Session``, so a
+    thread sends all its prompts over one keep-alive connection;
+    ``end_batch`` closes them.
     """
+
+    # Requests wait on the network, not the CPU, so their window is wider
+    # than the compile and suite workers'.
+    in_flight = 32
 
     def __init__(self, config: BackendConfig, transport=None, sleep=time.sleep):
         if not config.endpoint:
@@ -89,13 +98,28 @@ class HttpChatBackend:
         self.config = config
         self._transport = transport or self._http_post
         self._sleep = sleep
+        self._local = threading.local()
+        self._sessions = []
+        self._lock = threading.Lock()
 
-    @staticmethod
-    def _http_post(url: str, payload: dict, headers: dict, timeout: float):
-        import requests
+    def _http_post(self, url: str, payload: dict, headers: dict, timeout: float):
+        session = getattr(self._local, "session", None)
+        if session is None:
+            import requests
 
-        reply = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            session = self._local.session = requests.Session()
+            with self._lock:
+                self._sessions.append(session)
+        reply = session.post(url, json=payload, headers=headers, timeout=timeout)
         return reply.status_code, reply.text
+
+    def end_batch(self) -> None:
+        """Close the keep-alive sessions the batch's threads opened."""
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+            self._local = threading.local()
+        for session in sessions:
+            session.close()
 
     def _payload(self, prompt: str) -> dict:
         payload = {
@@ -173,10 +197,13 @@ class MockBackend:
     ``pipeline.make_backend`` reads them from a mock script file.  When
     ``record_path`` is set, prompts with no scripted reply are appended
     there (digest plus full prompt) before the error is raised, which is
-    how scripts are authored offline.  ``complete_batch`` then rewrites
-    the file with one line per digest in digest order, so a recorded
-    batch writes the same bytes whatever order its threads finished in.
+    how scripts are authored offline.  ``end_batch`` then rewrites the
+    file with one line per digest in digest order, so a recorded batch
+    writes the same bytes whatever order its prompts were answered in.
     """
+
+    # Each reply is in-process CPU work; more threads only add hand-offs.
+    in_flight = 1
 
     def __init__(self, replies: dict[str, Completion], record_path: str | None = None):
         self._replies = replies
@@ -208,7 +235,7 @@ class MockBackend:
             raise BackendError(f"{where}: prompt_digest must be str, got {digest!r:.80}")
         return digest
 
-    def sort_record(self) -> None:
+    def end_batch(self) -> None:
         """Rewrite the record file with one line per digest, in digest order."""
         if not self.record_path:
             return
@@ -226,21 +253,20 @@ class MockBackend:
                 handle.writelines(lines[digest] for digest in sorted(lines))
 
 
-def complete_batch(backend, prompts: list[tuple[str, str]],
-                   concurrency: int = 4) -> list[tuple[str, Completion | BackendError]]:
-    """Run many prompts with a bounded in-flight window.
+def complete_batch(backend, prompts: list[tuple[str, str]]
+                   ) -> list[tuple[str, Completion | BackendError]]:
+    """Run many prompts with up to ``backend.in_flight`` of them in flight.
 
     Args:
-        backend: any object with complete(prompt) -> Completion.
+        backend: an object with complete(prompt) -> Completion, an
+            ``in_flight`` window and an ``end_batch()`` hook, which runs
+            once the batch is done, even when it fails.
         prompts: (prompt_id, prompt) tuples.
-        concurrency: maximum simultaneous requests (1 = strictly sequential).
 
     Returns:
-        (prompt_id, Completion-or-BackendError) in input order; failures
-        are isolated per item.
+        (prompt_id, Completion-or-BackendError) in input order, whatever
+        order the replies came in; failures are isolated per item.
     """
-    if concurrency < 1:
-        raise BackendError(f"concurrency must be >= 1, got {concurrency}")
 
     def run_one(prompt: str):
         try:
@@ -248,10 +274,12 @@ def complete_batch(backend, prompts: list[tuple[str, str]],
         except BackendError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        results = list(pool.map(run_one, [p for _, p in prompts]))
-    if isinstance(backend, MockBackend):
-        backend.sort_record()
+    window = max(1, min(len(prompts), backend.in_flight))
+    try:
+        with ThreadPoolExecutor(max_workers=window) as pool:
+            results = list(pool.map(run_one, [p for _, p in prompts]))
+    finally:
+        backend.end_batch()
     return [(prompt_id, result) for (prompt_id, _), result in zip(prompts, results)]
 
 

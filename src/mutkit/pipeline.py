@@ -478,8 +478,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         planned.append((target, chunk))
 
     results = complete_batch(backend, [(row["prompt_id"], row["prompt"])
-                                       for row in prompt_rows],
-                             concurrency=config.workers)
+                                       for row in prompt_rows])
 
     manifest_rows: list[dict] = []
     mutants: dict[str, Mutant] = {}

@@ -4,10 +4,11 @@ Both backends expose complete(prompt) returning a Completion, an
 ``in_flight`` window and an ``end_batch()`` hook.  The HTTP client speaks
 the usual chat-completions shape (messages array, single user turn),
 retries transient failures with exponential backoff, and keeps up to
-32 requests in flight, each window thread reusing one keep-alive
-connection; the mock replays the replies it is given, keyed on the
-sha256 digest of the prompt, one prompt at a time, and can record
-unmatched prompts so a script can be built offline.  The record file is
+18 requests in flight, halving that window when the endpoint pushes back
+(429 or 5xx); each window thread reuses one keep-alive connection.  The
+mock replays the replies it is given, keyed on the sha256 digest of the
+prompt, one prompt at a time, and can record unmatched prompts so a
+script can be built offline.  The record file is
 this module's only file format; the pipeline reads mock scripts.
 """
 
@@ -78,6 +79,45 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+class _Window:
+    """How many requests may be in flight at once, at most ``cap``.
+
+    A retryable reply (429 or 5xx) halves the limit, once per round: a
+    request sent before the last halving does not halve it again.  Each
+    ``cap`` 200 replies since the last change raise it by one, back
+    towards ``cap``; growing that slowly keeps an endpoint that takes one
+    request at a time from refusing every other one.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = self.limit = cap
+        self.active = self.successes = self.round = 0
+        self._cond = threading.Condition()
+
+    def acquire(self) -> int:
+        """Wait for a free place; return the round the request is sent in."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.active < self.limit)
+            self.active += 1
+            return self.round
+
+    def release(self, sent_in: int, status: int | None) -> None:
+        """Free the place and adjust the limit to the request's ``status``."""
+        with self._cond:
+            self.active -= 1
+            if status in RETRYABLE_STATUS:
+                if sent_in == self.round:
+                    self.limit = max(1, self.limit // 2)
+                    self.round += 1
+                    self.successes = 0
+            elif status == 200 and self.limit < self.cap:
+                self.successes += 1
+                if self.successes >= self.cap:
+                    self.limit += 1
+                    self.successes = 0
+            self._cond.notify_all()
+
+
 class HttpChatBackend:
     """Chat-completions HTTP client with bounded retries.
 
@@ -85,12 +125,15 @@ class HttpChatBackend:
     (url, payload, headers, timeout) -> (status_code, body_text).  The
     default transport gives each thread one ``requests.Session``, so a
     thread sends all its prompts over one keep-alive connection;
-    ``end_batch`` closes them.
+    ``end_batch`` closes them.  The in-flight limit a batch learns from
+    429 and 5xx replies carries over to the backend's next batch.
     """
 
     # Requests wait on the network, not the CPU, so their window is wider
-    # than the compile and suite workers'.
-    in_flight = 32
+    # than the compile and suite workers'.  18 is the widest window a
+    # benchmark has measured (eval-toyrunner's batches are 18 prompts);
+    # an endpoint that takes fewer pushes back and the window halves.
+    in_flight = 18
 
     def __init__(self, config: BackendConfig, transport=None, sleep=time.sleep):
         if not config.endpoint:
@@ -98,6 +141,7 @@ class HttpChatBackend:
         self.config = config
         self._transport = transport or self._http_post
         self._sleep = sleep
+        self._window = _Window(self.in_flight)
         self._local = threading.local()
         self._sessions = []
         self._lock = threading.Lock()
@@ -140,12 +184,18 @@ class HttpChatBackend:
         return headers
 
     def complete(self, prompt: str) -> Completion:
-        """Send one prompt; retry 429/5xx and connection errors with backoff."""
+        """Send one prompt; retry 429/5xx and connection errors with backoff.
+
+        The request waits for a place in the backend's in-flight window,
+        which it gives up before any backoff sleep.
+        """
         config = self.config
         last_status: int | None = None
         for attempt in range(config.max_retries + 1):
             if attempt:
                 self._sleep(config.backoff_base * (2 ** (attempt - 1)))
+            sent_in = self._window.acquire()
+            status = None
             try:
                 status, body = self._transport(
                     config.endpoint, self._payload(prompt), self._headers(),
@@ -159,6 +209,8 @@ class HttpChatBackend:
                 last_status = None
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
+            finally:
+                self._window.release(sent_in, status)
             if status in (401, 403):
                 raise AuthError(f"authentication failed (HTTP {status})")
             if status in RETRYABLE_STATUS:

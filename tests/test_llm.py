@@ -363,7 +363,66 @@ class ReverseTransport:
         return 200, chat_reply(payload)
 
 
+class CapacityTransport:
+    """An endpoint that takes ``capacity`` calls at once, holding each for
+    ``hold`` seconds, and answers 429 at once to any call beyond that."""
+
+    def __init__(self, capacity: int, hold: float = 0.01):
+        self.capacity = capacity
+        self.hold = hold
+        self.active = self.peak = self.rejected = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, url, payload, headers, timeout):
+        with self.lock:
+            if self.active >= self.capacity:
+                self.rejected += 1
+                return 429, "too many requests"
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(self.hold)
+        with self.lock:
+            self.active -= 1
+        return 200, ok_body()
+
+
 class TestInFlightWindow:
+    def test_an_endpoint_that_takes_fewer_calls_still_answers_every_prompt(self):
+        # Backoffs of 5, 10 and 20 ms against calls held 20 ms: like a real
+        # endpoint, whose replies take longer than the first backoffs.
+        transport = CapacityTransport(capacity=2, hold=0.02)
+        backend = HttpChatBackend(
+            BackendConfig(endpoint="http://llm/v1/chat", backoff_base=0.005),
+            transport=transport)
+        prompts = [(f"p{i}", f"prompt {i}") for i in range(40)]
+        results = complete_batch(backend, prompts)
+        assert [result for _, result in results if not isinstance(result, Completion)] == []
+        assert transport.rejected > 0
+        assert transport.peak == 2
+        # The next batch starts from what this one learned.
+        assert backend._window.limit < HttpChatBackend.in_flight
+
+    def test_pushback_halves_the_window_once_per_round(self):
+        backend = HttpChatBackend(BackendConfig(endpoint="http://llm/v1/chat"),
+                                  transport=lambda *args: (200, ok_body()))
+        window = backend._window
+        early = [window.acquire() for _ in range(3)]
+        window.release(early[0], 429)
+        assert window.limit == HttpChatBackend.in_flight // 2
+        window.release(early[1], 503)
+        assert window.limit == HttpChatBackend.in_flight // 2
+        late = window.acquire()
+        window.release(late, 429)
+        assert window.limit == HttpChatBackend.in_flight // 4
+        # It grows by one after each ``in_flight`` 200 replies.
+        window.release(early[2], 200)
+        for _ in range(HttpChatBackend.in_flight - 2):
+            window.release(window.acquire(), 200)
+        assert window.limit == HttpChatBackend.in_flight // 4
+        window.release(window.acquire(), 200)
+        assert window.limit == HttpChatBackend.in_flight // 4 + 1
+        assert window.active == 0
+
     def test_every_prompt_is_in_flight_at_once_with_one_worker(self, tmp_path):
         transport = PeakTransport(gather=18)
         outcome = generate_over(transport, tmp_path / "out")

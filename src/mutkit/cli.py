@@ -60,7 +60,6 @@ from .pipeline import (
     run_evaluate,
     run_generate,
 )
-from .promptgen import PromptError
 from .sft import SftContext, SftError, export, write_instances
 from .tcp import DEFAULT_HYB_WEIGHT, TcpError
 from .validity import ValidityError
@@ -68,9 +67,9 @@ from .validity import ValidityError
 logger = logging.getLogger(__name__)
 
 CLI_ERRORS = (PipelineError, CorpusError, ChunkerError, EmbeddingError,
-              IndexFormatError, BackendError, PromptError, ValidityError,
-              RunnerError, MatrixError, MetricsError, TcpError, MbflError,
-              SftError, OSError, json.JSONDecodeError, UnicodeDecodeError)
+              IndexFormatError, BackendError, ValidityError, RunnerError,
+              MatrixError, MetricsError, TcpError, MbflError, SftError,
+              OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:

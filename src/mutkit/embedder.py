@@ -76,8 +76,6 @@ class LexicalEmbedder:
     """Deterministic hashed token-trigram embedder."""
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if dimension < 1:
-            raise EmbeddingError(f"dimension must be positive, got {dimension}")
         self.dimension = dimension
         self.backend_id = f"lexical-trigram-{dimension}"
 
@@ -157,8 +155,6 @@ def _as_vector(probe, dimension: int) -> np.ndarray:
     values = np.asarray(probe, dtype=np.float32)
     if values.shape != (dimension,):
         raise EmbeddingError(f"probe dimension {values.shape} does not match index ({dimension})")
-    if not np.all(np.isfinite(values)):
-        raise EmbeddingError("probe vector contains non-finite values")
     return values
 
 

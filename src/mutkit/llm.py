@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -62,6 +63,11 @@ class BackendConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise BackendError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not 0 < self.timeout < math.inf:
+            raise BackendError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise BackendError(
+                f"backoff_base must be finite and >= 0, got {self.backoff_base}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import random
 import re
 import types
@@ -233,8 +234,8 @@ class PipelineConfig:
             raise PipelineError("hyb_weight must be in [0, 1]")
         if self.sample_targets is not None and self.sample_targets < 1:
             raise PipelineError("sample_targets must be >= 1 when set")
-        if self.timeout <= 0:
-            raise PipelineError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise PipelineError(f"timeout must be finite and > 0, got {self.timeout}")
 
     def variant_label(self) -> str:
         """Ablation variant implied by the retrieval/chunking switches."""

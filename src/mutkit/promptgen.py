@@ -41,10 +41,6 @@ OUTPUT_INSTRUCTIONS = (
 )
 
 
-class PromptError(Exception):
-    """Raised for ill-formed prompt inputs."""
-
-
 class MaterializeError(Exception):
     """Raised when a mutation pair cannot be applied; carries a reason code."""
 
@@ -68,10 +64,6 @@ class MutationPair:
 
     precode: str
     aftercode: str
-
-    def __post_init__(self):
-        if not self.precode.strip():
-            raise PromptError("precode must be non-empty")
 
 
 @dataclass(frozen=True)

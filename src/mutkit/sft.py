@@ -67,10 +67,6 @@ class TrainingInstance:
         if parsed.failure is not None or parsed.dropped:
             raise SftError(
                 f"instance for {self.bug_id}: response does not parse cleanly")
-        if len(parsed.pairs) != len(self.mutant_ids):
-            raise SftError(
-                f"instance for {self.bug_id}: {len(parsed.pairs)} pairs for "
-                f"{len(self.mutant_ids)} mutants")
 
 
 @dataclass

@@ -45,12 +45,6 @@ class PrioritizedSuite:
     step_kills: tuple[int, ...]
     step_pairs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.order) != len(set(self.order)):
-            raise TcpError("ordering repeats a test id")
-        if not (len(self.order) == len(self.step_kills) == len(self.step_pairs)):
-            raise TcpError("audit trails must align with the ordering")
-
 
 def _greedy(matrix: KillMatrix, strategy: str, weight: float) -> PrioritizedSuite:
     if not matrix.test_ids:

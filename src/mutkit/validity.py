@@ -41,11 +41,6 @@ class ValidityLedger:
     def __post_init__(self):
         if self.expected < 0:
             raise ValidityError(f"expected must be >= 0, got {self.expected}")
-        generated = set(self.generated)
-        if not self.duplicates <= generated:
-            raise ValidityError("duplicates must be a subset of generated")
-        if not self.compilable <= generated:
-            raise ValidityError("compilable must be a subset of generated")
 
     def useful(self) -> set[str]:
         """Useful mutants: compilable minus duplicates."""

@@ -5,16 +5,17 @@ Runs pytest in this process under ``sys.settrace`` (and
 line executed in a file under src/mutkit, and prints each executable
 line that never ran, then the totals.  A line is executable when a code
 object compiled from the file maps an instruction to it.  Child
-processes are not traced, so a line that only a subprocess runs (such
-as ``cli.py``'s ``sys.exit(main())``) is listed as never run.
+processes are not traced, so a line that only a subprocess runs is
+listed as never run.
 
 Usage, from the repository root::
 
     python tests/linereach.py [pytest args...]
 
-With no arguments it runs the whole tier-1 suite.  Tracing makes the
-run about 1.6 times slower, which is why this is a script and not a
-test.  The exit status is pytest's.
+With no arguments it runs the whole tier-1 suite and is a gate: it
+exits 1 if the suite passed but some line never ran.  With arguments
+it only lists, and the exit status is pytest's.  Tracing makes the run
+about 1.6 times slower, which is why this is a script and not a test.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}")
     print(f"{missed} of {total} executable lines never ran "
           f"({total - missed} ran, pytest exit {status})")
+    if status == 0 and missed and not argv:
+        return 1
     return status
 
 

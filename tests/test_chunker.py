@@ -77,10 +77,31 @@ class TestParseMethod:
         assert err.value.line == 3
 
     def test_a_newline_inside_a_string_is_accepted_and_counted(self):
-        # Java rejects this; the lexer accepts it and counts the line.
+        # Java rejects this.  The lexer accepts it and counts the line, because
+        # text blocks (next test) lex through the same path.
         method = parse_method('void a() {\n    String s = "one\ntwo";\n    int k = 1;\n}')
         assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
             ("decl", 2, 3), ("decl", 4, 4)]
+
+    def test_a_text_block_is_counted_line_by_line(self):
+        # The lexer reads a text block as the literals "", "<body>" and "",
+        # so its lines are counted and the block stays one declaration.
+        source = "\n".join([
+            "void a() {",                 # 1
+            '    String s = """',         # 2
+            "        hello",              # 3
+            '        """;',               # 4
+            "    if (s.isEmpty()) {",     # 5
+            "        return;",            # 6
+            "    }",                      # 7
+            "    x();",                   # 8
+            "}",                          # 9
+        ])
+        method = parse_method(source)
+        assert [(s.kind, s.start_line, s.end_line) for s in method.root.children] == [
+            ("decl", 2, 4), ("if", 5, 7), ("expr", 8, 8)]
+        assert [c.line_numbers for c in chunk_method(method)] == [
+            (1,), (2, 3, 4, 5, 6, 7), (8, 9)]
 
     @pytest.mark.parametrize("literal", ['"one\\\ntwo"', "'\\\n'"])
     def test_an_escaped_newline_inside_a_literal_is_counted(self, literal):
@@ -257,6 +278,11 @@ class TestStatementKinds:
         node = collect_target_nodes(method)[0]
         assert (node.start_line, node.end_line) == (2, 5)
 
+    @pytest.mark.parametrize("statement", ["@1 x;", "final;", "a<1> b;", "a < b;"])
+    def test_statements_that_start_like_declarations_are_expressions(self, statement):
+        method = parse_method(f"void a() {{\n    {statement}\n}}")
+        assert [(s.kind, s.start_line) for s in method.root.children] == [("expr", 2)]
+
 
 class TestTargetOrdering:
     def test_descending_start_line(self):
@@ -339,6 +365,12 @@ class TestChunkMethod:
             ((5, 6, 7, 8), "control_flow"),
             ((10, 11), "segment"),
         ]
+
+    def test_a_loop_on_the_line_of_its_if_leaves_the_if_nothing_to_claim(self):
+        source = "void a() {\n    if (a) while (b) {\n        x();\n    }\n}"
+        chunks = chunk_method(parse_method(source))
+        assert [(c.line_numbers, c.kind) for c in chunks] == [
+            ((1,), "segment"), ((2, 3, 4), "control_flow"), ((5,), "segment")]
 
     def test_partition_and_reconstruction(self):
         method = parse_method(NESTED)

@@ -11,6 +11,7 @@ import logging
 import os
 import random
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -266,6 +267,22 @@ class TestChunkCommand:
         assert payload["lines"] == 7
         assert [c["chunk_id"] for c in payload["chunks"]] == ["c00", "c01", "c02"]
 
+    @pytest.mark.parametrize("source, message, line", [
+        ("void a() {\n    /* x\n}", "unterminated block comment", 2),
+        ("void a() {\n    g(", "unclosed '('", 2),
+        ("void a() {\n    if (a)", "unexpected end of input", 2),
+        ("void a() {\n    )\n}", "unexpected ')'", 2),
+        ("// only a comment\n", "no tokens in method text", 1),
+        ("void a() {\n}\nint x;", "unexpected tokens after method body", 3),
+    ])
+    def test_a_method_that_does_not_parse_exits_2_naming_the_line(
+            self, tmp_path, capsys, source, message, line):
+        path = tmp_path / "method.java"
+        path.write_text(source, encoding="utf-8")
+        code, out, err = run_cli(["chunk", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: line {line}: {message}\n"
+
 
 class TestGenerateCommand:
     def test_generate_exit_codes(self, tmp_path, capsys):
@@ -336,6 +353,52 @@ class TestGenerateCommand:
                                 "--targets", str(tmp_path / "targets.jsonl")], capsys)
         assert code == 2
         assert "unknown keys: ['collapse_whitespace']" in err
+
+    def test_an_empty_targets_file_exits_2_naming_it(self, tmp_path, capsys):
+        targets_path = tmp_path / "targets.jsonl"
+        targets_path.write_text("\n\n")
+        code, out, err = run_cli(["generate", "--no-retrieval",
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: targets file {targets_path} has no targets\n"
+
+    def test_retrieval_without_corpus_or_index_exits_2(self, tmp_path, capsys):
+        targets_path = write_targets(tmp_path / "targets.jsonl", [
+            {"bug_id": "B-1", "method": CLAMP_FIXED}])
+        code, out, err = run_cli(["generate", "--corpus", str(tmp_path / "c.jsonl"),
+                                  "--targets", str(targets_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: retrieval is enabled but corpus/index paths "
+                       "are not configured\n")
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"timeout": float("inf")}, "timeout must be finite and > 0, got inf"),
+        ({"timeout": float("nan")}, "timeout must be finite and > 0, got nan"),
+        ({"timeout": -1}, "timeout must be finite and > 0, got -1"),
+        ({"backend": {"mode": "http", "timeout": 0}},
+         "bad http backend settings: timeout must be finite and > 0, got 0"),
+        ({"backend": {"mode": "http", "timeout": float("inf")}},
+         "bad http backend settings: timeout must be finite and > 0, got inf"),
+        ({"backend": {"mode": "http", "backoff_base": -1}},
+         "bad http backend settings: backoff_base must be finite and >= 0, got -1"),
+        ({"backend": {"mode": "http", "backoff_base": float("nan")}},
+         "bad http backend settings: backoff_base must be finite and >= 0, got nan"),
+    ], ids=["timeout-inf", "timeout-nan", "timeout-negative", "http-timeout-0",
+            "http-timeout-inf", "http-backoff-negative", "http-backoff-nan"])
+    def test_a_timeout_or_backoff_out_of_range_exits_2_naming_it(
+            self, tmp_path, capsys, settings, message):
+        config_path = tmp_path / "run.json"
+        # json.dumps writes inf and nan as Infinity and NaN, which
+        # json.loads reads back.
+        config_path.write_text(json.dumps({"retrieval": False, **settings}))
+        targets_path = write_targets(tmp_path / "targets.jsonl", [
+            {"bug_id": "B-1", "method": CLAMP_FIXED}])
+        code, out, err = run_cli(["generate", "--config", str(config_path),
+                                  "--targets", str(targets_path),
+                                  "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportCommands:
@@ -1130,6 +1193,7 @@ class TestGenerationArtifactsOfTheWrongShape:
         (lambda row: {**row, "method": True}, ": method must be str, got True"),
         (lambda row: {**row, "faulty_lines": [1.5]},
          ": faulty_lines must be tuple[int, ...], got (1.5,)"),
+        (lambda row: {**row, "method": " \n "}, ": target Clamp-1: empty method source"),
     ])
     def test_a_targets_row_read_by_generate(self, generated, capsys, change, message):
         config_path, targets_path, _ = generated
@@ -1167,9 +1231,109 @@ class TestGenerationArtifactsOfTheWrongShape:
         assert err == f"error: {script} line 1{message}\n"
 
 
+class TestEvaluateInputsThatEndTheRun:
+    """Generation artifacts, targets and commands that evaluate cannot go
+    on with end the command with exit 2 and a message naming the file,
+    the bug or the setting."""
+
+    def evaluate(self, generated, capsys, command="validate", *flags):
+        config_path, targets_path, _ = generated
+        return run_cli([command, "--config", str(config_path),
+                        "--targets", str(targets_path), *flags], capsys)
+
+    def materialized_ids(self, out_dir: Path) -> list[str]:
+        rows = [json.loads(line) for line in
+                (out_dir / "manifest.jsonl").read_text().splitlines()]
+        return sorted(row["mutant_id"] for row in rows if row["rejection"] is None)
+
+    def test_a_missing_mutant_source(self, generated, capsys):
+        out_dir = generated[2]
+        source = out_dir / "mutants" / f"{self.materialized_ids(out_dir)[0]}.java"
+        source.unlink()
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: mutant source missing: {source}\n"
+
+    def test_a_bug_that_generate_did_not_cover(self, generated, capsys):
+        _, targets_path, out_dir = generated
+        with targets_path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"bug_id": "Other-1", "method": CLAMP_FIXED}) + "\n")
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bug Other-1 missing from {out_dir / 'summary.json'}; "
+                       f"generate did not cover it\n")
+
+    def test_a_negative_expected_count_in_the_summary(self, generated, capsys):
+        summary_path = generated[2] / "summary.json"
+        summary = with_expected(-1)(json.loads(summary_path.read_text()))
+        summary_path.write_text(json.dumps(summary))
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: expected must be >= 0, got -1\n"
+
+    def test_a_blank_compile_command(self, generated, capsys):
+        code, out, err = self.evaluate(generated, capsys, "validate",
+                                       "--compile-command", " ")
+        assert (code, out) == (2, "")
+        assert err == "error: empty command template\n"
+
+    def test_a_test_command_that_is_not_found(self, generated, capsys):
+        code, out, err = self.evaluate(generated, capsys, "execute",
+                                       "--test-command", "no_such_runner_zz {source}")
+        assert (code, out) == (2, "")
+        assert err == "error: test command not found: no_such_runner_zz\n"
+
+    def test_an_original_run_that_times_out(self, generated, tmp_path, capsys):
+        config_path = generated[0]
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, "timeout": 0.3}))
+        slow = f'{sys.executable} -c "import time; time.sleep(10)" {{source}}'
+        code, out, err = self.evaluate(generated, capsys, "execute", "--test-command", slow)
+        assert (code, out) == (2, "")
+        assert err == ("error: run timed out for Clamp-1 and no expected test "
+                       "list was given to complete the vector\n")
+
+    def test_a_stored_matrix_that_lacks_useful_mutants(self, generated, capsys):
+        matrices = generated[2] / "matrices"
+        matrices.mkdir()
+        (matrices / "Clamp-1.matrix").write_text("MUTANTS\nTESTS t_above\n")
+        code, out, err = self.evaluate(generated, capsys, "execute")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: bug Clamp-1: matrix lacks mutants "
+                            r"\['Clamp-1-c\d\d-m\d{3}'(, 'Clamp-1-c\d\d-m\d{3}'){0,2}\]\n",
+                            err)
+
+    def test_buggy_mode_without_the_original_outcomes(self, generated, capsys):
+        ids = self.materialized_ids(generated[2])
+        matrices = generated[2] / "matrices"
+        matrices.mkdir()
+        (matrices / "Clamp-1.matrix").write_text(
+            "MUTANTS " + " ".join(ids) + "\nTESTS t_above\n" + "1\n" * len(ids))
+        code, out, err = self.evaluate(generated, capsys, "report", "--mode", "buggy")
+        assert (code, out) == (2, "")
+        assert err == ("error: bug Clamp-1: buggy mode needs the original outcome "
+                       "vector (missing Clamp-1.original.txt)\n")
+
+
 def test_entry_point_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_running_the_module_exits_with_the_commands_status(tmp_path, monkeypatch,
+                                                           capsys):
+    """``python -m mutkit.cli``, in process: the module's ``__main__`` guard
+    exits with main's return value."""
+    source = tmp_path / "method.java"
+    source.write_text(CLAMP_FIXED, encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["mutkit", "chunk", str(source)])
+    # run_module executes the file afresh; dropping the imported copy keeps
+    # it from warning that the module is already loaded.
+    monkeypatch.delitem(sys.modules, "mutkit.cli")
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_module("mutkit.cli", run_name="__main__")
+    assert caught.value.code == 0
+    assert json.loads(capsys.readouterr().out)["lines"] == 7
 
 
 # Every flag that overrides a config field, unset and then set.

@@ -313,6 +313,20 @@ class TestIngestCorpus:
         with pytest.raises(CorpusError, match="^cannot read corpus file .*utf-8"):
             ingest_corpus(str(path))
 
+    def test_blank_lines_are_passed_over_and_bad_records_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([
+            json.dumps(self.record("ok")),
+            "   ",
+            json.dumps(self.record("")),
+            json.dumps([self.record("listed")]),
+            "",
+        ]), encoding="utf-8")
+        corpus = ingest_corpus(str(path))
+        assert [pair.id for pair in corpus.pairs] == ["ok"]
+        assert [(s.record_id, s.line_no, s.reason) for s in corpus.skipped] == [
+            ("", 3, "empty id"), (None, 4, "record is not an object")]
+
     def test_invalid_json_line_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -367,6 +368,36 @@ class TestRunQueueCache:
                                   timeout=30.0).result()
         assert len(process_count) == 4
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_store_that_fails_part_way_leaves_no_temp_file(self, tmp_path,
+                                                             monkeypatch):
+        # A test id that UTF-8 cannot encode makes the write itself fail.
+        monkeypatch.setattr("mutkit.execution.run_suite", lambda *args, **kwargs:
+                            vector(kwargs["program_id"], **{"t\udcff": "pass"}))
+        with run_queue(tmp_path, workers=1) as queue:
+            with pytest.raises(UnicodeEncodeError):
+                queue.suite("x", "run {source}", program_id="m1").result()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leaving_the_queue_cancels_every_caller_of_a_queued_run(
+            self, tmp_path, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+
+        def blocking_suite(*args, **kwargs):
+            started.set()
+            release.wait(30)
+            return vector(kwargs["program_id"], t1="pass")
+
+        monkeypatch.setattr("mutkit.execution.run_suite", blocking_suite)
+        with run_queue(tmp_path, workers=1) as queue:
+            running = queue.suite("a", "run {source}", program_id="m1")
+            assert started.wait(30)
+            queued = [queue.suite("b", "run {source}", program_id=f"m{i}")
+                      for i in (2, 3)]
+            # Cancelling the shared run on exit lets the running one finish.
+            queued[-1].add_done_callback(lambda _: release.set())
+        assert [run.cancelled() for run in queued] == [True, True]
+        assert running.result().outcomes == {"t1": "pass"}
 
     def test_many_workers_share_runs_under_fast_thread_switching(
             self, tmp_path, process_count):

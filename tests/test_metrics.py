@@ -195,6 +195,10 @@ class TestCouplingRate:
         assert coupling_rate(ctx) == pytest.approx(0.4)
         assert coupled_mutants(ctx) == {"m1", "m2"}
 
+    def test_no_mutant_is_an_error(self):
+        with pytest.raises(MetricsError, match="^bug b: coupling rate needs >= 1 mutant$"):
+            coupling_rate(context({}, ["t1"], ["t1"]))
+
     def test_matches_brute_force(self):
         rng = random.Random(43)
         for _ in range(20):

@@ -121,6 +121,11 @@ class TestParseResponse:
         assert parsed.pairs == []
         assert parsed.failure == "missing-tags"
 
+    def test_an_unclosed_tag_flags_failure(self):
+        parsed = parse_response('<json>[{"precode":"a;","aftercode":"b;"}]')
+        assert parsed.pairs == []
+        assert parsed.failure == "missing-tags"
+
     def test_invalid_json_flags_failure(self):
         parsed = parse_response("<json>[{not json]</json>")
         assert parsed.pairs == []
@@ -137,6 +142,10 @@ class TestParseResponse:
         parsed = parse_response(text)
         assert len(parsed.pairs) == 1
         assert parsed.dropped == 2
+
+    def test_a_blank_precode_is_dropped(self):
+        parsed = parse_response('<json>[{"precode":" \\t ","aftercode":"d;"}]</json>')
+        assert (parsed.pairs, parsed.dropped, parsed.failure) == ([], 1, None)
 
     def test_surrounding_prose_tolerated(self):
         text = 'Sure!\n<json> [{"precode":"a;","aftercode":"b;"}] </json>\nDone.'

@@ -177,13 +177,6 @@ class TestInstanceValidation:
                              bug_id="bug-a", chunk_id="c00",
                              mutant_ids=("m1",))
 
-    def test_pair_count_must_match_mutants(self):
-        response = render_response([make_mutant("m1"), make_mutant("m2")])
-        with pytest.raises(SftError, match="pairs for"):
-            TrainingInstance(prompt=PROMPT, response=response,
-                             bug_id="bug-a", chunk_id="c00",
-                             mutant_ids=("m1",))
-
     def test_context_rejects_empty_prompt(self):
         with pytest.raises(SftError, match="empty prompt"):
             SftContext(bug_id="b", chunk_id="c", prompt="   ")

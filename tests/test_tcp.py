@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mutkit.execution import KillMatrix
 from mutkit.tcp import (
     DEFAULT_HYB_WEIGHT,
-    PrioritizedSuite,
     TcpError,
     apfd,
     grd,
@@ -412,16 +411,6 @@ class TestGoldenOrders:
 
 
 class TestPrioritizedSuiteValidation:
-    def test_rejects_duplicate_test_ids(self):
-        with pytest.raises(TcpError):
-            PrioritizedSuite(strategy="GRK", order=("t1", "t1"),
-                             step_kills=(1, 0), step_pairs=(0, 0))
-
-    def test_rejects_misaligned_audit_trails(self):
-        with pytest.raises(TcpError):
-            PrioritizedSuite(strategy="GRK", order=("t1", "t2"),
-                             step_kills=(1,), step_pairs=(0, 0))
-
     def test_rejects_empty_matrix(self):
         matrix = KillMatrix(bug_id="b", mutant_ids=(), test_ids=(),
                             kills=np.zeros((0, 0), dtype=bool))

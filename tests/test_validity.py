@@ -114,14 +114,6 @@ class TestCheckCompile:
 
 
 class TestValidityLedger:
-    def test_subset_invariants_enforced(self):
-        with pytest.raises(ValidityError, match="duplicates"):
-            ValidityLedger(expected=1, generated=["m1"],
-                           duplicates={"m2"})
-        with pytest.raises(ValidityError, match="compilable"):
-            ValidityLedger(expected=1, generated=["m1"],
-                           compilable={"m9"})
-
     def test_useful_is_compilable_minus_duplicates(self):
         ledger = ValidityLedger(expected=3,
                                 generated=["m1", "m2", "m3"],

@@ -67,16 +67,15 @@ def main() -> None:
 
     print("\n== 3. Kill matrix from outcome vectors ==")
     all_pass = {t: "pass" for t in TESTS}
-    original = TestOutcomeVector(program_id="Cap-1", outcomes=all_pass)
+    original = TestOutcomeVector(outcomes=all_pass)
     observed = {
         "Cap-1-m000": {"t_edge": "fail", "t_high": "fail"},
         "Cap-1-m002": {"t_high": "fail", "t_huge": "fail"},
     }
     useful = sorted(ledger.useful())
-    vectors = [TestOutcomeVector(program_id=m,
-                                 outcomes={**all_pass, **observed.get(m, {})})
-               for m in useful]
-    matrix = build_kill_matrix(original, vectors, bug_id="Cap-1")
+    vectors = {m: TestOutcomeVector(outcomes={**all_pass, **observed.get(m, {})})
+               for m in useful}
+    matrix = build_kill_matrix(original, vectors, "Cap-1")
     header = " ".join(f"{t:>7}" for t in matrix.test_ids)
     print(f"  {'':12} {header}")
     for m, kills in zip(matrix.mutant_ids, matrix.kills):

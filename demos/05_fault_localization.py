@@ -29,19 +29,18 @@ MUTANTS = {
 
 def main() -> None:
     print("== 1. The outcome vectors ==")
-    original = TestOutcomeVector(program_id="Bug-7", outcomes=ORIGINAL)
+    original = TestOutcomeVector(outcomes=ORIGINAL)
     print(f"original failing tests: {sorted(original.failing())}")
-    mutant_outcomes = []
+    mutant_outcomes = {}
     statement_of = {}
     for mutant_id, (statement, flips) in MUTANTS.items():
         outcomes = {t: ("pass" if s == "fail" else "fail") if t in flips else s
                     for t, s in ORIGINAL.items()}
-        mutant_outcomes.append(TestOutcomeVector(program_id=mutant_id,
-                                                 outcomes=outcomes))
+        mutant_outcomes[mutant_id] = TestOutcomeVector(outcomes=outcomes)
         statement_of[mutant_id] = statement
         print(f"  {mutant_id} (stmt {statement}) flips {list(flips) or '-'}")
     # A kill is a flip against the original, so the matrix holds the flips.
-    matrix = build_kill_matrix(original, mutant_outcomes)
+    matrix = build_kill_matrix(original, mutant_outcomes, "Bug-7")
 
     reports = localize("Bug-7", original, matrix, statement_of,
                        statements=STATEMENTS, faulty_statements=[FAULTY])

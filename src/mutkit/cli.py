@@ -216,7 +216,7 @@ def cmd_mbfl(args: argparse.Namespace) -> int:
              if args.statement_space else {})
     per_bug = {}
     for bug_id in sorted(by_bug):
-        original = load_outcomes(str(matrices / f"{bug_id}.original.txt"), bug_id)
+        original = load_outcomes(str(matrices / f"{bug_id}.original.txt"))
         if bug_id not in statements:
             raise PipelineError(f"bug {bug_id} missing from {args.statements}")
         per_bug[bug_id] = mbfl.localize(

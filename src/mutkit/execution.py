@@ -21,7 +21,7 @@ import re
 import subprocess
 import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,14 @@ class MatrixError(Exception):
 
 @dataclass
 class TestOutcomeVector:
-    """Pass/fail outcomes of one program, plus per-test anomaly flags."""
+    """Pass/fail outcomes of one program, plus per-test anomaly flags.
+
+    The vector names no program: one run's vector is shared, unchanged, by
+    every program with the same source, so the caller names it.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
-    program_id: str
     outcomes: dict[str, str]
     flags: dict[str, str] = field(default_factory=dict)
 
@@ -83,7 +86,7 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
             temporary ``.java`` file substituted for {source} in the
             command.
         test_command: command template emitting one status line per test.
-        program_id: id recorded on the vector (original or a mutant id).
+        program_id: the program's name in errors (original or a mutant id).
         expected_tests: the bug's full test-id list; tests the runner did
             not report are recorded as FAIL with a flag (missing, or
             timeout when the run was cut off).
@@ -129,7 +132,7 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
         raise RunnerError(
             f"run timed out for {program_id} and no expected test list "
             f"was given to complete the vector")
-    return TestOutcomeVector(program_id=program_id, outcomes=outcomes, flags=flags)
+    return TestOutcomeVector(outcomes=outcomes, flags=flags)
 
 
 _ID_WS = re.compile(r"\s")
@@ -179,29 +182,28 @@ class KillMatrix:
 
 
 def build_kill_matrix(original: TestOutcomeVector,
-                      mutants: list[TestOutcomeVector],
-                      bug_id: str | None = None) -> KillMatrix:
+                      mutants: dict[str, TestOutcomeVector],
+                      bug_id: str) -> KillMatrix:
     """Assemble the kill matrix: cell = status XOR against the original.
 
     On a fixed version the original is all-pass, so a kill is simply a
     failing test on the mutant; on a buggy version a mutant making an
     originally failing test pass is also a kill (the f2p case).
 
+    Rows follow the order of ``mutants``, which maps mutant id to vector.
+
     Raises:
         MatrixError: if any mutant's test-id set differs from the original's.
     """
     test_ids = tuple(sorted(original.outcomes))
     rows = []
-    mutant_ids = []
-    for vector in mutants:
+    for mutant_id, vector in mutants.items():
         if set(vector.outcomes) != set(test_ids):
-            raise MatrixError(
-                f"test-id mismatch between original and {vector.program_id}")
+            raise MatrixError(f"test-id mismatch between original and {mutant_id}")
         rows.append([vector.outcomes[t] != original.outcomes[t] for t in test_ids])
-        mutant_ids.append(vector.program_id)
     cells = np.array(rows, dtype=bool) if rows else np.zeros((0, len(test_ids)), dtype=bool)
-    return KillMatrix(bug_id=bug_id or original.program_id,
-                      mutant_ids=tuple(mutant_ids), test_ids=test_ids, kills=cells)
+    return KillMatrix(bug_id=bug_id, mutant_ids=tuple(mutants), test_ids=test_ids,
+                      kills=cells)
 
 
 def save_matrix(matrix: KillMatrix, path: str) -> None:
@@ -264,7 +266,7 @@ def save_outcomes(vector: TestOutcomeVector, path: str) -> None:
         handle.write(_outcome_lines(vector.outcomes))
 
 
-def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
+def load_outcomes(path: str) -> TestOutcomeVector:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -273,7 +275,7 @@ def load_outcomes(path: str, program_id: str) -> TestOutcomeVector:
     outcomes = parse_outcome_lines(text)
     if not outcomes:
         raise RunnerError(f"outcomes file {path} has no status lines")
-    return TestOutcomeVector(program_id=program_id, outcomes=outcomes)
+    return TestOutcomeVector(outcomes=outcomes)
 
 
 def _run_key(kind: str, command: str, expected_tests: list[str] | None,
@@ -290,9 +292,10 @@ def _read_compile(text: str) -> bool | None:
     return {"ok\n": True, "fail\n": False}.get(text)
 
 
-def _read_outcomes(text: str, expected_tests: list[str] | None) -> dict | None:
-    """Outcomes of a stored suite run; None unless the text is exactly what
-    ``_outcome_lines`` writes for the expected tests."""
+def _read_outcomes(text: str, expected_tests: list[str] | None,
+                   ) -> TestOutcomeVector | None:
+    """The vector of a stored suite run; None unless the text is exactly
+    what ``_outcome_lines`` writes for the expected tests."""
     try:
         outcomes = parse_outcome_lines(text)
     except RunnerError:
@@ -301,29 +304,7 @@ def _read_outcomes(text: str, expected_tests: list[str] | None) -> dict | None:
         return None
     if expected_tests is not None and set(outcomes) != set(expected_tests):
         return None
-    return outcomes
-
-
-def _done(result) -> Future:
-    future: Future = Future()
-    future.set_result(result)
-    return future
-
-
-def _relabeled(shared: Future, program_id: str) -> Future:
-    """A future of the shared run's vector under the caller's program id."""
-    future: Future = Future()
-
-    def copy(done: Future) -> None:
-        if done.cancelled():
-            future.cancel()
-        elif done.exception() is not None:
-            future.set_exception(done.exception())
-        else:
-            future.set_result(replace(done.result(), program_id=program_id))
-
-    shared.add_done_callback(copy)
-    return future
+    return TestOutcomeVector(outcomes=outcomes)
 
 
 class _RunQueue:
@@ -331,12 +312,13 @@ class _RunQueue:
 
     A run's key is the sha256 of its kind, command template, expected test
     list (suites only) and source text.  Submissions with the same key
-    share one future; a finished run is stored as ``<directory>/<key>``
-    (temp file, then ``os.replace``) and later submissions read it back
-    without starting a process.  A stored file that does not parse is a
-    miss and is overwritten.  Nothing is stored for a timed-out compile, a
-    suite vector with timeout or missing flags, or a run that raised;
-    errors surface from ``Future.result()``.  Submit from one thread.
+    get one shared future, whose result no caller may change; a finished
+    run is stored as ``<directory>/<key>`` (temp file, then
+    ``os.replace``) and later submissions read it back without starting a
+    process.  A stored file that does not parse is a miss and is
+    overwritten.  Nothing is stored for a timed-out compile, a suite vector
+    with timeout or missing flags, or a run that raised; errors surface
+    from ``Future.result()``.  Submit from one thread.
     """
 
     def __init__(self, directory: Path, workers: int):
@@ -353,26 +335,30 @@ class _RunQueue:
     def compile(self, source: str, command: str, *, timeout: float) -> Future:
         """Future of whether ``source`` compiles; a timeout counts as no."""
         key = _run_key("compile", command, None, source)
-        if key not in self._runs:
-            stored = _read_compile(self._stored(key))
-            self._runs[key] = (_done(stored) if stored is not None else
-                               self._pool.submit(self._compile, key, source, command,
-                                                 timeout))
-        return self._runs[key]
+        return self._run(key, _read_compile, self._compile, source, command, timeout)
 
     def suite(self, source: str, command: str, *, program_id: str,
               expected_tests: list[str] | None = None,
               timeout: float | None = None) -> Future:
-        """Future of ``run_suite``'s vector for ``source``."""
+        """Future of ``run_suite``'s vector for ``source``; ``program_id``
+        names the program in the errors of the run this call starts."""
         key = _run_key("suite", command, expected_tests, source)
+        return self._run(key, lambda text: _read_outcomes(text, expected_tests),
+                         self._suite, source, command, program_id, expected_tests,
+                         timeout)
+
+    def _run(self, key: str, read, run, *args) -> Future:
+        """The future under ``key``: its stored result, read back by
+        ``read`` (None for a miss), or else one submission of ``run``."""
         if key not in self._runs:
-            stored = _read_outcomes(self._stored(key), expected_tests)
-            self._runs[key] = (
-                _done(TestOutcomeVector(program_id=program_id, outcomes=stored))
-                if stored is not None else
-                self._pool.submit(self._suite, key, source, command, program_id,
-                                  expected_tests, timeout))
-        return _relabeled(self._runs[key], program_id)
+            stored = read(self._stored(key))
+            if stored is None:
+                future = self._pool.submit(run, key, *args)
+            else:
+                future = Future()
+                future.set_result(stored)
+            self._runs[key] = future
+        return self._runs[key]
 
     def _compile(self, key, source, command, timeout) -> bool:
         result = check_compile(source, command, timeout=timeout)

@@ -101,7 +101,7 @@ def fl_stats(
                        dtype=bool)
     if not failing.any():
         raise MbflError(
-            f"program {original.program_id}: no failing test, nothing to localize")
+            f"program {matrix.bug_id}: no failing test, nothing to localize")
     failed_m = matrix.kills[:, failing].sum(axis=1).tolist()
     passed_m = matrix.kills[:, ~failing].sum(axis=1).tolist()
     stats = []

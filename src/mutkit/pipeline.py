@@ -27,6 +27,7 @@ import logging
 import math
 import random
 import re
+import shlex
 import types
 import typing
 from collections.abc import Sequence
@@ -236,6 +237,18 @@ class PipelineConfig:
             raise PipelineError("sample_targets must be >= 1 when set")
         if not 0 < self.timeout < math.inf:
             raise PipelineError(f"timeout must be finite and > 0, got {self.timeout}")
+        for name in ("compile_command", "test_command"):
+            template = getattr(self, name)
+            if not template:  # None or "": no command
+                continue
+            try:
+                words = shlex.split(template)
+            except ValueError as error:
+                raise PipelineError(
+                    f"{name} does not split into words ({error}): {template!r}") from None
+            if not any("{source}" in word for word in words):
+                raise PipelineError(
+                    f"{name} must contain a {{source}} placeholder, got {template!r}")
 
     def variant_label(self) -> str:
         """Ablation variant implied by the retrieval/chunking switches."""
@@ -642,8 +655,10 @@ def _load_bug_artifacts(targets: Sequence[TargetSpec], manifest_dir: Path,
                 f"bug {target.bug_id} missing from {manifest_dir / 'summary.json'}; "
                 f"generate did not cover it")
         expected = target_summary.get("expected")
-        _check_type(expected, int, f"{manifest_dir / 'summary.json'}: bug "
-                                   f"{target.bug_id}: expected")
+        what = f"{manifest_dir / 'summary.json'}: bug {target.bug_id}: expected"
+        _check_type(expected, int, what)
+        if expected < 0:
+            raise PipelineError(f"{what} must be >= 0, got {expected}")
         bug_rows = by_bug.get(target.bug_id, [])
         artifacts[target.bug_id] = BugArtifacts(
             target=target, expected=expected,
@@ -702,10 +717,10 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
     buggy_run = None
     if config.test_command:
         test_ids = sorted(original_run.result().outcomes)
-        mutant_runs = [queue.suite(bug.materialized[mid].source, config.test_command,
-                                   program_id=mid, expected_tests=test_ids,
-                                   timeout=config.timeout)
-                       for mid in useful]
+        mutant_runs = {mid: queue.suite(bug.materialized[mid].source,
+                                        config.test_command, program_id=mid,
+                                        expected_tests=test_ids, timeout=config.timeout)
+                       for mid in useful}
         if through == "report" and config.mode != "buggy" \
                 and not target.bug_revealing_tests \
                 and target.buggy_method:
@@ -714,8 +729,8 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
                                     expected_tests=test_ids, timeout=config.timeout)
         yield
         bug.original = original_run.result()
-        bug.matrix = build_kill_matrix(bug.original, [run.result() for run in mutant_runs],
-                                       bug_id=bug_id)
+        bug.matrix = build_kill_matrix(
+            bug.original, {mid: run.result() for mid, run in mutant_runs.items()}, bug_id)
         matrices_dir.mkdir(parents=True, exist_ok=True)
         save_matrix(bug.matrix, str(matrices_dir / f"{bug_id}.matrix"))
         save_outcomes(bug.original, str(matrices_dir / f"{bug_id}.original.txt"))
@@ -728,7 +743,7 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
         bug.matrix = _select_rows(load_matrix(str(matrix_path), bug_id=bug_id), useful)
         outcomes_path = matrices_dir / f"{bug_id}.original.txt"
         if outcomes_path.exists():
-            bug.original = load_outcomes(str(outcomes_path), bug_id)
+            bug.original = load_outcomes(str(outcomes_path))
 
     if through == "execute":
         return

@@ -118,7 +118,7 @@ def export(
     skipped: list[SkippedMutant] = []
     uncoupled = 0
     held_out = 0
-    groups: dict[tuple[str, str], list[tuple[Mutant, SftContext]]] = {}
+    groups: dict[tuple[str, str], list[Mutant]] = {}
 
     for mutant in ordered:
         if mutant.id not in coupled_ids:
@@ -132,13 +132,11 @@ def export(
         if context.project in excluded:
             held_out += 1
             continue
-        groups.setdefault(key, []).append((mutant, context))
+        groups.setdefault(key, []).append(mutant)
 
     for key in sorted(groups):
-        members = groups[key]
-        context = members[0][1]
-        if grouped:
-            batch = [m for m, _ in members]
+        members, context = groups[key], contexts[key]
+        for batch in [members] if grouped else [[mutant] for mutant in members]:
             instances.append(TrainingInstance(
                 prompt=context.prompt,
                 response=render_response(batch),
@@ -146,15 +144,6 @@ def export(
                 chunk_id=context.chunk_id,
                 mutant_ids=tuple(m.id for m in batch),
                 project=context.project))
-        else:
-            for mutant, _ in members:
-                instances.append(TrainingInstance(
-                    prompt=context.prompt,
-                    response=render_response([mutant]),
-                    bug_id=context.bug_id,
-                    chunk_id=context.chunk_id,
-                    mutant_ids=(mutant.id,),
-                    project=context.project))
 
     logger.info("exported %d instances (%d uncoupled, %d held out, %d skipped)",
                 len(instances), uncoupled, held_out, len(skipped))

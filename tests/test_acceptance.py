@@ -198,7 +198,7 @@ def _single_fault_instance(rng: random.Random, case: int):
     failing = [f"f{i}" for i in range(rng.randint(1, 4))]
     passing = [f"p{i}" for i in range(rng.randint(1, 5))]
     outcomes = {**{t: "fail" for t in failing}, **{t: "pass" for t in passing}}
-    original = TestOutcomeVector(program_id=f"bug{case}", outcomes=outcomes)
+    original = TestOutcomeVector(outcomes=outcomes)
     mutant_outcomes: dict[str, TestOutcomeVector] = {}
     statement_of: dict[str, int] = {}
     seq = 0
@@ -215,8 +215,7 @@ def _single_fault_instance(rng: random.Random, case: int):
                 for t in passing:
                     if rng.random() < 0.3:
                         flipped[t] = "fail"
-            mutant_outcomes[mutant_id] = TestOutcomeVector(
-                program_id=mutant_id, outcomes=flipped)
+            mutant_outcomes[mutant_id] = TestOutcomeVector(outcomes=flipped)
     return original, mutant_outcomes, statement_of, statements, faulty
 
 
@@ -226,7 +225,7 @@ def test_criterion_6_mbfl_single_fault_sanity():
     for case in range(40):
         original, mutant_outcomes, statement_of, statements, faulty = (
             _single_fault_instance(rng, case))
-        matrix = build_kill_matrix(original, list(mutant_outcomes.values()))
+        matrix = build_kill_matrix(original, mutant_outcomes, f"bug{case}")
         reports = localize(f"bug{case}", original, matrix, statement_of,
                            statements=statements, faulty_statements=[faulty])
         assert list(reports) == ["muse", "metallaxis"]

@@ -400,6 +400,28 @@ class TestGenerateCommand:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["compile_command", "test_command"])
+    @pytest.mark.parametrize("template, message", [
+        ('"python3 tests/toyrunner.py --check {source}',
+         "does not split into words (No closing quotation): "
+         "'\"python3 tests/toyrunner.py --check {source}'"),
+        (" ", "must contain a {source} placeholder, got ' '"),
+        ("python3 tests/toyrunner.py --check",
+         "must contain a {source} placeholder, got 'python3 tests/toyrunner.py --check'"),
+    ], ids=["unbalanced-quote", "blank", "no-placeholder"])
+    def test_a_command_template_that_cannot_run_exits_2_naming_it(
+            self, tmp_path, capsys, name, template, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"retrieval": False, name: template}))
+        targets_path = write_targets(tmp_path / "targets.jsonl", [
+            {"bug_id": "B-1", "method": CLAMP_FIXED}])
+        code, out, err = run_cli(["validate", "--config", str(config_path),
+                                  "--targets", str(targets_path),
+                                  "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReportCommands:
     def test_report_writes_sections(self, fixed_cli_run):
@@ -1028,6 +1050,22 @@ class TestExportSft:
         assert len(rows) < 6
         assert any(len(row["provenance"]["mutant_ids"]) > 1 for row in rows)
 
+    # sha256 of the instance file each mode writes for the fixed CLI run.
+    GOLDEN = {
+        "per-mutant": "d633b4fbc86f325ec112047534c00d32737ac7f0e3e0dd8315ccb30d44d5a80f",
+        "grouped": "645fdf6b07d8b9647180c7bc18f76b64b1659d1aee4c7f96ed818ce649c18971",
+    }
+
+    def test_export_bytes_are_pinned(self, fixed_cli_run, tmp_path, capsys):
+        config_path, _, _, _ = fixed_cli_run
+        digests = {}
+        for mode, flags in (("per-mutant", []), ("grouped", ["--grouped"])):
+            out_path = tmp_path / f"{mode}.jsonl"
+            code, _, err = run_cli(["export-sft", "--config", str(config_path),
+                                    "--out", str(out_path), *flags], capsys)
+            assert code == 0, err
+            digests[mode] = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digests == self.GOLDEN
 
     def test_blank_lines_in_prompts_are_skipped(self, fixed_cli_run, tmp_path,
                                                 capsys):
@@ -1269,13 +1307,14 @@ class TestEvaluateInputsThatEndTheRun:
         summary_path.write_text(json.dumps(summary))
         code, out, err = self.evaluate(generated, capsys)
         assert (code, out) == (2, "")
-        assert err == "error: expected must be >= 0, got -1\n"
+        assert err == f"error: {summary_path}: bug Clamp-1: expected must be >= 0, got -1\n"
 
     def test_a_blank_compile_command(self, generated, capsys):
         code, out, err = self.evaluate(generated, capsys, "validate",
                                        "--compile-command", " ")
         assert (code, out) == (2, "")
-        assert err == "error: empty command template\n"
+        assert err == ("error: compile_command must contain a {source} "
+                       "placeholder, got ' '\n")
 
     def test_a_test_command_that_is_not_found(self, generated, capsys):
         code, out, err = self.evaluate(generated, capsys, "execute",

@@ -27,8 +27,8 @@ from mutkit.validity import CompileResult, ValidityError
 from oracles import oracle_id_error
 
 
-def vector(program_id, **outcomes):
-    return TestOutcomeVector(program_id=program_id, outcomes=dict(outcomes))
+def vector(**outcomes):
+    return TestOutcomeVector(outcomes=dict(outcomes))
 
 
 def assert_same_cells(first, second):
@@ -111,36 +111,36 @@ class TestRunSuite:
 
 class TestBuildKillMatrix:
     def test_identical_vector_survives(self):
-        original = vector("orig", t1="pass", t2="pass")
-        mutant = vector("m1", t1="pass", t2="pass")
-        matrix = build_kill_matrix(original, [mutant], bug_id="b")
+        original = vector(t1="pass", t2="pass")
+        mutant = vector(t1="pass", t2="pass")
+        matrix = build_kill_matrix(original, {"m1": mutant}, "b")
         assert matrix.kills.tolist() == [[False, False]]
 
     def test_single_flip_sets_single_cell(self):
-        original = vector("orig", t1="pass", t2="pass")
-        mutant = vector("m1", t1="pass", t2="fail")
-        matrix = build_kill_matrix(original, [mutant], bug_id="b")
+        original = vector(t1="pass", t2="pass")
+        mutant = vector(t1="pass", t2="fail")
+        matrix = build_kill_matrix(original, {"m1": mutant}, "b")
         assert matrix.test_ids == ("t1", "t2")
         assert matrix.kills.tolist() == [[False, True]]
 
     def test_fail_to_pass_flip_is_a_kill(self):
         # Buggy-version mode: the original fails t2; the mutant passes it.
-        original = vector("orig", t1="pass", t2="fail")
-        mutant = vector("m1", t1="pass", t2="pass")
-        matrix = build_kill_matrix(original, [mutant], bug_id="b")
+        original = vector(t1="pass", t2="fail")
+        mutant = vector(t1="pass", t2="pass")
+        matrix = build_kill_matrix(original, {"m1": mutant}, "b")
         assert matrix.test_ids == ("t1", "t2")
         assert matrix.kills.tolist() == [[False, True]]
 
     def test_test_id_mismatch_rejected(self):
-        original = vector("orig", t1="pass")
-        mutant = vector("m1", t2="pass")
+        original = vector(t1="pass")
+        mutant = vector(t2="pass")
         with pytest.raises(MatrixError, match="mismatch"):
-            build_kill_matrix(original, [mutant])
+            build_kill_matrix(original, {"m1": mutant}, "b")
 
     def test_cells_keyed_by_id_not_dict_order(self):
-        original = TestOutcomeVector("orig", {"t2": "pass", "t1": "pass"})
-        mutant = TestOutcomeVector("m1", {"t1": "fail", "t2": "pass"})
-        matrix = build_kill_matrix(original, [mutant], bug_id="b")
+        original = TestOutcomeVector({"t2": "pass", "t1": "pass"})
+        mutant = TestOutcomeVector({"t1": "fail", "t2": "pass"})
+        matrix = build_kill_matrix(original, {"m1": mutant}, "b")
         assert matrix.test_ids == ("t1", "t2")
         assert matrix.kills.tolist() == [[True, False]]
 
@@ -284,7 +284,6 @@ class TestRunMutantSuites:
                                      expected_tests=["t1", "t2"])
                     for mid in sorted(sources, reverse=True)}
             vectors = [runs[mid].result() for mid in sorted(runs)]
-        assert [v.program_id for v in vectors] == ["m1", "m2", "m3"]
         assert vectors[0].outcomes == {"t1": "pass", "t2": "fail"}
         assert vectors[1].outcomes == {"t1": "pass", "t2": "pass"}
         assert vectors[2].outcomes == {"t1": "fail", "t2": "fail"}
@@ -314,7 +313,6 @@ class TestRunQueueCache:
             assert [run.result() for run in compiles] == [True, False]
         assert len(process_count) == 3
         assert second.outcomes == first.outcomes and not second.flags
-        assert second.program_id == "m7"
 
     def test_identical_submissions_share_one_process(self, tmp_path, process_count):
         with run_queue(tmp_path, workers=4) as queue:
@@ -322,8 +320,8 @@ class TestRunQueueCache:
                                 expected_tests=["t1", "t2"]) for i in range(4)]
             vectors = [run.result() for run in runs]
         assert len(process_count) == 1
-        assert [v.program_id for v in vectors] == ["m0", "m1", "m2", "m3"]
-        assert all(v.outcomes == {"t1": "pass", "t2": "fail"} for v in vectors)
+        assert all(run is runs[0] for run in runs)
+        assert vectors[0].outcomes == {"t1": "pass", "t2": "fail"}
 
     # The ids are kept from when the source suffix was a key part (change2).
     @pytest.mark.parametrize("change", [
@@ -373,7 +371,7 @@ class TestRunQueueCache:
                                                              monkeypatch):
         # A test id that UTF-8 cannot encode makes the write itself fail.
         monkeypatch.setattr("mutkit.execution.run_suite", lambda *args, **kwargs:
-                            vector(kwargs["program_id"], **{"t\udcff": "pass"}))
+                            vector(**{"t\udcff": "pass"}))
         with run_queue(tmp_path, workers=1) as queue:
             with pytest.raises(UnicodeEncodeError):
                 queue.suite("x", "run {source}", program_id="m1").result()
@@ -386,7 +384,7 @@ class TestRunQueueCache:
         def blocking_suite(*args, **kwargs):
             started.set()
             release.wait(30)
-            return vector(kwargs["program_id"], t1="pass")
+            return vector(t1="pass")
 
         monkeypatch.setattr("mutkit.execution.run_suite", blocking_suite)
         with run_queue(tmp_path, workers=1) as queue:
@@ -413,7 +411,7 @@ class TestRunQueueCache:
         finally:
             sys.setswitchinterval(interval)
         assert len(process_count) == len(sources)
-        assert [v.program_id for _, v in vectors] == [f"m{i:02d}" for i in range(40)]
+        assert len({run for _, run in runs}) == len(sources)
         for source, vector in vectors:
             assert vector.outcomes == {
                 "t1": "pass" if "alpha" in source else "fail",
@@ -457,7 +455,7 @@ class TestRunKeys:
         monkeypatch.setattr("mutkit.execution.check_compile",
                             lambda *args, **kwargs: CompileResult(ok=True))
         monkeypatch.setattr("mutkit.execution.run_suite", lambda *args, **kwargs:
-                            vector(kwargs["program_id"], t1="pass", t2="fail"))
+                            vector(t1="pass", t2="fail"))
         with run_queue(tmp_path / "compile", workers=1) as queue:
             assert queue.compile("class A {}", "javac {source}", timeout=30.0).result()
         with run_queue(tmp_path / "suite", workers=1) as queue:
@@ -469,14 +467,14 @@ class TestRunKeys:
 
 class TestOutcomesPersistence:
     def test_round_trip(self, tmp_path):
-        original = vector("orig", t2="fail", t1="pass")
+        original = vector(t2="fail", t1="pass")
         path = str(tmp_path / "orig.outcomes")
         save_outcomes(original, path)
-        loaded = load_outcomes(path, "orig")
+        loaded = load_outcomes(path)
         assert loaded.outcomes == original.outcomes
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "x.outcomes"
         path.write_text("nothing here\n")
         with pytest.raises(RunnerError, match="no status lines"):
-            load_outcomes(str(path), "orig")
+            load_outcomes(str(path))

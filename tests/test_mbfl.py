@@ -32,29 +32,30 @@ from oracles import (
 )
 
 
-def vector(program_id, **outcomes):
-    return TestOutcomeVector(program_id=program_id, outcomes=dict(outcomes))
+def vector(**outcomes):
+    return TestOutcomeVector(outcomes=dict(outcomes))
 
 
-def kill_matrix(original, *mutants):
-    return build_kill_matrix(original, list(mutants), bug_id="bug")
+def kill_matrix(original, **mutants):
+    """The kill matrix of bug "bug" with one row per mutant keyword."""
+    return build_kill_matrix(original, mutants, "bug")
 
 
-ORIGINAL = vector("buggy", t1="fail", t2="fail", t3="pass", t4="pass")
+ORIGINAL = vector(t1="fail", t2="fail", t3="pass", t4="pass")
 
 
 class TestFlStats:
     def test_flip_of_one_failing_test_counts_as_failed_m(self):
-        mutants = kill_matrix(ORIGINAL, vector("m1", t1="pass", t2="fail", t3="pass",
-                                               t4="pass"))
+        mutants = kill_matrix(ORIGINAL, m1=vector(t1="pass", t2="fail", t3="pass",
+                                                  t4="pass"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 7})
         assert stats[0].failed_m == 1
         assert stats[0].passed_m == 0
         assert globals_.totalfailed == 2
 
     def test_identical_outcomes_count_nothing(self):
-        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="pass",
-                                               t4="pass"))
+        mutants = kill_matrix(ORIGINAL, m1=vector(t1="fail", t2="fail", t3="pass",
+                                                  t4="pass"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 3})
         assert stats[0].failed_m == 0
         assert stats[0].passed_m == 0
@@ -62,30 +63,30 @@ class TestFlStats:
         assert globals_.p2f == 0
 
     def test_globals_sum_over_mutants(self):
-        original = vector("buggy", t1="fail", t2="fail", t3="pass")
+        original = vector(t1="fail", t2="fail", t3="pass")
         flips = {"m1": 1, "m2": 0, "m3": 2, "m4": 1}
-        vectors = []
+        vectors = {}
         for mutant_id, failed_m in flips.items():
             outcomes = {"t1": "fail", "t2": "fail", "t3": "pass"}
             if failed_m >= 1:
                 outcomes["t1"] = "pass"
             if failed_m >= 2:
                 outcomes["t2"] = "pass"
-            vectors.append(TestOutcomeVector(mutant_id, outcomes))
-        stats, globals_ = fl_stats(original, kill_matrix(original, *vectors),
+            vectors[mutant_id] = TestOutcomeVector(outcomes)
+        stats, globals_ = fl_stats(original, kill_matrix(original, **vectors),
                                    {m: 1 for m in flips})
         assert [s.failed_m for s in stats] == [1, 0, 2, 1]
         assert globals_.f2p == 4
 
     def test_pass_to_fail_flip_counts_as_passed_m(self):
-        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="fail",
-                                               t4="fail"))
+        mutants = kill_matrix(ORIGINAL, m1=vector(t1="fail", t2="fail", t3="fail",
+                                                  t4="fail"))
         stats, globals_ = fl_stats(ORIGINAL, mutants, {"m1": 2})
         assert stats[0].passed_m == 2
         assert globals_.p2f == 2
 
     def test_requires_a_failing_test(self):
-        healthy = vector("fixed", t1="pass")
+        healthy = vector(t1="pass")
         with pytest.raises(MbflError, match="no failing test"):
             fl_stats(healthy, kill_matrix(healthy), {})
 
@@ -95,8 +96,8 @@ class TestFlStats:
             fl_stats(ORIGINAL, mutants, {"m1": 1})
 
     def test_rejects_unmapped_mutants(self):
-        mutants = kill_matrix(ORIGINAL, vector("m1", t1="fail", t2="fail", t3="pass",
-                                               t4="pass"))
+        mutants = kill_matrix(ORIGINAL, m1=vector(t1="fail", t2="fail", t3="pass",
+                                                  t4="pass"))
         with pytest.raises(MbflError, match="no statement mapping"):
             fl_stats(ORIGINAL, mutants, {})
 
@@ -135,7 +136,7 @@ class TestFlStatsOnKillMatrices:
             original = {t: rng.choice(("pass", "fail")) for t in tests}
             original[rng.choice(tests)] = "fail"
             statement_of = {m: rng.randint(1, 5) for m in table}
-            assert fl_stats(TestOutcomeVector("B", original),
+            assert fl_stats(TestOutcomeVector(original),
                             shuffled_matrix(table, tests, rng), statement_of) == \
                 oracle_fl_stats(table, original, statement_of)
 
@@ -143,8 +144,7 @@ class TestFlStatsOnKillMatrices:
     def test_rejects_outcomes_for_other_tests(self, original_tests):
         matrix = KillMatrix(bug_id="B-1", mutant_ids=("m1",),
                             test_ids=("t1", "t2"), kills=[[True, False]])
-        original = TestOutcomeVector(
-            program_id="B-1", outcomes={t: "pass" for t in original_tests})
+        original = TestOutcomeVector(outcomes={t: "pass" for t in original_tests})
         differ = sorted(set(original_tests) ^ {"t1", "t2"})
         with pytest.raises(MbflError) as error:
             fl_stats(original, matrix, {"m1": 1})
@@ -171,7 +171,7 @@ def buggy_kill_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_fl_stats_on_shuffled_rows_match_the_oracle(case, seed):
     table, tests, original, statement_of = case
-    vector = TestOutcomeVector("B", original)
+    vector = TestOutcomeVector(original)
     matrix = shuffled_matrix(table, tests, random.Random(seed))
     assert fl_stats(vector, matrix, statement_of) == \
         oracle_fl_stats(table, original, statement_of)
@@ -313,13 +313,13 @@ def test_rank_matches_the_oracle_with_keys_in_rank_order(scores):
 class TestLocalize:
     def build_single_fault_instance(self):
         # Statement 4 is faulty: only its mutants flip the failing test.
-        original = vector("buggy", t1="fail", t2="pass", t3="pass")
+        original = vector(t1="fail", t2="pass", t3="pass")
         mutants = kill_matrix(
             original,
-            vector("m1", t1="pass", t2="pass", t3="pass"),
-            vector("m2", t1="pass", t2="pass", t3="pass"),
-            vector("m3", t1="fail", t2="fail", t3="pass"),
-            vector("m4", t1="fail", t2="pass", t3="pass"),
+            m1=vector(t1="pass", t2="pass", t3="pass"),
+            m2=vector(t1="pass", t2="pass", t3="pass"),
+            m3=vector(t1="fail", t2="fail", t3="pass"),
+            m4=vector(t1="fail", t2="pass", t3="pass"),
         )
         statement_of = {"m1": 4, "m2": 4, "m3": 9, "m4": 12}
         return original, mutants, statement_of

@@ -220,6 +220,17 @@ class TestPipelineConfig:
         with pytest.raises(PipelineError, match=f"^{name} must be"):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["compile_command", "test_command"])
+    def test_a_command_template_requires_a_placeholder(self, name):
+        with pytest.raises(PipelineError, match=f"^{name} must contain a {{source}} "
+                                                f"placeholder, got 'javac'$"):
+            PipelineConfig(**{name: "javac"})
+
+    @pytest.mark.parametrize("template", [None, ""])
+    def test_an_unset_or_empty_command_template_means_no_command(self, template):
+        config = PipelineConfig(compile_command=template, test_command=template)
+        assert (config.compile_command, config.test_command) == (template, template)
+
     def test_ints_are_accepted_for_float_fields(self):
         config = PipelineConfig(timeout=5, hyb_weight=1, sample_targets=None)
         assert (config.timeout, config.hyb_weight) == (5, 1)
@@ -801,6 +812,8 @@ class TestEvaluateRunCache:
 
     def test_identical_sources_in_two_bugs_start_one_process(self, tmp_path,
                                                              process_count):
+        # The shared runs' results still name each bug's own mutants and
+        # original: the two-bug files equal the one-bug files, renamed.
         counts = []
         for bug_ids in (("Clamp-1",), ("Clamp-1", "Clamp-2")):
             base = tmp_path / str(len(bug_ids))
@@ -819,6 +832,17 @@ class TestEvaluateRunCache:
         assert counts == [5 + 1 + 4] * 2
         scores = outcome.sections["metrics"]["per_bug_mutation_score"]
         assert scores == {"Clamp-1": 0.75, "Clamp-2": 0.75}
+        alone = tmp_path / "1" / "out" / "matrices"
+        shared = tmp_path / "2" / "out" / "matrices"
+        for bug_id in ("Clamp-1", "Clamp-2"):
+            matrix = (shared / f"{bug_id}.matrix").read_text(encoding="utf-8")
+            assert matrix == (alone / "Clamp-1.matrix").read_text(
+                encoding="utf-8").replace("Clamp-1-", f"{bug_id}-")
+            mutant_ids = matrix.split("\n")[0].split()[1:]
+            assert len(mutant_ids) == 4
+            assert all(mid.startswith(f"{bug_id}-") for mid in mutant_ids)
+            assert (shared / f"{bug_id}.original.txt").read_bytes() == (
+                alone / "Clamp-1.original.txt").read_bytes()
 
     def test_new_sources_under_old_mutant_ids_rebuild_the_matrix(self, fixed_run):
         config, targets, _ = fixed_run

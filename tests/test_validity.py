@@ -14,7 +14,6 @@ from mutkit.validity import (
     dedup,
     normalize_line,
     rates,
-    substitute_command,
     validity_metrics,
 )
 
@@ -107,10 +106,6 @@ class TestCheckCompile:
     def test_command_not_found(self):
         with pytest.raises(ValidityError, match="not found"):
             check_compile("x", "no_such_compiler_zz {source}")
-
-    def test_template_requires_placeholder(self):
-        with pytest.raises(ValidityError, match="placeholder"):
-            substitute_command("javac", "/tmp/x.java")
 
 
 class TestValidityLedger:

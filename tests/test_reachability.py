@@ -1,8 +1,10 @@
 """Every public module-level function and class of mutkit has a caller in
 the product: the package itself, the demos or the benchmark harness; every
 private one has a caller in its own module; every field of a public
-dataclass is read in the product; and every optional parameter of a public
-function or method is passed by some call in the product.
+dataclass is read in the product; every optional parameter of a public
+function or method is passed by some call in the product; and every
+module-level name assigned in the package is read in its own module or
+by another product file.
 
 A name counts as used when code outside its own definition refers to it
 (a bare name or an attribute); a field counts as read when code outside
@@ -10,7 +12,10 @@ its class loads an attribute of that name; a parameter counts as passed
 when a call of the function's name (a class's name for ``__init__``)
 passes it by keyword, by position, or through ``*`` or ``**``.  A
 parameter whose default is callable is a seam for tests to put a stand-in
-in, and is exempt.  Imports and the tests do not count.
+in, and is exempt.  Imports and the tests do not count, except that a
+module-level name counts as read when its own module loads it or another
+product file imports it from that module or loads it as
+``<module>.<name>``; dunder names are exempt.
 """
 
 import ast
@@ -81,6 +86,42 @@ def unread_fields(paths, package) -> list[str]:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
             and not any(stmt.target.id in names for other, names in loads.items()
                         if other != id(node))]
+
+
+def _assigned(tree: ast.Module) -> list[str]:
+    """The names that the top-level assignments of ``tree`` bind."""
+    return [sub.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+
+
+def unread_names(paths, package) -> list[str]:
+    """The module-level names assigned in the ``package`` files, dunder
+    names apart, that their own module never loads and that no other file
+    of ``paths`` imports from that module or loads as ``<module>.<name>``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    found = []
+    for path in package:
+        read = {sub.id for sub in ast.walk(trees[path])
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for other, tree in trees.items():
+            if other == path:
+                continue
+            for sub in ast.walk(tree):
+                if isinstance(sub, ast.ImportFrom) \
+                        and (sub.module or "").rpartition(".")[2] == path.stem:
+                    read.update(alias.name for alias in sub.names)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) \
+                        and path.stem == (sub.value.id if isinstance(sub.value, ast.Name)
+                                          else getattr(sub.value, "attr", None)):
+                    read.add(sub.attr)
+        found += [f"{path.stem}.{name}" for name in _assigned(trees[path])
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and name not in read]
+    return found
 
 
 def _functions(module):
@@ -171,6 +212,10 @@ def test_every_optional_parameter_is_passed_by_the_product():
     assert unpassed(PRODUCT, modules) == []
 
 
+def test_every_module_level_name_is_read_by_the_product():
+    assert unread_names(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
 @pytest.mark.parametrize("source, expected", [
     ("def f():\n    return f()\n", ["m.f"]),
     ("def f():\n    pass\n\nx = f\n", []),
@@ -238,3 +283,25 @@ def test_an_optional_parameter_needs_a_call_that_passes_it(tmp_path, source, exp
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert unpassed([path], [_import(path)]) == expected
+
+
+@pytest.mark.parametrize("source, other, expected", [
+    ("x = 1\n", "", ["m.x"]),
+    ("x = 1\ny = x\n", "", ["m.y"]),
+    ("def f():\n    return x\n\nx = 1\n", "", []),
+    ("x = 1\n\ndef f():\n    x = 2\n", "", ["m.x"]),
+    ("x: int = 1\na, (b, c) = 1, (2, 3)\nprint(a, c)\n", "", ["m.x", "m.b"]),
+    ("__all__ = []\n", "", []),
+    ("x = 1\n", "from m import x\n", []),
+    ("x = 1\n", "from pkg.m import x as y\n", []),
+    ("x = 1\n", "import m\n\nprint(m.x)\n", []),
+    ("x = 1\n", "import pkg.m\n\nprint(pkg.m.x)\n", []),
+    ("x = 1\n", "import m\n\nm.x = 2\n", ["m.x"]),
+    ("x = 1\n", "x = 2\nprint(x)\n", ["m.x"]),
+])
+def test_a_module_level_name_needs_a_read_from_its_module_or_by_its_name(
+        tmp_path, source, other, expected):
+    path, other_path = tmp_path / "m.py", tmp_path / "n.py"
+    path.write_text(source, encoding="utf-8")
+    other_path.write_text(other, encoding="utf-8")
+    assert unread_names([path, other_path], [path]) == expected

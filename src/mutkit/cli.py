@@ -64,8 +64,6 @@ from .sft import SftContext, SftError, export, write_instances
 from .tcp import DEFAULT_HYB_WEIGHT, TcpError
 from .validity import ValidityError
 
-logger = logging.getLogger(__name__)
-
 CLI_ERRORS = (PipelineError, CorpusError, ChunkerError, EmbeddingError,
               IndexFormatError, BackendError, ValidityError, RunnerError,
               MatrixError, MetricsError, TcpError, MbflError, SftError,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import subprocess
@@ -27,8 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .validity import check_compile, substitute_command
-
-logger = logging.getLogger(__name__)
 
 _STATUS_LINE = re.compile(r"^(\S+)\s+(PASS|FAIL)\s*$")
 

@@ -13,7 +13,6 @@ them.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ from itertools import groupby
 import numpy as np
 
 from .execution import KillMatrix, TestOutcomeVector
-
-logger = logging.getLogger(__name__)
 
 AGGREGATION_METHODS = ("muse", "metallaxis")
 TOP_K = (1, 3, 5)

@@ -11,15 +11,12 @@ is written to ``effectiveness.json``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .execution import KillMatrix
-
-logger = logging.getLogger(__name__)
 
 HIGH_SIMILARITY_THRESHOLD = 0.8
 

@@ -10,13 +10,10 @@ chunk line whose trimmed text equals the trimmed precode.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 from .chunker import CodeChunk, FocalMethod
 from .corpus import BugFixPair
-
-logger = logging.getLogger(__name__)
 
 INSTRUCTION = (
     "Below is the original Java method, followed by a specific code chunk "

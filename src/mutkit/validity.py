@@ -11,7 +11,6 @@ line-local because a mutant differs from the original on exactly one line.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 import shlex
@@ -19,8 +18,6 @@ import subprocess
 import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-
-logger = logging.getLogger(__name__)
 
 _WS_RUN = re.compile(r"\s+")
 

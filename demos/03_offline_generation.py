@@ -4,8 +4,7 @@ The mock backend answers prompts from a script keyed by prompt digest.
 Authoring that script takes two passes: a record pass that captures
 every prompt the pipeline would send, and a real pass that answers from
 the crafted script, a JSONL file that the config's backend settings
-name.  The same two-phase flow works for caching real model responses.
-The demo ends by exporting the mutants as supervised fine-tuning
+name.  The demo ends by exporting the mutants as supervised fine-tuning
 instances.
 
     python3 demos/03_offline_generation.py

@@ -166,8 +166,7 @@ def _load_matrix_dir(matrices: Path) -> dict[str, "object"]:
     paths = sorted(matrices.glob("*.matrix"))
     if not paths:
         raise PipelineError(f"no .matrix files under {matrices}")
-    return {path.stem: load_matrix(str(path), bug_id=path.stem)
-            for path in paths}
+    return {path.stem: load_matrix(str(path)) for path in paths}
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:

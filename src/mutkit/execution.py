@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validity import check_compile, substitute_command
+from .validity import _run_on_source, check_compile
 
 _STATUS_LINE = re.compile(r"^(\S+)\s+(PASS|FAIL)\s*$")
 
@@ -96,21 +95,9 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
         RunnerError: on crash with no status lines, unknown test ids, or
             duplicate status lines.
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        source_path = os.path.join(tmp, "program.java")
-        with open(source_path, "w", encoding="utf-8") as handle:
-            handle.write(program_source)
-        command = substitute_command(test_command, source_path)
-        timed_out = False
-        try:
-            stdout = subprocess.run(command, capture_output=True,
-                                    timeout=timeout).stdout
-        except FileNotFoundError as exc:
-            raise RunnerError(f"test command not found: {command[0]}") from exc
-        except subprocess.TimeoutExpired as exc:
-            timed_out = True
-            stdout = exc.stdout or b""
-
+    status, stdout = _run_on_source(test_command, program_source, timeout,
+                                    what="test", error=RunnerError)
+    timed_out = status is None
     outcomes = parse_outcome_lines(stdout.decode("utf-8", "replace"))
     if not outcomes and not timed_out:
         raise RunnerError(
@@ -213,8 +200,9 @@ def save_matrix(matrix: KillMatrix, path: str) -> None:
             handle.write("".join("1" if hit else "0" for hit in row) + "\n")
 
 
-def load_matrix(path: str, bug_id: str | None = None) -> KillMatrix:
-    """Read a matrix file; cells follow the header ids, not positions."""
+def load_matrix(path: str) -> KillMatrix:
+    """Read a matrix file; cells follow the header ids, not positions, and
+    the bug id is the file's stem, as in ``<bug_id>.matrix``."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle]
@@ -245,11 +233,8 @@ def load_matrix(path: str, bug_id: str | None = None) -> KillMatrix:
     if first_bad < len(rows):
         raise MatrixError(
             f"matrix file {path}: row {first_bad + 1} is not {width} 0/1 cells")
-    cells = bits.astype(bool)
-    if bug_id is None:
-        bug_id = os.path.splitext(os.path.basename(path))[0]
-    return KillMatrix(bug_id=bug_id, mutant_ids=mutant_ids,
-                      test_ids=test_ids, kills=cells)
+    return KillMatrix(bug_id=Path(path).stem, mutant_ids=mutant_ids,
+                      test_ids=test_ids, kills=bits.astype(bool))
 
 
 def _outcome_lines(outcomes: dict[str, str]) -> str:

@@ -7,9 +7,9 @@ retries transient failures with exponential backoff, and keeps up to
 18 requests in flight, halving that window when the endpoint pushes back
 (429 or 5xx); each window thread reuses one keep-alive connection.  The
 mock replays the replies it is given, keyed on the sha256 digest of the
-prompt, one prompt at a time, and can record unmatched prompts so a
-script can be built offline.  The record file is
-this module's only file format; the pipeline reads mock scripts.
+prompt, one prompt at a time, and can record the prompts it has no
+reply for so a script can be built offline.  This module writes the
+record file and reads no file; the pipeline reads mock scripts.
 """
 
 from __future__ import annotations
@@ -253,11 +253,13 @@ class MockBackend:
 
     ``replies`` maps the sha256 digest of a prompt to its Completion;
     ``pipeline.make_backend`` reads them from a mock script file.  When
-    ``record_path`` is set, prompts with no scripted reply are appended
-    there (digest plus full prompt) before the error is raised, which is
-    how scripts are authored offline.  ``end_batch`` then rewrites the
-    file with one line per digest in digest order, so a recorded batch
-    writes the same bytes whatever order its prompts were answered in.
+    ``record_path`` is set, each prompt with no scripted reply is kept in
+    memory before the error is raised, and ``end_batch`` writes them to
+    that file (digest plus full prompt), one line per digest in digest
+    order, replacing whatever the file held.  That is how scripts are
+    authored offline: a recorded batch writes the same bytes whatever
+    order its prompts were answered in, and a batch the script answers in
+    full leaves the file alone.  The backend never reads the file.
     """
 
     # Each reply is in-process CPU work; more threads only add hand-offs.
@@ -266,7 +268,7 @@ class MockBackend:
     def __init__(self, replies: dict[str, Completion], record_path: str | None = None):
         self._replies = replies
         self.record_path = record_path
-        self._lock = threading.Lock()
+        self._unscripted: dict[str, str] = {}
 
     def complete(self, prompt: str) -> Completion:
         digest = prompt_digest(prompt)
@@ -275,40 +277,18 @@ class MockBackend:
             return Completion(text=reply.text, prompt_tokens=reply.prompt_tokens,
                               completion_tokens=reply.completion_tokens)
         if self.record_path:
-            with self._lock, open(self.record_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(
-                    {"prompt_digest": digest, "prompt": prompt}) + "\n")
+            self._unscripted[digest] = prompt
         raise BackendError(f"no scripted reply for digest {digest[:12]}...")
 
-    def _recorded_digest(self, line: str, line_no: int) -> str:
-        where = f"{self.record_path} line {line_no}"
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"{where} is not JSON: {exc.msg}") from exc
-        if not isinstance(row, dict):
-            raise BackendError(f"{where} must hold a JSON object")
-        digest = row.get("prompt_digest")
-        if not isinstance(digest, str):
-            raise BackendError(f"{where}: prompt_digest must be str, got {digest!r:.80}")
-        return digest
-
     def end_batch(self) -> None:
-        """Rewrite the record file with one line per digest, in digest order."""
-        if not self.record_path:
+        """Write the batch's unscripted prompts to the record file, if any."""
+        if not self._unscripted:
             return
-        with self._lock:
-            try:
-                with open(self.record_path, encoding="utf-8") as handle:
-                    lines = {self._recorded_digest(line, line_no): line
-                             for line_no, line in enumerate(handle, start=1)
-                             if line.strip()}
-            except FileNotFoundError:
-                return
-            except UnicodeDecodeError as exc:
-                raise BackendError(f"cannot read {self.record_path}: {exc}") from exc
-            with open(self.record_path, "w", encoding="utf-8") as handle:
-                handle.writelines(lines[digest] for digest in sorted(lines))
+        unscripted, self._unscripted = self._unscripted, {}
+        with open(self.record_path, "w", encoding="utf-8") as handle:
+            handle.writelines(
+                json.dumps({"prompt_digest": digest, "prompt": unscripted[digest]}) + "\n"
+                for digest in sorted(unscripted))
 
 
 def complete_batch(backend, prompts: list[tuple[str, str]]

@@ -740,7 +740,7 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
             raise PipelineError(
                 f"bug {bug_id}: no matrix at {matrix_path} and no test_command "
                 f"configured")
-        bug.matrix = _select_rows(load_matrix(str(matrix_path), bug_id=bug_id), useful)
+        bug.matrix = _select_rows(load_matrix(str(matrix_path)), useful)
         outcomes_path = matrices_dir / f"{bug_id}.original.txt"
         if outcomes_path.exists():
             bug.original = load_outcomes(str(outcomes_path))

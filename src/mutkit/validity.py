@@ -79,36 +79,46 @@ class CompileResult:
     timed_out: bool = False
 
 
-def substitute_command(template: str, source_path: str) -> list[str]:
-    """Split a command template and substitute the {source} placeholder;
-    ``PipelineConfig`` has checked that the template splits and has one."""
-    return [part.replace("{source}", source_path) for part in shlex.split(template)]
+def _run_on_source(template: str, source_text: str, timeout: float | None, *,
+                   what: str, error: type[Exception]) -> tuple[int | None, bytes]:
+    """Run a command template on a program text.
+
+    The text is written to a fresh temporary ``.java`` file whose path
+    replaces {source} in the split template (``PipelineConfig`` has
+    checked that it splits and has one).  Returns the exit status, None
+    when the timeout cut the run off, and the stdout so far.
+
+    Raises:
+        error: ``<what> command not found: <executable>`` if the command's
+            executable does not exist.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        source_path = os.path.join(tmp, "source.java")
+        with open(source_path, "w", encoding="utf-8") as handle:
+            handle.write(source_text)
+        command = [part.replace("{source}", source_path) for part in shlex.split(template)]
+        try:
+            proc = subprocess.run(command, capture_output=True, timeout=timeout)
+        except FileNotFoundError as exc:
+            raise error(f"{what} command not found: {command[0]}") from exc
+        except subprocess.TimeoutExpired as exc:
+            return None, exc.stdout or b""
+    return proc.returncode, proc.stdout
 
 
 def check_compile(source_text: str, compile_command: str,
                   timeout: float = 60.0) -> CompileResult:
     """Run the external compile command on a mutant's source.
 
-    The command template must contain {source}; the source text is written
-    to an isolated temporary ``.java`` file first.  Exit status 0 within
-    the timeout means compilable; a timeout counts as non-compilable with
-    a distinct flag.
+    Exit status 0 within the timeout means compilable; a timeout counts
+    as non-compilable with a distinct flag.
 
     Raises:
         ValidityError: if the command executable does not exist.
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        source_path = os.path.join(tmp, "mutant.java")
-        with open(source_path, "w", encoding="utf-8") as handle:
-            handle.write(source_text)
-        command = substitute_command(compile_command, source_path)
-        try:
-            proc = subprocess.run(command, capture_output=True, timeout=timeout)
-        except FileNotFoundError as exc:
-            raise ValidityError(f"compile command not found: {command[0]}") from exc
-        except subprocess.TimeoutExpired:
-            return CompileResult(ok=False, timed_out=True)
-    return CompileResult(ok=proc.returncode == 0)
+    status, _ = _run_on_source(compile_command, source_text, timeout,
+                               what="compile", error=ValidityError)
+    return CompileResult(ok=status == 0, timed_out=status is None)
 
 
 def rates(counts: Mapping[str, int]) -> dict[str, float | None]:

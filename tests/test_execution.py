@@ -185,8 +185,14 @@ class TestMatrixPersistence:
         first = tmp_path / "first.matrix"
         second = tmp_path / "second.matrix"
         save_matrix(matrix, str(first))
-        save_matrix(load_matrix(str(first), bug_id="bug"), str(second))
+        save_matrix(load_matrix(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("bug_id", ["Clamp-1", "a.b", "a.", ".", ".."])
+    def test_the_bug_id_is_the_name_the_matrix_was_saved_under(self, tmp_path, bug_id):
+        path = tmp_path / f"{bug_id}.matrix"
+        save_matrix(self.random_matrix(random.Random(11), mutants=2, tests=2), str(path))
+        assert load_matrix(str(path)).bug_id == bug_id
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.matrix"

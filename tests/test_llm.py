@@ -213,6 +213,7 @@ class TestMockBackend:
         backend = MockBackend({}, record_path=str(record_path))
         with pytest.raises(BackendError, match="no scripted reply"):
             backend.complete("novel prompt")
+        backend.end_batch()
         recorded = json.loads(record_path.read_text().strip())
         assert recorded["prompt"] == "novel prompt"
         assert recorded["prompt_digest"] == prompt_digest("novel prompt")
@@ -232,31 +233,36 @@ class TestMockBackend:
         digests = [record["prompt_digest"] for record in recorded]
         assert digests == sorted({prompt_digest(p) for _, p in prompts})
 
-    @pytest.mark.parametrize("line, message", [
-        (b"5\n", "line 1 must hold a JSON object"),
-        (b"[1]\n", "line 1 must hold a JSON object"),
-        (b"not json\n", "line 1 is not JSON: Expecting value"),
-        (b'{"prompt": "p"}\n', "line 1: prompt_digest must be str, got None"),
-        (b'{"prompt_digest": 7}\n', "line 1: prompt_digest must be str, got 7"),
-        (b'{"prompt_digest": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
-    ])
-    def test_a_malformed_record_file_exits_2_naming_the_line(
-            self, tmp_path, capsys, line, message):
+    def test_a_batch_the_script_answers_leaves_the_record_file_alone(self, tmp_path):
         record_path = tmp_path / "record.jsonl"
-        record_path.write_bytes(line)
+        record_path.write_bytes(b"not json\n\xff")
+        replies = {prompt_digest(f"p{i}"): Completion(text=f"r{i}") for i in range(3)}
+        backend = MockBackend(replies, record_path=str(record_path))
+        results = complete_batch(backend, [(f"id{i}", f"p{i}") for i in range(3)])
+        assert [result.text for _, result in results] == ["r0", "r1", "r2"]
+        assert record_path.read_bytes() == b"not json\n\xff"
+
+    def test_a_record_file_that_is_not_json_is_replaced_not_read(self, tmp_path, capsys):
         (tmp_path / "targets.jsonl").write_text(json.dumps(
             {"bug_id": "Clamp-1", "method": CLAMP_FIXED}) + "\n", encoding="utf-8")
-        (tmp_path / "run.json").write_text(json.dumps({
-            "output_dir": str(tmp_path / "out"), "retrieval": False,
-            "backend": {"mode": "mock", "record": str(record_path)}}))
-        code = cli.main(["generate", "--config", str(tmp_path / "run.json"),
-                         "--targets", str(tmp_path / "targets.jsonl")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error: {record_path} ") or err.startswith(
-            f"error: cannot read {record_path}: ")
-        assert message in err
-        assert "Traceback" not in err
+
+        def generate(record_path):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({
+                "output_dir": str(tmp_path / "out"), "retrieval": False,
+                "backend": {"mode": "mock", "record": str(record_path)}}))
+            code = cli.main(["generate", "--config", str(config),
+                             "--targets", str(tmp_path / "targets.jsonl")])
+            assert "Traceback" not in capsys.readouterr().err
+            return code
+
+        fresh, stale = tmp_path / "fresh.jsonl", tmp_path / "stale.jsonl"
+        stale.write_bytes(b'not json\n{"prompt_digest": 7}\n\xff\n')
+        assert generate(stale) == generate(fresh)
+        assert stale.read_bytes() == fresh.read_bytes()
+        digests = [json.loads(line)["prompt_digest"]
+                   for line in fresh.read_text(encoding="utf-8").splitlines()]
+        assert digests and digests == sorted(set(digests))
 
 
 class TestCompleteBatch:

@@ -16,10 +16,11 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+from mutkit.config import PipelineConfig, TargetSpec
 from mutkit.corpus import ingest_corpus
 from mutkit.embedder import LexicalEmbedder, build_index
+from mutkit.generate import run_generate
 from mutkit.llm import MockBackend
-from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from mutkit.sft import SftContext, export, write_instances
 
 FOCAL_METHOD = """\

@@ -12,7 +12,7 @@ The analysis commands (metrics, tcp, mbfl) also work standalone on
 explicit matrix and outcome files, with no generation artifacts needed.
 They build their payloads with the same section builders as
 ``mutkit report`` (``metrics.effectiveness_report``, ``mbfl.localize``
-and the ``report`` sections).  ``pipeline`` reads every JSON input and
+and the ``report`` sections).  ``config`` reads every JSON input and
 checks its types; this module turns its errors into exit code 2.
 """
 
@@ -28,6 +28,19 @@ from pathlib import Path
 
 from . import mbfl, metrics, report
 from .chunker import ChunkerError, chunk_method, chunks_as_dicts, parse_method
+from .config import (
+    MODE_CHOICES,
+    PipelineConfig,
+    PipelineError,
+    load_config,
+    load_mutants,
+    load_targets,
+    read_bug_table,
+    read_coupled_mutants,
+    read_generation,
+    read_prompts,
+    read_text,
+)
 from .corpus import CorpusError, ingest_corpus
 from .embedder import (
     KEY_SIDES,
@@ -41,25 +54,11 @@ from .embedder import (
     dumps_neighbors,
 )
 from .execution import MatrixError, RunnerError, load_matrix, load_outcomes
+from .generate import probe_embedder, run_generate
 from .llm import BackendError
 from .mbfl import MbflError
 from .metrics import BugContext, MetricsError
-from .pipeline import (
-    MODE_CHOICES,
-    PipelineConfig,
-    PipelineError,
-    _read_text,
-    load_config,
-    load_mutants,
-    load_targets,
-    probe_embedder,
-    read_bug_table,
-    read_coupled_mutants,
-    read_generation,
-    read_prompts,
-    run_evaluate,
-    run_generate,
-)
+from .pipeline import run_evaluate
 from .sft import SftContext, SftError, export, write_instances
 from .tcp import DEFAULT_HYB_WEIGHT, TcpError
 from .validity import ValidityError
@@ -127,7 +126,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
     if args.code is not None:
         code = args.code
     else:
-        code = _read_text(Path(args.code_file))
+        code = read_text(Path(args.code_file))
     n = args.n if args.n is not None else config.retrieval_n
     neighbors = index.query(embedder.embed(code), n=min(n, len(index)))
     print(dumps_neighbors(neighbors))
@@ -135,7 +134,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
-    source = _read_text(Path(args.source))
+    source = read_text(Path(args.source))
     method = parse_method(source)
     chunks = chunk_method(method)
     _emit({"lines": len(method.lines), "chunks": chunks_as_dicts(chunks)})

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validity import _run_on_source, check_compile
+from .validity import check_compile, run_on_source
 
 _STATUS_LINE = re.compile(r"^(\S+)\s+(PASS|FAIL)\s*$")
 
@@ -93,15 +93,17 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
 
     Raises:
         RunnerError: on crash with no status lines, unknown test ids, or
-            duplicate status lines.
+            duplicate status lines.  The error of a crash, or of a timeout
+            with no expected tests, ends with the tail of the runner's
+            stderr.
     """
-    status, stdout = _run_on_source(test_command, program_source, timeout,
-                                    what="test", error=RunnerError)
+    status, stdout, stderr = run_on_source(test_command, program_source, timeout,
+                                           what="test", error=RunnerError)
     timed_out = status is None
     outcomes = parse_outcome_lines(stdout.decode("utf-8", "replace"))
     if not outcomes and not timed_out:
-        raise RunnerError(
-            f"runner produced no test outcomes for {program_id}")
+        raise RunnerError(_with_stderr(
+            f"runner produced no test outcomes for {program_id}", stderr))
     flags: dict[str, str] = {}
     if expected_tests is not None:
         unknown = set(outcomes) - set(expected_tests)
@@ -113,10 +115,15 @@ def run_suite(program_source: str, test_command: str, *, program_id: str,
                 outcomes[test_id] = "fail"
                 flags[test_id] = "timeout" if timed_out else "missing"
     elif timed_out:
-        raise RunnerError(
+        raise RunnerError(_with_stderr(
             f"run timed out for {program_id} and no expected test list "
-            f"was given to complete the vector")
+            f"was given to complete the vector", stderr))
     return TestOutcomeVector(outcomes=outcomes, flags=flags)
+
+
+def _with_stderr(message: str, stderr: str) -> str:
+    tail = stderr.strip()
+    return f"{message}; runner stderr: {tail}" if tail else message
 
 
 _ID_WS = re.compile(r"\s")

@@ -252,7 +252,7 @@ class MockBackend:
     """Deterministic scripted backend keyed on prompt digests.
 
     ``replies`` maps the sha256 digest of a prompt to its Completion;
-    ``pipeline.make_backend`` reads them from a mock script file.  When
+    ``generate.make_backend`` reads them from a mock script file.  When
     ``record_path`` is set, each prompt with no scripted reply is kept in
     memory before the error is raised, and ``end_batch`` writes them to
     that file (digest plus full prompt), one line per digest in digest

@@ -20,6 +20,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 _WS_RUN = re.compile(r"\s+")
+# How much of a run's stderr, from its end, goes into error messages.
+_STDERR_TAIL = 2048
 
 
 class ValidityError(Exception):
@@ -79,14 +81,16 @@ class CompileResult:
     timed_out: bool = False
 
 
-def _run_on_source(template: str, source_text: str, timeout: float | None, *,
-                   what: str, error: type[Exception]) -> tuple[int | None, bytes]:
+def run_on_source(template: str, source_text: str, timeout: float | None, *,
+                  what: str, error: type[Exception]) -> tuple[int | None, bytes, str]:
     """Run a command template on a program text.
 
     The text is written to a fresh temporary ``.java`` file whose path
     replaces {source} in the split template (``PipelineConfig`` has
     checked that it splits and has one).  Returns the exit status, None
-    when the timeout cut the run off, and the stdout so far.
+    when the timeout cut the run off, the stdout so far, and the last
+    ``_STDERR_TAIL`` bytes of its stderr decoded as UTF-8 (bytes that are
+    not UTF-8 replaced), for error messages.
 
     Raises:
         error: ``<what> command not found: <executable>`` if the command's
@@ -102,8 +106,10 @@ def _run_on_source(template: str, source_text: str, timeout: float | None, *,
         except FileNotFoundError as exc:
             raise error(f"{what} command not found: {command[0]}") from exc
         except subprocess.TimeoutExpired as exc:
-            return None, exc.stdout or b""
-    return proc.returncode, proc.stdout
+            status, stdout, stderr = None, exc.stdout or b"", exc.stderr or b""
+        else:
+            status, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    return status, stdout, stderr[-_STDERR_TAIL:].decode("utf-8", "replace")
 
 
 def check_compile(source_text: str, compile_command: str,
@@ -116,8 +122,8 @@ def check_compile(source_text: str, compile_command: str,
     Raises:
         ValidityError: if the command executable does not exist.
     """
-    status, _ = _run_on_source(compile_command, source_text, timeout,
-                               what="compile", error=ValidityError)
+    status, _, _ = run_on_source(compile_command, source_text, timeout,
+                                 what="compile", error=ValidityError)
     return CompileResult(ok=status == 0, timed_out=status is None)
 
 

@@ -274,7 +274,7 @@ def oracle_has_type(value, hint):
     """Whether value matches a hint such as ``dict[str, list[int]]``: a bool
     is not an int, an int is a float, dict keys (JSON strings) go unchecked.
 
-    The reference of ``pipeline._type_check``: it re-reads the hint's
+    The reference of ``config._type_check``: it re-reads the hint's
     origin and arguments at every level of every value.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)

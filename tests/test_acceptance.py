@@ -18,6 +18,7 @@ import pytest
 
 from mutkit.chunker import chunk_method, parse_method
 from mutkit.cli import main
+from mutkit.config import PipelineConfig, TargetSpec
 from mutkit.corpus import ingest_corpus, select_pairs
 from mutkit.embedder import LexicalEmbedder, VectorIndex
 from mutkit.execution import TestOutcomeVector, build_kill_matrix
@@ -32,7 +33,7 @@ from mutkit.metrics import (
     ochiai,
     real_bug_detection,
 )
-from mutkit.pipeline import PipelineConfig, TargetSpec, run_evaluate
+from mutkit.pipeline import run_evaluate
 from mutkit.promptgen import (
     MutationPair,
     materialize,

@@ -21,9 +21,10 @@ import pytest
 
 from mutkit import cli
 from mutkit.cli import build_parser, main
+from mutkit.config import PipelineConfig, TargetSpec
 from mutkit.execution import KillMatrix, run_suite, save_matrix
+from mutkit.generate import run_generate
 from mutkit.llm import MockBackend
-from mutkit.pipeline import PipelineConfig, TargetSpec, run_generate
 from test_pipeline import (
     CLAMP_FIXED,
     COMPILE_COMMAND,
@@ -1291,6 +1292,27 @@ class TestEvaluateInputsThatEndTheRun:
         code, out, err = self.evaluate(generated, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: mutant source missing: {source}\n"
+
+    def test_a_repeated_manifest_row(self, generated, capsys):
+        manifest = generated[2] / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + lines[:1]) + "\n")
+        mutant_id = json.loads(lines[0])["mutant_id"]
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {manifest} line {len(lines) + 1}: "
+                       f"duplicate mutant_id {mutant_id}\n")
+
+    def test_a_mutant_id_that_is_not_a_file_name(self, generated, capsys):
+        out_dir = generated[2]
+        outside = out_dir / "elsewhere.java"
+        outside.write_text(CLAMP_FIXED)
+        manifest = out_dir / "manifest.jsonl"
+        rewrite_first_row(manifest, lambda row: {**row, "mutant_id": "../elsewhere"})
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {manifest} line 1: mutant_id '../elsewhere' must "
+                       f"match ^[A-Za-z0-9._-]+$\n")
 
     def test_a_bug_that_generate_did_not_cover(self, generated, capsys):
         _, targets_path, out_dir = generated

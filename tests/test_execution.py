@@ -86,6 +86,30 @@ class TestRunSuite:
         with pytest.raises(RunnerError, match="no test outcomes"):
             run_suite("x", crash, program_id="m1", expected_tests=["t1"])
 
+    def test_a_crash_error_carries_the_runners_stderr(self):
+        crash = """sh -c 'echo "cannot open $0: runner crashed" >&2; exit 3' {source}"""
+        with pytest.raises(RunnerError, match=r"^runner produced no test outcomes for "
+                                              r"m1; runner stderr: cannot open "
+                                              r"\S+source\.java: runner crashed$"):
+            run_suite("x", crash, program_id="m1", expected_tests=["t1"])
+
+    def test_only_the_end_of_a_long_stderr_is_kept(self):
+        crash = (f"{sys.executable} -c \"import sys; sys.stderr.write('A' * 3000 + "
+                 f"'B' * 2045 + 'END'); sys.exit(3)\" {{source}}")
+        with pytest.raises(RunnerError) as caught:
+            run_suite("x", crash, program_id="m1")
+        assert str(caught.value) == (
+            "runner produced no test outcomes for m1; runner stderr: " + "B" * 2045 + "END")
+
+    def test_a_timeout_error_carries_the_stderr_so_far(self):
+        slow = (f"{sys.executable} -c \"import sys, time; sys.stderr.write('still "
+                f"compiling'); sys.stderr.flush(); time.sleep(10)\" {{source}}")
+        with pytest.raises(RunnerError) as caught:
+            run_suite("x", slow, program_id="m1", timeout=0.5)
+        assert str(caught.value) == (
+            "run timed out for m1 and no expected test list was given to complete "
+            "the vector; runner stderr: still compiling")
+
     def test_missing_test_flagged(self):
         partial = f"{sys.executable} -c \"print('t1 PASS')\" {{source}}"
         result = run_suite("x", partial, program_id="m1",

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from mutkit import cli, pipeline
+from mutkit import cli, generate
+from mutkit.config import PipelineConfig, TargetSpec
 from mutkit.llm import (
     AuthError,
     BackendConfig,
@@ -203,9 +204,9 @@ class TestMockBackend:
             "prompt_tokens": i,
             "completion_tokens": i,
         }) + "\n" for i, p in enumerate(prompts)))
-        config = pipeline.PipelineConfig(backend={"mode": "mock", "script": str(path)})
-        first = [pipeline.make_backend(config).complete(p).text for p in prompts]
-        second = [pipeline.make_backend(config).complete(p).text for p in prompts]
+        config = PipelineConfig(backend={"mode": "mock", "script": str(path)})
+        first = [generate.make_backend(config).complete(p).text for p in prompts]
+        second = [generate.make_backend(config).complete(p).text for p in prompts]
         assert first == second == [f"reply {i}" for i in range(5)]
 
     def test_unscripted_prompt_fails_and_records(self, tmp_path):
@@ -299,9 +300,9 @@ class TestCompleteBatch:
         assert complete_batch(MockBackend({}), []) == []
 
 
-def eighteen_targets() -> list[pipeline.TargetSpec]:
+def eighteen_targets() -> list[TargetSpec]:
     """Six targets that, without retrieval, send 18 prompts."""
-    return [pipeline.TargetSpec(bug_id=f"{name}-{i}", method=method)
+    return [TargetSpec(bug_id=f"{name}-{i}", method=method)
             for name, method in (("Clamp", CLAMP_FIXED), ("Sum", SUM_FIXED))
             for i in (1, 2, 3)]
 
@@ -311,12 +312,12 @@ def chat_reply(payload: dict) -> str:
     return ok_body(craft_response(payload["messages"][0]["content"]))
 
 
-def generate_over(transport, output_dir) -> pipeline.GenerateOutcome:
+def generate_over(transport, output_dir) -> generate.GenerateOutcome:
     """Run generate on the 18-prompt targets over an HTTP backend with ``transport``."""
-    config = pipeline.PipelineConfig(output_dir=str(output_dir), retrieval=False, workers=1)
+    config = PipelineConfig(output_dir=str(output_dir), retrieval=False, workers=1)
     backend = HttpChatBackend(BackendConfig(endpoint="http://llm/v1/chat"),
                               transport=transport)
-    return pipeline.run_generate(config, eighteen_targets(), backend=backend)
+    return generate.run_generate(config, eighteen_targets(), backend=backend)
 
 
 class PeakTransport:
@@ -528,8 +529,8 @@ class TestRequestsTransport:
             for name, transport in (("real", None),
                                     ("injected", lambda *args: (200, chat_reply(args[1])))):
                 output = tmp_path / name
-                outcome = pipeline.run_generate(
-                    pipeline.PipelineConfig(output_dir=str(output), retrieval=False),
+                outcome = generate.run_generate(
+                    PipelineConfig(output_dir=str(output), retrieval=False),
                     eighteen_targets(), backend=HttpChatBackend(config, transport=transport))
                 assert len(outcome.prompts) == 18
                 assert not any(row["error"] for row in outcome.prompts)

@@ -15,7 +15,9 @@ parameter whose default is callable is a seam for tests to put a stand-in
 in, and is exempt.  Imports and the tests do not count, except that a
 module-level name counts as read when its own module loads it or another
 product file imports it from that module or loads it as
-``<module>.<name>``; dunder names are exempt.
+``<module>.<name>``; dunder names are exempt.  No product file imports or
+loads a private name of another mutkit module: what modules share is
+public.
 """
 
 import ast
@@ -124,6 +126,33 @@ def unread_names(paths, package) -> list[str]:
     return found
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(paths, package) -> list[str]:
+    """``<file>: <module>.<name>`` for each private name of a ``package``
+    module that another file of ``paths`` imports from that module or
+    loads as ``<module>.<name>``."""
+    stems = {path.stem for path in package}
+    found = []
+    for path in paths:
+        own = path.stem if path in package else None
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(sub, ast.ImportFrom):
+                owner, names = (sub.module or "").rpartition(".")[2], [
+                    alias.name for alias in sub.names]
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                owner, names = (sub.value.id if isinstance(sub.value, ast.Name)
+                                else getattr(sub.value, "attr", None)), [sub.attr]
+            else:
+                continue
+            if owner in stems and owner != own:
+                found += [f"{path.name}: {owner}.{name}" for name in names
+                          if _is_private(name)]
+    return found
+
+
 def _functions(module):
     """(label, call name, function, bound) for each function and method of
     ``module``'s public top-level definitions written in its source: the
@@ -216,6 +245,10 @@ def test_every_module_level_name_is_read_by_the_product():
     assert unread_names(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
 
 
+def test_no_product_file_reaches_a_private_name_of_another_module():
+    assert foreign_private_names(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
 @pytest.mark.parametrize("source, expected", [
     ("def f():\n    return f()\n", ["m.f"]),
     ("def f():\n    pass\n\nx = f\n", []),
@@ -305,3 +338,19 @@ def test_a_module_level_name_needs_a_read_from_its_module_or_by_its_name(
     path.write_text(source, encoding="utf-8")
     other_path.write_text(other, encoding="utf-8")
     assert unread_names([path, other_path], [path]) == expected
+
+
+@pytest.mark.parametrize("other, expected", [
+    ("from m import f\n\nf()\n", []),
+    ("from m import _f\n\n_f()\n", ["n.py: m._f"]),
+    ("from pkg.m import _f as g\n\ng()\n", ["n.py: m._f"]),
+    ("from . import m\n\nm._f()\n", ["n.py: m._f"]),
+    ("import pkg.m\n\nprint(pkg.m._x)\n", ["n.py: m._x"]),
+    ("import m\n\nprint(m.__name__, m.f)\n", []),
+    ("def _f():\n    pass\n\n_f()\n", []),
+])
+def test_a_private_name_is_reached_only_from_its_own_module(tmp_path, other, expected):
+    path, other_path = tmp_path / "m.py", tmp_path / "n.py"
+    path.write_text("import m\n\ndef _f():\n    return m._f\n", encoding="utf-8")
+    other_path.write_text(other, encoding="utf-8")
+    assert foreign_private_names([path, other_path], [path]) == expected

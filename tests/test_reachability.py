@@ -18,6 +18,10 @@ product file imports it from that module or loads it as
 ``<module>.<name>``; dunder names are exempt.  No product file imports or
 loads a private name of another mutkit module: what modules share is
 public.
+
+The test modules are held to one rule of their own: every name a module
+under ``tests/`` imports is loaded somewhere in that module.  ``from
+__future__`` imports are exempt.
 """
 
 import ast
@@ -153,6 +157,27 @@ def foreign_private_names(paths, package) -> list[str]:
     return found
 
 
+def unloaded_imports(paths) -> list[str]:
+    """``<file>: <name>`` for each name that an import in one of ``paths``
+    binds and that the same file never loads; ``from __future__`` imports
+    and ``*`` imports are exempt."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom) and sub.module != "__future__":
+                bound = [alias.asname or alias.name for alias in sub.names
+                         if alias.name != "*"]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in bound if name not in loaded]
+    return found
+
+
 def _functions(module):
     """(label, call name, function, bound) for each function and method of
     ``module``'s public top-level definitions written in its source: the
@@ -247,6 +272,10 @@ def test_every_module_level_name_is_read_by_the_product():
 
 def test_no_product_file_reaches_a_private_name_of_another_module():
     assert foreign_private_names(PRODUCT, sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_name_a_test_module_imports_is_loaded():
+    assert unloaded_imports(sorted((ROOT / "tests").glob("*.py"))) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -354,3 +383,21 @@ def test_a_private_name_is_reached_only_from_its_own_module(tmp_path, other, exp
     path.write_text("import m\n\ndef _f():\n    return m._f\n", encoding="utf-8")
     other_path.write_text(other, encoding="utf-8")
     assert foreign_private_names([path, other_path], [path]) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import os\n", ["m.py: os"]),
+    ("import os\n\nprint(os.sep)\n", []),
+    ("import os.path\n\nprint(os.path.sep)\n", []),
+    ("import numpy as np\n\nimport numpy\n\nprint(np)\n", ["m.py: numpy"]),
+    ("from os import path, sep\n\nprint(sep)\n", ["m.py: path"]),
+    ("from os import path as p\n\ndef f():\n    return p.sep\n", []),
+    ("from os import sep\n\nsep = 1\n", ["m.py: sep"]),
+    ("from __future__ import annotations\n", []),
+    ("from os import *\n", []),
+    ("def f():\n    import json\n    return 1\n", ["m.py: json"]),
+])
+def test_a_test_module_loads_every_name_it_imports(tmp_path, source, expected):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert unloaded_imports([path]) == expected

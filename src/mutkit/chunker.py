@@ -463,7 +463,8 @@ def parse_method(source: str) -> FocalMethod:
         of ``source``) and statement tree.
 
     Raises:
-        MethodSyntaxError: for unbalanced or unparsable method text, with
+        MethodSyntaxError: for unbalanced or unparsable method text, or
+            for statements nested deeper than the parser can recurse, with
             the offending line number.
     """
     if not source or not source.strip():
@@ -474,7 +475,11 @@ def parse_method(source: str) -> FocalMethod:
 
     parser = _Parser(tokens)
     parser.skip_to(("{",), "method body not found")
-    root = parser.parse_block(depth=0)
+    try:
+        root = parser.parse_block(depth=0)
+    except RecursionError:
+        # The parser recurses once per nesting level (an else-if nests too).
+        raise parser.error("statements nested too deep to parse") from None
     if parser.peek() is not None:
         raise parser.error("unexpected tokens after method body")
 

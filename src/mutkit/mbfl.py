@@ -1,14 +1,13 @@
 """Mutation-based fault localization over buggy-version kill data.
 
 Given the test outcomes of a buggy program and the kill matrix of the
-mutants generated on it, every mutant gets a MUSE and a Metallaxis
-suspiciousness score from its outcome flips (a kill is a flip).  Scores
-aggregate per statement (the physical line the mutant targets),
-statements are ranked with expected ranks for tie groups, and rankings
-across bugs roll up into Top-k counts and mean ranks.  ``localize``
-ranks one bug under both methods from one pass of flip counts, and
-``fl_metrics`` returns one method's metrics as the mbfl report writes
-them.
+mutants generated on it, ``localize`` walks the mutants once: each gets a
+MUSE and a Metallaxis suspiciousness score from its outcome flips (a kill
+is a flip, so the flip counts are row sums of the kill matrix), the
+scores fold per statement (the physical line the mutant targets), and
+statements are ranked with expected ranks for tie groups.  ``fl_metrics``
+rolls one method's rankings across bugs up into Top-k counts and mean
+ranks, as the mbfl report writes them.
 """
 
 from __future__ import annotations
@@ -31,29 +30,6 @@ class MbflError(Exception):
 
 
 @dataclass(frozen=True)
-class MutantFLStats:
-    """Outcome-flip counts for one mutant against the buggy original.
-
-    failed_m counts tests that fail on the original but pass on the
-    mutant; passed_m counts tests that pass on the original but fail on
-    the mutant.
-    """
-
-    mutant_id: str
-    failed_m: int
-    passed_m: int
-
-
-@dataclass(frozen=True)
-class FLGlobals:
-    """Corpus-wide flip totals shared by every MUSE score."""
-
-    totalfailed: int
-    f2p: int
-    p2f: int
-
-
-@dataclass(frozen=True)
 class SuspiciousnessReport:
     """Ranked per-statement suspiciousness for one bug."""
 
@@ -68,96 +44,27 @@ class SuspiciousnessReport:
                       if s in self.expected_ranks)
 
 
-def fl_stats(
-    original: TestOutcomeVector,
-    matrix: KillMatrix,
-    statement_of: Mapping[str, int],
-) -> tuple[list[MutantFLStats], FLGlobals]:
-    """Per-mutant flip counts plus the shared totals, in mutant-id order.
+def muse_score(failed_m: int, passed_m: int, f2p: int, p2f: int) -> float:
+    """MUSE suspiciousness (Moon et al., ICST 2014) of one mutant.
 
-    A kill flips the original status, so failed_m is a mutant's row sum
-    over the tests that fail on the original and passed_m its row sum
-    over the tests that pass.
-
-    Args:
-        original: outcomes of the buggy program; must have a failing test.
-        matrix: the bug's kill matrix over the same tests.
-        statement_of: mutant id to the line number it mutates.
-
-    Raises:
-        MbflError: when the matrix and the original name different tests,
-            the original has no failing test, or a mutant has no
-            statement mapping.
+    failed_m counts the tests that fail on the original but pass on the
+    mutant, passed_m the tests that pass on the original but fail on it;
+    f2p and p2f total those counts over every mutant of the bug.  With no
+    pass-to-fail flips anywhere the penalty weight is undefined, so the
+    second term drops and the score is just failed_m.
     """
-    differ = set(matrix.test_ids) ^ set(original.outcomes)
-    if differ:
-        raise MbflError(
-            f"bug {matrix.bug_id}: the kill matrix and the original outcomes "
-            f"name different tests: {sorted(differ)}")
-    failing = np.array([original.outcomes[t] == "fail" for t in matrix.test_ids],
-                       dtype=bool)
-    if not failing.any():
-        raise MbflError(
-            f"program {matrix.bug_id}: no failing test, nothing to localize")
-    failed_m = matrix.kills[:, failing].sum(axis=1).tolist()
-    passed_m = matrix.kills[:, ~failing].sum(axis=1).tolist()
-    stats = []
-    for row, mutant_id in sorted(enumerate(matrix.mutant_ids),
-                                 key=lambda item: item[1]):
-        if mutant_id not in statement_of:
-            raise MbflError(f"mutant {mutant_id}: no statement mapping")
-        stats.append(MutantFLStats(mutant_id=mutant_id,
-                                   failed_m=failed_m[row], passed_m=passed_m[row]))
-    globals_ = FLGlobals(totalfailed=int(failing.sum()),
-                         f2p=sum(failed_m), p2f=sum(passed_m))
-    return stats, globals_
+    if p2f == 0:
+        return float(failed_m)
+    return failed_m - (f2p / p2f) * passed_m
 
 
-def muse_score(stats: MutantFLStats, globals_: FLGlobals) -> float:
-    """MUSE suspiciousness: pass-making flips minus weighted fail-making ones.
-
-    With no pass-to-fail flips anywhere the penalty weight is undefined,
-    so the second term drops and the score is just failed_m.
-    """
-    if globals_.p2f == 0:
-        return float(stats.failed_m)
-    return stats.failed_m - (globals_.f2p / globals_.p2f) * stats.passed_m
-
-
-def metallaxis_score(stats: MutantFLStats, totalfailed: int) -> float:
-    """Metallaxis suspiciousness, normalized into [0, 1]."""
-    denominator = math.sqrt(totalfailed * (stats.failed_m + stats.passed_m))
+def metallaxis_score(failed_m: int, passed_m: int, totalfailed: int) -> float:
+    """Metallaxis-FL suspiciousness (Papadakis & Le Traon, STVR 2015) of
+    one mutant, normalized into [0, 1] by the original's failing tests."""
+    denominator = math.sqrt(totalfailed * (failed_m + passed_m))
     if denominator == 0:
         return 0.0
-    return stats.failed_m / denominator
-
-
-def aggregate(
-    mutant_scores: Mapping[str, float],
-    statement_of: Mapping[str, int],
-    method: str,
-    statements: Iterable[int] = (),
-) -> dict[int, float]:
-    """Fold per-mutant scores into per-statement scores.
-
-    MUSE averages the scores of a statement's mutants; Metallaxis takes
-    their maximum.  Statements listed in `statements` but carrying no
-    mutants score 0.
-    """
-    if method not in AGGREGATION_METHODS:
-        raise MbflError(f"unknown aggregation method {method!r}")
-    by_statement: dict[int, list[float]] = {}
-    for mutant_id, score in mutant_scores.items():
-        if mutant_id not in statement_of:
-            raise MbflError(f"mutant {mutant_id}: no statement mapping")
-        by_statement.setdefault(statement_of[mutant_id], []).append(score)
-    result = {statement: 0.0 for statement in statements}
-    for statement, scores in by_statement.items():
-        if method == "muse":
-            result[statement] = sum(scores) / len(scores)
-        else:
-            result[statement] = max(scores)
-    return result
+    return failed_m / denominator
 
 
 def rank(scores: Mapping[int, float]) -> dict[int, float]:
@@ -187,24 +94,55 @@ def localize(
     statements: Iterable[int] = (),
     faulty_statements: Iterable[int] = (),
 ) -> dict[str, SuspiciousnessReport]:
-    """End-to-end localization for one bug: its ranking under each
-    aggregation method, keyed by method, from one pass of ``fl_stats``."""
-    stats, globals_ = fl_stats(original, matrix, statement_of)
-    statements = tuple(statements)
-    faulty = frozenset(faulty_statements)
-    mutant_scores = {
-        "muse": {s.mutant_id: muse_score(s, globals_) for s in stats},
-        "metallaxis": {s.mutant_id: metallaxis_score(s, globals_.totalfailed)
-                       for s in stats},
+    """Rank one bug's statements under each aggregation method, keyed by
+    method, in one pass over its mutants.
+
+    A mutant's failed_m is its kill-matrix row sum over the tests that
+    fail on ``original``, its passed_m the sum over those that pass.  Its
+    MUSE and Metallaxis scores go to ``statement_of[mutant]`` in mutant-id
+    order; a statement takes the mean of its MUSE scores and the maximum
+    of its Metallaxis scores, and those of ``statements`` that no mutant
+    targets score 0.
+
+    Raises:
+        MbflError: when the matrix and the original name different tests,
+            the original has no failing test, or a mutant has no
+            statement mapping.
+    """
+    differ = set(matrix.test_ids) ^ set(original.outcomes)
+    if differ:
+        raise MbflError(
+            f"bug {matrix.bug_id}: the kill matrix and the original outcomes "
+            f"name different tests: {sorted(differ)}")
+    failing = np.array([original.outcomes[t] == "fail" for t in matrix.test_ids],
+                       dtype=bool)
+    if not failing.any():
+        raise MbflError(
+            f"program {matrix.bug_id}: no failing test, nothing to localize")
+    failed_m = matrix.kills[:, failing].sum(axis=1).tolist()
+    passed_m = matrix.kills[:, ~failing].sum(axis=1).tolist()
+    totalfailed, f2p, p2f = int(failing.sum()), sum(failed_m), sum(passed_m)
+    muse: dict[int, list[float]] = {}
+    metallaxis: dict[int, list[float]] = {}
+    for row, mutant_id in sorted(enumerate(matrix.mutant_ids),
+                                 key=lambda item: item[1]):
+        if mutant_id not in statement_of:
+            raise MbflError(f"mutant {mutant_id}: no statement mapping")
+        statement = statement_of[mutant_id]
+        muse.setdefault(statement, []).append(
+            muse_score(failed_m[row], passed_m[row], f2p, p2f))
+        metallaxis.setdefault(statement, []).append(
+            metallaxis_score(failed_m[row], passed_m[row], totalfailed))
+    padding = dict.fromkeys(statements, 0.0)
+    by_method = {
+        "muse": {**padding, **{s: sum(v) / len(v) for s, v in muse.items()}},
+        "metallaxis": {**padding, **{s: max(v) for s, v in metallaxis.items()}},
     }
-    reports = {}
-    for method in AGGREGATION_METHODS:
-        statement_scores = aggregate(mutant_scores[method], statement_of, method,
-                                     statements)
-        reports[method] = SuspiciousnessReport(
-            bug_id=bug_id, scores=statement_scores,
-            expected_ranks=rank(statement_scores), faulty_statements=faulty)
-    return reports
+    faulty = frozenset(faulty_statements)
+    return {method: SuspiciousnessReport(
+                bug_id=bug_id, scores=scores, expected_ranks=rank(scores),
+                faulty_statements=faulty)
+            for method, scores in by_method.items()}
 
 
 def fl_metrics(reports: Iterable[SuspiciousnessReport]) -> dict:

@@ -9,7 +9,6 @@ The oracles are deliberately reimported from tests/oracles.py and the
 sibling test modules so the gate shares no metric code with the package.
 """
 
-import itertools
 import json
 import random
 import time

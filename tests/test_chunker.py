@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutkit import chunker
 from mutkit.chunker import (
     MethodSyntaxError,
     chunk_method,
@@ -168,6 +169,18 @@ class TestParseMethod:
     def test_synchronized_requires_parentheses(self):
         with pytest.raises(MethodSyntaxError, match="expected '\\('"):
             parse_method("void a() {\n    synchronized {\n        x();\n    }\n}")
+
+    def test_running_out_of_stack_is_a_syntax_error_at_the_current_token(
+            self, monkeypatch):
+        # A stand-in for a method nested past the recursion limit; test_cli.py
+        # runs real ones in a child process.
+        def exhausted(parser, depth):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(chunker._Parser, "parse_headed", exhausted)
+        with pytest.raises(MethodSyntaxError) as err:
+            parse_method("void a() {\n    x();\n    if (x) {\n    }\n}")
+        assert str(err.value) == "line 3: statements nested too deep to parse"
 
     def test_empty_text_rejected(self):
         with pytest.raises(MethodSyntaxError):

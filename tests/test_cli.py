@@ -42,6 +42,18 @@ def run_cli(argv, capsys) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_cli_process(argv) -> subprocess.CompletedProcess:
+    """``python -m mutkit.cli`` in a child process, with this checkout's
+    ``src`` first on the path.  A method nested too deep to parse exhausts
+    the stack, which would also switch an in-process line tracer such as
+    tests/linereach.py's off, so those runs go through here."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mutkit.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
 def author_script(config: PipelineConfig, targets, tmp_path: Path) -> Path:
     """Record the run's prompts, then write a mock script answering them."""
     record_path = tmp_path / "record.jsonl"
@@ -258,6 +270,21 @@ class TestIndexFiles:
         assert err == "error: n must be positive, got 0\n"
 
 
+def deep_else_if(branches: int) -> str:
+    """A method whose ``else if`` chain of ``branches`` nests that deep."""
+    lines = ["int pick(int x) {", "    if (x == 0) { return 0; }"]
+    lines += [f"    else if (x == {i}) {{ return {i}; }}" for i in range(1, branches)]
+    return "\n".join(lines + ["    return -1;", "}"]) + "\n"
+
+
+def deep_blocks(levels: int) -> str:
+    """A method whose body nests ``levels`` blocks."""
+    return "void f() {\n" + "{\n" * levels + "g();\n" + "}\n" * levels + "}\n"
+
+
+TOO_DEEP = re.compile(r"line (\d+): statements nested too deep to parse")
+
+
 class TestChunkCommand:
     def test_chunk_listing(self, tmp_path, capsys):
         source = tmp_path / "method.java"
@@ -284,6 +311,17 @@ class TestChunkCommand:
         assert (code, out) == (2, "")
         assert err == f"error: line {line}: {message}\n"
 
+    @pytest.mark.parametrize("source", [deep_else_if(600), deep_blocks(400)],
+                             ids=["else-if-600", "blocks-400"])
+    def test_a_method_nested_too_deep_exits_2_naming_a_line(self, tmp_path, source):
+        path = tmp_path / "method.java"
+        path.write_text(source, encoding="utf-8")
+        result = run_cli_process(["chunk", str(path)])
+        assert (result.returncode, result.stdout) == (2, b"")
+        match = TOO_DEEP.fullmatch(result.stderr.decode().removeprefix("error: ")
+                                   .removesuffix("\n"))
+        assert match and 1 < int(match.group(1)) < source.count("\n")
+
 
 class TestGenerateCommand:
     def test_generate_exit_codes(self, tmp_path, capsys):
@@ -298,6 +336,29 @@ class TestGenerateCommand:
                                 "--targets", str(targets_path)], capsys)
         assert code == 1
         assert json.loads(out)["targets"] == 1
+
+    def test_a_target_nested_too_deep_fails_alone(self, tmp_path):
+        out_dir = tmp_path / "out"
+        config = PipelineConfig(output_dir=str(out_dir), retrieval=False)
+        script_path = author_script(
+            config, [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)], tmp_path)
+        targets_path = write_targets(tmp_path / "targets.jsonl", [
+            {"bug_id": "Deep-1", "method": deep_else_if(600)},
+            {"bug_id": "Clamp-1", "method": CLAMP_FIXED}])
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "output_dir": str(out_dir), "retrieval": False,
+            "backend": {"mode": "mock", "script": str(script_path)}}))
+        result = run_cli_process(["generate", "--config", str(config_path),
+                                  "--targets", str(targets_path)])
+        assert result.returncode == 0, result.stderr.decode()
+        totals = json.loads(result.stdout)
+        assert (totals["succeeded"], totals["failed"]) == (1, 1)
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        [error] = summary["targets"]["Deep-1"]["errors"]
+        assert TOO_DEEP.fullmatch(error.removeprefix("parse: "))
+        written = sorted(path.name for path in (out_dir / "mutants").iterdir())
+        assert written and all(name.startswith("Clamp-1-") for name in written)
 
     def test_stale_index_fails_its_targets_not_the_run(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -1488,13 +1549,9 @@ class TestRepeatedMain:
             assert code == 0 and err == "", err
             together.append(out)
         assert together[0] != together[2]
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for argv, out in zip(argvs, together):
-            alone = subprocess.run([sys.executable, "-m", "mutkit.cli", *argv],
-                                   capture_output=True, env=env, check=True)
-            assert alone.stdout == out.encode("utf-8")
+            alone = run_cli_process(argv)
+            assert (alone.returncode, alone.stdout) == (0, out.encode("utf-8"))
 
     def test_a_handler_rebound_after_the_first_call_runs(self, tmp_path, capsys,
                                                         monkeypatch):

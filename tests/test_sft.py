@@ -7,7 +7,6 @@ import pytest
 from mutkit.chunker import parse_method, whole_method_chunk
 from mutkit.promptgen import Mutant, materialize, parse_response, render_prompt
 from mutkit.sft import (
-    ExportResult,
     SftContext,
     SftError,
     TrainingInstance,

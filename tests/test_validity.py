@@ -7,7 +7,6 @@ import pytest
 
 from mutkit.promptgen import Mutant
 from mutkit.validity import (
-    CompileResult,
     ValidityError,
     ValidityLedger,
     check_compile,

@@ -1,12 +1,16 @@
 """Logic-based chunking of Java-style methods.
 
 A method body is partitioned into chunks by claiming control-flow
-constructs bottom-up: the if/for/while/do-while/try statements are visited
-in descending order of start line (innermost first on ties), each claims
-its own not-yet-claimed lines plus the run of local-variable declarations
-immediately above it in the same block, and whatever remains is split into
-maximal runs of consecutive lines.  Every physical line of the method lands
-in exactly one chunk.
+constructs bottom-up.  One pre-order walk of the statement tree yields
+each if/for/while/do-while/try statement with its depth and the lines of
+the run of local-variable declarations immediately above it in the same
+block.  A label hands the run above it on to the statement it labels, so
+``int n = 0; outer: for (...)`` claims the declaration as the unlabelled
+loop would.  The statements are visited in descending order of start line
+(the deeper first on ties, pre-order among equals), each claims its own
+not-yet-claimed lines plus those of its declaration run, and whatever
+remains is split into maximal runs of consecutive lines.  Every physical
+line of the method lands in exactly one chunk.
 
 Parsing is done by a purpose-built lexer and statement-level recursive
 descent parser that builds no expression trees.  It parses:
@@ -72,26 +76,15 @@ class Token:
 
 @dataclass
 class Stmt:
-    """One parsed statement with its physical line span and nesting depth."""
+    """One parsed statement with its physical line span."""
 
     kind: str
     start_line: int
     end_line: int
-    depth: int
     children: list["Stmt"] = field(default_factory=list)
-    parent: "Stmt | None" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for child in self.children:
-            child.parent = self
 
     def lines(self) -> set[int]:
         return set(range(self.start_line, self.end_line + 1))
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 @dataclass
@@ -280,7 +273,7 @@ class _Parser:
 
     # --- statement parsing -----------------------------------------------
 
-    def parse_statements(self, opener: Token, depth: int,
+    def parse_statements(self, opener: Token,
                          labels: bool = False) -> tuple[list[Stmt], Token]:
         """Statements up to the '}' that closes ``opener``, and that '}'.
 
@@ -297,41 +290,41 @@ class _Parser:
                 self.skip_to((":", "->"), "unterminated case label", token.line)
                 self.pos += 1
             else:
-                children.append(self.parse_statement(depth))
+                children.append(self.parse_statement())
 
-    def parse_block(self, depth: int) -> Stmt:
+    def parse_block(self) -> Stmt:
         opener = self.expect("{", "expected '{'")
-        children, closer = self.parse_statements(opener, depth + 1)
-        return Stmt("block", opener.line, closer.line, depth, children)
+        children, closer = self.parse_statements(opener)
+        return Stmt("block", opener.line, closer.line, children)
 
-    def parse_statement(self, depth: int) -> Stmt:
+    def parse_statement(self) -> Stmt:
         token = self.peek()
         if token is None:
             raise MethodSyntaxError("unexpected end of input", self.last_line())
         if token.kind == "punct":
             if token.text == "{":
-                return self.parse_block(depth)
+                return self.parse_block()
             if token.text == ";":
                 self.advance()
-                return Stmt("empty", token.line, token.line, depth)
+                return Stmt("empty", token.line, token.line)
             if token.text in _CLOSERS:
                 raise MethodSyntaxError(f"unexpected '{token.text}'", token.line)
         if token.kind == "keyword":
             handler = self.handlers.get(token.text)
             if handler is not None:
-                return handler(depth)
+                return handler()
             if token.text in ("return", "throw", "break", "continue", "assert"):
                 self.advance()
                 self.skip_statement()
-                return Stmt("simple", token.line, self.last_line(), depth)
+                return Stmt("simple", token.line, self.last_line())
         if token.kind == "ident" and self.at(":", 1):
             self.pos += 2
-            inner = self.parse_statement(depth + 1)
-            return Stmt("label", token.line, inner.end_line, depth, [inner])
+            inner = self.parse_statement()
+            return Stmt("label", token.line, inner.end_line, [inner])
         start = self.pos
         self.skip_statement()
         kind = "decl" if _is_declaration(self.tokens[start:self.pos - 1]) else "expr"
-        return Stmt(kind, token.line, self.last_line(), depth)
+        return Stmt(kind, token.line, self.last_line())
 
     def skip_statement(self) -> None:
         """Move past the statement's top-level ';'.
@@ -343,50 +336,50 @@ class _Parser:
             raise self.error("statement missing ';'")
         self.pos += 1
 
-    def parse_headed(self, depth: int) -> Stmt:
+    def parse_headed(self) -> Stmt:
         """``keyword (...) body``, plus an ``else`` branch after an if."""
         start = self.advance()
         self.skip_parens()
-        children = [self.parse_statement(depth + 1)]
+        children = [self.parse_statement()]
         if start.text == "if" and self.at("else"):
             self.advance()
-            children.append(self.parse_statement(depth + 1))
-        return Stmt(start.text, start.line, children[-1].end_line, depth, children)
+            children.append(self.parse_statement())
+        return Stmt(start.text, start.line, children[-1].end_line, children)
 
-    def parse_do(self, depth: int) -> Stmt:
+    def parse_do(self) -> Stmt:
         start = self.advance()
-        body = self.parse_statement(depth + 1)
+        body = self.parse_statement()
         self.expect("while", "expected 'while' after do body")
         self.skip_parens()
         closer = self.expect(";", "expected ';' after do-while")
-        return Stmt("do_while", start.line, closer.line, depth, [body])
+        return Stmt("do_while", start.line, closer.line, [body])
 
-    def parse_try(self, depth: int) -> Stmt:
+    def parse_try(self) -> Stmt:
         start = self.advance()
         if self.at("("):
             self.skip_parens()
-        children = [self.parse_block(depth + 1)]
+        children = [self.parse_block()]
         while self.at("catch"):
             self.advance()
             self.skip_parens()
-            children.append(self.parse_block(depth + 1))
+            children.append(self.parse_block())
         if self.at("finally"):
             self.advance()
-            children.append(self.parse_block(depth + 1))
-        return Stmt("try", start.line, children[-1].end_line, depth, children)
+            children.append(self.parse_block())
+        return Stmt("try", start.line, children[-1].end_line, children)
 
-    def parse_switch(self, depth: int) -> Stmt:
+    def parse_switch(self) -> Stmt:
         start = self.advance()
         self.skip_parens()
         opener = self.expect("{", "expected '{' after switch")
-        children, closer = self.parse_statements(opener, depth + 1, labels=True)
-        return Stmt("switch", start.line, closer.line, depth, children)
+        children, closer = self.parse_statements(opener, labels=True)
+        return Stmt("switch", start.line, closer.line, children)
 
-    def parse_local_type(self, depth: int) -> Stmt:
+    def parse_local_type(self) -> Stmt:
         start = self.advance()
         self.skip_to(("{",), "expected '{' in type declaration", start.line)
         self.pos = _skip_group(self.tokens, self.pos)
-        return Stmt("local_type", start.line, self.last_line(), depth)
+        return Stmt("local_type", start.line, self.last_line())
 
 
 _TYPE_ARGUMENT_TEXTS = frozenset(
@@ -476,7 +469,7 @@ def parse_method(source: str) -> FocalMethod:
     parser = _Parser(tokens)
     parser.skip_to(("{",), "method body not found")
     try:
-        root = parser.parse_block(depth=0)
+        root = parser.parse_block()
     except RecursionError:
         # The parser recurses once per nesting level (an else-if nests too).
         raise parser.error("statements nested too deep to parse") from None
@@ -487,27 +480,21 @@ def parse_method(source: str) -> FocalMethod:
     return FocalMethod(source=source, lines=lines, root=root)
 
 
-def collect_target_nodes(method: FocalMethod) -> list[Stmt]:
-    """Control-flow statements ordered by start line descending.
-
-    Nodes sharing a start line are ordered by depth descending, so inner
-    constructs are claimed before the outer ones that contain them.
-    """
-    nodes = [stmt for stmt in method.root.walk() if stmt.kind in TARGET_KINDS]
-    return sorted(nodes, key=lambda s: (s.start_line, s.depth), reverse=True)
-
-
-def preceding_decl_stmts(node: Stmt, remaining: set[int]) -> set[int]:
-    """Unclaimed lines of the decl-statement run immediately above ``node``."""
-    parent = node.parent
-    if parent is None or parent.kind != "block":
-        return set()
-    lines: set[int] = set()
-    for sibling in reversed(parent.children[:parent.children.index(node)]):
-        if sibling.kind != "decl":
-            break
-        lines |= sibling.lines()
-    return lines & remaining
+def _targets(stmt: Stmt, depth: int, run: frozenset[int]):
+    """Each control-flow statement at or under ``stmt``, in pre-order, as
+    (statement, depth, lines of the declaration run right above it in its
+    block); ``run`` is that of ``stmt`` itself.  A label hands its run on
+    to the statement it labels."""
+    if stmt.kind in TARGET_KINDS:
+        yield stmt, depth, run
+    if stmt.kind == "label":
+        yield from _targets(stmt.children[0], depth + 1, run)
+        return
+    run = frozenset()
+    for child in stmt.children:
+        yield from _targets(child, depth + 1, run)
+        in_run = stmt.kind == "block" and child.kind == "decl"
+        run = run | child.lines() if in_run else frozenset()
 
 
 def _consecutive_segments(lines: set[int]) -> list[tuple[int, ...]]:
@@ -532,8 +519,7 @@ def _source_lines(source: str) -> list[str]:
     return lines
 
 
-def _chunk_text(method: FocalMethod, line_numbers: tuple[int, ...]) -> str:
-    source_lines = _source_lines(method.source)
+def _chunk_text(source_lines: list[str], line_numbers: tuple[int, ...]) -> str:
     return "\n".join(source_lines[n - 1] for n in line_numbers)
 
 
@@ -547,27 +533,26 @@ def chunk_method(method: FocalMethod) -> list[CodeChunk]:
     The chunks partition method.lines exactly: every line appears in one
     and only one chunk.
     """
+    source_lines = _source_lines(method.source)
+    # A stable sort: targets on one line at one depth keep their pre-order.
+    targets = sorted(_targets(method.root, 0, frozenset()),
+                     key=lambda target: (target[0].start_line, target[1]), reverse=True)
     remaining = set(method.lines)
     chunks: list[CodeChunk] = []
-    for node in collect_target_nodes(method):
+    for node, _, run in targets:
         node_lines = node.lines()
         claim = remaining & node_lines
         if not claim:
             continue
-        declaration_lines = preceding_decl_stmts(node, remaining)
-        content = tuple(sorted(claim | declaration_lines))
-        chunks.append(CodeChunk(
-            line_numbers=content,
-            text=_chunk_text(method, content),
-            kind="control_flow",
-        ))
-        remaining -= node_lines | declaration_lines
+        content = tuple(sorted(claim | (run & remaining)))
+        chunks.append(CodeChunk(line_numbers=content,
+                                text=_chunk_text(source_lines, content),
+                                kind="control_flow"))
+        remaining -= node_lines | run
     for segment in _consecutive_segments(remaining):
-        chunks.append(CodeChunk(
-            line_numbers=segment,
-            text=_chunk_text(method, segment),
-            kind="segment",
-        ))
+        chunks.append(CodeChunk(line_numbers=segment,
+                                text=_chunk_text(source_lines, segment),
+                                kind="segment"))
     chunks.sort(key=lambda chunk: chunk.line_numbers[0])
     return chunks
 
@@ -575,7 +560,7 @@ def chunk_method(method: FocalMethod) -> list[CodeChunk]:
 def whole_method_chunk(method: FocalMethod) -> CodeChunk:
     """A single chunk spanning the entire method (chunking disabled)."""
     return CodeChunk(line_numbers=tuple(method.lines),
-                     text=_chunk_text(method, tuple(method.lines)),
+                     text="\n".join(_source_lines(method.source)),
                      kind="segment")
 
 

@@ -278,9 +278,13 @@ def load_mutants(artifacts: Path, rows: Sequence[dict]) -> dict[str, Mutant]:
             continue
         source_path = artifacts / "mutants" / f"{row['mutant_id']}.java"
         try:
-            source = source_path.read_text(encoding="utf-8")
+            # newline="" keeps a CRLF target's "\r\n" as generate wrote it.
+            with source_path.open(encoding="utf-8", newline="") as handle:
+                source = handle.read()
         except OSError as error:
             raise PipelineError(f"mutant source missing: {source_path}") from error
+        except UnicodeDecodeError as error:
+            raise PipelineError(f"cannot read {source_path}: {error}") from error
         mutants[row["mutant_id"]] = Mutant(
             id=row["mutant_id"], bug_id=row["bug_id"], source=source,
             target_line=row["target_line"],

@@ -234,7 +234,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
             record["target_line"] = mutant.target_line
             mutants[mutant_id] = mutant
             (mutants_dir / f"{mutant_id}.java").write_text(
-                mutant.source, encoding="utf-8")
+                mutant.source, encoding="utf-8", newline="")
 
     succeeded = sum(
         1 for entry in per_target.values()

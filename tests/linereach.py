@@ -14,8 +14,12 @@ Usage, from the repository root::
 
 With no arguments it runs the whole tier-1 suite and is a gate: it
 exits 1 if the suite passed but some line never ran.  With arguments
-it only lists, and the exit status is pytest's.  Tracing makes the run
-about 1.6 times slower, which is why this is a script and not a test.
+it only lists, and the exit status is pytest's.  Either way, a test
+that switches the tracer off (CPython drops it when the trace function
+raises, as when a test exhausts the stack) stops the run: the script
+names the test and exits 1, since no later line would be counted.
+Tracing makes the run about 1.6 times slower, which is why this is a
+script and not a test.
 """
 
 from __future__ import annotations
@@ -56,9 +60,26 @@ class NoDeadline:
         settings.load_profile("linereach")
 
 
-def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under a line tracer; return its exit code and the lines
-    run in each file of the package."""
+class TracerWatch:
+    """A pytest plugin that stops the run after the first test at whose
+    end ``tracer`` is no longer this thread's trace function."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.lost_in: str | None = None
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item):
+        yield
+        if sys.gettrace() is not self.tracer:
+            self.lost_in = item.nodeid
+            item.session.shouldstop = f"line tracer switched off in {item.nodeid}"
+
+
+def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]], str | None]:
+    """Run pytest under a line tracer; return its exit code, the lines
+    run in each file of the package, and the test that switched the
+    tracer off, if one did."""
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
 
@@ -74,20 +95,25 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(filename, set()).add(frame.f_code.co_firstlineno)
         return local
 
+    watch = TracerWatch(on_call)
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args],
-                             plugins=[NoDeadline()])
+                             plugins=[NoDeadline(), watch])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), ran
+    return int(status), ran, watch.lost_in
 
 
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
-    status, ran = trace_suite(argv)
+    status, ran, lost_in = trace_suite(argv)
+    if lost_in is not None:
+        print(f"the line tracer was switched off in {lost_in}; "
+              "no later line was counted")
+        return 1
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)

@@ -302,3 +302,66 @@ def oracle_id_error(ids, what):
             return f"duplicate {what} id {one_id!r}"
         seen.append(one_id)
     return None
+
+
+def oracle_chunks(source, tree):
+    """The chunks of a method as (kind, line numbers, text), by first line.
+
+    ``tree`` holds one (kind, start_line, end_line, depth) per statement in
+    pre-order, as the test method writer records it; a statement's parent
+    is the nearest record before it one level up.  ``source`` has no final
+    newline.  The rule: the if/for/while/do_while/try statements, ordered
+    by start line, then depth, both descending (pre-order among equals),
+    each claim their unclaimed lines plus the unclaimed lines of the run of
+    declarations directly above them in their block (above the label, for
+    a labelled statement); the lines left over form maximal runs of
+    consecutive lines, one segment chunk each.
+    """
+    parents = []
+    for i, record in enumerate(tree):
+        parent = None
+        for j in range(i - 1, -1, -1):
+            if tree[j][3] == record[3] - 1:
+                parent = j
+                break
+        parents.append(parent)
+
+    def declaration_run(i):
+        while parents[i] is not None and tree[parents[i]][0] == "label":
+            i = parents[i]
+        parent = parents[i]
+        if parent is None or tree[parent][0] != "block":
+            return set()
+        lines = set()
+        for j in range(i - 1, parent, -1):
+            if parents[j] != parent:
+                continue
+            if tree[j][0] != "decl":
+                break
+            lines |= set(range(tree[j][1], tree[j][2] + 1))
+        return lines
+
+    texts = source.split("\n")
+    remaining = set(range(1, len(texts) + 1))
+    targets = [i for i, record in enumerate(tree)
+               if record[0] in ("if", "for", "while", "do_while", "try")]
+    targets.sort(key=lambda i: (-tree[i][1], -tree[i][3], i))
+    chunks = []
+    for i in targets:
+        own = set(range(tree[i][1], tree[i][2] + 1))
+        if not own & remaining:
+            continue
+        run = declaration_run(i) & remaining
+        chunks.append(("control_flow", sorted((own & remaining) | run)))
+        remaining -= own | run
+    segment = []
+    for line in sorted(remaining):
+        if segment and line != segment[-1] + 1:
+            chunks.append(("segment", segment))
+            segment = []
+        segment.append(line)
+    if segment:
+        chunks.append(("segment", segment))
+    chunks.sort(key=lambda chunk: chunk[1][0])
+    return [(kind, tuple(lines), "\n".join(texts[n - 1] for n in lines))
+            for kind, lines in chunks]

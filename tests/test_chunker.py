@@ -12,11 +12,10 @@ from mutkit.chunker import (
     MethodSyntaxError,
     chunk_method,
     chunks_as_dicts,
-    collect_target_nodes,
     parse_method,
-    preceding_decl_stmts,
     whole_method_chunk,
 )
+from oracles import oracle_chunks
 from test_pipeline import CLAMP_FIXED
 
 NESTED = "\n".join([
@@ -40,6 +39,21 @@ def assert_partition(method, chunks):
         seen.extend(chunk.line_numbers)
     assert sorted(seen) == list(method.lines)
     assert len(seen) == len(set(seen))
+
+
+def targets(source):
+    """(kind, start line, end line, depth, declaration run) of each
+    control-flow statement, in the pre-order of the chunker's one walk."""
+    walk = chunker._targets(parse_method(source).root, 0, frozenset())
+    return [(stmt.kind, stmt.start_line, stmt.end_line, depth, sorted(run))
+            for stmt, depth, run in walk]
+
+
+def preorder(stmt, depth=0):
+    """(kind, start line, end line, depth) of every statement under stmt."""
+    yield stmt.kind, stmt.start_line, stmt.end_line, depth
+    for child in stmt.children:
+        yield from preorder(child, depth + 1)
 
 
 def reconstruct(method, chunks):
@@ -174,7 +188,7 @@ class TestParseMethod:
             self, monkeypatch):
         # A stand-in for a method nested past the recursion limit; test_cli.py
         # runs real ones in a child process.
-        def exhausted(parser, depth):
+        def exhausted(parser):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr(chunker._Parser, "parse_headed", exhausted)
@@ -214,10 +228,7 @@ class TestStatementKinds:
             "    } while (y);",  # 4
             "}",               # 5
         ])
-        method = parse_method(source)
-        nodes = collect_target_nodes(method)
-        assert [n.kind for n in nodes] == ["do_while"]
-        assert (nodes[0].start_line, nodes[0].end_line) == (2, 4)
+        assert targets(source) == [("do_while", 2, 4, 1, [])]
 
     def test_try_catch_finally_is_one_node(self):
         source = "\n".join([
@@ -231,19 +242,15 @@ class TestStatementKinds:
             "    }",                  # 8
             "}",                      # 9
         ])
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["try"]
-        assert (nodes[0].start_line, nodes[0].end_line) == (2, 8)
+        assert targets(source) == [("try", 2, 8, 1, [])]
 
     def test_try_with_resources(self):
         source = "void a() {\n    try (Reader r = open()) {\n        use(r);\n    }\n}"
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["try"]
+        assert [target[0] for target in targets(source)] == ["try"]
 
     def test_enhanced_for_is_a_for_node(self):
         source = "void a() {\n    for (String s : items) {\n        use(s);\n    }\n}"
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["for"]
+        assert [target[0] for target in targets(source)] == ["for"]
 
     def test_else_if_chain_is_nested_if(self):
         source = "\n".join([
@@ -255,13 +262,7 @@ class TestStatementKinds:
             "    }",                   # 6
             "}",                       # 7
         ])
-        method = parse_method(source)
-        ifs = [s for s in list(method.root.walk()) if s.kind == "if"]
-        assert len(ifs) == 2
-        outer = min(ifs, key=lambda s: s.depth)
-        inner = max(ifs, key=lambda s: s.depth)
-        assert (outer.start_line, outer.end_line) == (2, 6)
-        assert (inner.start_line, inner.end_line) == (4, 6)
+        assert targets(source) == [("if", 2, 6, 1, []), ("if", 4, 6, 2, [])]
 
     def test_switch_is_not_a_target_but_children_are_visited(self):
         source = "\n".join([
@@ -277,19 +278,15 @@ class TestStatementKinds:
             "    }",
             "}",
         ])
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["if"]
+        assert [target[0] for target in targets(source)] == ["if"]
 
     def test_labeled_loop(self):
         source = "void a() {\n    outer: for (;;) {\n        break outer;\n    }\n}"
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["for"]
+        assert targets(source) == [("for", 2, 4, 2, [])]
 
     def test_braceless_branches(self):
         source = "void a() {\n    if (x)\n        y();\n    else\n        z();\n}"
-        method = parse_method(source)
-        node = collect_target_nodes(method)[0]
-        assert (node.start_line, node.end_line) == (2, 5)
+        assert targets(source) == [("if", 2, 5, 1, [])]
 
     @pytest.mark.parametrize("statement", ["@1 x;", "final;", "a<1> b;", "a < b;"])
     def test_statements_that_start_like_declarations_are_expressions(self, statement):
@@ -297,24 +294,11 @@ class TestStatementKinds:
         assert [(s.kind, s.start_line) for s in method.root.children] == [("expr", 2)]
 
 
-class TestTargetOrdering:
-    def test_descending_start_line(self):
-        method = parse_method(NESTED)
-        nodes = collect_target_nodes(method)
-        assert [(n.kind, n.start_line) for n in nodes] == [("while", 6), ("if", 4)]
+class TestWalk:
+    """The one walk yields each target with its depth and declaration run."""
 
-    def test_same_line_tie_broken_by_depth(self):
-        source = "void a() {\n    if (x) { y(); } else if (z) { w(); }\n}"
-        nodes = collect_target_nodes(parse_method(source))
-        assert [n.kind for n in nodes] == ["if", "if"]
-        assert nodes[0].depth > nodes[1].depth
-
-
-class TestPrecedingDecls:
-    def test_two_decl_lines_claimed(self):
-        method = parse_method(NESTED)
-        if_node = next(s for s in list(method.root.walk()) if s.kind == "if")
-        assert preceding_decl_stmts(if_node, set(method.lines)) == {2, 3}
+    def test_targets_come_in_pre_order_with_depth_and_run(self):
+        assert targets(NESTED) == [("if", 4, 9, 1, [2, 3]), ("while", 6, 8, 3, [5])]
 
     def test_run_stops_at_first_non_declaration(self):
         source = "\n".join([
@@ -327,20 +311,66 @@ class TestPrecedingDecls:
             "    }",             # 7
             "}",                 # 8
         ])
-        method = parse_method(source)
-        while_node = next(s for s in list(method.root.walk()) if s.kind == "while")
-        assert preceding_decl_stmts(while_node, set(method.lines)) == {4}
+        assert targets(source) == [("while", 5, 7, 1, [4])]
 
-    def test_already_claimed_lines_excluded(self):
-        method = parse_method(NESTED)
-        if_node = next(s for s in list(method.root.walk()) if s.kind == "if")
-        assert preceding_decl_stmts(if_node, {3, 4, 9}) == {3}
+    def test_a_run_holds_the_declaration_lines_only(self):
+        source = "\n".join([
+            "void a() {",        # 1
+            "    int a = 0;",    # 2
+            "",                  # 3
+            "    // b next",     # 4
+            "    int b = 1; if (a < b) {",  # 5
+            "        b--;",      # 6
+            "    }",             # 7
+            "}",                 # 8
+        ])
+        assert targets(source) == [("if", 5, 7, 1, [2, 5])]
 
-    def test_node_without_block_parent_has_no_decls(self):
-        source = "void a() {\n    if (x)\n        while (y)\n            z();\n}"
-        method = parse_method(source)
-        while_node = next(s for s in list(method.root.walk()) if s.kind == "while")
-        assert preceding_decl_stmts(while_node, set(method.lines)) == set()
+    def test_a_statement_outside_a_block_has_no_run(self):
+        source = "void a() {\n    int a = 0;\n    if (x)\n        while (y)\n            z();\n}"
+        assert targets(source) == [("if", 3, 5, 1, [2]), ("while", 4, 5, 2, [])]
+
+    def test_a_switch_body_passes_no_run(self):
+        source = "\n".join([
+            "void a() {",               # 1
+            "    switch (k) {",         # 2
+            "        case 1:",          # 3
+            "            int v = 0;",   # 4
+            "            if (v > k) {",  # 5
+            "                v--;",     # 6
+            "            }",            # 7
+            "    }",                    # 8
+            "}",                        # 9
+        ])
+        assert targets(source) == [("if", 5, 7, 2, [])]
+
+    @pytest.mark.parametrize("labels", ["outer: ", "outer: inner: "])
+    def test_a_label_hands_its_run_on_to_the_statement_it_labels(self, labels):
+        source = "\n".join([
+            "void a(int[] xs) {",      # 1
+            "    int total = 0;",      # 2
+            f"    {labels}for (int x : xs) {{",  # 3
+            "        total += x;",     # 4
+            "    }",                   # 5
+            "}",                       # 6
+        ])
+        depth = 1 + labels.count(":")
+        assert targets(source) == [("for", 3, 5, depth, [2])]
+
+
+class TestTargetOrdering:
+    def test_same_line_tie_broken_by_depth(self):
+        # The else-if, one level deeper, claims line 3 first; it has no
+        # declaration run, and the outer if is left nothing to claim.
+        source = "void a() {\n    int v = 0;\n    if (x) { y(); } else if (z) { w(); }\n}"
+        assert [(c.line_numbers, c.kind) for c in chunk_method(parse_method(source))] == [
+            ((1, 2), "segment"), ((3,), "control_flow"), ((4,), "segment")]
+
+    def test_same_line_siblings_keep_pre_order(self):
+        # The first if claims the line and the declaration above it.
+        source = "void a() {\n    int v = 0;\n    if (a) x(); if (b) y();\n}"
+        assert [(c.line_numbers, c.kind) for c in chunk_method(parse_method(source))] == [
+            ((1,), "segment"), ((2, 3), "control_flow"), ((4,), "segment")]
 
 
 class TestChunkMethod:
@@ -397,15 +427,39 @@ class TestChunkMethod:
         assert first == second
 
     def test_control_chunk_lines_subset_of_node_plus_decls(self):
-        method = parse_method(NESTED)
-        nodes = collect_target_nodes(method)
         allowed = set()
-        for node in nodes:
-            allowed |= node.lines()
-            allowed |= preceding_decl_stmts(node, set(method.lines))
-        for chunk in chunk_method(method):
+        for _, start, end, _, run in targets(NESTED):
+            allowed |= set(range(start, end + 1)) | set(run)
+        for chunk in chunk_method(parse_method(NESTED)):
             if chunk.kind == "control_flow":
                 assert set(chunk.line_numbers) <= allowed
+
+    def test_a_run_line_already_claimed_stays_with_its_first_claimer(self):
+        source = "\n".join([
+            "void a() {",                                  # 1
+            "    int v = 0; if (v > 0) { while (v > 0) {",  # 2
+            "        v--;",                                # 3
+            "    }",                                       # 4
+            "    }",                                       # 5
+            "}",                                           # 6
+        ])
+        assert [(c.line_numbers, c.kind) for c in chunk_method(parse_method(source))] == [
+            ((1,), "segment"), ((2, 3, 4), "control_flow"), ((5,), "control_flow"),
+            ((6,), "segment")]
+
+    @pytest.mark.parametrize("label", ["", "outer: "])
+    def test_a_labelled_loop_claims_the_declarations_above_its_label(self, label):
+        source = "\n".join([
+            "int f(int[] a) {",                 # 1
+            "    int total = 0;",               # 2
+            f"    {label}for (int x : a) {{",    # 3
+            "        total += x;",              # 4
+            "    }",                            # 5
+            "    return total;",                # 6
+            "}",                                # 7
+        ])
+        assert [(c.line_numbers, c.kind) for c in chunk_method(parse_method(source))] == [
+            ((1,), "segment"), ((2, 3, 4, 5), "control_flow"), ((6, 7), "segment")]
 
     def test_whole_method_chunk(self):
         method = parse_method(NESTED)
@@ -526,7 +580,7 @@ class MethodWriter:
 
     ``choose`` picks one item of a sequence: ``random.Random.choice`` or a
     hypothesis draw.  ``tree`` holds one ``[kind, start_line, end_line,
-    depth]`` per statement in pre-order, the order of ``Stmt.walk``;
+    depth]`` per statement in pre-order;
     ``used`` names every template and compound that was written.
     """
 
@@ -745,14 +799,28 @@ def java_methods(draw):
 
 
 def check_generated(source: str, tree: list[tuple]) -> None:
+    """The method parses to the recorded tree, the walk finds its targets
+    at their recorded depths, and the chunks are the oracle's."""
     method = parse_method(source)
-    statements = list(method.root.walk())
-    assert [(s.kind, s.start_line, s.end_line, s.depth) for s in statements] == tree
-    for stmt in statements:
-        assert all(child.parent is stmt for child in stmt.children)
+    assert list(preorder(method.root)) == tree
+    assert [target[:4] for target in targets(source)] == [
+        record for record in tree if record[0] in chunker.TARGET_KINDS]
     chunks = chunk_method(method)
     assert_partition(method, chunks)
     assert reconstruct(method, chunks) == source
+    assert [(c.kind, c.line_numbers, c.text) for c in chunks] == oracle_chunks(source, tree)
+
+
+def declaration_above_a_label(tree: list[tuple]) -> bool:
+    """Whether some label in a block comes right after a declaration."""
+    for i, (kind, _, _, depth) in enumerate(tree):
+        if kind != "label":
+            continue
+        earlier = [record for record in reversed(tree[:i]) if record[3] <= depth]
+        parent = next(record for record in earlier if record[3] < depth)
+        if earlier[0][3] == depth and earlier[0][0] == "decl" and parent[0] == "block":
+            return True
+    return False
 
 
 class TestSyntheticPartition:
@@ -775,3 +843,13 @@ class TestSyntheticPartition:
     @settings(max_examples=150, deadline=None)
     def test_generated_methods_parse_to_recorded_tree(self, case):
         check_generated(*case)
+
+    def test_seeded_methods_chunk_as_the_oracle_does(self):
+        labelled = 0
+        for seed in range(3000):
+            source, tree = MethodWriter(random.Random(seed).choice).method()
+            check_generated(source, tree)
+            labelled += declaration_above_a_label(tree)
+        # 45 of the methods have a declaration right above a label in a
+        # block, the case where the label passes the run on.
+        assert labelled == 45

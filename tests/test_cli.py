@@ -1354,6 +1354,14 @@ class TestEvaluateInputsThatEndTheRun:
         assert (code, out) == (2, "")
         assert err == f"error: mutant source missing: {source}\n"
 
+    def test_a_mutant_source_that_is_not_utf8(self, generated, capsys):
+        out_dir = generated[2]
+        source = out_dir / "mutants" / f"{self.materialized_ids(out_dir)[0]}.java"
+        source.write_bytes(b"int f() {\n    return 1;\xff\n}")
+        code, out, err = self.evaluate(generated, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {source}: 'utf-8' codec can't decode")
+
     def test_a_repeated_manifest_row(self, generated, capsys):
         manifest = generated[2] / "manifest.jsonl"
         lines = manifest.read_text().splitlines()

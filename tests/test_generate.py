@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mutkit.config import PipelineConfig, PipelineError, TargetSpec
+from mutkit.config import (
+    PipelineConfig,
+    PipelineError,
+    TargetSpec,
+    load_mutants,
+    read_generation,
+)
 from mutkit.generate import make_backend, run_generate
 from mutkit.llm import BackendConfig, HttpChatBackend, MockBackend
 from test_pipeline import (
@@ -135,6 +141,17 @@ class TestRunGenerate:
         rejected = [row for row in manifest if row["rejection"]]
         assert [row["mutant_id"] for row in rejected] == ["Clamp-1-c01-m005"]
         assert rejected[0]["rejection"] == "out-of-chunk"
+
+    def test_a_crlf_target_s_mutants_load_back_as_generated(self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), retrieval=False)
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED.replace("\n", "\r\n"))]
+        outcome = scripted_generate(config, targets, tmp_path)
+        assert outcome.mutants
+        assert all("\r\n" in mutant.source for mutant in outcome.mutants.values())
+        loaded = load_mutants(Path(config.output_dir),
+                              read_generation(Path(config.output_dir))[1])
+        assert ({mutant_id: mutant.source for mutant_id, mutant in loaded.items()}
+                == {mutant_id: mutant.source for mutant_id, mutant in outcome.mutants.items()})
 
     def test_generate_retrieval_examples_recorded(self, tmp_path):
         config = self.fixed_config(tmp_path, retrieval_n=4)

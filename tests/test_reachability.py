@@ -22,12 +22,17 @@ public.
 The test modules are held to one rule of their own: every name a module
 under ``tests/`` imports is loaded somewhere in that module.  ``from
 __future__`` imports are exempt.
+
+The line-level gate, ``tests/linereach.py``, runs in a child process on a
+toy module to show that it stops at a test that switches its tracer off.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -401,3 +406,19 @@ def test_a_test_module_loads_every_name_it_imports(tmp_path, source, expected):
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert unloaded_imports([path]) == expected
+
+
+def test_linereach_names_the_test_that_switches_its_tracer_off(tmp_path):
+    (tmp_path / "test_deep.py").write_text(
+        "import pytest\n\n\n"
+        "def recurse(depth):\n    return recurse(depth + 1)\n\n\n"
+        "def test_exhausts_the_stack():\n"
+        "    with pytest.raises(RecursionError):\n        recurse(0)\n\n\n"
+        "def test_after():\n    pass\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "linereach.py"), "test_deep.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stdout.endswith(
+        "the line tracer was switched off in test_deep.py::test_exhausts_the_stack; "
+        "no later line was counted\n")

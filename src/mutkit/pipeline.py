@@ -4,8 +4,9 @@ localization, replayed over the generation artifacts as deep as one
 command goes, into one deterministic report directory.
 
 One function evaluates a bug from its compiles to its revealing tests; it
-pauses after each wave of queued runs, so every bug's runs of a wave are
-queued before any is awaited.  This module picks the bugs of each section
+pauses after each wave of queued runs, so every bug's compiles are queued
+before any run is awaited, and a bug's mutant suites are queued as soon as
+its own compiles are done.  This module picks the bugs of each section
 and the warnings; the payloads come from the analysis modules and
 ``report``, which also holds the text tables and JSON writer, shared with
 the standalone analysis commands.  Configuration and the checked readers
@@ -116,13 +117,13 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
 
     The waves are: (1) submit every compile and, past validate, the
     original's suite run; (2) build the validity ledger, where validate
-    stops; (3) submit the useful mutants' suites and, for a report whose
-    revealing tests come from it, the buggy version's run; (4) collect the
+    stops, then submit the useful mutants' suites and, for a report whose
+    revealing tests come from it, the buggy version's run; (3) collect the
     runs and save the matrix and the original's outcomes, where execute
     stops, and resolve the revealing tests.  Without a test_command the
-    saved matrix is an input, loaded as given in place of (3) and (4).
-    The caller advances every bug one wave at a time, so a wave's runs of
-    all bugs are queued before any is awaited.
+    saved matrix is an input, loaded as given in place of the suites.
+    The caller advances every bug one wave at a time, so every bug's
+    compiles are queued before any is awaited.
     """
     target, bug_id = bug.target, bug.target.bug_id
     ordered = sorted(bug.materialized)
@@ -140,7 +141,6 @@ def _evaluate_bug(config: PipelineConfig, bug: BugArtifacts, queue,
     bug.ledger = ValidityLedger(
         expected=bug.expected, generated=list(bug.all_ids),
         duplicates=duplicates, compilable=compilable)
-    yield
     if through == "validate":
         return
 
@@ -278,20 +278,16 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     warnings: list[str] = []
     sections: dict = {"mode": config.mode, "variant": config.variant_label()}
 
-    # Every compile and suite run of every bug goes through one queue; the
-    # validity section is written after the second wave built every ledger.
+    # Every compile and suite run of every bug goes through one queue.
     with execution.run_queue(matrices_dir / "runs", config.workers) as queue:
         steps = [_evaluate_bug(config, bug, queue, matrices_dir, through)
                  for bug in bugs.values()]
-        for wave in range(4):
+        for _ in range(3):
             for step in steps:
                 next(step, None)
-            if wave == 1:
-                sections["validity"] = report.validity_section(
-                    {bug_id: (bug.target.project, bug.ledger)
-                     for bug_id, bug in bugs.items()})
-                report.write_section(out_dir, "validity", sections["validity"],
-                                     report.validity_text)
+    sections["validity"] = report.validity_section(
+        {bug_id: (bug.target.project, bug.ledger) for bug_id, bug in bugs.items()})
+    report.write_section(out_dir, "validity", sections["validity"], report.validity_text)
 
     if through == "report":
         contexts = _effectiveness_contexts(bugs, warnings)

@@ -180,7 +180,7 @@ def materialize(original_source: str, chunk: CodeChunk, pair: MutationPair,
 
     The first line inside chunk.line_numbers whose trimmed text equals the
     trimmed precode is replaced by aftercode, re-indented with the original
-    line's leading whitespace.
+    line's leading whitespace and ended as the original line is.
 
     Raises:
         MaterializeError: reason "multi-line" if aftercode spans lines,
@@ -202,7 +202,9 @@ def materialize(original_source: str, chunk: CodeChunk, pair: MutationPair,
         raise MaterializeError("out-of-chunk",
                                f"precode {needle!r} matches no chunk line")
     original_line = lines[target_line - 1]
-    mutated_line = _leading_whitespace(original_line) + aftercode.strip()
+    # Split at "\n", each line of a CRLF source ends in "\r"; keep it.
+    ending = "\r" if original_line.endswith("\r") else ""
+    mutated_line = _leading_whitespace(original_line) + aftercode.strip() + ending
     lines[target_line - 1] = mutated_line
     return Mutant(
         id=mutant_id,

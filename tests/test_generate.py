@@ -153,6 +153,23 @@ class TestRunGenerate:
         assert ({mutant_id: mutant.source for mutant_id, mutant in loaded.items()}
                 == {mutant_id: mutant.source for mutant_id, mutant in outcome.mutants.items()})
 
+    def test_a_crlf_target_s_mutants_change_only_their_line_and_keep_its_ending(
+            self, tmp_path):
+        config = PipelineConfig(output_dir=str(tmp_path / "out"), retrieval=False)
+        method = CLAMP_FIXED.replace("\n", "\r\n")
+        outcome = scripted_generate(config, [TargetSpec(bug_id="Clamp-1", method=method)],
+                                    tmp_path)
+        original = method.split("\n")
+        assert outcome.mutants
+        for mutant in outcome.mutants.values():
+            lines = mutant.source.split("\n")
+            assert [n for n, line in enumerate(lines, 1)
+                    if n > len(original) or line != original[n - 1]] == [mutant.target_line]
+            assert [line.endswith("\r") for line in lines] == [
+                line.endswith("\r") for line in original]
+            assert mutant.original_line_text.endswith("\r") \
+                == mutant.mutated_line_text.endswith("\r")
+
     def test_generate_retrieval_examples_recorded(self, tmp_path):
         config = self.fixed_config(tmp_path, retrieval_n=4)
         targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)]

@@ -12,8 +12,13 @@ not-yet-claimed lines plus those of its declaration run, and whatever
 remains is split into maximal runs of consecutive lines.  Every physical
 line of the method lands in exactly one chunk.
 
-Parsing is done by a purpose-built lexer and statement-level recursive
-descent parser that builds no expression trees.  It parses:
+The lexer is one regular expression, matched once per token: it skips
+blanks and comments, then takes a literal (which may span lines), a word,
+a number, ``::`` or ``->``, or any other single character.  A token's line
+is the line it starts on, and only "\n" breaks a line.  A literal or block
+comment that nothing closes is a ``MethodSyntaxError`` at its first line.
+A statement-level recursive descent parser that builds no expression
+trees then parses:
 
 - blocks, empty statements, and labelled statements;
 - ``if``/``else`` (else-if chains nest), ``for`` and enhanced ``for``,
@@ -37,6 +42,7 @@ is a ``MethodSyntaxError`` wherever it occurs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 TARGET_KINDS = ("if", "for", "while", "do_while", "try")
@@ -52,7 +58,18 @@ _KEYWORDS = frozenset("""
 _PRIMITIVES = frozenset(
     ["boolean", "byte", "char", "short", "int", "long", "float", "double"])
 
-_MULTI_OPS = ("::", "->")
+# One match per token: blanks, line breaks and comments, then the token.
+# Only "\n" breaks a line.  A word starts with anything \w matches but a
+# decimal digit (so a letter, "_" or a digit such as "²"), or with "$".
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\f\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?: (?P<literal> "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' )
+      | (?P<unclosed> ["'] | /\* )
+      | (?P<word> (?!\d)[\w$]+ )
+      | (?P<number> \d[\w.]* )
+      | (?P<punct> :: | -> | . )
+      | (?P<end> \Z ) )
+""", re.VERBOSE | re.DOTALL)
 
 
 class ChunkerError(Exception):
@@ -106,83 +123,26 @@ class CodeChunk:
 
 
 def _lex(source: str) -> list[Token]:
-    """Tokenize method source, skipping whitespace and comments."""
+    """Tokenize method source, skipping whitespace and comments.
+
+    A token's line is the line it starts on: the line breaks between one
+    token's start and the next are counted as the scan moves on.
+    """
     tokens: list[Token] = []
-    line = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r\f":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line = line
-            i += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    line += 1
-                i += 1
-            if i >= n:
-                raise MethodSyntaxError("unterminated block comment", start_line)
-            i += 2
-            continue
-        if ch in "\"'":
-            quote = ch
-            start_line = line
-            text = [ch]
-            i += 1
-            while i < n:
-                current = source[i]
-                text.append(current)
-                if current == "\\" and i + 1 < n:
-                    text.append(source[i + 1])
-                    if source[i + 1] == "\n":
-                        line += 1
-                    i += 2
-                    continue
-                if current == "\n":
-                    line += 1
-                if current == quote:
-                    i += 1
-                    break
-                i += 1
-            else:
-                raise MethodSyntaxError("unterminated literal", start_line)
-            tokens.append(Token("literal", "".join(text), start_line))
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and (source[i].isalnum() or source[i] in "._xXbBlLfFdD"):
-                i += 1
-            tokens.append(Token("number", source[start:i], line))
-            continue
-        if ch.isalpha() or ch in "_$":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] in "_$"):
-                i += 1
-            word = source[start:i]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line))
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                tokens.append(Token("punct", op, line))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            tokens.append(Token("punct", ch, line))
-            i += 1
+    line, start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        line += source.count("\n", start, match.start(kind))
+        start = match.start(kind)
+        text = match.group(kind)
+        if kind == "end":
+            break
+        if kind == "unclosed":
+            raise MethodSyntaxError("unterminated block comment" if text == "/*"
+                                    else "unterminated literal", line)
+        if kind == "word":
+            kind = "keyword" if text in _KEYWORDS else "ident"
+        tokens.append(Token(kind, text, line))
     return tokens
 
 
@@ -565,7 +525,7 @@ def whole_method_chunk(method: FocalMethod) -> CodeChunk:
 
 
 def chunks_as_dicts(chunks: list[CodeChunk]) -> list[dict]:
-    """JSON-friendly chunk listing (for the CLI and manifests)."""
+    """JSON-friendly chunk listing (for the CLI)."""
     return [
         {
             "chunk_id": f"c{i:02d}",

@@ -66,6 +66,48 @@ def reconstruct(method, chunks):
     return "\n".join(text for _, text in pairs)
 
 
+def lexed(source):
+    return [(token.kind, token.text, token.line) for token in chunker._lex(source)]
+
+
+class TestLex:
+    @pytest.mark.parametrize("source, tokens", [
+        ("$x", [("ident", "$x", 1)]),
+        ("_1", [("ident", "_1", 1)]),
+        ("1_000L", [("number", "1_000L", 1)]),
+        ("0x1F", [("number", "0x1F", 1)]),
+        # A number takes letters, digits, "_" and ".", but no sign.
+        ("1.5e-3", [("number", "1.5e", 1), ("punct", "-", 1), ("number", "3", 1)]),
+        ("a::b", [("ident", "a", 1), ("punct", "::", 1), ("ident", "b", 1)]),
+        ("x->y", [("ident", "x", 1), ("punct", "->", 1), ("ident", "y", 1)]),
+        # Only " \t\r\f\n" are blanks.
+        ("\v", [("punct", "\v", 1)]),
+        ("\x85", [("punct", "\x85", 1)]),
+        ("é1", [("ident", "é1", 1)]),
+        ("٣", [("number", "٣", 1)]),  # a decimal digit
+        ("x²", [("ident", "x²", 1)]),
+        # A digit that is not decimal, or a numeric character such as "½",
+        # starts a word.
+        ("²", [("ident", "²", 1)]),
+        ("½", [("ident", "½", 1)]),
+        # A text block lexes as the literals "", "<body>" and "", each on
+        # the line it starts on.
+        ('s = """\n    hi\n    """;\nx', [
+            ("ident", "s", 1), ("punct", "=", 1), ("literal", '""', 1),
+            ("literal", '"\n    hi\n    "', 1), ("literal", '""', 3),
+            ("punct", ";", 3), ("ident", "x", 4)]),
+    ], ids=["dollar", "underscore", "long", "hex", "exponent", "method-ref", "arrow",
+            "vtab", "nel", "e-acute", "arabic-three", "x-squared", "squared", "half",
+            "text-block"])
+    def test_kinds_texts_and_lines(self, source, tokens):
+        assert lexed(source) == tokens
+
+    def test_an_unclosed_block_comment_is_named_at_its_line(self):
+        with pytest.raises(MethodSyntaxError) as err:
+            chunker._lex("a\nb // c\n  /* d\n e")
+        assert str(err.value) == "line 3: unterminated block comment"
+
+
 class TestParseMethod:
     def test_line_range_counts_trailing_blank_lines(self):
         source = "void a() {\n    return;\n}\n\n\n"

@@ -58,9 +58,8 @@ _KEYWORDS = frozenset("""
 _PRIMITIVES = frozenset(
     ["boolean", "byte", "char", "short", "int", "long", "float", "double"])
 
-# One match per token: blanks, line breaks and comments, then the token.
-# Only "\n" breaks a line.  A word starts with anything \w matches but a
-# decimal digit (so a letter, "_" or a digit such as "²"), or with "$".
+# A word starts with "$" or with anything \w matches but a decimal digit:
+# re has no class for str.isdigit, so a digit such as "²" starts a word.
 _TOKEN = re.compile(r"""
     (?: [ \t\r\f\n]+ | //[^\n]* | /\*.*?\*/ )*
     (?: (?P<literal> "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' )

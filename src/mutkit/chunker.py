@@ -15,7 +15,7 @@ line of the method lands in exactly one chunk.
 The lexer is one regular expression, matched once per token: it skips
 blanks and comments, then takes a literal (which may span lines), a word,
 a number, ``::`` or ``->``, or any other single character.  A token's line
-is the line it starts on, and only "\n" breaks a line.  A literal or block
+is the line it starts on, and only "\\n" breaks a line.  A literal or block
 comment that nothing closes is a ``MethodSyntaxError`` at its first line.
 A statement-level recursive descent parser that builds no expression
 trees then parses:

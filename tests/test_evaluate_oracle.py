@@ -86,7 +86,7 @@ def test_every_kill_matrix_and_useful_set_is_the_oracle_s(evaluations, workers):
         checks.ToyOracle(RUNNER), rows, out, base / f"oracle-{workers}")
     assert failures == []
     assert coupled > 0
-    # The replies cover every case the oracle tells apart.
+    # Some cells are kills and some are not, and some mutants are not useful.
     matrices = [checks.read_matrix(out / "matrices" / f"{row['bug_id']}.matrix")
                 for row in rows]
     cells = "".join("".join(row_cells) for _, _, row_cells in matrices)

@@ -51,7 +51,6 @@ from .embedder import (
     VectorIndex,
     build_index,
     describe_index,
-    dumps_neighbors,
 )
 from .execution import MatrixError, RunnerError, load_matrix, load_outcomes
 from .generate import probe_embedder, run_generate
@@ -72,10 +71,6 @@ CLI_ERRORS = (PipelineError, CorpusError, ChunkerError, EmbeddingError,
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides = {name: getattr(args, name, None)
                  for name in PipelineConfig.__dataclass_fields__}
-    if getattr(args, "no_retrieval", False):
-        overrides["retrieval"] = False
-    if getattr(args, "no_chunking", False):
-        overrides["chunking"] = False
     if args.config:
         return load_config(args.config, overrides)
     return PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
@@ -129,7 +124,7 @@ def cmd_rag_query(args: argparse.Namespace) -> int:
         code = read_text(Path(args.code_file))
     n = args.n if args.n is not None else config.retrieval_n
     neighbors = index.query(embedder.embed(code), n=min(n, len(index)))
-    print(dumps_neighbors(neighbors))
+    _emit([{"id": pair_id, "score": score} for pair_id, score in neighbors])
     return 0
 
 
@@ -269,10 +264,10 @@ def _config_flags() -> argparse.ArgumentParser:
                         help="whether targets are fixed or buggy versions")
     parser.add_argument("--retrieval-n", type=int,
                         help="few-shot examples per prompt (default 6)")
-    parser.add_argument("--no-retrieval", action="store_true",
-                        help="disable retrieval (ablation)")
-    parser.add_argument("--no-chunking", action="store_true",
-                        help="disable chunking (ablation)")
+    parser.add_argument("--no-retrieval", dest="retrieval", action="store_const",
+                        const=False, help="disable retrieval (ablation)")
+    parser.add_argument("--no-chunking", dest="chunking", action="store_const",
+                        const=False, help="disable chunking (ablation)")
     parser.add_argument("--compile-command",
                         help="compile check template with {source}")
     parser.add_argument("--test-command", help="test runner template with {source}")

@@ -22,7 +22,6 @@ that to be exact, are scored entry by entry.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 import struct
@@ -456,7 +455,3 @@ def describe_index(index: VectorIndex) -> dict:
         "metric": index.metric,
         "backend_id": index.backend_id,
     }
-
-
-def dumps_neighbors(neighbors: list[tuple[str, float]]) -> str:
-    return json.dumps([{"id": i, "score": s} for i, s in neighbors], indent=2)

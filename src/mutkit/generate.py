@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,7 +145,8 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
     Every chunk is planned before retrieval, which queries the index once
     for all of them.  Artifacts land in config.output_dir: prompts.jsonl,
     manifest.jsonl, summary.json and one mutants/<id>.java per
-    materialized mutant.
+    materialized mutant; mutants/ is emptied first, so it holds no file
+    of an earlier run.
     """
     backend = backend if backend is not None else make_backend(config)
     retrieval = _retrieval_context(config)
@@ -152,7 +154,9 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
 
     out_dir = Path(config.output_dir)
     mutants_dir = out_dir / "mutants"
-    mutants_dir.mkdir(parents=True, exist_ok=True)
+    if mutants_dir.exists():
+        shutil.rmtree(mutants_dir)
+    mutants_dir.mkdir(parents=True)
 
     per_target: dict[str, dict] = {}
     chunks: list[tuple[TargetSpec, FocalMethod, str, CodeChunk]] = []
@@ -174,7 +178,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
 
     retrieved = (_retrieve(retrieval, [chunk.text for *_, chunk in chunks],
                            config.retrieval_n)
-                 if retrieval is not None else [None] * len(chunks))
+                 if retrieval is not None else [[]] * len(chunks))
     prompt_rows: list[dict] = []
     planned: list[tuple[TargetSpec, CodeChunk]] = []
     for (target, method, chunk_id, chunk), found in zip(chunks, retrieved):
@@ -182,7 +186,7 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         if isinstance(found, str):
             entry["errors"].append(f"retrieval {chunk_id}: {found}")
             continue
-        examples = promptgen.render_examples(found) if found is not None else []
+        examples = promptgen.render_examples(found)
         requested = len(chunk.line_numbers)
         prompt = promptgen.render_prompt(method, chunk, examples, requested)
         entry["prompts_total"] += 1
@@ -198,12 +202,11 @@ def run_generate(config: PipelineConfig, targets: Sequence[TargetSpec],
         })
         planned.append((target, chunk))
 
-    results = llm.complete_batch(backend, [(row["prompt_id"], row["prompt"])
-                                           for row in prompt_rows])
+    results = llm.complete_batch(backend, [row["prompt"] for row in prompt_rows])
 
     manifest_rows: list[dict] = []
     mutants: dict[str, Mutant] = {}
-    for row, (target, chunk), (_, result) in zip(prompt_rows, planned, results):
+    for row, (target, chunk), result in zip(prompt_rows, planned, results):
         bug_id, chunk_id = row["bug_id"], row["chunk_id"]
         entry = per_target[bug_id]
         if isinstance(result, BackendError):

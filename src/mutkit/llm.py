@@ -32,19 +32,7 @@ RETRYABLE_STATUS = frozenset([429, 500, 502, 503, 504])
 
 
 class BackendError(Exception):
-    """Base error for completion backends."""
-
-
-class AuthError(BackendError):
-    """Authentication failure; never retried."""
-
-
-class RetryExhaustedError(BackendError):
-    """All retries failed; carries the last status seen."""
-
-    def __init__(self, message: str, last_status: int | None):
-        super().__init__(message)
-        self.last_status = last_status
+    """A completion request that failed, or a backend that cannot be used."""
 
 
 @dataclass
@@ -196,7 +184,6 @@ class HttpChatBackend:
         which it gives up before any backoff sleep.
         """
         config = self.config
-        last_status: int | None = None
         for attempt in range(config.max_retries + 1):
             if attempt:
                 self._sleep(config.backoff_base * (2 ** (attempt - 1)))
@@ -212,23 +199,21 @@ class HttpChatBackend:
                 raise BackendError(
                     f"cannot send a request to {config.endpoint!r}: {exc}") from exc
             except OSError as exc:
-                last_status = None
                 logger.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
             finally:
                 self._window.release(sent_in, status)
             if status in (401, 403):
-                raise AuthError(f"authentication failed (HTTP {status})")
+                raise BackendError(f"authentication failed (HTTP {status})")
             if status in RETRYABLE_STATUS:
-                last_status = status
                 logger.warning("retryable HTTP %d (attempt %d)", status, attempt + 1)
                 continue
             if status != 200:
                 raise BackendError(f"unexpected HTTP {status}: {body[:200]}")
             return self._parse_body(body, retries=attempt)
-        raise RetryExhaustedError(
-            f"gave up after {config.max_retries} retries "
-            f"(last status: {last_status})", last_status)
+        # ``status`` is the last attempt's: None when its connection failed.
+        raise BackendError(f"gave up after {config.max_retries} retries "
+                           f"(last status: {status})")
 
     @staticmethod
     def _parse_body(body: str, retries: int) -> Completion:
@@ -274,8 +259,7 @@ class MockBackend:
         digest = prompt_digest(prompt)
         reply = self._replies.get(digest)
         if reply is not None:
-            return Completion(text=reply.text, prompt_tokens=reply.prompt_tokens,
-                              completion_tokens=reply.completion_tokens)
+            return reply
         if self.record_path:
             self._unscripted[digest] = prompt
         raise BackendError(f"no scripted reply for digest {digest[:12]}...")
@@ -291,19 +275,18 @@ class MockBackend:
                 for digest in sorted(unscripted))
 
 
-def complete_batch(backend, prompts: list[tuple[str, str]]
-                   ) -> list[tuple[str, Completion | BackendError]]:
+def complete_batch(backend, prompts: list[str]) -> list[Completion | BackendError]:
     """Run many prompts with up to ``backend.in_flight`` of them in flight.
 
     Args:
         backend: an object with complete(prompt) -> Completion, an
             ``in_flight`` window and an ``end_batch()`` hook, which runs
             once the batch is done, even when it fails.
-        prompts: (prompt_id, prompt) tuples.
+        prompts: the prompt texts.
 
     Returns:
-        (prompt_id, Completion-or-BackendError) in input order, whatever
-        order the replies came in; failures are isolated per item.
+        Each prompt's Completion or BackendError, in input order whatever
+        order the replies came in; failures are isolated per prompt.
     """
 
     def run_one(prompt: str):
@@ -315,17 +298,16 @@ def complete_batch(backend, prompts: list[tuple[str, str]]
     window = max(1, min(len(prompts), backend.in_flight))
     try:
         with ThreadPoolExecutor(max_workers=window) as pool:
-            results = list(pool.map(run_one, [p for _, p in prompts]))
+            return list(pool.map(run_one, prompts))
     finally:
         backend.end_batch()
-    return [(prompt_id, result) for (prompt_id, _), result in zip(prompts, results)]
 
 
-def aggregate_usage(results) -> dict:
+def aggregate_usage(results: list[Completion | BackendError]) -> dict:
     """Total token usage over batch results (errors contribute zero)."""
     prompt_tokens = 0
     completion_tokens = 0
-    for _, result in results:
+    for result in results:
         if isinstance(result, Completion):
             prompt_tokens += result.prompt_tokens
             completion_tokens += result.completion_tokens

@@ -236,8 +236,8 @@ def _mbfl_section(bugs: dict[str, BugArtifacts], warnings: list[str]) -> dict:
             warnings.append(f"mbfl: bug {bug_id} lacks a failing original run")
             continue
         if not bug.target.faulty_lines:
+            # Ranked all the same; report.mbfl_section leaves it out of the metrics.
             warnings.append(f"mbfl: bug {bug_id} has no faulty_lines ground truth")
-            continue
         if not bug.matrix.mutant_ids:
             warnings.append(f"mbfl: bug {bug_id} has no useful mutants")
             continue
@@ -263,7 +263,8 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
     also builds the kill matrices (or loads them without a test_command);
     report adds effectiveness metrics, prioritization and, for buggy-mode
     runs, fault localization.  Outputs are written deterministically:
-    re-running on the same inputs rewrites identical bytes.
+    re-running on the same inputs rewrites identical bytes, and a section
+    file this run did not write is removed.
     """
     if through not in ("validate", "execute", "report"):
         raise PipelineError(
@@ -310,6 +311,11 @@ def run_evaluate(config: PipelineConfig, targets: Sequence[TargetSpec], *,
         else:
             warnings.append("mbfl: skipped (requires mode=buggy artifacts)")
 
+    # A section file this run did not write is an earlier run's: remove it.
+    for key, name in (("metrics", "effectiveness"), ("tcp", "tcp"), ("mbfl", "mbfl")):
+        if key not in sections:
+            for suffix in (".json", ".txt"):
+                (out_dir / f"{name}{suffix}").unlink(missing_ok=True)
     sections["warnings"] = sorted(set(warnings))
     report.write_json(out_dir / "report.json", sections)
     return EvaluateOutcome(sections=sections, out_dir=out_dir)

@@ -146,10 +146,11 @@ class TestCorpusCommands:
             "rag", "query", "--index", str(index_path),
             "--code", snippet, "-n", "3"], capsys)
         assert code == 0
-        neighbors = json.loads(out)
-        assert len(neighbors) == 3
-        assert neighbors[0]["id"] == "pair-000"
-        assert neighbors[0]["score"] == 0.0
+        # Canonical JSON, as every command prints: the exact bytes are pinned.
+        assert out == (
+            '[\n  {\n    "id": "pair-000",\n    "score": 0.0\n  },\n'
+            '  {\n    "id": "pair-011",\n    "score": 2.8284270763397217\n  },\n'
+            '  {\n    "id": "pair-013",\n    "score": 2.8284270763397217\n  }\n]\n')
 
     def test_rag_query_from_file_with_default_n(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -544,7 +545,7 @@ class TestReportCommands:
 
 def test_ablation_flags_run_generate_and_report_as_plain(tmp_path, capsys):
     """--no-retrieval --no-chunking on the command line, over a config that
-    sets neither: both stages run the plain variant, one whole-method
+    sets both true: both stages run the plain variant, one whole-method
     prompt per bug and no corpus."""
     out_dir = tmp_path / "out"
     targets_path = write_targets(tmp_path / "targets.jsonl", [
@@ -556,7 +557,7 @@ def test_ablation_flags_run_generate_and_report_as_plain(tmp_path, capsys):
         targets, tmp_path)
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({
-        "output_dir": str(out_dir),
+        "output_dir": str(out_dir), "retrieval": True, "chunking": True,
         "test_command": TEST_COMMAND,
         "compile_command": COMPILE_COMMAND,
         "backend": {"mode": "mock", "script": str(script_path)}}))
@@ -1045,6 +1046,10 @@ def test_metrics_and_tcp_match_the_report_sections(fixed_cli_run, tmp_path,
                                                    capsys):
     """The standalone commands rebuild report payloads from execute's matrices."""
     config_path, targets_path, out_dir, _ = fixed_cli_run
+    # execute removes the report's sections, which it does not write.
+    report_dir = out_dir / "report"
+    effectiveness = (report_dir / "effectiveness.json").read_text()
+    tcp_section = json.loads((report_dir / "tcp.json").read_text())
     code, _, err = run_cli(["execute", "--config", str(config_path),
                             "--targets", str(targets_path)], capsys)
     assert code == 0, err
@@ -1056,9 +1061,8 @@ def test_metrics_and_tcp_match_the_report_sections(fixed_cli_run, tmp_path,
     code, out, err = run_cli(["metrics", "--matrices", str(matrices),
                               "--revealing", str(revealing_path)], capsys)
     assert code == 0, err
-    report_dir = out_dir / "report"
-    assert out == (report_dir / "effectiveness.json").read_text()
-    tcp_section = json.loads((report_dir / "tcp.json").read_text())
+    assert out == effectiveness
+    assert not (report_dir / "effectiveness.json").exists()
     for bug_id, tests in revealing.items():
         detection_path = tmp_path / f"detection-{bug_id}.json"
         detection_path.write_text(json.dumps({bug_id: tests}))
@@ -1470,7 +1474,7 @@ def test_running_the_module_exits_with_the_commands_status(tmp_path, monkeypatch
 CONFIG_UNSET = {
     "config": None, "corpus": None, "index": None, "output_dir": None,
     "metric": None, "key_side": None, "dimension": None, "mode": None,
-    "retrieval_n": None, "no_retrieval": False, "no_chunking": False,
+    "retrieval_n": None, "retrieval": None, "chunking": None,
     "compile_command": None, "test_command": None, "workers": None,
     "seed": None, "sample_targets": None, "hyb_weight": None,
 }
@@ -1485,8 +1489,8 @@ CONFIG_ARGV = [
 CONFIG_SET = {
     "config": "c.json", "corpus": "k.jsonl", "index": "x.idx",
     "output_dir": "o", "metric": "cosine", "key_side": "pre_fix",
-    "dimension": 64, "mode": "buggy", "retrieval_n": 3, "no_retrieval": True,
-    "no_chunking": True, "compile_command": "cc {source}",
+    "dimension": 64, "mode": "buggy", "retrieval_n": 3, "retrieval": False,
+    "chunking": False, "compile_command": "cc {source}",
     "test_command": "tc {source}", "workers": 2, "seed": 9,
     "sample_targets": 4, "hyb_weight": 0.25,
 }

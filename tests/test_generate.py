@@ -191,6 +191,18 @@ class TestRunGenerate:
         ids = sorted(outcome.mutants)
         assert all(mid.startswith("Clamp-1-c00-m") for mid in ids)
 
+    def test_a_second_run_leaves_only_its_own_mutants(self, tmp_path):
+        targets = [TargetSpec(bug_id="Clamp-1", method=CLAMP_FIXED)]
+        for chunking in (True, False):
+            config = PipelineConfig(output_dir=str(tmp_path / "out"),
+                                    retrieval=False, chunking=chunking)
+            outcome = scripted_generate(config, targets, tmp_path)
+        out_dir = Path(config.output_dir)
+        listed = [f"{row['mutant_id']}.java" for row in read_generation(out_dir)[1]
+                  if row["rejection"] is None]
+        assert sorted(p.name for p in (out_dir / "mutants").iterdir()) == listed
+        assert listed == [f"{mutant_id}.java" for mutant_id in sorted(outcome.mutants)]
+
     def test_generate_isolates_unparseable_target(self, tmp_path):
         config = PipelineConfig(output_dir=str(tmp_path / "out"),
                                 retrieval=False)

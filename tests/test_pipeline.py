@@ -6,6 +6,7 @@ the prompts and a toy runner (tests/toyrunner.py) interprets the Java-ish
 sources so mutants genuinely pass or fail the emulated suites.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -17,6 +18,7 @@ from mutkit.config import PipelineConfig, PipelineError, TargetSpec
 from mutkit.generate import GenerateOutcome, make_backend, run_generate
 from mutkit.llm import MockBackend
 from mutkit.pipeline import run_evaluate
+from mutkit.report import dumps
 
 RUNNER = Path(__file__).parent / "toyrunner.py"
 TEST_COMMAND = f"{sys.executable} {RUNNER} {{source}}"
@@ -617,6 +619,18 @@ class TestEvaluateBuggyMode:
         _, _, outcome = buggy_run
         assert tree_digests(outcome.out_dir) == self.GOLDEN_REPORT
 
+    def test_a_later_run_removes_the_sections_it_does_not_write(self, buggy_run):
+        config, targets, outcome = buggy_run
+        fixed = dataclasses.replace(config, mode="fixed")
+        run_evaluate(fixed, [dataclasses.replace(targets[0],
+                                                 bug_revealing_tests=("t_five",))])
+        assert sorted(tree_digests(outcome.out_dir)) == [
+            "effectiveness.json", "effectiveness.txt", "report.json",
+            "tcp.json", "tcp.txt", "validity.json", "validity.txt"]
+        run_evaluate(fixed, targets, through="validate")
+        assert sorted(tree_digests(outcome.out_dir)) == [
+            "report.json", "validity.json", "validity.txt"]
+
     def test_buggy_mode_revealing_tests_are_original_failures(self, buggy_run):
         _, _, outcome = buggy_run
         metrics = outcome.sections["metrics"]
@@ -640,13 +654,14 @@ class TestEvaluateBuggyMode:
             f"mbfl: bug Sum-2: the kill matrix and the original outcomes "
             f"name different tests: ['{dropped}']"]
 
-    @pytest.mark.parametrize("method, faulty_lines, reason", [
-        (CLAMP_FIXED, (2,), "lacks a failing original run"),
-        (SUM_BUGGY, (), "has no faulty_lines ground truth"),
-        (SUM_BUGGY_UNMUTATED, (2,), "has no useful mutants"),
+    @pytest.mark.parametrize("method, faulty_lines, reason, ranked", [
+        (CLAMP_FIXED, (2,), "lacks a failing original run", ["Sum-2"]),
+        # Ranked, as ``mutkit mbfl`` ranks it, but left out of the metrics.
+        (SUM_BUGGY, (), "has no faulty_lines ground truth", ["Sum-2", "Weak-1"]),
+        (SUM_BUGGY_UNMUTATED, (2,), "has no useful mutants", ["Sum-2"]),
     ])
     def test_mbfl_leaves_out_a_bug_it_cannot_localize(self, tmp_path, method,
-                                                      faulty_lines, reason):
+                                                      faulty_lines, reason, ranked):
         config = PipelineConfig(output_dir=str(tmp_path / "out"),
                                 retrieval=False, mode="buggy",
                                 test_command=TEST_COMMAND,
@@ -657,7 +672,13 @@ class TestEvaluateBuggyMode:
         scripted_generate(config, targets, tmp_path)
         outcome = run_evaluate(config, targets)
         assert section_warnings(outcome, "mbfl: ") == [f"mbfl: bug Weak-1 {reason}"]
-        assert list(outcome.sections["mbfl"]["per_bug"]) == ["Sum-2"]
+        section = outcome.sections["mbfl"]
+        assert list(section["per_bug"]) == ranked
+        # Sum-2's ranking and the metrics are the golden ones of Sum-2 alone.
+        alone = dumps({"per_bug": {"Sum-2": section["per_bug"]["Sum-2"]},
+                       "metrics": section["metrics"]})
+        assert hashlib.sha256(alone.encode("utf-8")).hexdigest() == \
+            self.GOLDEN_REPORT["mbfl.json"]
 
     def test_a_bug_without_revealing_tests_is_left_out_of_effectiveness(
             self, tmp_path):
